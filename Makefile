@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build vet staticcheck test race bench bench-baseline bench-ensemble bench-kernel check report fuzz faultinject resume shard-gate serve-gate examples clean
+.PHONY: all build vet staticcheck test race bench bench-baseline bench-ensemble bench-kernel check report fuzz faultinject resume shard-gate serve-gate pipeline-gate perf-harness-test examples clean
 
 all: build vet test
 
@@ -20,8 +20,10 @@ all: build vet test
 # (runs routed through LookupBatch/UpdateBatch — including the EV8 model
 # via the batched block contract — must be byte-identical to the scalar
 # fused path, with an EV8 block-boundary fuzz smoke), a snapshot-decode
-# fuzz smoke, and benchmark smokes so neither
-# the testing.B harness nor the per-predictor microbenchmarks can rot.
+# fuzz smoke, the stream-pipeline gate (see pipeline-gate), the benchmark
+# harness's own tests (see perf-harness-test), and benchmark smokes so
+# neither the testing.B harness nor the per-predictor microbenchmarks can
+# rot.
 check:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
@@ -38,6 +40,8 @@ check:
 	$(GO) test -count=1 ./internal/cache/ ./internal/snapshot/
 	$(MAKE) shard-gate
 	$(MAKE) serve-gate
+	$(MAKE) pipeline-gate
+	$(MAKE) perf-harness-test
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' .
 	$(GO) test -bench=Table1 -benchtime=1x -run '^$$' .
 	$(GO) test -bench=PredictUpdate -benchtime=100x -run '^$$' .
@@ -135,6 +139,24 @@ shard-gate:
 serve-gate:
 	$(GO) test -race -count=1 ./internal/serve/ ./cmd/ev8serve/
 	$(GO) test -race -run 'TestServeDebug|TestConcurrentObserversIsolated|TestAcquireCollision' -count=1 ./internal/stats/live/
+
+# Stream-pipeline gate (docs/PARALLELISM.md): under the race detector,
+# runs whose generator runs ahead in a producer goroutine must equal
+# direct runs (results, attribution counters and the generator's final
+# position) for the EV8, 2Bc-gskew and gshare, solo and ensemble, over
+# every benchmark, batch schedule, update delay and branch budget;
+# cancellation must yield ErrCanceled, a producer panic must surface in
+# the caller, no goroutine may leak, and allocations per run must not
+# grow with the budget. The ensemble fill-sizing regression rides along.
+pipeline-gate:
+	$(GO) test -race -run 'TestPipeline|TestEnsembleFillStopsAtBudget' -count=1 -v ./internal/sim/
+
+# The benchmark harness (cmd/ev8perf) is a module of its own, so ./...
+# does not reach it; its tests pin the traced decomposition to the
+# simulator's results.
+perf-harness-test:
+	$(GO) -C cmd/ev8perf vet ./...
+	$(GO) -C cmd/ev8perf test ./...
 
 # Exhaustive trace-corruption suite: every prefix truncation and every
 # single-bit flip of a format-2 stream must surface a typed error.

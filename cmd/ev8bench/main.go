@@ -51,8 +51,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
@@ -63,6 +61,7 @@ import (
 	"ev8pred/internal/experiments"
 	"ev8pred/internal/frontend"
 	"ev8pred/internal/predictor"
+	"ev8pred/internal/profiling"
 	"ev8pred/internal/report"
 	"ev8pred/internal/shard"
 	"ev8pred/internal/sim"
@@ -137,9 +136,8 @@ func run(args []string, out, errw io.Writer) error {
 		cacheDir     = fs.String("cache", "", "content-addressed result cache directory (e.g. "+cache.DefaultDir+"; empty = no caching)")
 		shardSpec    = fs.String("shard", "", "sharded precompute: simulate only shard k/N of each experiment's cell grid into the shared -cache store (docs/SHARDING.md)")
 		expvarAddr   = fs.String("expvar", "", "serve live expvar progress counters on this address (e.g. localhost:8080)")
-		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile   = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
+	profiles := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -152,36 +150,11 @@ func run(args []string, out, errw io.Writer) error {
 		}
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if cerr := f.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "ev8bench: closing cpu profile:", cerr)
-			}
-		}()
+	stopProfiles, err := profiles.Start("ev8bench", errw)
+	if err != nil {
+		return err
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ev8bench: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush the final allocation statistics
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "ev8bench: memprofile:", err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	ensembleMode, err := sim.ParseEnsembleMode(*ensemble)
 	if err != nil {

@@ -6,6 +6,7 @@
 //	ev8sim [-predictors ev8,2bcg512,gshare,...] [-benchmarks gcc,go|-trace file]
 //	       [-instructions N] [-mode ev8|ghist|lghist|lghist-nopath|old-lghist]
 //	       [-threads N] [-quantum N] [-stats] [-json results.json]
+//	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -stats enables component-attribution collection (see
 // docs/OBSERVABILITY.md) for predictors that support it; -json emits the
@@ -50,6 +51,7 @@ import (
 	"ev8pred/internal/predictor/local"
 	"ev8pred/internal/predictor/perceptron"
 	"ev8pred/internal/predictor/yags"
+	"ev8pred/internal/profiling"
 	"ev8pred/internal/report"
 	"ev8pred/internal/sim"
 	"ev8pred/internal/trace"
@@ -120,9 +122,15 @@ func run(args []string, out io.Writer) error {
 		resumePath   = fs.String("resume", "", "resume from a checkpoint written by -save-checkpoint and run the source dry (same -mode and predictor required)")
 		jsonPath     = fs.String("json", "", "emit results as JSON to this file ('-' = stdout, replacing the table)")
 	)
+	profiles := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := profiles.Start("ev8sim", os.Stderr)
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 
 	mode, ok := modes[*modeName]
 	if !ok {

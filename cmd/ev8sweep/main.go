@@ -19,6 +19,8 @@
 // ensemble per benchmark when that amortization can win (-ensemble
 // auto|on|off; the table is byte-identical in every mode).
 //
+// -cpuprofile and -memprofile write profiles for go tool pprof.
+//
 // -stats collects component-attribution counters per cell (predictors
 // that support them; see docs/OBSERVABILITY.md); -json emits every cell
 // as a machine-readable record to the given file ("-" for stdout,
@@ -60,6 +62,7 @@ import (
 	"ev8pred/internal/cache"
 	"ev8pred/internal/cliflag"
 	"ev8pred/internal/frontend"
+	"ev8pred/internal/profiling"
 	"ev8pred/internal/report"
 	"ev8pred/internal/shard"
 	"ev8pred/internal/sim"
@@ -95,9 +98,15 @@ func run(args []string, out io.Writer) error {
 		manifestDir  = fs.String("manifest", "", "directory for shard completion manifests (worker mode, with -shard)")
 		mergeDir     = fs.String("merge", "", "coordinator mode: merge a completed sharded sweep from this manifest directory (requires -cache and the same sweep flags the workers ran)")
 	)
+	profiles := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := profiles.Start("ev8sweep", os.Stderr)
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 
 	var xs []int
 	for _, s := range strings.Split(*values, ",") {

@@ -144,6 +144,19 @@ func newBatchScratch() *batchScratch {
 	}
 }
 
+// fillWant is the one fill-sizing rule of every stream loop and of the
+// pipeline's producer: a full chunk, or under a branch budget no more
+// records than branches remain (0 once it is spent). A record holds at
+// most one conditional branch, so a fill never reads past the record that
+// completes the budget, and the stream stops where a record-at-a-time
+// loop stopping at the budget-th branch would.
+func fillWant(maxBranches, branches int64) int {
+	if maxBranches <= 0 {
+		return batchChunk
+	}
+	return int(max(0, min(batchChunk, maxBranches-branches)))
+}
+
 // countMispredicts popcounts prediction/outcome disagreements over the
 // packed words, restricted to lanes [start, m) — the chunk's measured
 // window after warmup gating.
@@ -180,12 +193,10 @@ func warmupStart(branches, warmup int64, m int) int {
 // walk stays sequential and identical to the scalar loop (per-record
 // tracker state machine with the same onBlock wiring, warmup-gated
 // instruction accounting); what gets batched is everything per-branch
-// downstream of it. Record consumption is also identical: a fill never
-// asks for more records than remaining branches (MaxBranches - Branches),
-// and since a record holds at most one conditional branch, the stream
-// position where the run stops — and therefore Checkpoint.Records and
-// warm-ensemble continuation — is the same as scalar's
-// stop-at-the-Nth-branch.
+// downstream of it. Record consumption is also identical: fills are sized
+// by fillWant, so the stream position where the run stops — and therefore
+// Checkpoint.Records and warm-ensemble continuation — is the same as
+// scalar's stop-at-the-Nth-branch.
 //
 // For a block-observing predictor (onBlock non-nil; planBatch has already
 // proven the predictor implements the batched block contract), the walk
@@ -202,15 +213,9 @@ func runBatchStream(bp predictor.BatchPredictor, bs trace.BatchSource, opts Opti
 	bbo, _ := bp.(predictor.BlockBatchObserver)
 	banked := onBlock != nil && bbo != nil
 	for {
-		want := batchChunk
-		if opts.MaxBranches > 0 {
-			rem := opts.MaxBranches - res.Branches
-			if rem <= 0 {
-				break
-			}
-			if rem < int64(want) {
-				want = int(rem)
-			}
+		want := fillWant(opts.MaxBranches, res.Branches)
+		if want == 0 {
+			break
 		}
 		n, ferr := bs.NextBatch(s.buf[:want])
 		m := 0
@@ -315,19 +320,14 @@ func runEnsembleBatchStream(members []member, src trace.Source, bs trace.BatchSo
 		}
 	}
 	for {
-		if opts.MaxBranches > 0 && *branches >= opts.MaxBranches {
+		want := fillWant(opts.MaxBranches, *branches)
+		if want == 0 {
 			break
 		}
-		n, ferr := fillBatch(src, bs, s.buf)
+		n, ferr := fillBatch(src, bs, s.buf[:want])
 		m := 0
 		bcount := *branches
 		for bi := 0; bi < n; bi++ {
-			if opts.MaxBranches > 0 && bcount >= opts.MaxBranches {
-				// Identical to the scalar loop's break at the branch
-				// budget: the rest of the pulled batch is dropped (the
-				// documented over-read of batched ensemble pulls).
-				break
-			}
 			b := &s.buf[bi]
 			tr := trackers.lookup(b.Thread)
 			if tr == nil {

@@ -121,25 +121,31 @@ func (c *cancelBatchSource) NextBatch(dst []trace.Branch) (int, error) {
 // workload source is wrapped so ctx ending terminates the run with an
 // error wrapping ErrCanceled. The pool routes every per-cell job here,
 // which is also what makes the pool's own first-error cancellation take
-// effect mid-cell instead of only between cells.
+// effect mid-cell instead of only between cells. Outside pool jobs the
+// generator runs ahead on a second CPU (see pipeline.go).
 func runBenchmarkCtx(ctx context.Context, p predictor.Predictor, prof workload.Profile, instrBudget int64, opts Options) (Result, error) {
 	g, err := workload.New(prof, instrBudget)
 	if err != nil {
 		return Result{}, err
 	}
-	r, err := Run(p, sourceWithCancel(ctx, g), opts)
+	src, stop := stream(ctx, g, opts.MaxBranches, pipelining())
+	defer stop()
+	r, err := Run(p, src, opts)
 	r.Workload = prof.Name
 	return r, err
 }
 
 // runEnsembleBenchmarkCtx is RunEnsembleBenchmark with the same
-// cancellation wrapping, for the grouped (single-pass ensemble) schedule.
+// cancellation wrapping and pipelining, for the grouped (single-pass
+// ensemble) schedule.
 func runEnsembleBenchmarkCtx(ctx context.Context, factories []Factory, prof workload.Profile, instrBudget int64, opts Options) ([]Result, error) {
 	g, err := workload.New(prof, instrBudget)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := RunEnsemble(factories, sourceWithCancel(ctx, g), opts)
+	src, stop := stream(ctx, g, opts.MaxBranches, pipelining())
+	defer stop()
+	rs, err := RunEnsemble(factories, src, opts)
 	for i := range rs {
 		rs[i].Workload = prof.Name
 	}

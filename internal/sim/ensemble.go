@@ -28,12 +28,6 @@ import (
 	"ev8pred/internal/workload"
 )
 
-// ensembleBatch is the record batch the ensemble loop pulls per source
-// call when the source implements trace.BatchSource. Big enough to
-// amortize the call, small enough to stay cache-resident (48 B/record ×
-// 1024 = 48 KB).
-const ensembleBatch = 1024
-
 // member is the per-configuration state of one ensemble slot: the
 // predictor with its fused fast path, its own commit-delay ring, its own
 // mispredict counter and its own attribution hook. Everything shared
@@ -97,11 +91,10 @@ func fillBatch(src trace.Source, bs trace.BatchSource, buf []trace.Branch) (int,
 //
 // All members share opts; in particular they see the same information
 // vector (opts.Mode) — schemes needing different modes belong in
-// different ensembles. When src implements trace.BatchSource the stream
-// is pulled in batches; note that under opts.MaxBranches the source may
-// then have been advanced past the last processed record. The per-branch
-// loop allocates nothing in steady state, per member, preserving the
-// repo's hot-path discipline.
+// different ensembles. The stream is pulled in batches sized like Run's
+// (see fillWant), so under opts.MaxBranches the source stops exactly
+// where Run's would. The per-branch loop allocates nothing in steady
+// state, per member, preserving the repo's hot-path discipline.
 //
 // Errors: a factory failure aborts before any simulation; a mid-stream
 // source failure returns the partial Results with the same error shape as
@@ -251,18 +244,14 @@ func runEnsemble(factories []Factory, src trace.Source, opts Options, ck *Checkp
 	} else if opts.Batch == BatchOn {
 		return results, fmt.Errorf("%w: %s", ErrBatchIneligible, batchReason)
 	} else {
-		buf := make([]trace.Branch, ensembleBatch)
-
-	stream:
+		buf := make([]trace.Branch, batchChunk)
 		for {
-			if opts.MaxBranches > 0 && branches >= opts.MaxBranches {
+			want := fillWant(opts.MaxBranches, branches)
+			if want == 0 {
 				break
 			}
-			n, ferr := fillBatch(src, bs, buf)
+			n, ferr := fillBatch(src, bs, buf[:want])
 			for bi := 0; bi < n; bi++ {
-				if opts.MaxBranches > 0 && branches >= opts.MaxBranches {
-					break stream
-				}
 				b := buf[bi]
 				tr := trackers.lookup(b.Thread)
 				if tr == nil {

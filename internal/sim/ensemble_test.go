@@ -274,3 +274,32 @@ func TestParseEnsembleMode(t *testing.T) {
 		t.Errorf("unknown mode String() = %q", s)
 	}
 }
+
+// TestEnsembleFillStopsAtBudget: under MaxBranches an ensemble reads its
+// source exactly as far as a solo Run does — in the batch loop and in the
+// scalar loop, with the budget ending mid-chunk — so the generator's next
+// record after RunEnsemble is the one Run leaves.
+func TestEnsembleFillStopsAtBudget(t *testing.T) {
+	prof := benchProfiles(t, "gcc")[0]
+	const budget = 1500 // inside the second 1024-record fill
+	for _, opts := range []Options{
+		{MaxBranches: budget},                  // batch loop
+		{MaxBranches: budget, Batch: BatchOff}, // scalar loop
+		{MaxBranches: budget, UpdateDelay: 8},  // scalar loop, commit delay
+	} {
+		solo := workload.MustNew(prof, 0)
+		p, _ := gshareFactories(1)[0]()
+		if _, err := Run(p, solo, opts); err != nil {
+			t.Fatal(err)
+		}
+		ens := workload.MustNew(prof, 0)
+		if _, err := RunEnsemble(gshareFactories(3), ens, opts); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := solo.Next()
+		if got, _ := ens.Next(); got != want {
+			t.Errorf("batch=%v delay=%d: ensemble left the generator at %+v, Run at %+v",
+				opts.Batch, opts.UpdateDelay, got, want)
+		}
+	}
+}

@@ -3,12 +3,16 @@
 // cell — out across the CPUs and reassembles the results in input order,
 // so parallel output is byte-identical to serial output.
 //
-// The unit of parallelism is always a whole simulated stream. One cell is
-// one cold predictor over one deterministic workload, so cells share no
-// mutable state; within a cell, instruction order is architectural state
-// and is never reordered (see DESIGN.md). Every suite-level driver
-// (RunSuite, the sweep harness, the experiment generators) routes through
-// RunCells; Workers == 1 forces the serial path for debugging.
+// The unit of parallelism here is always a whole simulated stream. One
+// cell is one cold predictor over one deterministic workload, so cells
+// share no mutable state; within a cell, instruction order is
+// architectural state, records are never reordered and the stream is
+// consumed serially (see DESIGN.md). Outside pool jobs a stream's
+// generator alone runs ahead on a second CPU (pipeline.go); pool jobs
+// keep it inline, because the fan-out already fills the CPUs. Every
+// suite-level driver (RunSuite, the sweep harness, the experiment
+// generators) routes through RunCells; Workers == 1 forces the serial
+// path for debugging.
 package sim
 
 import (
@@ -377,8 +381,11 @@ func Parallel[T any](ctx context.Context, workers int, jobs []func(context.Conte
 }
 
 // runJob invokes one job, converting a panic into an error so a bad cell
-// fails the fan-out instead of killing the process.
+// fails the fan-out instead of killing the process. While it runs, the
+// streams of the process are not pipelined (see pipelining).
 func runJob[T any](ctx context.Context, i int, job func(context.Context) (T, error)) (v T, err error) {
+	poolJobs.Add(1)
+	defer poolJobs.Add(-1)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sim: job %d panicked: %v", i, r)

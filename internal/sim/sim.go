@@ -48,8 +48,10 @@ type Options struct {
 	// Workers bounds how many benchmark cells suite-level drivers
 	// (RunSuite, RunCells, the sweep and experiment harnesses) simulate
 	// concurrently: 0 uses one worker per CPU, 1 forces the serial
-	// debugging path. It has no effect on a single Run — parallelism is
-	// across cells, never within one simulated instruction stream.
+	// debugging path. It has no effect on a single Run, which consumes its
+	// stream serially without reordering records; outside pool jobs, only
+	// the generator of a RunBenchmark or RunEnsembleBenchmark stream runs
+	// ahead on a second CPU (see pipeline.go).
 	Workers int
 	// Ensemble selects how suite-level drivers schedule cells that share
 	// a workload: EnsembleAuto (the zero value) groups them into one
