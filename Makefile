@@ -20,10 +20,11 @@ all: build vet test
 # (runs routed through LookupBatch/UpdateBatch — including the EV8 model
 # via the batched block contract — must be byte-identical to the scalar
 # fused path, with an EV8 block-boundary fuzz smoke), a snapshot-decode
-# fuzz smoke, the stream-pipeline gate (see pipeline-gate), the benchmark
-# harness's own tests (see perf-harness-test), and benchmark smokes so
-# neither the testing.B harness nor the per-predictor microbenchmarks can
-# rot.
+# fuzz smoke, the benchmark harness's own tests (see perf-harness-test),
+# and benchmark smokes so neither the testing.B harness nor the
+# per-predictor microbenchmarks can rot. The stream-pipeline tests run
+# under -race in the blanket run; pipeline-gate reruns them by name for
+# CI.
 check:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
@@ -40,7 +41,6 @@ check:
 	$(GO) test -count=1 ./internal/cache/ ./internal/snapshot/
 	$(MAKE) shard-gate
 	$(MAKE) serve-gate
-	$(MAKE) pipeline-gate
 	$(MAKE) perf-harness-test
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' .
 	$(GO) test -bench=Table1 -benchtime=1x -run '^$$' .

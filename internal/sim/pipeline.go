@@ -25,7 +25,16 @@
 //
 // It engages only where a CPU is spare: GOMAXPROCS > 1 and no pool job
 // running in the process (a pool fan-out already fills every CPU with
-// cells, and its Workers: 1 debug path stays single-goroutine).
+// cells, and its Workers: 1 debug path stays single-goroutine). Both
+// checks were measured against pipelining every stream, with cmd/ev8perf
+// (10 s runs, seed 1, alternating, on a shared 2-vCPU Xeon VM; see
+// docs/PARALLELISM.md). Inside pool jobs the pipeline gained nothing and
+// cost set-up time and memory: sweep_2bcg_history ns_per_branch moved
+// +10% and -1.5% in two sets of 10 rounds, but setup_s rose in 15 of 20;
+// serve_mixed ns_per_branch moved +0.2%, while setup_s rose 12% (9 of 10)
+// and peak_rss_mb 5% (9 of 10). At GOMAXPROCS=1 it was neutral (table1_ev8
+// -1.6%, lower in 4 of 10), so the check only keeps single-CPU runs on
+// the direct path.
 package sim
 
 import (
@@ -45,7 +54,9 @@ const pipeDepth = 3
 // poolJobs counts the pool jobs (Parallel's runJob) running in this
 // process; while any runs, streams are not pipelined. It is process-wide
 // rather than a parameter because the experiment generators reach
-// RunBenchmark from inside Parallel jobs through the public API.
+// RunBenchmark from inside Parallel jobs through the public API. A
+// one-job fan-out and the last job of a fan-out therefore stay inline
+// too, although a CPU may be idle then.
 var poolJobs atomic.Int64
 
 // pipelining reports whether a stream started now should run its
