@@ -18,8 +18,9 @@ all: build vet test
 # recomputation), the sharded-sweep gate (split/merge byte-identical to
 # single-process, see shard-gate), the batch-kernel differential suite
 # (runs routed through LookupBatch/UpdateBatch — including the EV8 model
-# via the batched block contract — must be byte-identical to the scalar
-# fused path, with an EV8 block-boundary fuzz smoke), a snapshot-decode
+# via the batched block contract, and commit-delayed runs via the lagged
+# resolve — must be byte-identical to the scalar fused path, with an EV8
+# block-boundary fuzz smoke at random delays), a snapshot-decode
 # fuzz smoke, the benchmark harness's own tests (see perf-harness-test),
 # and benchmark smokes so neither the testing.B harness nor the
 # per-predictor microbenchmarks can rot. The stream-pipeline tests run
@@ -30,13 +31,13 @@ check:
 	$(MAKE) staticcheck
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState' -count=1 .
+	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestDelayedBatchZeroAllocsSteadyState' -count=1 .
 	$(GO) test -run 'TestEnsemble' -count=1 . ./internal/sim/
-	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/predictor/... ./internal/trace/
+	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/predictor/... ./internal/trace/
 	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
 	$(GO) test -run 'TestFault' -count=1 ./internal/trace/faultinject/
 	$(GO) test -fuzz FuzzReader -fuzztime 30s -run '^$$' ./internal/trace/
-	$(GO) test -run 'TestResume|TestWarmEnsemble' -count=1 .
+	$(GO) test -run 'TestResume' -count=1 .
 	$(GO) test -run 'TestCache|TestSweepWarmCacheZeroWork|TestUncacheable|TestSnapshotMutants|TestCheckpointMutants' -count=1 .
 	$(GO) test -count=1 ./internal/cache/ ./internal/snapshot/
 	$(MAKE) shard-gate
@@ -115,7 +116,7 @@ fuzz:
 # bit-for-bit against straight-through runs, plus the result-cache
 # hit/near-miss/corruption/zero-work suites.
 resume:
-	$(GO) test -run 'TestResume|TestWarmEnsemble|TestSnapshotMutants|TestCheckpointMutants' -count=1 -v .
+	$(GO) test -run 'TestResume|TestSnapshotMutants|TestCheckpointMutants' -count=1 -v .
 	$(GO) test -run 'TestCache|TestSweepWarmCacheZeroWork|TestUncacheable' -count=1 -v .
 	$(GO) test -count=1 ./internal/cache/ ./internal/snapshot/
 

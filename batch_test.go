@@ -5,9 +5,9 @@ package ev8pred_test
 // every BatchPredictor family, every benchmark, every update delay and
 // both Collect settings, a run with BatchAuto must produce byte-identical
 // Results — Stats included — to the same run forced onto the scalar path
-// with BatchOff. At delay 0 this compares the two genuinely different
-// execution paths; at delay > 0 it pins that BatchAuto correctly declines
-// ineligible runs.
+// with BatchOff. At delay > 0 BatchAuto takes the lagged resolve
+// (UpdateBatchLagged); delayed_batch_test.go crosses it with longer
+// delays, stop points, ensembles and checkpoints.
 
 import (
 	"reflect"

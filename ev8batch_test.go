@@ -120,15 +120,29 @@ func TestEV8BatchScalarEquivalent(t *testing.T) {
 	}
 }
 
-// TestEV8BatchDelayEquivalent pins the fallback: commit delay keeps the
-// scalar path (BatchAuto declines), and results stay identical.
+// TestEV8BatchDelayEquivalent pins the lagged resolve on the EV8 over a
+// whole benchmark: under commit delay the run takes the kernel (BatchOn
+// accepts it) and matches the scalar ring's results, Stats included, at
+// delays shorter and longer than a chunk.
 func TestEV8BatchDelayEquivalent(t *testing.T) {
 	tc := ev8BatchRoster()[0]
-	for _, delay := range []int{1, 8} {
-		opts := ev8pred.Options{UpdateDelay: delay}
+	for _, delay := range []int{1, 8, 64, 1500} {
+		opts := ev8pred.Options{UpdateDelay: delay, Collect: true}
 		auto, off := runEV8BatchPair(t, tc, "gcc", 50_000, opts)
 		if !equalResult(auto, off) {
 			t.Errorf("delay=%d: batch %+v != scalar %+v", delay, auto, off)
+		}
+		prof, err := ev8pred.BenchmarkByName("gcc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		on := ev8pred.Options{Mode: ev8pred.ModeEV8(), UpdateDelay: delay, Collect: true, Batch: ev8pred.BatchOn}
+		r, err := ev8pred.RunBenchmark(ev8pred.NewEV8(), prof, 50_000, on)
+		if err != nil {
+			t.Fatalf("delay=%d: BatchOn run rejected: %v", delay, err)
+		}
+		if !equalResult(r, auto) {
+			t.Errorf("delay=%d: BatchOn %+v != BatchAuto %+v", delay, r, auto)
 		}
 	}
 }
@@ -164,8 +178,9 @@ func TestEV8BatchMaxBranchesEquivalent(t *testing.T) {
 }
 
 // TestEV8BatchOnEligibility pins the BatchOn contract on the EV8 surface:
-// an eligible EV8 run takes the kernel, and each disqualifying condition
-// fails with ErrBatchIneligible instead of a silent scalar fallback.
+// eligible EV8 runs — immediate or commit-delayed — take the kernel, and
+// each disqualifying condition fails with ErrBatchIneligible instead of a
+// silent scalar fallback.
 func TestEV8BatchOnEligibility(t *testing.T) {
 	prof, err := ev8pred.BenchmarkByName("gcc")
 	if err != nil {
@@ -180,8 +195,8 @@ func TestEV8BatchOnEligibility(t *testing.T) {
 	if err := run(ev8pred.NewEV8(), ev8pred.Options{}); err != nil {
 		t.Errorf("eligible EV8 run rejected under BatchOn: %v", err)
 	}
-	if err := run(ev8pred.NewEV8(), ev8pred.Options{UpdateDelay: 1}); !errors.Is(err, ev8pred.ErrBatchIneligible) {
-		t.Errorf("delayed BatchOn run: got %v, want ErrBatchIneligible", err)
+	if err := run(ev8pred.NewEV8(), ev8pred.Options{UpdateDelay: 1}); err != nil {
+		t.Errorf("delayed EV8 run rejected under BatchOn: %v", err)
 	}
 	cascade := ev8BatchRoster()[3]
 	p, err := cascade.make()
@@ -367,20 +382,24 @@ func TestEV8BatchZeroAllocsSteadyState(t *testing.T) {
 }
 
 // FuzzEV8BatchBlockBoundaries drives random thread-interleaved record
-// streams through both schedules of the EV8 run. The staged front-end
-// walk must form exactly the scalar fetch-block boundaries — every
-// divergence is visible in the §6 counters (blocks_observed,
-// fetch_cycles, phys_bank_use_k), the mispredict counts (bank
-// assignment feeds every index), and the serialized sequencer state.
+// streams through both schedules of the EV8 run, at a random update delay
+// (0 to 1599, so longer than a chunk too). The staged front-end walk must
+// form exactly the scalar fetch-block boundaries, and the lagged resolve
+// must retire each update where the scalar ring does — every divergence
+// is visible in the §6 counters (blocks_observed, fetch_cycles,
+// phys_bank_use_k), the mispredict counts (bank assignment feeds every
+// index), and the serialized sequencer and counter state.
 func FuzzEV8BatchBlockBoundaries(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x00, 0x01, 0x02, 0x03})
-	f.Add(bytes.Repeat([]byte{0x81, 0x05, 0x11, 0x42, 0x03, 0x3f, 0x07, 0xc0}, 64))
-	f.Add(bytes.Repeat([]byte{0xff, 0x00, 0x80, 0x20}, 600)) // one hot thread
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0x00, 0x01, 0x02, 0x03}, uint16(1))
+	f.Add(bytes.Repeat([]byte{0x81, 0x05, 0x11, 0x42, 0x03, 0x3f, 0x07, 0xc0}, 64), uint16(8))
+	f.Add(bytes.Repeat([]byte{0xff, 0x00, 0x80, 0x20}, 600), uint16(0))     // one hot thread
+	f.Add(bytes.Repeat([]byte{0x93, 0x02, 0x31, 0x15}, 4096), uint16(1500)) // delay > chunk
+	f.Fuzz(func(t *testing.T, data []byte, d uint16) {
 		if len(data) > 16384 {
 			data = data[:16384]
 		}
+		delay := int(d % 1600)
 		// Decode 4 bytes per record, keeping the stream's address
 		// invariant (PC = previous NextPC + Gap*4) per thread so the
 		// front end forms realistic fetch blocks.
@@ -410,7 +429,7 @@ func FuzzEV8BatchBlockBoundaries(f *testing.F) {
 		run := func(mode ev8pred.BatchMode) (ev8pred.Result, []byte) {
 			p := ev8pred.NewEV8()
 			r, err := ev8pred.Run(p, trace.NewSlice(records),
-				ev8pred.Options{Mode: ev8pred.ModeEV8(), Collect: true, Batch: mode})
+				ev8pred.Options{Mode: ev8pred.ModeEV8(), UpdateDelay: delay, Collect: true, Batch: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -419,12 +438,12 @@ func FuzzEV8BatchBlockBoundaries(f *testing.F) {
 		rBatch, sBatch := run(ev8pred.BatchAuto)
 		rScalar, sScalar := run(ev8pred.BatchOff)
 		if !equalResult(rBatch, rScalar) {
-			t.Errorf("results diverge over %d records: batch %+v != scalar %+v",
-				len(records), rBatch, rScalar)
+			t.Errorf("results diverge over %d records at delay %d: batch %+v != scalar %+v",
+				len(records), delay, rBatch, rScalar)
 		}
 		if !bytes.Equal(sBatch, sScalar) {
-			t.Errorf("predictor state diverges over %d records: staged block walk broke the sequencer lockstep",
-				len(records))
+			t.Errorf("predictor state diverges over %d records at delay %d: staged block walk or lagged resolve broke the lockstep",
+				len(records), delay)
 		}
 	})
 }

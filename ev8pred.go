@@ -235,11 +235,3 @@ func ResumeFrom(p Predictor, src Source, opts Options, ck *Checkpoint) (Result, 
 // SkipRecords advances src past n records, surfacing a typed error if
 // the stream ends or fails first.
 func SkipRecords(src Source, n int64) error { return sim.SkipRecords(src, n) }
-
-// RunWarmEnsembleBenchmark simulates the first warmBranches of a
-// benchmark once with a factory-built predictor, snapshots the warm
-// state, and fans k ensemble members out from copies of it — the
-// ensemble engine's amortization applied to warmup state.
-func RunWarmEnsembleBenchmark(factory Factory, k int, prof Profile, instructions, warmBranches int64, opts Options) ([]Result, error) {
-	return sim.RunWarmEnsembleBenchmark(factory, k, prof, instructions, warmBranches, opts)
-}

@@ -30,10 +30,15 @@ var (
 	PerfEV8Typical = perf.EV8Typical
 )
 
+// ErrFrontEndOption reports an Options field RunFrontEnd does not
+// support (only Mode and MaxBranches apply); the wrapping error names it.
+var ErrFrontEndOption = sim.ErrFrontEndOption
+
 // RunFrontEnd simulates the full PC-address generator over src. A nil
 // predictor selects a perfect (oracle) conditional predictor, for
-// upper-bound studies. A non-nil error means the source failed
-// mid-stream (e.g. a corrupted trace file).
+// upper-bound studies. A non-nil error means an unsupported option
+// (ErrFrontEndOption), a source that failed mid-stream (e.g. a corrupted
+// trace file), or a result that failed its sanity check.
 func RunFrontEnd(p Predictor, src Source, opts Options, fecfg FrontEndConfig) (FrontEndResult, error) {
 	return sim.RunFrontEnd(p, src, opts, fecfg)
 }

@@ -61,10 +61,12 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDelayedUpdateZeroAllocsSteadyState gates the commit-delay queue:
-// with UpdateDelay > 0 the pending updates must live in the fixed ring
-// sim.Run allocates once, not in a slice that grows as queue[1:] pops
-// retain the backing array. A full sim.Run carries constant setup cost
+// TestDelayedUpdateZeroAllocsSteadyState gates the scalar commit-delay
+// queue (BatchOff; the delayed batch path has its own gate,
+// TestDelayedBatchZeroAllocsSteadyState): with UpdateDelay > 0 the pending
+// updates must live in the fixed ring sim.Run allocates once, not in a
+// slice that grows as queue[1:] pops retain the backing array. A full
+// sim.Run carries constant setup cost
 // (predictor tables, tracker, the ring itself), so the gate compares
 // whole-run allocation counts at two stream lengths: equal totals mean
 // the marginal branches allocated nothing.
@@ -91,6 +93,7 @@ func TestDelayedUpdateZeroAllocsSteadyState(t *testing.T) {
 			_, err := ev8pred.Run(p, trace.NewSlice(recs), ev8pred.Options{
 				Mode:        ev8pred.ModeEV8(),
 				UpdateDelay: 64,
+				Batch:       ev8pred.BatchOff,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -9,12 +9,14 @@
 // many times inside one 1024-record chunk and aliases with its own
 // earlier occurrences, so the read → combine → train resolve must see
 // the counters exactly as the scalar Lookup/UpdateWith interleaving
-// would. UpdateBatch therefore walks the staged chunk in order, but with
-// the scalar path's per-branch costs stripped: one packed-word read per
-// bank, a bit-parallel majority-vote and meta-arbitration combine (no
-// if ladders), and the shared applyUpdate write path — which most
-// branches never reach a write through, thanks to the §4.2 partial
+// would. UpdateBatchLagged therefore walks the staged window in order,
+// but with the scalar path's per-branch costs stripped: one packed-word
+// read per bank, a bit-parallel majority-vote and meta-arbitration
+// combine (no if ladders), and the shared applyUpdate write path — which
+// most branches never reach a write through, thanks to the §4.2 partial
 // update policy (Rationale 1: all-agree-correct means no writes at all).
+// Under commit delay the same loop trains each branch lag entries behind
+// its lookup, exactly where the scalar ring retires it.
 package core
 
 import (
@@ -61,38 +63,53 @@ func (p *Predictor) LookupBatch(infos []history.Info, snaps []predictor.Snapshot
 	}
 }
 
-// UpdateBatch implements predictor.BatchPredictor: the state-dependent
-// resolve, branch by branch in chunk order against live counter state.
-// The four direction bits are read as 0/1 words straight from the packed
-// prediction arrays and combined with bit-parallel logic:
+// UpdateBatch implements predictor.BatchPredictor: the lag-0 resolve.
+func (p *Predictor) UpdateBatch(snaps []predictor.Snapshot, taken, finals []uint64) {
+	p.UpdateBatchLagged(snaps, 0, 0, taken, finals)
+}
+
+// UpdateBatchLagged implements predictor.BatchPredictor: the state-
+// dependent resolve, branch by branch in window order against live
+// counter state. The four direction bits are read as 0/1 words straight
+// from the packed prediction arrays and combined with bit-parallel logic:
 //
 //	maj   = (bim & g0) | (bim & g1) | (g0 & g1)   // e-gskew majority
 //	final = (meta & maj) | (^meta & bim)          // meta arbitration
 //
-// then the branch trains through the same applyUpdate /
+// At lag 0 the branch then trains through the same applyUpdate /
 // updateAtInstrumented write path as the scalar UpdateWith — both update
-// policies, identical attribution. At update delay 0 the scalar path's
-// update-time re-read equals its lookup-time read (nothing trains
-// between the two for the same branch), so one read serves both.
-func (p *Predictor) UpdateBatch(snaps []predictor.Snapshot, taken, finals []uint64) {
+// policies, identical attribution — from that one read: nothing trains
+// between a branch's lookup and its update, so the scalar update-time
+// re-read equals the lookup-time read. Under a lag the read becomes the
+// branch's snapshot, and the entry lag places back retires through
+// updateAt, which re-reads its counters exactly as UpdateWith does.
+func (p *Predictor) UpdateBatchLagged(snaps []predictor.Snapshot, pending, lag int, taken, finals []uint64) {
 	bim, g0b, g1b, meta := p.banks[BIM], p.banks[G0], p.banks[G1], p.banks[Meta]
 	var fw uint64
 	wi := 0
-	for i := range snaps {
-		idx := &snaps[i].Idx
-		pb := bim.PredBit(idx[BIM])
-		p0 := g0b.PredBit(idx[G0])
-		p1 := g1b.PredBit(idx[G1])
-		pm := meta.PredBit(idx[Meta])
+	for k := pending; k < len(snaps); k++ {
+		s := &snaps[k]
+		pb := bim.PredBit(s.Idx[BIM])
+		p0 := g0b.PredBit(s.Idx[G0])
+		p1 := g1b.PredBit(s.Idx[G1])
+		pm := meta.PredBit(s.Idx[Meta])
 		maj := pb&p0 | pb&p1 | p0&p1
 		fin := pm&maj | (pm^1)&pb
-		lane := uint(i) & 63
+		lane := uint(k-pending) & 63
 		fw |= fin << lane
-		tk := taken[i>>6]>>lane&1 == 1
-		if p.st != nil {
-			p.updateAtInstrumented(*idx, pb == 1, p0 == 1, p1 == 1, pm == 1, fin == 1, maj == 1, tk)
+		if lag == 0 {
+			tk := taken[k>>6]>>(uint(k)&63)&1 == 1
+			if p.st != nil {
+				p.updateAtInstrumented(s.Idx, pb == 1, p0 == 1, p1 == 1, pm == 1, fin == 1, maj == 1, tk)
+			} else {
+				p.applyUpdate(s.Idx, pb == 1, p0 == 1, p1 == 1, pm == 1, fin == 1, maj == 1, tk)
+			}
 		} else {
-			p.applyUpdate(*idx, pb == 1, p0 == 1, p1 == 1, pm == 1, fin == 1, maj == 1, tk)
+			s.Preds = uint8(pb | p0<<uint(G0) | p1<<uint(G1) | pm<<uint(Meta))
+			s.Final, s.Aux = fin == 1, maj == 1
+			if t := k - lag; t >= 0 {
+				p.updateAt(snaps[t].Idx, taken[t>>6]>>(uint(t)&63)&1 == 1)
+			}
 		}
 		if lane == 63 {
 			finals[wi] = fw
@@ -100,7 +117,7 @@ func (p *Predictor) UpdateBatch(snaps []predictor.Snapshot, taken, finals []uint
 			wi++
 		}
 	}
-	if len(snaps)&63 != 0 {
+	if (len(snaps)-pending)&63 != 0 {
 		finals[wi] = fw
 	}
 }

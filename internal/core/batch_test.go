@@ -7,6 +7,7 @@ import (
 
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
+	"ev8pred/internal/predictor/predtest"
 	"ev8pred/internal/rng"
 )
 
@@ -177,5 +178,18 @@ func TestBatchMatchesScalar(t *testing.T) {
 					cfg.Name, ps.Stats(), pb.Stats())
 			}
 		}
+	}
+}
+
+// TestBatchLaggedMatchesScalar is the commit-delay kernel differential:
+// UpdateBatchLagged over a window of pending entries plus each chunk must
+// reproduce the scalar Lookup(k)/UpdateWith(k−lag) interleaving for every
+// configuration, both update policies, lags up to beyond a chunk.
+func TestBatchLaggedMatchesScalar(t *testing.T) {
+	infos, outcomes := batchEvents(1500, 21)
+	for _, cfg := range batchConfigs() {
+		t.Run(cfg.Name, func(t *testing.T) {
+			predtest.LaggedBatch(t, func() predictor.BatchPredictor { return MustNew(cfg) }, infos, outcomes)
+		})
 	}
 }

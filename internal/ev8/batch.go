@@ -13,9 +13,10 @@
 // branch's record advances the tracker and the sequencer), and
 // LookupBankedBatch then stages the remaining — now pure — index
 // arithmetic for the whole chunk. The resolve stage needs nothing new:
-// UpdateBatch delegates to the core 2Bc-gskew kernel, whose in-order
-// read → bit-parallel majority/meta combine → partial-update train is
-// already exact against the live counters (internal/core/batch.go).
+// UpdateBatch and UpdateBatchLagged delegate to the core 2Bc-gskew
+// kernel, whose in-order read → bit-parallel majority/meta combine →
+// partial-update train is already exact against the live counters
+// (internal/core/batch.go).
 //
 // The staged index pass is a hand-flattened transcription of the xor-tree
 // tables in indexfunc.go: straight-line shift/xor/popcount arithmetic, no
@@ -73,6 +74,13 @@ func (p *Predictor) LookupBatch(infos []history.Info, snaps []predictor.Snapshot
 // job.
 func (p *Predictor) UpdateBatch(snaps []predictor.Snapshot, taken, finals []uint64) {
 	p.core.UpdateBatch(snaps, taken, finals)
+}
+
+// UpdateBatchLagged implements predictor.BatchPredictor: the commit-delay
+// resolve is the core kernel's too, since the carried indices already hold
+// the bank the sequencer assigned at lookup time.
+func (p *Predictor) UpdateBatchLagged(snaps []predictor.Snapshot, pending, lag int, taken, finals []uint64) {
+	p.core.UpdateBatchLagged(snaps, pending, lag, taken, finals)
 }
 
 var _ predictor.BatchPredictor = (*Predictor)(nil)

@@ -8,6 +8,7 @@ import (
 	"ev8pred/internal/core"
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
+	"ev8pred/internal/predictor/predtest"
 )
 
 // TestStagedIndexMatchesTrees pins the hand-flattened staged index pass
@@ -78,5 +79,30 @@ func TestLookupBatchMatchesScalarLookup(t *testing.T) {
 					addrWL, i, snaps[i].Idx, want.Idx)
 			}
 		}
+	}
+}
+
+// TestBatchLaggedMatchesScalar runs the shared commit-delay kernel
+// differential (predtest.LaggedBatch) for both wordline variants, with the
+// sequencer frozen as in staged replay: UpdateBatchLagged is the core
+// kernel's, fed the EV8's banked indices.
+func TestBatchLaggedMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pcs := make([]uint64, 24)
+	for i := range pcs {
+		pcs[i] = 0x10000 + uint64(rng.Intn(1<<14))*4
+	}
+	infos := make([]history.Info, 1500)
+	outcomes := make([]bool, len(infos))
+	var hist uint64
+	for i := range infos {
+		pc := pcs[rng.Intn(len(pcs))]
+		infos[i] = history.Info{PC: pc, BlockPC: pc &^ 31, Hist: hist, Path: [3]uint64{pc ^ 0x40, pc ^ 0x80, pc ^ 0xc0}}
+		outcomes[i] = rng.Intn(5) < 3
+		hist = hist<<1 | uint64(rng.Intn(2))
+	}
+	for _, addrWL := range []bool{false, true} {
+		cfg := Config{PartialUpdate: true, Index: IndexOptions{AddressOnlyWordline: addrWL}}
+		predtest.LaggedBatch(t, func() predictor.BatchPredictor { return MustNew(cfg) }, infos, outcomes)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
+	"ev8pred/internal/predictor/predtest"
 	"ev8pred/internal/rng"
 )
 
@@ -112,5 +113,14 @@ func TestLookupBatchMatchesLookupIdx(t *testing.T) {
 			t.Fatalf("branch %d: LookupBatch touched non-Idx fields: %+v", i, snaps[i])
 		}
 		q.UpdateWith(want, outcomes[i])
+	}
+}
+
+// TestBatchLaggedMatchesScalar runs the shared commit-delay kernel
+// differential (predtest.LaggedBatch) under both update policies.
+func TestBatchLaggedMatchesScalar(t *testing.T) {
+	infos, outcomes := batchEvents(1500, 19)
+	for _, partial := range []bool{true, false} {
+		predtest.LaggedBatch(t, func() predictor.BatchPredictor { return MustNew(1<<12, 12, partial) }, infos, outcomes)
 	}
 }

@@ -285,40 +285,55 @@ func (e *EGskew) Reset() {
 
 // LookupBatch implements predictor.BatchPredictor: the pure index stage
 // over the chunk — PC extraction, history concatenation, and the two
-// compiled skewing functions. No counter state is touched.
+// compiled skewing functions. No counter state is touched; the unused
+// fourth index is zeroed, as Lookup leaves it.
 func (e *EGskew) LookupBatch(infos []history.Info, snaps []predictor.Snapshot) {
 	for i := range infos {
 		info := &infos[i]
 		ibim := predictor.PCBits(info.PC, e.bits)
 		v := ibim | predictor.HistMask(info.Hist, e.histLen)<<uint(e.bits)
 		vlen := e.bits + e.histLen
-		idx := &snaps[i].Idx
-		idx[0] = ibim
-		idx[1] = e.fns[0].Index(v, vlen)
-		idx[2] = e.fns[1].Index(v, vlen)
+		snaps[i].Idx = [predictor.MaxSnapshotBanks]uint64{ibim, e.fns[0].Index(v, vlen), e.fns[1].Index(v, vlen)}
 	}
 }
 
-// UpdateBatch implements predictor.BatchPredictor: per-branch in-order
-// resolve with the three vote bits read as 0/1 words, the majority taken
-// bit-parallel, and training through the same applyUpdate /
-// updateInstrumented write path as the scalar UpdateWith.
+// UpdateBatch implements predictor.BatchPredictor: the lag-0 resolve.
 func (e *EGskew) UpdateBatch(snaps []predictor.Snapshot, taken, finals []uint64) {
+	e.UpdateBatchLagged(snaps, 0, 0, taken, finals)
+}
+
+// UpdateBatchLagged implements predictor.BatchPredictor: per-branch
+// in-order resolve with the three vote bits read as 0/1 words and the
+// majority taken bit-parallel. At lag 0 the branch trains from that read
+// through the same applyUpdate / updateInstrumented write path as the
+// scalar UpdateWith; under a lag the read becomes the branch's snapshot
+// and the entry lag places back retires through updateAt, re-reading its
+// votes exactly as UpdateWith does.
+func (e *EGskew) UpdateBatchLagged(snaps []predictor.Snapshot, pending, lag int, taken, finals []uint64) {
 	var fw uint64
 	wi := 0
-	for i := range snaps {
-		idx := &snaps[i].Idx
-		pb := e.bim.TakenBit(idx[0])
-		p0 := e.g0.TakenBit(idx[1])
-		p1 := e.g1.TakenBit(idx[2])
+	for k := pending; k < len(snaps); k++ {
+		s := &snaps[k]
+		pb := e.bim.TakenBit(s.Idx[0])
+		p0 := e.g0.TakenBit(s.Idx[1])
+		p1 := e.g1.TakenBit(s.Idx[2])
 		maj := pb&p0 | pb&p1 | p0&p1
-		lane := uint(i) & 63
+		lane := uint(k-pending) & 63
 		fw |= maj << lane
-		tk := taken[i>>6]>>lane&1 == 1
-		if e.st != nil {
-			e.updateInstrumented(idx[0], idx[1], idx[2], pb == 1, p0 == 1, p1 == 1, maj == 1, tk)
+		if lag == 0 {
+			tk := taken[k>>6]>>(uint(k)&63)&1 == 1
+			if e.st != nil {
+				e.updateInstrumented(s.Idx[0], s.Idx[1], s.Idx[2], pb == 1, p0 == 1, p1 == 1, maj == 1, tk)
+			} else {
+				e.applyUpdate(s.Idx[0], s.Idx[1], s.Idx[2], pb == 1, p0 == 1, p1 == 1, maj == 1, tk)
+			}
 		} else {
-			e.applyUpdate(idx[0], idx[1], idx[2], pb == 1, p0 == 1, p1 == 1, maj == 1, tk)
+			s.Preds = uint8(pb | p0<<1 | p1<<2)
+			s.Final, s.Aux = maj == 1, maj == 1
+			if t := k - lag; t >= 0 {
+				u := &snaps[t].Idx
+				e.updateAt(u[0], u[1], u[2], taken[t>>6]>>(uint(t)&63)&1 == 1)
+			}
 		}
 		if lane == 63 {
 			finals[wi] = fw
@@ -326,7 +341,7 @@ func (e *EGskew) UpdateBatch(snaps []predictor.Snapshot, taken, finals []uint64)
 			wi++
 		}
 	}
-	if len(snaps)&63 != 0 {
+	if (len(snaps)-pending)&63 != 0 {
 		finals[wi] = fw
 	}
 }

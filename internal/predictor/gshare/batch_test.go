@@ -7,6 +7,7 @@ import (
 
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
+	"ev8pred/internal/predictor/predtest"
 	"ev8pred/internal/rng"
 )
 
@@ -111,4 +112,11 @@ func TestLookupBatchMatchesLookupIdx(t *testing.T) {
 		}
 		q.UpdateWith(want, outcomes[i])
 	}
+}
+
+// TestBatchLaggedMatchesScalar runs the shared commit-delay kernel
+// differential (predtest.LaggedBatch).
+func TestBatchLaggedMatchesScalar(t *testing.T) {
+	infos, outcomes := batchEvents(1500, 7)
+	predtest.LaggedBatch(t, func() predictor.BatchPredictor { return MustNew(1<<12, 12) }, infos, outcomes)
 }

@@ -157,39 +157,58 @@ func (g *Gshare) UpdateWith(s predictor.Snapshot, taken bool) {
 }
 
 // LookupBatch implements predictor.BatchPredictor: the folded-history
-// hashes for the whole chunk, no table reads.
+// hashes for the whole chunk, no table reads. The unused banks' indices
+// are zeroed, as Lookup leaves them.
 func (g *Gshare) LookupBatch(infos []history.Info, snaps []predictor.Snapshot) {
 	histLen, bits := g.histLen, g.bits
 	for i := range infos {
-		snaps[i].Idx[0] = predictor.GshareIndex(infos[i].PC, infos[i].Hist, histLen, bits)
+		snaps[i].Idx = [predictor.MaxSnapshotBanks]uint64{predictor.GshareIndex(infos[i].PC, infos[i].Hist, histLen, bits)}
 	}
 }
 
-// UpdateBatch implements predictor.BatchPredictor. Each branch resolves
-// in order against live counter state; UpdateN locates the counter once
-// and its before state doubles as the lookup-time prediction (at delay 0
-// nothing trains between a branch's lookup and its update), whose high
-// bit is packed straight into finals.
+// UpdateBatch implements predictor.BatchPredictor: the lag-0 resolve.
 func (g *Gshare) UpdateBatch(snaps []predictor.Snapshot, taken, finals []uint64) {
+	g.UpdateBatchLagged(snaps, 0, 0, taken, finals)
+}
+
+// UpdateBatchLagged implements predictor.BatchPredictor. Each branch
+// resolves in order against live counter state. At lag 0, UpdateN
+// locates the counter once and its before state doubles as the
+// lookup-time prediction (nothing trains between a branch's lookup and
+// its update), whose high bit is packed straight into finals. Under a lag
+// the read becomes the branch's snapshot and the entry lag places back
+// trains through the scalar update path.
+func (g *Gshare) UpdateBatchLagged(snaps []predictor.Snapshot, pending, lag int, taken, finals []uint64) {
 	var fw uint64
 	wi := 0
-	for i := range snaps {
-		lane := uint(i) & 63
-		tk := taken[i>>6]>>lane&1 == 1
-		var before uint8
-		if g.st != nil {
-			before = g.updateInstrumented(snaps[i].Idx[0], tk)
+	for k := pending; k < len(snaps); k++ {
+		s := &snaps[k]
+		var fin uint64
+		if lag == 0 {
+			tk := taken[k>>6]>>(uint(k)&63)&1 == 1
+			var before uint8
+			if g.st != nil {
+				before = g.updateInstrumented(s.Idx[0], tk)
+			} else {
+				before, _ = g.table.UpdateN(s.Idx[0], tk)
+			}
+			fin = uint64(before >> 1 & 1)
 		} else {
-			before, _ = g.table.UpdateN(snaps[i].Idx[0], tk)
+			fin = g.table.TakenBit(s.Idx[0])
+			s.Preds, s.Final, s.Aux = uint8(fin), fin == 1, false
+			if t := k - lag; t >= 0 {
+				g.update(snaps[t].Idx[0], taken[t>>6]>>(uint(t)&63)&1 == 1)
+			}
 		}
-		fw |= uint64(before>>1&1) << lane
+		lane := uint(k-pending) & 63
+		fw |= fin << lane
 		if lane == 63 {
 			finals[wi] = fw
 			fw = 0
 			wi++
 		}
 	}
-	if len(snaps)&63 != 0 {
+	if (len(snaps)-pending)&63 != 0 {
 		finals[wi] = fw
 	}
 }

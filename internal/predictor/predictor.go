@@ -136,10 +136,10 @@ type FusedPredictor interface {
 // FusedPredictor: a predictor that can run a whole chunk of branches
 // through each pipeline stage — index computation, table reads,
 // combine, train — instead of one branch at a time. The simulator
-// routes eligible runs through it (sim.Run with a trace.BatchSource at
-// update delay 0); everything else keeps the scalar fused path, so
-// schemes with sequencing state between branches (the EV8 §6.2
-// sequencer) simply don't implement this interface.
+// routes eligible runs through it (sim.Run with a trace.BatchSource, at
+// any update delay); everything else keeps the scalar fused path.
+// Schemes with sequencing state between branches (the EV8 §6.2
+// sequencer) additionally implement BlockBatchObserver.
 //
 // The contract is exact scalar equivalence. For a chunk of n branches
 // with outcomes taken (bit i of taken[i/64], lane i%64), the pair
@@ -165,6 +165,21 @@ type FusedPredictor interface {
 // read, combine, train — against live counter state, which is exactly
 // what the scalar interleaving sees at delay 0. Neither call may
 // allocate: all scratch is caller-owned.
+//
+// Commit delay L (sim.Options.UpdateDelay) runs through the same
+// in-order loop, lagged. The scalar loop interleaves Lookup(k) with the
+// retirement UpdateWith(k−L); the index stage is pure and UpdateWith
+// re-reads counter state anyway, so UpdateBatchLagged over a window —
+// the pending entries still awaiting training, oldest first, followed by
+// the chunk's newly staged ones — reproduces that interleaving exactly:
+//
+//	for k := pending; k < len(snaps); k++ {
+//		snaps[k] = Lookup(...)            // Preds/Final/Aux from live counters
+//		finals bit k−pending = snaps[k].Final
+//		if k >= lag { UpdateWith(snaps[k−lag], outcome k−lag) }
+//	}
+//
+// UpdateBatch is the lag-0 case, UpdateBatchLagged(snaps, 0, 0, ...).
 type BatchPredictor interface {
 	FusedPredictor
 	// LookupBatch stages the pure index computation for a chunk:
@@ -177,6 +192,17 @@ type BatchPredictor interface {
 	// zeroing unused lanes of the last word. Both must hold
 	// (len(snaps)+63)/64 words.
 	UpdateBatch(snaps []Snapshot, taken, finals []uint64)
+	// UpdateBatchLagged resolves a window under commit delay lag.
+	// snaps[:pending] are earlier branches whose Lookup already ran
+	// (complete snapshots); snaps[pending:] are new, with only Idx staged.
+	// For each new entry k in order it reads the direction bits, fills
+	// snaps[k].Preds/Final/Aux exactly as Lookup would and packs Final
+	// into finals lane k−pending, then — when k >= lag — trains entry
+	// k−lag through the UpdateWith path. taken holds the outcomes of the
+	// whole window (lane i = snaps[i]); finals holds
+	// (len(snaps)-pending+63)/64 words, unused lanes zeroed. Requires
+	// pending <= lag, and pending == 0 when lag == 0.
+	UpdateBatchLagged(snaps []Snapshot, pending, lag int, taken, finals []uint64)
 }
 
 // BlockBatchObserver is the batched block contract: the extension of
@@ -199,7 +225,8 @@ type BatchPredictor interface {
 //	LookupBankedBatch(infos, banks, snaps)
 //	UpdateBatch(snaps, taken, finals)
 //
-// must equal the scalar Lookup/UpdateWith interleaving at update delay 0.
+// must equal the scalar Lookup/UpdateWith interleaving at update delay 0,
+// and with UpdateBatchLagged in place of UpdateBatch at any delay.
 // LookupBankedBatch is the banked twin of LookupBatch: it fills only
 // snaps[i].Idx, touches no counter state, and must not consult the live
 // sequencer — every sequencer-dependent input is in banks. StageBank is a

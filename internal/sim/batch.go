@@ -7,11 +7,15 @@
 //
 // Eligibility is strict, because the contract is byte-identical results:
 //
-//   - UpdateDelay must be 0. Under commit delay the scalar loop
-//     interleaves lookups and delayed updates branch by branch through
-//     the ring; a chunked schedule cannot reproduce that interleaving
-//     without running branch-at-a-time anyway, so delayed runs keep the
-//     scalar path (that path is also where scalar wins — see the docs).
+//   - Any UpdateDelay. Under commit delay L the scalar loop interleaves
+//     Lookup(k) with the retirement UpdateWith(k−L) through the ring; the
+//     index stage is pure and UpdateWith re-reads counter state anyway,
+//     so the resolve pass runs lagged over a window — the pending updates
+//     the chunk retires, then the chunk's new branches — and reproduces
+//     that interleaving exactly (predictor.BatchPredictor,
+//     UpdateBatchLagged). Between chunks the pending updates live in the
+//     same ring the scalar loop uses, so checkpoint capture, resume and
+//     the end-of-run drain are shared.
 //   - A predictor that observes fetch blocks (BlockObserver — the EV8
 //     §6.2 sequencer advances on every block, between branches) must
 //     also implement predictor.BlockBatchObserver, the batched block
@@ -104,9 +108,6 @@ func planBatch(p predictor.Predictor, src trace.Source, opts Options, blockObser
 	if !ok {
 		return nil, nil, "source does not implement trace.BatchSource"
 	}
-	if opts.UpdateDelay != 0 {
-		return nil, nil, fmt.Sprintf("update delay %d requires the scalar path", opts.UpdateDelay)
-	}
 	if blockObserved {
 		if _, ok := p.(predictor.BlockBatchObserver); !ok {
 			return nil, nil, fmt.Sprintf("predictor %s observes fetch blocks without the batched block contract (predictor.BlockBatchObserver)", p.Name())
@@ -123,7 +124,9 @@ const batchChunk = 1024
 
 // batchScratch is the chunk-sized working set of one batch run,
 // allocated once per run (or once per ensemble) so the steady state
-// allocates nothing.
+// allocates nothing. snaps and taken span the resolve window: up to
+// min(UpdateDelay, batchChunk) pending entries ahead of the chunk's
+// branches (see lagWindow).
 type batchScratch struct {
 	buf    []trace.Branch
 	infos  []history.Info
@@ -133,14 +136,65 @@ type batchScratch struct {
 	finals []uint64
 }
 
-func newBatchScratch() *batchScratch {
+func newBatchScratch(delay int) *batchScratch {
+	win := min(delay, batchChunk) + batchChunk
 	return &batchScratch{
 		buf:    make([]trace.Branch, batchChunk),
 		infos:  make([]history.Info, batchChunk),
 		banks:  make([]uint8, batchChunk),
-		snaps:  make([]predictor.Snapshot, batchChunk),
-		taken:  make([]uint64, predictor.BatchWords(batchChunk)),
+		snaps:  make([]predictor.Snapshot, win),
+		taken:  make([]uint64, predictor.BatchWords(win)),
 		finals: make([]uint64, predictor.BatchWords(batchChunk)),
+	}
+}
+
+// lagWindow plans one chunk's resolve window under update delay delay,
+// with pending updates in the ring and at most want new branches coming:
+// pre is how many of the oldest pending updates lead the window — all
+// the chunk can retire, and no more, so the window never exceeds
+// min(delay, batchChunk) + batchChunk entries however long the delay —
+// and lag is the distance, in window entries, from a branch to the one
+// it retires. At delay 0 both are 0 and the window is the chunk.
+func lagWindow(pending, want, delay int) (pre, lag int) {
+	pre = min(pending, max(0, pending+want-delay))
+	return pre, delay - pending + pre
+}
+
+// stageTaken writes outcome bit i of a window, zeroing each word as its
+// first lane is written so stale bits never survive.
+func stageTaken(words []uint64, i int, taken bool) {
+	lane := uint(i) & 63
+	if lane == 0 {
+		words[i>>6] = 0
+	}
+	if taken {
+		words[i>>6] |= 1 << lane
+	}
+}
+
+// stagePending copies the snapshots of the pre oldest pending updates to
+// the front of the window.
+func stagePending(ring *delayRing, snaps []predictor.Snapshot, pre int) {
+	for i := 0; i < pre; i++ {
+		snaps[i] = ring.at(i).snap
+	}
+}
+
+// retireWindow brings the ring up to date after the kernel resolved a
+// window of pre pending entries and m new branches: the pending updates
+// the chunk retired leave the ring, and the chunk's branches still
+// awaiting their update join it — the state the scalar loop's ring holds
+// after the same branches.
+func retireWindow(ring *delayRing, infos []history.Info, snaps []predictor.Snapshot, taken []uint64, pre, m int) {
+	if ring.buf == nil {
+		return
+	}
+	pending := ring.count
+	retired := max(0, pending+m-len(ring.buf))
+	ring.discard(min(retired, pending))
+	for j := max(0, retired-pending); j < m; j++ {
+		w := pre + j
+		ring.push(pendingUpdate{info: infos[j], snap: snaps[w], taken: taken[w>>6]>>(uint(w)&63)&1 == 1})
 	}
 }
 
@@ -157,13 +211,21 @@ func fillWant(maxBranches, branches int64) int {
 	return int(max(0, min(batchChunk, maxBranches-branches)))
 }
 
-// countMispredicts popcounts prediction/outcome disagreements over the
-// packed words, restricted to lanes [start, m) — the chunk's measured
-// window after warmup gating.
-func countMispredicts(finals, taken []uint64, start, m int) int64 {
+// countMispredicts popcounts prediction/outcome disagreements over lanes
+// [start, m) of a chunk — its measured window after warmup gating.
+// finals holds the chunk's predictions from lane 0; taken holds the
+// resolve window's outcomes, in which the chunk starts at lane pre. An
+// unaligned pre reads one word past the chunk's last, which still lies
+// inside taken: pre <= min(delay, batchChunk) sizes the window.
+func countMispredicts(finals, taken []uint64, pre, start, m int) int64 {
 	var misp int64
+	base, sh := pre>>6, uint(pre)&63
 	for w := start >> 6; w < (m+63)>>6; w++ {
-		d := finals[w] ^ taken[w]
+		t := taken[base+w]
+		if sh != 0 {
+			t = t>>sh | taken[base+w+1]<<(64-sh)
+		}
+		d := finals[w] ^ t
 		lo := w << 6
 		if lo < start {
 			d &= ^uint64(0) << uint(start-lo)
@@ -195,8 +257,10 @@ func warmupStart(branches, warmup int64, m int) int {
 // instruction accounting); what gets batched is everything per-branch
 // downstream of it. Record consumption is also identical: fills are sized
 // by fillWant, so the stream position where the run stops — and therefore
-// Checkpoint.Records and warm-ensemble continuation — is the same as
-// scalar's stop-at-the-Nth-branch.
+// Checkpoint.Records — is the same as scalar's stop-at-the-Nth-branch.
+// Under commit delay each chunk resolves behind the pending updates it
+// retires (lagWindow), and ring holds the rest between chunks exactly as
+// the scalar loop's ring would.
 //
 // For a block-observing predictor (onBlock non-nil; planBatch has already
 // proven the predictor implements the batched block contract), the walk
@@ -208,8 +272,8 @@ func warmupStart(branches, warmup int64, m int) int {
 // before resolving its branches commutes with the counter updates, and
 // the captured banks make the staged index pass equal to scalar's
 // branch-at-a-time evaluation.
-func runBatchStream(bp predictor.BatchPredictor, bs trace.BatchSource, opts Options, res *Result, records *int64, trackers *trackerTable, onBlock func(frontend.Block)) error {
-	s := newBatchScratch()
+func runBatchStream(bp predictor.BatchPredictor, bs trace.BatchSource, opts Options, res *Result, records *int64, trackers *trackerTable, onBlock func(frontend.Block), ring *delayRing) error {
+	s := newBatchScratch(opts.UpdateDelay)
 	bbo, _ := bp.(predictor.BlockBatchObserver)
 	banked := onBlock != nil && bbo != nil
 	for {
@@ -218,6 +282,10 @@ func runBatchStream(bp predictor.BatchPredictor, bs trace.BatchSource, opts Opti
 			break
 		}
 		n, ferr := bs.NextBatch(s.buf[:want])
+		pre, lag := lagWindow(ring.count, want, opts.UpdateDelay)
+		for i := 0; i < pre; i++ {
+			stageTaken(s.taken, i, ring.at(i).taken)
+		}
 		m := 0
 		branches := res.Branches
 		for bi := 0; bi < n; bi++ {
@@ -240,27 +308,24 @@ func runBatchStream(bp predictor.BatchPredictor, bs trace.BatchSource, opts Opti
 			if banked {
 				s.banks[m] = bbo.StageBank(info.BlockPC)
 			}
-			lane := uint(m) & 63
-			if lane == 0 {
-				s.taken[m>>6] = 0
-			}
-			if b.Taken {
-				s.taken[m>>6] |= 1 << lane
-			}
+			stageTaken(s.taken, pre+m, b.Taken)
 			s.infos[m] = info
 			m++
 			branches++
 		}
 		*records += int64(n)
 		if m > 0 {
+			win := s.snaps[:pre+m]
+			stagePending(ring, win, pre)
 			if banked {
-				bbo.LookupBankedBatch(s.infos[:m], s.banks[:m], s.snaps[:m])
+				bbo.LookupBankedBatch(s.infos[:m], s.banks[:m], win[pre:])
 			} else {
-				bp.LookupBatch(s.infos[:m], s.snaps[:m])
+				bp.LookupBatch(s.infos[:m], win[pre:])
 			}
-			bp.UpdateBatch(s.snaps[:m], s.taken, s.finals)
+			bp.UpdateBatchLagged(win, pre, lag, s.taken, s.finals)
+			retireWindow(ring, s.infos, win, s.taken, pre, m)
 			start := warmupStart(res.Branches, opts.Warmup, m)
-			res.Mispredicts += countMispredicts(s.finals, s.taken, start, m)
+			res.Mispredicts += countMispredicts(s.finals, s.taken, pre, start, m)
 			res.Branches += int64(m)
 		}
 		if ferr != nil {
@@ -279,25 +344,30 @@ func runBatchStream(bp predictor.BatchPredictor, bs trace.BatchSource, opts Opti
 }
 
 // runEnsembleBatchStream is the batch twin of runEnsemble's stream loop,
-// used at update delay 0 when every block-observing member implements the
-// batched block contract. The shared front-end walk stages a chunk of
-// information vectors once — firing the fetch-block fan-out exactly as the
-// scalar loop would, and capturing each block-observing member's
-// sequencer-dependent bank per branch — then each member consumes the
-// whole chunk: batch-capable members through their LookupBatch (or
-// LookupBankedBatch) / UpdateBatch kernels, everything else through a
-// per-branch loop over the staged infos. Beyond dropping the per-branch
-// member fan-out overhead, the chunked schedule is a cache-blocking win —
-// a member's tables stay hot across its 1024 consecutive branches instead
-// of being evicted K-1 times per branch by its peers. Reordering the
-// (branch, member) loop nest is safe because member state is private;
-// the shared front end is sequenced identically to the scalar loop.
+// used when every block-observing member implements the batched block
+// contract. The shared front-end walk stages a chunk of information
+// vectors once — firing the fetch-block fan-out exactly as the scalar loop
+// would, and capturing each block-observing member's sequencer-dependent
+// bank per branch — then each member consumes the whole chunk:
+// batch-capable members through their LookupBatch (or LookupBankedBatch) /
+// UpdateBatchLagged kernels, everything else through a per-branch loop
+// over the staged infos. Beyond dropping the per-branch member fan-out
+// overhead, the chunked schedule is a cache-blocking win — a member's
+// tables stay hot across its 1024 consecutive branches instead of being
+// evicted K-1 times per branch by its peers. Reordering the (branch,
+// member) loop nest is safe because member state is private; the shared
+// front end is sequenced identically to the scalar loop.
+//
+// Under commit delay every member keeps its own ring, but all rings hold
+// the same branches — the delay and the stream are shared — so the
+// window plan and its outcome bits are staged once per chunk, and only
+// the pending snapshots are per member.
 //
 // Returns (srcErr, err) with the same split as the scalar loop: srcErr
 // is a deferred mid-stream source failure (reported after results are
 // assembled), err an immediate abort (bad thread id).
 func runEnsembleBatchStream(members []member, src trace.Source, bs trace.BatchSource, opts Options, trackers *trackerTable, branches, instructions *int64, onBlock func(frontend.Block)) (srcErr, err error) {
-	s := newBatchScratch()
+	s := newBatchScratch(opts.UpdateDelay)
 	bps := make([]predictor.BatchPredictor, len(members))
 	bbos := make([]predictor.BlockBatchObserver, len(members))
 	banks := make([][]uint8, len(members))
@@ -319,12 +389,17 @@ func runEnsembleBatchStream(members []member, src trace.Source, bs trace.BatchSo
 			}
 		}
 	}
+	ring0 := &members[0].ring // every member's ring holds the same branches
 	for {
 		want := fillWant(opts.MaxBranches, *branches)
 		if want == 0 {
 			break
 		}
 		n, ferr := fillBatch(src, bs, s.buf[:want])
+		pre, lag := lagWindow(ring0.count, want, opts.UpdateDelay)
+		for i := 0; i < pre; i++ {
+			stageTaken(s.taken, i, ring0.at(i).taken)
+		}
 		m := 0
 		bcount := *branches
 		for bi := 0; bi < n; bi++ {
@@ -346,45 +421,36 @@ func runEnsembleBatchStream(members []member, src trace.Source, bs trace.BatchSo
 			for _, k := range staged {
 				banks[k][m] = bbos[k].StageBank(info.BlockPC)
 			}
-			lane := uint(m) & 63
-			if lane == 0 {
-				s.taken[m>>6] = 0
-			}
-			if b.Taken {
-				s.taken[m>>6] |= 1 << lane
-			}
+			stageTaken(s.taken, pre+m, b.Taken)
 			s.infos[m] = info
 			m++
 			bcount++
 		}
 		if m > 0 {
 			start := warmupStart(*branches, opts.Warmup, m)
+			win := s.snaps[:pre+m]
 			for k := range members {
 				mem := &members[k]
 				if bp := bps[k]; bp != nil {
+					stagePending(&mem.ring, win, pre)
 					if bbos[k] != nil {
-						bbos[k].LookupBankedBatch(s.infos[:m], banks[k][:m], s.snaps[:m])
+						bbos[k].LookupBankedBatch(s.infos[:m], banks[k][:m], win[pre:])
 					} else {
-						bp.LookupBatch(s.infos[:m], s.snaps[:m])
+						bp.LookupBatch(s.infos[:m], win[pre:])
 					}
-					bp.UpdateBatch(s.snaps[:m], s.taken, s.finals)
-					mem.mispredicts += countMispredicts(s.finals, s.taken, start, m)
+					bp.UpdateBatchLagged(win, pre, lag, s.taken, s.finals)
+					retireWindow(&mem.ring, s.infos, win, s.taken, pre, m)
+					mem.mispredicts += countMispredicts(s.finals, s.taken, pre, start, m)
 					continue
 				}
 				for j := 0; j < m; j++ {
-					tk := s.taken[j>>6]>>(uint(j)&63)&1 == 1
-					if mem.fused {
-						snap := mem.fp.Lookup(&s.infos[j])
-						if j >= start && snap.Final != tk {
-							mem.mispredicts++
-						}
-						mem.fp.UpdateWith(snap, tk)
-					} else {
-						if pred := mem.p.Predict(&s.infos[j]); j >= start && pred != tk {
-							mem.mispredicts++
-						}
-						mem.p.Update(&s.infos[j], tk)
+					w := pre + j
+					tk := s.taken[w>>6]>>(uint(w)&63)&1 == 1
+					pred, snap := mem.predict(&s.infos[j])
+					if j >= start && pred != tk {
+						mem.mispredicts++
 					}
+					mem.train(&s.infos[j], snap, tk)
 				}
 			}
 			*branches += int64(m)

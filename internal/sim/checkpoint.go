@@ -94,7 +94,7 @@ func (t *trackerTable) each(fn func(id int, tr *frontend.Tracker)) {
 // pending updates belong to the continuation, not to this run's final
 // accounting.
 func capture(p predictor.Predictor, opts Options, trackers *trackerTable,
-	ring []pendingUpdate, head, count int, records int64, res Result) (*Checkpoint, error) {
+	ring *delayRing, records int64, res Result) (*Checkpoint, error) {
 	snapper, ok := p.(predictor.Snapshotter)
 	if !ok {
 		return nil, fmt.Errorf("%w (%s)", ErrNotSnapshottable, p.Name())
@@ -114,9 +114,9 @@ func capture(p predictor.Predictor, opts Options, trackers *trackerTable,
 	trackers.each(func(id int, tr *frontend.Tracker) {
 		ck.Trackers = append(ck.Trackers, TrackerCheckpoint{Thread: id, State: tr.SnapshotState()})
 	})
-	ck.Pending = make([]PendingCheckpoint, 0, count)
-	for i := 0; i < count; i++ {
-		u := &ring[(head+i)%len(ring)]
+	ck.Pending = make([]PendingCheckpoint, 0, ring.count)
+	for i := 0; i < ring.count; i++ {
+		u := ring.at(i)
 		ck.Pending = append(ck.Pending, PendingCheckpoint{Info: u.info, Snap: u.snap, Taken: u.taken})
 	}
 	return ck, nil

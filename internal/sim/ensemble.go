@@ -28,19 +28,52 @@ import (
 	"ev8pred/internal/workload"
 )
 
-// member is the per-configuration state of one ensemble slot: the
-// predictor with its fused fast path, its own commit-delay ring, its own
-// mispredict counter and its own attribution hook. Everything shared
-// (stream position, trackers, the information vector, warmup gating)
-// lives in RunEnsemble's locals.
+// member is the per-configuration state of one ensemble slot (and of a
+// solo Run): the predictor with its fused fast path, its own commit-delay
+// ring, its own mispredict counter and its own attribution hook.
+// Everything shared (stream position, trackers, the information vector,
+// warmup gating) lives in the stream loop's locals.
 type member struct {
 	p           predictor.Predictor
 	fp          predictor.FusedPredictor
 	fused       bool
 	inst        stats.Instrumented
-	ring        []pendingUpdate
-	head, count int
+	ring        delayRing
 	mispredicts int64
+}
+
+// newMember wraps p with its fused fast path and a commit-delay ring.
+func newMember(p predictor.Predictor, delay int) *member {
+	m := &member{p: p, ring: newDelayRing(delay)}
+	m.fp, m.fused = p.(predictor.FusedPredictor)
+	return m
+}
+
+// predict runs the read side for one branch: the fused Lookup when
+// available (its snapshot rides to update time), Predict otherwise.
+func (m *member) predict(info *history.Info) (bool, predictor.Snapshot) {
+	if m.fused {
+		s := m.fp.Lookup(info)
+		return s.Final, s
+	}
+	return m.p.Predict(info), predictor.Snapshot{}
+}
+
+// train hands one branch's outcome to the predictor: immediately at
+// update delay 0, otherwise FIFO through the ring — when full, the oldest
+// pending update retires into the predictor and its slot is reused.
+func (m *member) train(info *history.Info, snap predictor.Snapshot, taken bool) {
+	switch {
+	case m.ring.buf != nil:
+		if m.ring.full() {
+			m.apply(m.ring.pop())
+		}
+		m.ring.push(pendingUpdate{info: *info, snap: snap, taken: taken})
+	case m.fused:
+		m.fp.UpdateWith(snap, taken)
+	default:
+		m.p.Update(info, taken)
+	}
 }
 
 // apply retires one pending update into the member's predictor.
@@ -52,16 +85,10 @@ func (m *member) apply(u *pendingUpdate) {
 	}
 }
 
-// drain retires every pending update at end of stream, oldest first —
-// the same queue flush sim.Run performs.
+// drain retires every pending update at end of stream, oldest first.
 func (m *member) drain() {
-	for m.count > 0 {
-		m.apply(&m.ring[m.head])
-		m.head++
-		if m.head == len(m.ring) {
-			m.head = 0
-		}
-		m.count--
+	for m.ring.count > 0 {
+		m.apply(m.ring.pop())
 	}
 }
 
@@ -101,28 +128,6 @@ func fillBatch(src trace.Source, bs trace.BatchSource, buf []trace.Branch) (int,
 // Run. An empty factory list returns an empty, non-nil slice without
 // touching src.
 func RunEnsemble(factories []Factory, src trace.Source, opts Options) ([]Result, error) {
-	return runEnsemble(factories, src, opts, nil)
-}
-
-// RunEnsembleFrom is the warm-state fan-out: every factory's member is
-// restored from the SAME checkpoint — one warmup simulation, K copies of
-// the warm state — and the ensemble continues over src, which must be
-// positioned exactly ck.Records records into the checkpointed stream.
-// Each member's Result covers the whole run (warm prefix plus
-// continuation) and is bit-identical to an independent straight-through
-// Run of that member; every member must implement predictor.Snapshotter
-// and carry the checkpointed predictor's name and configuration.
-// RunWarmEnsembleBenchmark packages the warm-once/fan-out-K sequence.
-func RunEnsembleFrom(factories []Factory, src trace.Source, opts Options, ck *Checkpoint) ([]Result, error) {
-	if ck == nil {
-		return nil, fmt.Errorf("sim: nil checkpoint for warm ensemble")
-	}
-	return runEnsemble(factories, src, opts, ck)
-}
-
-// runEnsemble is the engine behind RunEnsemble and RunEnsembleFrom; a nil
-// ck runs cold from the stream start.
-func runEnsemble(factories []Factory, src trace.Source, opts Options, ck *Checkpoint) ([]Result, error) {
 	results := make([]Result, len(factories))
 	if len(factories) == 0 {
 		return results, nil
@@ -134,38 +139,13 @@ func runEnsemble(factories []Factory, src trace.Source, opts Options, ck *Checkp
 		if err != nil {
 			return nil, fmt.Errorf("sim: building ensemble member %d: %w", i, err)
 		}
+		members[i] = *newMember(p, opts.UpdateDelay)
 		m := &members[i]
-		m.p = p
-		m.fp, m.fused = p.(predictor.FusedPredictor)
-		if ck != nil {
-			// Restore BEFORE enabling attribution, exactly as in run():
-			// enabling an already-collecting predictor is a no-op, so a
-			// checkpointed collection window survives the hand-off.
-			if err := ck.validateResume(p, opts); err != nil {
-				return nil, fmt.Errorf("sim: warm ensemble member %d: %w", i, err)
-			}
-			if err := p.(predictor.Snapshotter).RestoreState(ck.PredictorState); err != nil {
-				return nil, fmt.Errorf("sim: warm ensemble member %d: %w", i, err)
-			}
-		}
 		if opts.Collect {
 			if inst, ok := p.(stats.Instrumented); ok {
 				m.inst = inst
 				inst.EnableStats(true)
 			}
-		}
-		if opts.UpdateDelay > 0 {
-			m.ring = make([]pendingUpdate, opts.UpdateDelay)
-			if ck != nil {
-				for k := range ck.Pending {
-					pu := &ck.Pending[k]
-					m.ring[k] = pendingUpdate{info: pu.Info, snap: pu.Snap, taken: pu.Taken}
-				}
-				m.count = len(ck.Pending)
-			}
-		}
-		if ck != nil {
-			m.mispredicts = ck.Mispredicts
 		}
 		if obs, ok := p.(BlockObserver); ok {
 			observers = append(observers, obs)
@@ -193,39 +173,23 @@ func runEnsemble(factories []Factory, src trace.Source, opts Options, ck *Checkp
 		info   history.Info
 		isCond bool
 	)
-	if ck != nil {
-		// The front end is shared, so the warm tracker state is restored
-		// once; the onBlock fan-out re-attaches to every observing member.
-		for _, ts := range ck.Trackers {
-			tr, err := trackers.create(ts.Thread, opts, onBlock)
-			if err != nil {
-				return results, err
-			}
-			if err := tr.RestoreState(ts.State); err != nil {
-				return results, fmt.Errorf("sim: restoring tracker for thread %d: %w", ts.Thread, err)
-			}
-		}
-		branches = ck.RawBranches
-		instructions = ck.Instructions
-	}
 	bs, _ := src.(trace.BatchSource)
 
-	// At update delay 0 the stream runs through the batch twin of this
-	// loop (internal/sim/batch.go): the shared front-end walk stages
-	// each chunk once, batch-capable members consume it through their
-	// LookupBatch/UpdateBatch kernels, and the rest replay the staged
-	// infos per branch — byte-identical results, pinned by the batch
-	// differential suite. Block-observing members are allowed when they
-	// implement the batched block contract (predictor.BlockBatchObserver):
-	// the walk then captures their sequencer-dependent banks per branch
-	// at the exact scalar interleaving point. A block observer WITHOUT
+	// The stream runs through the batch twin of this loop
+	// (internal/sim/batch.go): the shared front-end walk stages each
+	// chunk once, batch-capable members consume it through their
+	// LookupBatch/UpdateBatchLagged kernels, and the rest replay the
+	// staged infos per branch — byte-identical results at every update
+	// delay, pinned by the batch differential suite. Block-observing
+	// members are allowed when they implement the batched block contract
+	// (predictor.BlockBatchObserver): the walk then captures their
+	// sequencer-dependent banks per branch at the exact scalar
+	// interleaving point. A block observer WITHOUT
 	// the contract forces the scalar loop — its per-branch state would
 	// have advanced past the whole staged chunk. Under BatchOn an
 	// ineligible ensemble is a typed error, never a silent fallback.
 	batchReason := ""
-	if opts.UpdateDelay != 0 {
-		batchReason = fmt.Sprintf("update delay %d requires the scalar path", opts.UpdateDelay)
-	} else if opts.Batch == BatchOff {
+	if opts.Batch == BatchOff {
 		batchReason = "batch kernel disabled (BatchOff)"
 	} else {
 		for _, obs := range observers {
@@ -275,42 +239,11 @@ func runEnsemble(factories []Factory, src trace.Source, opts Options, ck *Checkp
 				}
 				for k := range members {
 					m := &members[k]
-					var pred bool
-					var snap predictor.Snapshot
-					if m.fused {
-						snap = m.fp.Lookup(&info)
-						pred = snap.Final
-					} else {
-						pred = m.p.Predict(&info)
-					}
+					pred, snap := m.predict(&info)
 					if measured && pred != b.Taken {
 						m.mispredicts++
 					}
-					switch {
-					case opts.UpdateDelay > 0:
-						// FIFO through the member's private ring, exactly
-						// as in Run: full ⇒ the oldest pending update
-						// retires and its slot is reused.
-						if m.count == len(m.ring) {
-							m.apply(&m.ring[m.head])
-							m.ring[m.head] = pendingUpdate{info: info, snap: snap, taken: b.Taken}
-							m.head++
-							if m.head == len(m.ring) {
-								m.head = 0
-							}
-						} else {
-							slot := m.head + m.count
-							if slot >= len(m.ring) {
-								slot -= len(m.ring)
-							}
-							m.ring[slot] = pendingUpdate{info: info, snap: snap, taken: b.Taken}
-							m.count++
-						}
-					case m.fused:
-						m.fp.UpdateWith(snap, b.Taken)
-					default:
-						m.p.Update(&info, b.Taken)
-					}
+					m.train(&info, snap, b.Taken)
 				}
 				branches++
 			}
@@ -358,55 +291,4 @@ func runEnsemble(factories []Factory, src trace.Source, opts Options, ck *Checkp
 // one predictor per factory over its single stream.
 func RunEnsembleBenchmark(factories []Factory, prof workload.Profile, instrBudget int64, opts Options) ([]Result, error) {
 	return runEnsembleBenchmarkCtx(context.Background(), factories, prof, instrBudget, opts)
-}
-
-// RunWarmEnsembleBenchmark amortizes warmup across an ensemble: ONE
-// predictor from factory simulates the benchmark's first warmBranches
-// conditional branches, its state is checkpointed, and k members resume
-// from copies of that warm state over the continuation of the same stream
-// — the warmup is simulated once instead of k times, extending the
-// ensemble engine's work sharing to state sharing. The k Results are
-// bit-identical to k independent straight-through RunBenchmark calls
-// (which, for a deterministic factory, makes them k identical rows — the
-// amortization matters when the caller perturbs each member's downstream
-// handling, or simply wants the warm checkpoint validated cheaply).
-// warmBranches must be positive and, when opts.MaxBranches is set, below
-// it; the warm prefix runs with the same options.
-func RunWarmEnsembleBenchmark(factory Factory, k int, prof workload.Profile, instrBudget, warmBranches int64, opts Options) ([]Result, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("sim: warm ensemble needs k > 0, got %d", k)
-	}
-	if warmBranches <= 0 {
-		return nil, fmt.Errorf("sim: warm ensemble needs warmBranches > 0, got %d", warmBranches)
-	}
-	if opts.MaxBranches > 0 && warmBranches >= opts.MaxBranches {
-		return nil, fmt.Errorf("sim: warm prefix %d not below MaxBranches %d", warmBranches, opts.MaxBranches)
-	}
-	g, err := workload.New(prof, instrBudget)
-	if err != nil {
-		return nil, err
-	}
-	warm, err := factory()
-	if err != nil {
-		return nil, fmt.Errorf("sim: building warmup predictor: %w", err)
-	}
-	wopts := opts
-	wopts.MaxBranches = warmBranches
-	// The warm run never over-reads — the scalar loop reads one record
-	// at a time, and the batch path sizes its fills so it stops at the
-	// same record (see runBatchStream) — so the SAME generator continues
-	// seamlessly into the ensemble, no reposition step.
-	_, ck, err := RunCheckpoint(warm, g, wopts)
-	if err != nil {
-		return nil, fmt.Errorf("sim: warmup for %s: %w", prof.Name, err)
-	}
-	factories := make([]Factory, k)
-	for i := range factories {
-		factories[i] = factory
-	}
-	rs, err := RunEnsembleFrom(factories, g, opts, ck)
-	for i := range rs {
-		rs[i].Workload = prof.Name
-	}
-	return rs, err
 }

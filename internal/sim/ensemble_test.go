@@ -283,9 +283,10 @@ func TestEnsembleFillStopsAtBudget(t *testing.T) {
 	prof := benchProfiles(t, "gcc")[0]
 	const budget = 1500 // inside the second 1024-record fill
 	for _, opts := range []Options{
-		{MaxBranches: budget},                  // batch loop
-		{MaxBranches: budget, Batch: BatchOff}, // scalar loop
-		{MaxBranches: budget, UpdateDelay: 8},  // scalar loop, commit delay
+		{MaxBranches: budget},                                  // batch loop
+		{MaxBranches: budget, Batch: BatchOff},                 // scalar loop
+		{MaxBranches: budget, UpdateDelay: 8},                  // batch loop, commit delay
+		{MaxBranches: budget, UpdateDelay: 8, Batch: BatchOff}, // scalar loop, commit delay
 	} {
 		solo := workload.MustNew(prof, 0)
 		p, _ := gshareFactories(1)[0]()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"ev8pred/internal/frontend"
@@ -51,14 +52,47 @@ type FrontEndResult struct {
 	LineAccuracy float64
 }
 
+// ErrFrontEndOption reports an Options field RunFrontEnd does not
+// implement; the wrapping error names the field. RunFrontEnd honors Mode
+// and MaxBranches (Workers and Ensemble have no effect on any single
+// run), and rejects the rest instead of silently ignoring them.
+var ErrFrontEndOption = errors.New("sim: option not supported by RunFrontEnd")
+
+// frontEndOptionsErr names the first Options field RunFrontEnd would
+// otherwise ignore.
+func frontEndOptionsErr(opts Options) error {
+	field := ""
+	switch {
+	case opts.Warmup != 0:
+		field = "Warmup"
+	case opts.UpdateDelay != 0:
+		field = "UpdateDelay"
+	case opts.Collect:
+		field = "Collect"
+	case opts.LenientFlow:
+		field = "LenientFlow"
+	case opts.Batch == BatchOn:
+		field = "Batch (BatchOn)"
+	default:
+		return nil
+	}
+	return fmt.Errorf("%w: %s", ErrFrontEndOption, field)
+}
+
 // RunFrontEnd simulates the whole §2 PC-address generator: the
 // conditional predictor p (nil = oracle, for upper-bound studies), the
 // jump predictor, the return-address stack, and the line predictor, over
-// a single-threaded source. Like Run, it returns an error when the source
-// fails mid-stream rather than reporting a short-but-successful result.
+// a single-threaded source. Options other than Mode and MaxBranches fail
+// with ErrFrontEndOption before anything runs. Like Run, it returns an
+// error when the source fails mid-stream rather than reporting a
+// short-but-successful result, and checks the result with
+// Result.Validate.
 func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg FrontEndConfig) (FrontEndResult, error) {
 	fecfg = fecfg.withDefaults()
 	var res FrontEndResult
+	if err := frontEndOptionsErr(opts); err != nil {
+		return res, err
+	}
 	if p != nil {
 		res.Predictor = p.Name()
 		res.SizeBits = p.SizeBits()
@@ -113,7 +147,7 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 	if err := trace.SourceErr(src); err != nil {
 		return res, fmt.Errorf("sim: source failed after %d branches: %w", res.Branches, err)
 	}
-	return res, nil
+	return res, res.Validate()
 }
 
 // RunFrontEndBenchmark is RunFrontEnd over a named synthetic benchmark.

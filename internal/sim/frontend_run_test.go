@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"ev8pred/internal/ev8"
@@ -83,5 +85,49 @@ func TestRunFrontEndWiresEV8BlockObserver(t *testing.T) {
 	}
 	if p.BankConflicts() != 0 {
 		t.Errorf("%d bank conflicts", p.BankConflicts())
+	}
+}
+
+// TestRunFrontEndRejectsUnsupportedOptions pins that RunFrontEnd refuses,
+// with ErrFrontEndOption naming the field, every option it does not
+// implement, instead of silently ignoring it; the zero Options (and the
+// supported Mode and MaxBranches) still run.
+func TestRunFrontEndRejectsUnsupportedOptions(t *testing.T) {
+	prof, err := workload.ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		field string // "" = must succeed
+	}{
+		{"zero", Options{}, ""},
+		{"mode+max", Options{Mode: frontend.ModeEV8(), MaxBranches: 500}, ""},
+		{"batch auto", Options{Batch: BatchAuto}, ""},
+		{"warmup", Options{Warmup: 10}, "Warmup"},
+		{"update delay", Options{UpdateDelay: 8}, "UpdateDelay"},
+		{"collect", Options{Collect: true}, "Collect"},
+		{"lenient flow", Options{LenientFlow: true}, "LenientFlow"},
+		{"batch on", Options{Batch: BatchOn}, "BatchOn"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := RunFrontEndBenchmark(bimodal.MustNew(4096), prof, 50_000, tc.opts, FrontEndConfig{})
+			if tc.field == "" {
+				if err != nil {
+					t.Fatalf("supported options rejected: %v", err)
+				}
+				if r.Branches == 0 {
+					t.Fatal("no branches simulated")
+				}
+				return
+			}
+			if !errors.Is(err, ErrFrontEndOption) {
+				t.Fatalf("got %v, want ErrFrontEndOption", err)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("error %q does not name %s", err, tc.field)
+			}
+		})
 	}
 }

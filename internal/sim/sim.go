@@ -64,9 +64,10 @@ type Options struct {
 	// Batch selects whether eligible runs use the data-oriented batch
 	// kernel: BatchAuto (the zero value) engages it when the predictor
 	// implements predictor.BatchPredictor, the source implements
-	// trace.BatchSource, UpdateDelay is 0 and any fetch-block-observing
-	// predictor also implements the batched block contract
-	// (predictor.BlockBatchObserver — the EV8 does); BatchOff forces
+	// trace.BatchSource and any fetch-block-observing predictor also
+	// implements the batched block contract (predictor.BlockBatchObserver
+	// — the EV8 does), at any UpdateDelay (commit-delayed runs resolve
+	// lagged behind their pending updates); BatchOff forces
 	// the scalar fused path; BatchOn makes an ineligible run fail with
 	// ErrBatchIneligible instead of silently running scalar. Results
 	// are byte-identical in every mode (the batch differential suite
@@ -148,6 +149,59 @@ type pendingUpdate struct {
 	info  history.Info
 	snap  predictor.Snapshot
 	taken bool
+}
+
+// delayRing is the commit-delay queue: a fixed ring of UpdateDelay
+// pending updates, oldest first, allocated once per run so the queue's
+// memory stays constant however long the stream (a slice popped via
+// queue[1:] would keep its dead head and regrow as appends wrap).
+type delayRing struct {
+	buf         []pendingUpdate
+	head, count int
+}
+
+// newDelayRing allocates the ring for an update delay; delay 0 gets an
+// empty ring that never holds anything.
+func newDelayRing(delay int) delayRing {
+	if delay <= 0 {
+		return delayRing{}
+	}
+	return delayRing{buf: make([]pendingUpdate, delay)}
+}
+
+// full reports whether the next branch retires the oldest pending update.
+func (r *delayRing) full() bool { return r.count == len(r.buf) }
+
+// at returns the i-th oldest pending update (i < count).
+func (r *delayRing) at(i int) *pendingUpdate {
+	i += r.head
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return &r.buf[i]
+}
+
+// pop removes the oldest pending update and returns its slot, which stays
+// valid until the next push.
+func (r *delayRing) pop() *pendingUpdate {
+	u := &r.buf[r.head]
+	r.discard(1)
+	return u
+}
+
+// discard drops the n oldest pending updates (n <= count).
+func (r *delayRing) discard(n int) {
+	r.head += n
+	if r.head >= len(r.buf) {
+		r.head -= len(r.buf)
+	}
+	r.count -= n
+}
+
+// push appends u as the newest pending update; the ring must not be full.
+func (r *delayRing) push(u pendingUpdate) {
+	*r.at(r.count) = u
+	r.count++
 }
 
 // BlockObserver is implemented by predictors that need to see every
@@ -251,7 +305,9 @@ func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoi
 	if obs, ok := p.(BlockObserver); ok {
 		onBlock = obs.ObserveBlock
 	}
-	fp, fused := p.(predictor.FusedPredictor)
+	// One member carries the predictor's fused fast path, commit-delay
+	// ring and attribution hook, exactly as in an ensemble.
+	m := newMember(p, opts.UpdateDelay)
 
 	var records int64
 	if resume != nil {
@@ -265,6 +321,10 @@ func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoi
 		res.Branches = resume.RawBranches
 		res.Mispredicts = resume.Mispredicts
 		res.Instructions = resume.Instructions
+		for i := range resume.Pending {
+			pu := &resume.Pending[i]
+			m.ring.push(pendingUpdate{info: pu.Info, snap: pu.Snap, taken: pu.Taken})
+		}
 	} else if doCapture {
 		// Fail before simulating anything: a checkpointing run against a
 		// predictor that cannot snapshot would only discover it at the
@@ -280,35 +340,10 @@ func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoi
 	// drains so delayed updates are attributed too. On resume this runs
 	// AFTER the state restore: enabling an already-collecting predictor
 	// is a no-op, so a checkpointed collection window survives.
-	var inst stats.Instrumented
 	if opts.Collect {
-		inst, _ = p.(stats.Instrumented)
-		if inst != nil {
-			inst.EnableStats(true)
-		}
-	}
-
-	// The commit-delay queue is a fixed ring of UpdateDelay slots,
-	// allocated once per run: the old slice queue popped via queue[1:],
-	// retaining the dead head of the backing array for the life of the
-	// run and growing the backing array as appends wrapped.
-	var ring []pendingUpdate
-	var head, count int
-	if opts.UpdateDelay > 0 {
-		ring = make([]pendingUpdate, opts.UpdateDelay)
-	}
-	if resume != nil {
-		for i := range resume.Pending {
-			pu := &resume.Pending[i]
-			ring[i] = pendingUpdate{info: pu.Info, snap: pu.Snap, taken: pu.Taken}
-		}
-		count = len(resume.Pending)
-	}
-	apply := func(u *pendingUpdate) {
-		if fused {
-			fp.UpdateWith(u.snap, u.taken)
-		} else {
-			p.Update(&u.info, u.taken)
+		m.inst, _ = p.(stats.Instrumented)
+		if m.inst != nil {
+			m.inst.EnableStats(true)
 		}
 	}
 
@@ -318,10 +353,10 @@ func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoi
 	// BatchOn an ineligible run is a typed error, never a silent scalar
 	// fallback.
 	if bp, bs, reason := planBatch(p, src, opts, onBlock != nil); bp != nil {
-		if err := runBatchStream(bp, bs, opts, &res, &records, &trackers, onBlock); err != nil {
+		if err := runBatchStream(bp, bs, opts, &res, &records, &trackers, onBlock, &m.ring); err != nil {
 			return res, nil, err
 		}
-		return finishRun(p, src, opts, res, records, &trackers, ring, head, count, inst, doCapture, apply)
+		return finishRun(m, src, opts, res, records, &trackers, doCapture)
 	} else if opts.Batch == BatchOn {
 		return res, nil, fmt.Errorf("%w: %s", ErrBatchIneligible, reason)
 	}
@@ -360,50 +395,20 @@ func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoi
 		if !isCond {
 			continue
 		}
-		var pred bool
-		var snap predictor.Snapshot
-		if fused {
-			snap = fp.Lookup(&info)
-			pred = snap.Final
-		} else {
-			pred = p.Predict(&info)
-		}
+		pred, snap := m.predict(&info)
 		if measured && pred != b.Taken {
 			res.Mispredicts++
 		}
 		res.Branches++
-		switch {
-		case opts.UpdateDelay > 0:
-			// FIFO through the ring: when full, the oldest pending
-			// update retires into the predictor and its slot is reused.
-			if count == len(ring) {
-				apply(&ring[head])
-				ring[head] = pendingUpdate{info: info, snap: snap, taken: b.Taken}
-				head++
-				if head == len(ring) {
-					head = 0
-				}
-			} else {
-				i := head + count
-				if i >= len(ring) {
-					i -= len(ring)
-				}
-				ring[i] = pendingUpdate{info: info, snap: snap, taken: b.Taken}
-				count++
-			}
-		case fused:
-			fp.UpdateWith(snap, b.Taken)
-		default:
-			p.Update(&info, b.Taken)
-		}
+		m.train(&info, snap, b.Taken)
 	}
-	return finishRun(p, src, opts, res, records, &trackers, ring, head, count, inst, doCapture, apply)
+	return finishRun(m, src, opts, res, records, &trackers, doCapture)
 }
 
 // finishRun is the common epilogue of the scalar and batch stream loops:
 // checkpoint capture, commit-delay ring drain, warmup clamp, attribution
 // snapshot, deferred source-error check, and the result sanity check.
-func finishRun(p predictor.Predictor, src trace.Source, opts Options, res Result, records int64, trackers *trackerTable, ring []pendingUpdate, head, count int, inst stats.Instrumented, doCapture bool, apply func(*pendingUpdate)) (Result, *Checkpoint, error) {
+func finishRun(m *member, src trace.Source, opts Options, res Result, records int64, trackers *trackerTable, doCapture bool) (Result, *Checkpoint, error) {
 	// Capture the checkpoint BEFORE the ring drains and before the warmup
 	// clamp: the pending updates belong to the continuation (a resumed run
 	// retires them through its own stream), and the resumed warmup gate
@@ -411,19 +416,12 @@ func finishRun(p predictor.Predictor, src trace.Source, opts Options, res Result
 	var ck *Checkpoint
 	if doCapture {
 		var err error
-		ck, err = capture(p, opts, trackers, ring, head, count, records, res)
+		ck, err = capture(m.p, opts, trackers, &m.ring, records, res)
 		if err != nil {
 			return res, nil, err
 		}
 	}
-	for count > 0 {
-		apply(&ring[head])
-		head++
-		if head == len(ring) {
-			head = 0
-		}
-		count--
-	}
+	m.drain()
 	// Report only measured branches. The clamp matters when the stream
 	// ends at or before the warmup boundary (res.Branches <= Warmup):
 	// zero branches were measured, and the old `> Warmup` guard left the
@@ -431,8 +429,8 @@ func finishRun(p predictor.Predictor, src trace.Source, opts Options, res Result
 	if opts.Warmup > 0 {
 		res.Branches -= min(res.Branches, opts.Warmup)
 	}
-	if inst != nil {
-		cs := inst.Stats()
+	if m.inst != nil {
+		cs := m.inst.Stats()
 		res.Stats = &cs
 	}
 	if err := trace.SourceErr(src); err != nil {

@@ -251,47 +251,3 @@ func TestResumeValidation(t *testing.T) {
 		t.Error("ResumeFrom accepted a differently-configured predictor")
 	}
 }
-
-// TestWarmEnsembleMatchesStraightRuns pins the warm-state fan-out: K
-// members resumed from one shared warm checkpoint must each match an
-// independent straight-through run — the warmup is simulated once, the
-// results as if it never was.
-func TestWarmEnsembleMatchesStraightRuns(t *testing.T) {
-	const (
-		instr = 40_000
-		k     = 3
-	)
-	for _, c := range resumeRoster() {
-		t.Run(c.name, func(t *testing.T) {
-			for _, delay := range []int{0, 8} {
-				prof, err := ev8pred.BenchmarkByName("go")
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts := sim.Options{Mode: c.mode, UpdateDelay: delay, Warmup: 400, Collect: true}
-				factory := sim.Factory(c.make)
-				rs, err := sim.RunWarmEnsembleBenchmark(factory, k, prof, instr, 1_000, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rs) != k {
-					t.Fatalf("%d results for %d members", len(rs), k)
-				}
-				p, err := c.make()
-				if err != nil {
-					t.Fatal(err)
-				}
-				straight, err := ev8pred.RunBenchmark(p, prof, instr, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, r := range rs {
-					sameResult(t, "warm member", r, straight)
-					if r.Branches == 0 {
-						t.Errorf("member %d: degenerate run", i)
-					}
-				}
-			}
-		})
-	}
-}
