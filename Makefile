@@ -19,8 +19,10 @@ all: build vet test
 # single-process, see shard-gate), the batch-kernel differential suite
 # (runs routed through LookupBatch/UpdateBatch — including the EV8 model
 # via the batched block contract, and commit-delayed runs via the lagged
-# resolve — must be byte-identical to the scalar fused path, with an EV8
-# block-boundary fuzz smoke at random delays), a snapshot-decode
+# resolve — must be byte-identical to the scalar fused path, the closed-
+# form skewing index must equal the primitive H/Hinv steps, with an EV8
+# block-boundary fuzz smoke at random delays and a skew-index fuzz
+# smoke), a snapshot-decode
 # fuzz smoke, the benchmark harness's own tests (see perf-harness-test),
 # and benchmark smokes so neither the testing.B harness nor the
 # per-predictor microbenchmarks can rot. The stream-pipeline tests run
@@ -33,8 +35,9 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestDelayedBatchZeroAllocsSteadyState' -count=1 .
 	$(GO) test -run 'TestEnsemble' -count=1 . ./internal/sim/
-	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/predictor/... ./internal/trace/
+	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestCompiled|TestFoldXOR' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/predictor/... ./internal/trace/ ./internal/skew/ ./internal/bitutil/
 	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
+	$(GO) test -fuzz FuzzSkewBound -fuzztime 20s -run '^$$' ./internal/skew/
 	$(GO) test -run 'TestFault' -count=1 ./internal/trace/faultinject/
 	$(GO) test -fuzz FuzzReader -fuzztime 30s -run '^$$' ./internal/trace/
 	$(GO) test -run 'TestResume' -count=1 .

@@ -55,15 +55,20 @@ func ParityMasked(x, mask uint64) uint64 {
 // FoldXOR folds the low histLen bits of v into an out-bit-wide value by
 // XORing successive out-bit chunks together. It is the standard way to use
 // a history vector longer than the index width ("very long history", §5.3
-// of the paper). out must be in (0, 64].
+// of the paper). out must be in (0, 64]. The loop runs a fixed
+// ceil(histLen/out) times, whatever the bits of v.
 func FoldXOR(v uint64, histLen, out int) uint64 {
 	if out <= 0 || out > 64 {
 		panic(fmt.Sprintf("bitutil: FoldXOR out width %d out of range", out))
 	}
 	v &= Mask(histLen)
+	if histLen > 64 {
+		histLen = 64
+	}
+	m := Mask(out)
 	var r uint64
-	for v != 0 {
-		r ^= v & Mask(out)
+	for s := 0; s < histLen; s += out {
+		r ^= v & m
 		v >>= uint(out)
 	}
 	return r

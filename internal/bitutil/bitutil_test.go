@@ -3,6 +3,8 @@ package bitutil
 import (
 	"testing"
 	"testing/quick"
+
+	"ev8pred/internal/rng"
 )
 
 func TestMask(t *testing.T) {
@@ -125,6 +127,37 @@ func TestFoldXORPanics(t *testing.T) {
 		}
 	}()
 	FoldXOR(1, 4, 0)
+}
+
+// foldXORUntilZero is FoldXOR's former loop, whose exit depends on the
+// data (it stops once the remaining bits are zero); kept as the reference
+// for the fixed-count loop.
+func foldXORUntilZero(v uint64, histLen, out int) uint64 {
+	v &= Mask(histLen)
+	var r uint64
+	for v != 0 {
+		r ^= v & Mask(out)
+		v >>= uint(out)
+	}
+	return r
+}
+
+func TestFoldXORMatchesUntilZeroLoop(t *testing.T) {
+	r := rng.New(5, 0)
+	for histLen := 0; histLen <= 64; histLen++ {
+		for out := 1; out <= 64; out++ {
+			for i := 0; i < 16; i++ {
+				v := r.Uint64() >> uint(r.Intn(64))
+				if got, want := FoldXOR(v, histLen, out), foldXORUntilZero(v, histLen, out); got != want {
+					t.Fatalf("FoldXOR(%#x, %d, %d) = %#x, want %#x", v, histLen, out, got, want)
+				}
+			}
+		}
+	}
+	// Lengths past the word fold the same 64 bits.
+	if got, want := FoldXOR(^uint64(0), 100, 7), foldXORUntilZero(^uint64(0), 100, 7); got != want {
+		t.Fatalf("histLen 100: got %#x, want %#x", got, want)
+	}
 }
 
 func TestFoldXORPreservesEntropy(t *testing.T) {

@@ -2,8 +2,9 @@
 //
 // The chunked path splits the per-branch work at the only boundary the
 // scheme allows. Index computation is a pure function of the
-// information vector, so LookupBatch stages it for the whole chunk as
-// straight-line arithmetic over the compiled skewing functions — no
+// information vector, so LookupBatch stages it for the whole chunk
+// through the same evaluator as the scalar Lookup (indexParams.indexInto,
+// straight-line arithmetic over the closed-form skewing functions) — no
 // counter state touched, no per-branch interface dispatch. Everything
 // downstream of the indices is state-dependent: a hot loop body recurs
 // many times inside one 1024-record chunk and aliases with its own
@@ -20,13 +21,13 @@
 package core
 
 import (
-	"ev8pred/internal/bitutil"
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
 )
 
 // LookupBatch implements predictor.BatchPredictor: the pure index stage,
-// staged over the whole chunk. Only snaps[i].Idx is filled.
+// staged over the whole chunk through the scalar path's index evaluator.
+// Only snaps[i].Idx is filled.
 func (p *Predictor) LookupBatch(infos []history.Info, snaps []predictor.Snapshot) {
 	if p.ip == nil {
 		// Caller-supplied IndexSet: the index function is opaque, so the
@@ -37,29 +38,8 @@ func (p *Predictor) LookupBatch(infos []history.Info, snaps []predictor.Snapshot
 		}
 		return
 	}
-	ip := p.ip
 	for i := range infos {
-		info := &infos[i]
-		var pathHash uint64
-		if ip.usePath {
-			pathHash = bitutil.Field(info.Path[0], 5, 4) ^
-				bitutil.Field(info.Path[1], 5, 4)<<2 ^
-				bitutil.Field(info.Path[2], 5, 4)<<4
-		}
-		idx := &snaps[i].Idx
-		idx[BIM] = predictor.PCBits(info.PC, ip.bits[BIM])
-		if ip.histLen[BIM] > 0 {
-			idx[BIM] ^= bitutil.FoldXOR(info.Hist, ip.histLen[BIM], ip.bits[BIM])
-		}
-		if ip.usePath {
-			idx[BIM] ^= pathHash & ip.bimMask
-		}
-		for b := G0; b <= Meta; b++ {
-			v := predictor.PCBits(info.PC, ip.bits[b]) |
-				predictor.HistMask(info.Hist, ip.histLen[b])<<uint(ip.bits[b])
-			v ^= pathHash << uint(ip.bits[b]/2)
-			idx[b] = ip.fns[b].Index(v, ip.bits[b]+ip.histLen[b])
-		}
+		p.ip.indexInto(&infos[i], &snaps[i].Idx)
 	}
 }
 

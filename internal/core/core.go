@@ -155,17 +155,28 @@ func MustNew(cfg Config) *Predictor {
 // in fixed arrays. Keeping them in a struct (rather than closure captures)
 // and ranging the skewed banks with a plain counted loop keeps the
 // per-branch path free of slice literals and heap allocation — the index
-// computation is the innermost loop of every simulation.
+// computation is the innermost loop of every simulation. indexInto is the
+// family's one index evaluator: the scalar IndexSet (index) and the batch
+// index stage (LookupBatch) both call it.
 type indexParams struct {
-	bits    [NumBanks]int
-	histLen [NumBanks]int
-	fns     [NumBanks]skew.Compiled // G0..Meta; BIM is unskewed
-	bimMask uint64
-	usePath bool
+	bits     [NumBanks]uint
+	pcMask   [NumBanks]uint64        // Mask(bits): PCBits without the branches
+	histMask [NumBanks]uint64        // Mask(HistLen): HistMask likewise
+	fns      [NumBanks]skew.Compiled // G0..Meta, bound to bits+HistLen; BIM is unskewed
+	bimHist  int                     // BIM history length, folded to bits[BIM]
+	usePath  bool
 }
 
 // index computes the four bank indices for an information vector.
 func (ip *indexParams) index(info *history.Info) [NumBanks]uint64 {
+	var idx [NumBanks]uint64
+	ip.indexInto(info, &idx)
+	return idx
+}
+
+// indexInto computes the four bank indices for an information vector
+// into idx.
+func (ip *indexParams) indexInto(info *history.Info, idx *[NumBanks]uint64) {
 	var pathHash uint64
 	if ip.usePath {
 		// A few bits from each of the three previous block
@@ -174,37 +185,34 @@ func (ip *indexParams) index(info *history.Info) [NumBanks]uint64 {
 			bitutil.Field(info.Path[1], 5, 4)<<2 ^
 			bitutil.Field(info.Path[2], 5, 4)<<4
 	}
-	var idx [NumBanks]uint64
-	idx[BIM] = predictor.PCBits(info.PC, ip.bits[BIM])
-	if ip.histLen[BIM] > 0 {
-		idx[BIM] ^= bitutil.FoldXOR(info.Hist, ip.histLen[BIM], ip.bits[BIM])
+	pc := info.PC >> 2
+	bim := pc & ip.pcMask[BIM]
+	if ip.bimHist > 0 {
+		bim ^= bitutil.FoldXOR(info.Hist, ip.bimHist, int(ip.bits[BIM]))
 	}
-	if ip.usePath {
-		idx[BIM] ^= pathHash & ip.bimMask
-	}
+	idx[BIM] = bim ^ pathHash&ip.pcMask[BIM]
 	for b := G0; b <= Meta; b++ {
-		v := predictor.PCBits(info.PC, ip.bits[b]) |
-			predictor.HistMask(info.Hist, ip.histLen[b])<<uint(ip.bits[b])
-		v ^= pathHash << uint(ip.bits[b]/2)
-		idx[b] = ip.fns[b].Index(v, ip.bits[b]+ip.histLen[b])
+		v := pc&ip.pcMask[b] | (info.Hist&ip.histMask[b])<<ip.bits[b]
+		v ^= pathHash << (ip.bits[b] / 2)
+		idx[b] = ip.fns[b].Index(v)
 	}
-	return idx
 }
 
-// newIndexParams precomputes the default index functions for cfg,
-// with the skewing functions compiled to their branchless shift form
-// (skew.Compile) so the per-branch index work is straight-line
-// arithmetic.
+// newIndexParams precomputes the default index functions for cfg: the
+// masks, and the skewing functions compiled to their closed form bound to
+// each bank's vector length (skew.Compile), so the per-branch index work
+// is straight-line arithmetic with no iterated H/Hinv steps.
 func newIndexParams(cfg Config) *indexParams {
-	ip := &indexParams{usePath: cfg.UsePath}
+	ip := &indexParams{usePath: cfg.UsePath, bimHist: cfg.Banks[BIM].HistLen}
 	for b := BIM; b < NumBanks; b++ {
-		ip.bits[b] = bitutil.Log2(uint64(cfg.Banks[b].Entries))
-		ip.histLen[b] = cfg.Banks[b].HistLen
+		bits := bitutil.Log2(uint64(cfg.Banks[b].Entries))
+		ip.bits[b] = uint(bits)
+		ip.pcMask[b] = bitutil.Mask(bits)
+		ip.histMask[b] = bitutil.Mask(cfg.Banks[b].HistLen)
+		if b >= G0 {
+			ip.fns[b] = skew.MustFamily(bits, 3)[int(b-G0)].Compile(bits + cfg.Banks[b].HistLen)
+		}
 	}
-	for b := G0; b <= Meta; b++ {
-		ip.fns[b] = skew.MustFamily(ip.bits[b], 3)[int(b-G0)].Compile()
-	}
-	ip.bimMask = bitutil.Mask(ip.bits[BIM])
 	return ip
 }
 

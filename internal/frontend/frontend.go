@@ -229,11 +229,14 @@ func (t *Tracker) Process(b trace.Branch) (history.Info, bool) {
 	var info history.Info
 	isCond := b.Kind == trace.Cond
 	if isCond {
+		// Path is copied element-wise, not as Snapshot's 24-byte array:
+		// the queue was just written by Push's three 8-byte stores,
+		// which a wider load cannot forward from.
 		info = history.Info{
 			PC:      b.PC,
 			BlockPC: t.blockStart,
 			Hist:    t.selectHist(),
-			Path:    t.path.Snapshot(),
+			Path:    [3]uint64{t.path.Z(), t.path.Y(), t.path.X()},
 			Thread:  t.threadTag,
 		}
 		t.condSeen++

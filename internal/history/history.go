@@ -104,6 +104,9 @@ func (q *PathQueue) Z() uint64 { return q.addrs[0] }
 // Y returns the second most recent previous block address.
 func (q *PathQueue) Y() uint64 { return q.addrs[1] }
 
+// X returns the third most recent previous block address.
+func (q *PathQueue) X() uint64 { return q.addrs[2] }
+
 // Reset clears the queue.
 func (q *PathQueue) Reset() { q.addrs = [3]uint64{} }
 

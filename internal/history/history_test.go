@@ -92,8 +92,8 @@ func TestPathQueue(t *testing.T) {
 	q.Push(0x100)
 	q.Push(0x200)
 	q.Push(0x300)
-	if q.Z() != 0x300 || q.Y() != 0x200 {
-		t.Errorf("Z=%#x Y=%#x", q.Z(), q.Y())
+	if q.Z() != 0x300 || q.Y() != 0x200 || q.X() != 0x100 {
+		t.Errorf("Z=%#x Y=%#x X=%#x", q.Z(), q.Y(), q.X())
 	}
 	snap := q.Snapshot()
 	if snap != [3]uint64{0x300, 0x200, 0x100} {

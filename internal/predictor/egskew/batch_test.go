@@ -5,10 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"ev8pred/internal/bitutil"
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
 	"ev8pred/internal/predictor/predtest"
 	"ev8pred/internal/rng"
+	"ev8pred/internal/skew"
 )
 
 // batchEvents synthesizes a branch stream over a small PC pool so indices
@@ -122,5 +124,38 @@ func TestBatchLaggedMatchesScalar(t *testing.T) {
 	infos, outcomes := batchEvents(1500, 19)
 	for _, partial := range []bool{true, false} {
 		predtest.LaggedBatch(t, func() predictor.BatchPredictor { return MustNew(1<<12, 12, partial) }, infos, outcomes)
+	}
+}
+
+// TestIndexEvaluatorMatchesReference checks the family's one index
+// evaluator, through Lookup and LookupBatch, against the formula written
+// out from its parts with the skewing functions evaluated by their
+// primitive H/Hinv steps (skew.Func.Index).
+func TestIndexEvaluatorMatchesReference(t *testing.T) {
+	r := rng.New(43, 0)
+	infos := make([]history.Info, 300)
+	for i := range infos {
+		infos[i] = history.Info{PC: r.Uint64(), Hist: r.Uint64()}
+	}
+	snaps := make([]predictor.Snapshot, len(infos))
+	for _, entries := range []int{4, 1024, 8192, 64 * 1024} {
+		for _, histLen := range []int{0, 1, 13, 27, 50, 64} {
+			bits := bitutil.Log2(uint64(entries))
+			fam := skew.MustFamily(bits, 2)
+			e := MustNew(entries, histLen, true)
+			e.LookupBatch(infos, snaps)
+			for i := range infos {
+				info := &infos[i]
+				ibim := predictor.PCBits(info.PC, bits)
+				v := ibim | predictor.HistMask(info.Hist, histLen)<<uint(bits)
+				want := [predictor.MaxSnapshotBanks]uint64{ibim, fam[0].Index(v, bits+histLen), fam[1].Index(v, bits+histLen)}
+				if got := e.Lookup(info).Idx; got != want {
+					t.Fatalf("%s: Lookup Idx %v, want %v", e.Name(), got, want)
+				}
+				if got := snaps[i].Idx; got != want {
+					t.Fatalf("%s: LookupBatch Idx %v, want %v", e.Name(), got, want)
+				}
+			}
+		}
 	}
 }

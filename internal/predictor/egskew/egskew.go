@@ -26,9 +26,13 @@ type EGskew struct {
 	g1      *counter.Array
 	bits    int
 	histLen int
-	fns     [2]skew.Compiled
-	partial bool
-	name    string
+	// The index evaluator's constants: PCBits and HistMask masks, and
+	// the two skewing functions bound to the bits+histLen vector.
+	pcMask   uint64
+	histMask uint64
+	fns      [2]skew.Compiled
+	partial  bool
+	name     string
 	// st holds attribution counters when stats collection is enabled
 	// (stats.Instrumented); nil keeps the update path at one pointer
 	// check.
@@ -64,15 +68,18 @@ func New(entries, histLen int, partial bool) (*EGskew, error) {
 	if err != nil {
 		return nil, fmt.Errorf("egskew: %w", err)
 	}
+	vlen := bits + histLen
 	return &EGskew{
-		bim:     counter.NewArray(entries, counter.WeakNotTaken),
-		g0:      counter.NewArray(entries, counter.WeakNotTaken),
-		g1:      counter.NewArray(entries, counter.WeakNotTaken),
-		bits:    bits,
-		histLen: histLen,
-		fns:     [2]skew.Compiled{fns[0].Compile(), fns[1].Compile()},
-		partial: partial,
-		name:    fmt.Sprintf("e-gskew-3x%dK-h%d", entries/1024, histLen),
+		bim:      counter.NewArray(entries, counter.WeakNotTaken),
+		g0:       counter.NewArray(entries, counter.WeakNotTaken),
+		g1:       counter.NewArray(entries, counter.WeakNotTaken),
+		bits:     bits,
+		histLen:  histLen,
+		pcMask:   bitutil.Mask(bits),
+		histMask: bitutil.Mask(histLen),
+		fns:      [2]skew.Compiled{fns[0].Compile(vlen), fns[1].Compile(vlen)},
+		partial:  partial,
+		name:     fmt.Sprintf("e-gskew-3x%dK-h%d", entries/1024, histLen),
 	}, nil
 }
 
@@ -85,21 +92,14 @@ func MustNew(entries, histLen int, partial bool) *EGskew {
 	return e
 }
 
-// indices computes the three bank indices for an information vector.
+// indices computes the three bank indices for an information vector: PC
+// bits for BIM, and the two skewing functions of PC bits (low)
+// concatenated with history (high) for G0 and G1. It is the family's one
+// index evaluator; Lookup, Predict, Update and LookupBatch all call it.
 func (e *EGskew) indices(info *history.Info) (ibim, i0, i1 uint64) {
-	ibim = predictor.PCBits(info.PC, e.bits)
-	v := e.vector(info)
-	vlen := e.bits + e.histLen
-	i0 = e.fns[0].Index(v, vlen)
-	i1 = e.fns[1].Index(v, vlen)
-	return
-}
-
-// vector concatenates PC bits (low) and history (high) into the skewing
-// input.
-func (e *EGskew) vector(info *history.Info) uint64 {
-	h := predictor.HistMask(info.Hist, e.histLen)
-	return predictor.PCBits(info.PC, e.bits) | h<<uint(e.bits)
+	ibim = (info.PC >> 2) & e.pcMask
+	v := ibim | (info.Hist&e.histMask)<<uint(e.bits)
+	return ibim, e.fns[0].Index(v), e.fns[1].Index(v)
 }
 
 // b2i converts a vote to a count without a slice round-trip.
@@ -284,16 +284,13 @@ func (e *EGskew) Reset() {
 }
 
 // LookupBatch implements predictor.BatchPredictor: the pure index stage
-// over the chunk — PC extraction, history concatenation, and the two
-// compiled skewing functions. No counter state is touched; the unused
-// fourth index is zeroed, as Lookup leaves it.
+// over the chunk, through the scalar path's evaluator (indices: PC bits
+// and the two skewing functions in their closed form). No counter state
+// is touched; the unused fourth index is zeroed, as Lookup leaves it.
 func (e *EGskew) LookupBatch(infos []history.Info, snaps []predictor.Snapshot) {
 	for i := range infos {
-		info := &infos[i]
-		ibim := predictor.PCBits(info.PC, e.bits)
-		v := ibim | predictor.HistMask(info.Hist, e.histLen)<<uint(e.bits)
-		vlen := e.bits + e.histLen
-		snaps[i].Idx = [predictor.MaxSnapshotBanks]uint64{ibim, e.fns[0].Index(v, vlen), e.fns[1].Index(v, vlen)}
+		ibim, i0, i1 := e.indices(&infos[i])
+		snaps[i].Idx = [predictor.MaxSnapshotBanks]uint64{ibim, i0, i1}
 	}
 }
 

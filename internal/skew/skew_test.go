@@ -219,29 +219,20 @@ func TestIndexPairMatchesIndexForShortVectors(t *testing.T) {
 	}
 }
 
-// refIndexPair recomputes the skewing function from the primitive
-// one-step H/Hinv bijections — the definition the compiled shift form
-// must reproduce bit for bit.
-func refIndexPair(f *Func, v1, v2 uint64) uint64 {
-	mask := bitutil.Mask(f.Bits())
-	h1, h2 := v1&mask, v2&mask
-	for i := 0; i <= f.Bank(); i++ {
-		h1 = f.H(h1)
-		h2 = f.Hinv(h2)
-	}
-	return h1 ^ h2 ^ v2&mask
-}
-
 func TestCompiledMatchesPrimitiveSteps(t *testing.T) {
-	// Exhaustive over both halves at a small width, for every bank depth.
-	for k, f := range MustFamily(6, 4) {
-		c := f.Compile()
+	// Exhaustive over both halves at a small width, for every bank depth:
+	// r = 1..4 takes the tables, r = 5 (bank 4) iterates the steps.
+	for k, f := range MustFamily(6, 5) {
+		c := f.Compile(12)
 		if c.Bits() != 6 {
 			t.Fatalf("bank %d: Compiled.Bits = %d", k, c.Bits())
 		}
+		if wantLoop := k+1 > maxTableReps; c.loop != wantLoop {
+			t.Fatalf("bank %d: loop = %v, want %v", k, c.loop, wantLoop)
+		}
 		for v1 := uint64(0); v1 < 1<<6; v1++ {
 			for v2 := uint64(0); v2 < 1<<6; v2++ {
-				if got, want := c.IndexPair(v1, v2), refIndexPair(f, v1, v2); got != want {
+				if got, want := c.IndexPair(v1, v2), f.IndexPair(v1, v2); got != want {
 					t.Fatalf("bank %d: IndexPair(%#x, %#x) = %#x, want %#x", k, v1, v2, got, want)
 				}
 			}
@@ -250,40 +241,76 @@ func TestCompiledMatchesPrimitiveSteps(t *testing.T) {
 }
 
 func TestCompiledMatchesPrimitiveStepsRandom(t *testing.T) {
-	// Random halves across the width range, including unmasked high bits
-	// (Compiled must mask exactly like the primitive form).
-	for _, n := range []int{2, 5, 13, 16, 21, 35, 63} {
-		for k, f := range MustFamily(n, 3) {
-			c := f.Compile()
-			g := func(v1, v2 uint64) bool {
-				return c.IndexPair(v1, v2) == refIndexPair(f, v1, v2)
-			}
-			if err := quick.Check(g, nil); err != nil {
-				t.Errorf("width %d bank %d: %v", n, k, err)
+	// Every width n in [2,63] × bank k in [0,5] × vector length vlen in
+	// [n,64] × random vectors with bits above vlen set: the table path,
+	// the fallback for r = k+1 above the tables, and r >= n (small n).
+	r := rng.New(23, 0)
+	paths := map[bool]int{}
+	for n := 2; n <= 63; n++ {
+		for k, f := range MustFamily(n, 6) {
+			for vlen := n; vlen <= 64; vlen++ {
+				c := f.Compile(vlen)
+				paths[c.loop]++
+				for i := 0; i < 8; i++ {
+					v, v1, v2 := r.Uint64(), r.Uint64(), r.Uint64()
+					if got, want := c.Index(v), f.Index(v, vlen); got != want {
+						t.Fatalf("n=%d k=%d vlen=%d: Index(%#x) = %#x, want %#x", n, k, vlen, v, got, want)
+					}
+					if got, want := c.IndexPair(v1, v2), f.IndexPair(v1, v2); got != want {
+						t.Fatalf("n=%d k=%d: IndexPair(%#x, %#x) = %#x, want %#x", n, k, v1, v2, got, want)
+					}
+				}
 			}
 		}
+	}
+	if paths[false] == 0 || paths[true] == 0 {
+		t.Fatalf("paths not both covered: %v", paths)
 	}
 }
 
 func TestCompiledIndexMatchesFunc(t *testing.T) {
-	// Func.Index evaluates through Compile; pin the delegation (and the
-	// fold/split in Compiled.Index) against fresh compilations.
-	for _, f := range MustFamily(13, 3) {
-		c := f.Compile()
-		g := func(v uint64) bool {
-			return c.Index(v, 40) == f.Index(v, 40) && c.Index(v, 40) < 1<<13
-		}
-		if err := quick.Check(g, nil); err != nil {
-			t.Error(err)
+	// The bound form at the vector lengths the predictors use, and past
+	// 64 (Compile clamps vlen, as Func.Index's masks do).
+	for _, vlen := range []int{13, 40, 64, 80} {
+		for _, f := range MustFamily(13, 3) {
+			c := f.Compile(vlen)
+			g := func(v uint64) bool {
+				return c.Index(v) == f.Index(v, vlen) && c.Index(v) < 1<<13
+			}
+			if err := quick.Check(g, nil); err != nil {
+				t.Errorf("vlen %d: %v", vlen, err)
+			}
 		}
 	}
 }
 
+// FuzzSkewBound checks the closed form bound to a vector length against
+// the primitive steps for any width, bank, vector length and vector.
+func FuzzSkewBound(f *testing.F) {
+	f.Add(uint8(16), uint8(2), uint8(37), uint64(0x9e3779b97f4a7c15))
+	f.Add(uint8(2), uint8(5), uint8(64), ^uint64(0))
+	f.Add(uint8(63), uint8(0), uint8(63), uint64(1)<<62)
+	f.Fuzz(func(t *testing.T, n, k, vlen uint8, v uint64) {
+		width := 2 + int(n)%62            // [2,63]
+		bank := int(k) % 8                // both sides of maxTableReps
+		l := width + int(vlen)%(65-width) // [width,64]
+		fn := MustFamily(width, bank+1)[bank]
+		c := fn.Compile(l)
+		if got, want := c.Index(v), fn.Index(v, l); got != want {
+			t.Fatalf("n=%d k=%d vlen=%d: Index(%#x) = %#x, want %#x", width, bank, l, v, got, want)
+		}
+		v2 := v*0x9e3779b97f4a7c15 + 1
+		if got, want := c.IndexPair(v, v2), fn.IndexPair(v, v2); got != want {
+			t.Fatalf("n=%d k=%d: IndexPair(%#x, %#x) = %#x, want %#x", width, bank, v, v2, got, want)
+		}
+	})
+}
+
 func BenchmarkCompiledIndex(b *testing.B) {
-	c := MustFamily(16, 3)[2].Compile()
+	c := MustFamily(16, 3)[2].Compile(37)
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink ^= c.Index(uint64(i)*0x9e3779b97f4a7c15, 37)
+		sink ^= c.Index(uint64(i) * 0x9e3779b97f4a7c15)
 	}
 	_ = sink
 }
