@@ -9,9 +9,10 @@ STATICCHECK_VERSION ?= 2025.1.1
 all: build vet test
 
 # The full gate CI runs: static checks, build, the test suite under the
-# race detector, the hot-path zero-allocation gates (without -race, where
-# allocation accounting is exact), the trace fault-injection suite, a
-# short decoder fuzz smoke, the ensemble differential suite (single-pass
+# race detector, the hot-path zero-allocation gates (attribution off and
+# on, without -race, where allocation accounting is exact), the trace
+# fault-injection suite, a short decoder fuzz smoke, the ensemble
+# differential suite (single-pass
 # ensemble results must be byte-identical to per-cell runs), the
 # resume-equivalence and cache-correctness suites (checkpointed-and-
 # resumed runs and cache hits must be byte-identical to straight
@@ -20,8 +21,9 @@ all: build vet test
 # (runs routed through LookupBatch/UpdateBatch — including the EV8 model
 # via the batched block contract, and commit-delayed runs via the lagged
 # resolve — must be byte-identical to the scalar fused path, the closed-
-# form skewing index must equal the primitive H/Hinv steps, with an EV8
-# block-boundary fuzz smoke at random delays and a skew-index fuzz
+# form skewing index must equal the primitive H/Hinv steps, the read-
+# once instrumented update must count as the reference update does, with
+# an EV8 block-boundary fuzz smoke at random delays and a skew-index fuzz
 # smoke), a snapshot-decode
 # fuzz smoke, the benchmark harness's own tests (see perf-harness-test),
 # and benchmark smokes so neither the testing.B harness nor the
@@ -35,7 +37,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestDelayedBatchZeroAllocsSteadyState' -count=1 .
 	$(GO) test -run 'TestEnsemble' -count=1 . ./internal/sim/
-	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestCompiled|TestFoldXOR' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/predictor/... ./internal/trace/ ./internal/skew/ ./internal/bitutil/
+	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestCompiled|TestFoldXOR|TestInstrumentedUpdate|TestCollect|TestStoredMask|TestSplitBits' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/predictor/... ./internal/trace/ ./internal/skew/ ./internal/bitutil/ ./internal/counter/
 	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
 	$(GO) test -fuzz FuzzSkewBound -fuzztime 20s -run '^$$' ./internal/skew/
 	$(GO) test -run 'TestFault' -count=1 ./internal/trace/faultinject/

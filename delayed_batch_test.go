@@ -270,7 +270,9 @@ func TestDelayedBatchOn(t *testing.T) {
 // TestDelayedBatchZeroAllocsSteadyState gates the allocation discipline
 // of the delayed batch paths: whole-run allocation counts at two stream
 // lengths must be equal — the resolve window, like all batch scratch, and
-// the commit-delay rings are per run, never per chunk or per branch.
+// the commit-delay rings are per run, never per chunk or per branch. The
+// runs collect attribution counters, as the benchmark's delayed workload
+// does, so the instrumented resolve is gated too.
 func TestDelayedBatchZeroAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")
@@ -280,7 +282,7 @@ func TestDelayedBatchZeroAllocsSteadyState(t *testing.T) {
 		t.Fatalf("collected only %d records", len(records))
 	}
 	for _, delay := range []int{8, 1500} {
-		opts := ev8pred.Options{Mode: ev8pred.ModeEV8(), UpdateDelay: delay, Batch: ev8pred.BatchOn}
+		opts := ev8pred.Options{Mode: ev8pred.ModeEV8(), UpdateDelay: delay, Batch: ev8pred.BatchOn, Collect: true}
 		check := func(what string, run func(recs []ev8pred.Branch)) {
 			short := testing.AllocsPerRun(5, func() { run(records[:4096]) })
 			long := testing.AllocsPerRun(5, func() { run(records) })

@@ -12,6 +12,7 @@ import (
 	"ev8pred"
 	"ev8pred/internal/hotbench"
 	"ev8pred/internal/predictor"
+	"ev8pred/internal/stats"
 	"ev8pred/internal/trace"
 )
 
@@ -20,8 +21,10 @@ const hotEvents = 4096
 // TestHotPathZeroAllocs asserts that a steady-state branch allocates
 // nothing — on the fused Lookup/UpdateWith path and on the plain
 // Predict/Update fallback — for every gated predictor (EV8 and the
-// 2Bc-gskew presets). A single heap escape on this path costs more than
-// the prediction itself; this is the acceptance gate that keeps it out.
+// 2Bc-gskew presets), with attribution collection off and on
+// (docs/OBSERVABILITY.md: no allocation in either state). A single heap
+// escape on this path costs more than the prediction itself; this is the
+// acceptance gate that keeps it out.
 func TestHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")
@@ -43,19 +46,26 @@ func TestHotPathZeroAllocs(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: gated predictor does not implement FusedPredictor", c.Name)
 			}
-			// Warm once so any lazy one-time work is done before counting.
-			hotbench.ReplayFused(fp, events)
-			if allocs := testing.AllocsPerRun(3, func() {
-				hotbench.ReplayFused(fp, events)
-			}); allocs != 0 {
-				t.Errorf("%s fused path: %.1f allocs per %d branches, want 0",
-					c.Name, allocs, len(events))
+			ip, ok := p.(stats.Instrumented)
+			if !ok {
+				t.Fatalf("%s: gated predictor does not implement stats.Instrumented", c.Name)
 			}
-			if allocs := testing.AllocsPerRun(3, func() {
-				hotbench.ReplayUnfused(p, events)
-			}); allocs != 0 {
-				t.Errorf("%s unfused path: %.1f allocs per %d branches, want 0",
-					c.Name, allocs, len(events))
+			for _, collect := range []bool{false, true} {
+				ip.EnableStats(collect)
+				// Warm once so any lazy one-time work is done before counting.
+				hotbench.ReplayFused(fp, events)
+				if allocs := testing.AllocsPerRun(3, func() {
+					hotbench.ReplayFused(fp, events)
+				}); allocs != 0 {
+					t.Errorf("%s fused path (collect=%v): %.1f allocs per %d branches, want 0",
+						c.Name, collect, allocs, len(events))
+				}
+				if allocs := testing.AllocsPerRun(3, func() {
+					hotbench.ReplayUnfused(p, events)
+				}); allocs != 0 {
+					t.Errorf("%s unfused path (collect=%v): %.1f allocs per %d branches, want 0",
+						c.Name, collect, allocs, len(events))
+				}
 			}
 		})
 	}

@@ -56,13 +56,15 @@ func (p *Predictor) UpdateBatch(snaps []predictor.Snapshot, taken, finals []uint
 //	maj   = (bim & g0) | (bim & g1) | (g0 & g1)   // e-gskew majority
 //	final = (meta & maj) | (^meta & bim)          // meta arbitration
 //
-// At lag 0 the branch then trains through the same applyUpdate /
-// updateAtInstrumented write path as the scalar UpdateWith — both update
-// policies, identical attribution — from that one read: nothing trains
-// between a branch's lookup and its update, so the scalar update-time
-// re-read equals the lookup-time read. Under a lag the read becomes the
-// branch's snapshot, and the entry lag places back retires through
-// updateAt, which re-reads its counters exactly as UpdateWith does.
+// At lag 0 the branch then trains through the same applyUpdate write path
+// as the scalar UpdateWith, from that one read: nothing trains between a
+// branch's lookup and its update, so the scalar update-time re-read
+// equals the lookup-time read. With attribution on it trains through
+// updateAtInstrumented instead, which reads each bank's prediction and
+// hysteresis bits together, as the scalar path does. Under a lag the
+// read becomes the branch's snapshot, and the entry lag places back
+// retires through updateAt, which re-reads its counters exactly as
+// UpdateWith does.
 func (p *Predictor) UpdateBatchLagged(snaps []predictor.Snapshot, pending, lag int, taken, finals []uint64) {
 	bim, g0b, g1b, meta := p.banks[BIM], p.banks[G0], p.banks[G1], p.banks[Meta]
 	var fw uint64
@@ -80,7 +82,7 @@ func (p *Predictor) UpdateBatchLagged(snaps []predictor.Snapshot, pending, lag i
 		if lag == 0 {
 			tk := taken[k>>6]>>(uint(k)&63)&1 == 1
 			if p.st != nil {
-				p.updateAtInstrumented(s.Idx, pb == 1, p0 == 1, p1 == 1, pm == 1, fin == 1, maj == 1, tk)
+				p.updateAtInstrumented(s.Idx, tk)
 			} else {
 				p.applyUpdate(s.Idx, pb == 1, p0 == 1, p1 == 1, pm == 1, fin == 1, maj == 1, tk)
 			}

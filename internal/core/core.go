@@ -296,16 +296,17 @@ func (p *Predictor) UpdateWith(s predictor.Snapshot, taken bool) {
 }
 
 // updateAt applies the configured update policy at the given indices.
-// Attribution (package stats) hangs off this single gate: one nil check
-// when disabled, the instrumented twin — identical writes, wrapped in
-// counting — when enabled.
+// Attribution (package stats) hangs off this single gate, tested before
+// any counter is read: one nil check when disabled, the instrumented twin
+// — identical writes, wrapped in counting, reading the banks itself —
+// when enabled.
 func (p *Predictor) updateAt(idx [NumBanks]uint64, taken bool) {
-	pbim, p0, p1, pmeta := p.lookup(idx)
-	final, egskew := combine(pbim, p0, p1, pmeta)
 	if p.st != nil {
-		p.updateAtInstrumented(idx, pbim, p0, p1, pmeta, final, egskew, taken)
+		p.updateAtInstrumented(idx, taken)
 		return
 	}
+	pbim, p0, p1, pmeta := p.lookup(idx)
+	final, egskew := combine(pbim, p0, p1, pmeta)
 	p.applyUpdate(idx, pbim, p0, p1, pmeta, final, egskew, taken)
 }
 

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"bytes"
 	"testing"
 
 	"ev8pred/internal/history"
@@ -222,6 +223,39 @@ func TestTrackerReset(t *testing.T) {
 	info, _ := tr.Process(rec(0x1000, 0x2000, false, 0, trace.Cond))
 	if info.Hist != 0 || info.Path != [3]uint64{} {
 		t.Error("Reset left history behind")
+	}
+}
+
+// TestTrackerResetRestoresPowerOnState checks that a tracker that ran a
+// stream and was Reset serializes to exactly the bytes of a fresh one, in
+// every information-vector mode — the flow point and the in-progress
+// block's last conditional branch included.
+func TestTrackerResetRestoresPowerOnState(t *testing.T) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := map[string]Mode{
+		"ghist":         ModeGhist(),
+		"lghist-nopath": ModeLghistNoPath(),
+		"lghist":        ModeLghist(),
+		"old-lghist":    ModeOldLghist(),
+		"ev8":           ModeEV8(),
+	}
+	for name, mode := range modes {
+		tr := NewTracker(mode)
+		g := workload.MustNew(prof, 0)
+		for i := 0; i < 5000; i++ {
+			b, ok := g.Next()
+			if !ok {
+				t.Fatalf("%s: workload ran dry", name)
+			}
+			tr.Process(b)
+		}
+		tr.Reset()
+		if got, want := tr.SnapshotState(), NewTracker(mode).SnapshotState(); !bytes.Equal(got, want) {
+			t.Errorf("%s: reset tracker's snapshot differs from a fresh tracker's", name)
+		}
 	}
 }
 
