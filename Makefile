@@ -13,7 +13,10 @@ all: build vet test
 # on, without -race, where allocation accounting is exact), the trace
 # fault-injection suite, a short decoder fuzz smoke, the ensemble
 # differential suite (single-pass
-# ensemble results must be byte-identical to per-cell runs), the
+# ensemble results must be byte-identical to per-cell runs, members on
+# the batch and per-branch schedules side by side, and every entry point
+# must honour each Options field or reject it with a typed error), the
+# RunFrontEnd multi-thread rejection, the
 # resume-equivalence and cache-correctness suites (checkpointed-and-
 # resumed runs and cache hits must be byte-identical to straight
 # recomputation), the sharded-sweep gate (split/merge byte-identical to
@@ -36,7 +39,8 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestDelayedBatchZeroAllocsSteadyState' -count=1 .
-	$(GO) test -run 'TestEnsemble' -count=1 . ./internal/sim/
+	$(GO) test -run 'TestEnsemble|TestEV8Ensemble|TestOptionsContract|TestRunFrontEndRejectsUnsupportedOptions' -count=1 . ./internal/sim/
+	$(GO) test -run 'TestRunFrontEndRejectsMultiThread' -count=1 ./internal/sim/
 	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestCompiled|TestFoldXOR|TestInstrumentedUpdate|TestCollect|TestStoredMask|TestSplitBits' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/predictor/... ./internal/trace/ ./internal/skew/ ./internal/bitutil/ ./internal/counter/
 	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
 	$(GO) test -fuzz FuzzSkewBound -fuzztime 20s -run '^$$' ./internal/skew/

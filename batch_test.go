@@ -114,7 +114,7 @@ func TestBatchScalarEquivalent(t *testing.T) {
 
 // TestBatchWarmupEquivalent pins the warmup lane masking: warmup
 // boundaries that land mid-chunk and mid-word must gate exactly the same
-// branches as the scalar loop's per-branch comparison.
+// branches as the per-branch schedule's comparison.
 func TestBatchWarmupEquivalent(t *testing.T) {
 	tc := batchRoster()[0]
 	for _, warmup := range []int64{1, 63, 64, 1000, 1025, 5000} {

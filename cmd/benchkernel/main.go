@@ -35,9 +35,8 @@
 //
 //   - ev8_cascade: sim.RunEnsemble over the EV8-mode roster (the EV8,
 //     the unconstrained ConfigEV8Size 2Bc-gskew, and the §9 cascade) —
-//     the cascade alone is not a batch predictor, but the ensemble's
-//     staged fetch-block fan-out lets its siblings run chunked around
-//     it. ns/branch is per STREAM branch (each branch visits all three
+//     the cascade alone is not a batch predictor, so its batch leg runs
+//     under BatchAuto: the siblings resolve chunked around it. ns/branch is per STREAM branch (each branch visits all three
 //     members).
 //
 // `make bench-kernel` regenerates the committed snapshot.
@@ -276,9 +275,14 @@ func runTable1(n int64, mode sim.BatchMode) error {
 // runCascadeEnsemble executes one cold sim.RunEnsemble of the EV8-mode
 // roster — EV8, ConfigEV8Size 2Bc-gskew, and the §9 cascade — over one
 // shared gcc stream with the given batch schedule. The cascade is not a
-// batch predictor; the ensemble path replays it per branch between the
-// chunked members, which is exactly what makes this case worth timing.
+// batch predictor; the engine runs it per branch inside the walk while its
+// siblings resolve chunked, which is exactly what makes this case worth
+// timing. BatchOn would reject the cascade, so the batch leg runs under
+// BatchAuto, which makes every other member a batch member.
 func runCascadeEnsemble(n int64, mode sim.BatchMode) error {
+	if mode == sim.BatchOn {
+		mode = sim.BatchAuto
+	}
 	prof, err := workload.ByName("gcc")
 	if err != nil {
 		return err

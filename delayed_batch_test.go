@@ -3,8 +3,9 @@ package ev8pred_test
 // Differential suite for the delayed batch path (docs/PERFORMANCE.md,
 // "Batch kernel"): under commit delay the batch kernel resolves each
 // chunk lagged behind the pending updates it retires, and the pending
-// updates live in the same ring as the scalar loop's between chunks. So a
-// delayed run with BatchAuto must equal the same run forced scalar with
+// updates live in the same ring the per-branch schedule uses between
+// chunks. So a delayed run with BatchAuto must equal the same run forced
+// per branch with
 // BatchOff byte for byte — Result, attribution Stats, final predictor
 // state and checkpoints (the pending ring included) — for every batch
 // family, solo and in ensembles, at delays shorter and longer than a

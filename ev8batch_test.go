@@ -14,6 +14,8 @@ package ev8pred_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"ev8pred"
@@ -206,52 +208,89 @@ func TestEV8BatchOnEligibility(t *testing.T) {
 	if err := run(p, ev8pred.Options{}); !errors.Is(err, ev8pred.ErrBatchIneligible) {
 		t.Errorf("cascade BatchOn run: got %v, want ErrBatchIneligible", err)
 	}
+	// One BatchOn rule for every entry point: an ensemble holding the
+	// cascade fails too, naming it, instead of running it per branch.
+	factories := []ev8pred.Factory{ev8BatchRoster()[0].make, cascade.make}
+	_, err = ev8pred.RunEnsembleBenchmark(factories, prof, 20_000,
+		ev8pred.Options{Mode: ev8pred.ModeEV8(), Batch: ev8pred.BatchOn})
+	if !errors.Is(err, ev8pred.ErrBatchIneligible) || !strings.Contains(err.Error(), p.Name()) {
+		t.Errorf("ensemble with cascade BatchOn run: got %v, want ErrBatchIneligible naming %s", err, p.Name())
+	}
 }
 
-// TestEV8EnsembleBatchScalarEquivalent covers the ensemble twin under the
-// EV8 front end: the batch-capable members (EV8 via staged banks, the
-// unconstrained 2Bc-gskew via the plain kernel) ride the chunked
-// schedule, the cascade rides the per-branch replay — against BatchOff
-// and against independent per-cell runs.
+// TestEV8EnsembleBatchScalarEquivalent covers the engine's mixed schedule
+// under the EV8 front end: the batch-capable members (EV8 via staged
+// banks, the unconstrained 2Bc-gskew via the plain kernel) resolve each
+// chunk after the walk, while the cascade and an EV8 hidden behind the
+// plain interface (a block observer without the batched block contract,
+// which reads its live sequencer) run per branch inside it — against
+// BatchOff and against independent per-cell runs, at immediate and
+// commit-delayed update, comparing Results, Stats and predictor state.
 func TestEV8EnsembleBatchScalarEquivalent(t *testing.T) {
-	roster := ev8BatchRoster()
-	factories := make([]ev8pred.Factory, len(roster))
-	for i, c := range roster {
-		factories[i] = c.make
+	roster := append(ev8BatchRoster(), ev8BatchCase{"ev8-hidden", false, func() (ev8pred.Predictor, error) {
+		return hideFused(ev8pred.NewEV8()), nil
+	}})
+	// state serializes a member's predictor, looking through the
+	// hideFused wrapper; nil for a predictor that cannot snapshot.
+	state := func(p ev8pred.Predictor) []byte {
+		if u, ok := p.(*unfusedObserver); ok {
+			p = u.p
+		}
+		if s, ok := p.(predictor.Snapshotter); ok {
+			return s.SnapshotState()
+		}
+		return nil
 	}
 	for _, bench := range []string{"gcc", "li"} {
-		for _, collect := range []bool{false, true} {
-			prof, err := ev8pred.BenchmarkByName(bench)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runEns := func(mode ev8pred.BatchMode) []ev8pred.Result {
-				opts := ev8pred.Options{Mode: ev8pred.ModeEV8(), Collect: collect,
-					Ensemble: ev8pred.EnsembleOn, Batch: mode}
-				rs, err := ev8pred.RunEnsembleBenchmark(factories, prof, 200_000, opts)
-				if err != nil {
-					t.Fatal(err)
+		prof, err := ev8pred.BenchmarkByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, delay := range []int{0, 8} {
+			for _, collect := range []bool{false, true} {
+				opts := ev8pred.Options{Mode: ev8pred.ModeEV8(), UpdateDelay: delay, Collect: collect}
+				runEns := func(mode ev8pred.BatchMode) ([]ev8pred.Result, []ev8pred.Predictor) {
+					built := make([]ev8pred.Predictor, len(roster))
+					factories := make([]ev8pred.Factory, len(roster))
+					for i, c := range roster {
+						factories[i] = func() (ev8pred.Predictor, error) {
+							p, err := c.make()
+							built[i] = p
+							return p, err
+						}
+					}
+					o := opts
+					o.Ensemble, o.Batch = ev8pred.EnsembleOn, mode
+					rs, err := ev8pred.RunEnsembleBenchmark(factories, prof, 200_000, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rs, built
 				}
-				return rs
-			}
-			auto, off := runEns(ev8pred.BatchAuto), runEns(ev8pred.BatchOff)
-			for k, tc := range roster {
-				if !equalResult(auto[k], off[k]) {
-					t.Errorf("%s collect=%v member %s: batch %+v != scalar %+v",
-						bench, collect, tc.name, auto[k], off[k])
-				}
-				p, err := tc.make()
-				if err != nil {
-					t.Fatal(err)
-				}
-				solo, err := ev8pred.RunBenchmark(p, prof, 200_000,
-					ev8pred.Options{Mode: ev8pred.ModeEV8(), Collect: collect})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !equalResult(auto[k], solo) {
-					t.Errorf("%s collect=%v member %s: ensemble batch %+v != solo %+v",
-						bench, collect, tc.name, auto[k], solo)
+				auto, autoPs := runEns(ev8pred.BatchAuto)
+				off, offPs := runEns(ev8pred.BatchOff)
+				for k, tc := range roster {
+					where := fmt.Sprintf("%s delay=%d collect=%v member %s", bench, delay, collect, tc.name)
+					if !equalResult(auto[k], off[k]) {
+						t.Errorf("%s: batch %+v != scalar %+v", where, auto[k], off[k])
+					}
+					if !bytes.Equal(state(autoPs[k]), state(offPs[k])) {
+						t.Errorf("%s: batch and scalar predictor state differ", where)
+					}
+					p, err := tc.make()
+					if err != nil {
+						t.Fatal(err)
+					}
+					solo, err := ev8pred.RunBenchmark(p, prof, 200_000, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !equalResult(auto[k], solo) {
+						t.Errorf("%s: ensemble batch %+v != solo %+v", where, auto[k], solo)
+					}
+					if !bytes.Equal(state(autoPs[k]), state(p)) {
+						t.Errorf("%s: ensemble and solo predictor state differ", where)
+					}
 				}
 			}
 		}

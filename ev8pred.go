@@ -176,17 +176,21 @@ const (
 // Batch scheduling modes (see Options.Batch). Results are byte-identical
 // in every mode; the knob exists for differential testing and debugging.
 const (
-	// BatchAuto routes eligible runs through the batch kernel (default).
+	// BatchAuto routes every eligible member through the batch kernel
+	// (default).
 	BatchAuto = sim.BatchAuto
-	// BatchOff forces the scalar fused path.
+	// BatchOff runs every member per branch, on the fused path when the
+	// predictor has one.
 	BatchOff = sim.BatchOff
-	// BatchOn requires the batch kernel: ineligible runs fail with
-	// ErrBatchIneligible instead of silently falling back to scalar.
+	// BatchOn requires the batch kernel: a run with an ineligible member,
+	// solo or in an ensemble, fails with ErrBatchIneligible instead of
+	// running that member per branch.
 	BatchOn = sim.BatchOn
 )
 
-// ErrBatchIneligible reports a BatchOn run that cannot take the batch
-// kernel; the wrapping error names the disqualifying condition.
+// ErrBatchIneligible reports a BatchOn run with a member that cannot take
+// the batch kernel; the wrapping error names the member and the
+// disqualifying condition.
 var ErrBatchIneligible = sim.ErrBatchIneligible
 
 // RunEnsemble simulates every factory-built predictor over ONE shared

@@ -135,9 +135,9 @@ type FusedPredictor interface {
 // BatchPredictor is the optional data-oriented extension of
 // FusedPredictor: a predictor that can run a whole chunk of branches
 // through each pipeline stage — index computation, table reads,
-// combine, train — instead of one branch at a time. The simulator
-// routes eligible runs through it (sim.Run with a trace.BatchSource, at
-// any update delay); everything else keeps the scalar fused path.
+// combine, train — instead of one branch at a time. The simulator's
+// stream engine resolves every eligible member through it, at any update
+// delay; everything else runs per branch on the fused path.
 // Schemes with sequencing state between branches (the EV8 §6.2
 // sequencer) additionally implement BlockBatchObserver.
 //
@@ -167,7 +167,7 @@ type FusedPredictor interface {
 // allocate: all scratch is caller-owned.
 //
 // Commit delay L (sim.Options.UpdateDelay) runs through the same
-// in-order loop, lagged. The scalar loop interleaves Lookup(k) with the
+// in-order loop, lagged. The per-branch schedule interleaves Lookup(k) with the
 // retirement UpdateWith(k−L); the index stage is pure and UpdateWith
 // re-reads counter state anyway, so UpdateBatchLagged over a window —
 // the pending entries still awaiting training, oldest first, followed by
@@ -213,7 +213,7 @@ type BatchPredictor interface {
 // between branches. That state is still a deterministic function of the
 // record stream, so the simulator's staged front-end walk can capture it
 // per branch — StageBank is called for each conditional branch at exactly
-// the point the scalar loop would call Lookup (immediately after the
+// the point the per-branch schedule would call Lookup (immediately after the
 // branch's record is processed, after any fetch blocks it completed were
 // observed) — and the index pass then runs over the whole chunk from the
 // captured values.

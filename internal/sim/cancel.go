@@ -31,7 +31,7 @@ import (
 // errors.Is(err, sim.ErrCanceled).
 var ErrCanceled = errors.New("sim: run canceled")
 
-// cancelStride is how many records the scalar loop advances between
+// cancelStride is how many records a per-record reader advances between
 // context polls. A poll is one channel select; at 4096 records the
 // amortized cost is unmeasurable, and a cancel lands within ~4096
 // branches — microseconds of extra work.

@@ -1,6 +1,6 @@
 // Checkpoint/resume: stop a simulation at branch N and continue it later —
 // in the same process or from a serialized blob — bit-identically to a run
-// that never stopped. A checkpoint captures everything the run loop owns
+// that never stopped. A checkpoint captures everything the engine owns
 // (stream position, raw counts, per-thread front-end state, the
 // commit-delay ring) plus the predictor's own state via the
 // predictor.Snapshotter contract; the resume-equivalence differential
@@ -89,34 +89,32 @@ func (t *trackerTable) each(fn func(id int, tr *frontend.Tracker)) {
 	}
 }
 
-// capture builds a Checkpoint from the run loop's state. It must run
-// BEFORE the commit-delay ring drains and before the warmup clamp: the
-// pending updates belong to the continuation, not to this run's final
-// accounting.
-func capture(p predictor.Predictor, opts Options, trackers *trackerTable,
-	ring *delayRing, records int64, res Result) (*Checkpoint, error) {
-	snapper, ok := p.(predictor.Snapshotter)
+// capture builds a Checkpoint from a one-member engine's state at a clean
+// stop, before the commit-delay ring drains and before the warmup clamp.
+func (e *engine) capture() (*Checkpoint, error) {
+	m := &e.members[0]
+	snapper, ok := m.p.(predictor.Snapshotter)
 	if !ok {
-		return nil, fmt.Errorf("%w (%s)", ErrNotSnapshottable, p.Name())
+		return nil, fmt.Errorf("%w (%s)", ErrNotSnapshottable, m.p.Name())
 	}
 	ck := &Checkpoint{
-		Predictor:      p.Name(),
-		Mode:           opts.Mode,
-		UpdateDelay:    opts.UpdateDelay,
-		LenientFlow:    opts.LenientFlow,
-		Warmup:         opts.Warmup,
-		Records:        records,
-		RawBranches:    res.Branches,
-		Mispredicts:    res.Mispredicts,
-		Instructions:   res.Instructions,
+		Predictor:      m.p.Name(),
+		Mode:           e.opts.Mode,
+		UpdateDelay:    e.opts.UpdateDelay,
+		LenientFlow:    e.opts.LenientFlow,
+		Warmup:         e.opts.Warmup,
+		Records:        e.records,
+		RawBranches:    e.branches,
+		Mispredicts:    m.mispredicts,
+		Instructions:   e.instructions,
 		PredictorState: snapper.SnapshotState(),
 	}
-	trackers.each(func(id int, tr *frontend.Tracker) {
+	e.trackers.each(func(id int, tr *frontend.Tracker) {
 		ck.Trackers = append(ck.Trackers, TrackerCheckpoint{Thread: id, State: tr.SnapshotState()})
 	})
-	ck.Pending = make([]PendingCheckpoint, 0, ring.count)
-	for i := 0; i < ring.count; i++ {
-		u := ring.at(i)
+	ck.Pending = make([]PendingCheckpoint, 0, m.ring.count)
+	for i := 0; i < m.ring.count; i++ {
+		u := m.ring.at(i)
 		ck.Pending = append(ck.Pending, PendingCheckpoint{Info: u.info, Snap: u.snap, Taken: u.taken})
 	}
 	return ck, nil
@@ -149,23 +147,34 @@ func (ck *Checkpoint) validateResume(p predictor.Predictor, opts Options) error 
 	return nil
 }
 
-// restoreInto applies the checkpoint's predictor and tracker state. The
-// predictor restore happens before the caller enables attribution, so a
-// checkpointed collection window survives the round trip (EnableStats(true)
-// on an already-collecting predictor is a no-op by the stats contract).
-func (ck *Checkpoint) restoreInto(p predictor.Predictor, opts Options,
-	trackers *trackerTable, onBlock func(frontend.Block)) error {
-	if err := p.(predictor.Snapshotter).RestoreState(ck.PredictorState); err != nil {
+// restoreInto validates the checkpoint against a one-member engine and
+// seeds it: predictor and tracker state, counts, and the pending updates.
+// The predictor restore happens before the caller enables attribution, so
+// a checkpointed collection window survives the round trip
+// (EnableStats(true) on an already-collecting predictor is a no-op by the
+// stats contract).
+func (ck *Checkpoint) restoreInto(e *engine) error {
+	m := &e.members[0]
+	if err := ck.validateResume(m.p, e.opts); err != nil {
+		return err
+	}
+	if err := m.p.(predictor.Snapshotter).RestoreState(ck.PredictorState); err != nil {
 		return fmt.Errorf("sim: restoring predictor state: %w", err)
 	}
 	for _, ts := range ck.Trackers {
-		tr, err := trackers.create(ts.Thread, opts, onBlock)
+		tr, err := e.trackers.create(ts.Thread, e.opts, e.onBlock)
 		if err != nil {
 			return err
 		}
 		if err := tr.RestoreState(ts.State); err != nil {
 			return fmt.Errorf("sim: restoring tracker for thread %d: %w", ts.Thread, err)
 		}
+	}
+	e.records, e.branches, e.instructions = ck.Records, ck.RawBranches, ck.Instructions
+	m.mispredicts = ck.Mispredicts
+	for i := range ck.Pending {
+		pu := &ck.Pending[i]
+		m.ring.push(pendingUpdate{info: pu.Info, snap: pu.Snap, taken: pu.Taken})
 	}
 	return nil
 }

@@ -1,18 +1,34 @@
-// Single-pass ensemble execution: run N predictor configurations over ONE
-// traversal of a branch stream. The workload generation and the
-// predictor-independent front end — fetch-block formation and the
+// The stream engine: every entry point of this package — Run,
+// RunCheckpoint, ResumeFrom, RunEnsemble and RunFrontEnd — simulates N ≥ 0
+// predictor configurations over ONE traversal of a branch stream through
+// this engine; a solo run is an ensemble of one. The workload generation
+// and the predictor-independent front end — fetch-block formation and the
 // three-blocks-old lghist/path state (§2, §5 of the paper) — are computed
-// exactly once per branch and fanned across the ensemble members, so a
+// exactly once per branch and fanned across the members, so a
 // K-configuration sweep pays the dominant non-predictor cost once instead
-// of K times. Every figure of the paper evaluates many configurations
-// over the same eight streams; this is the engine that makes those sweeps
+// of K times. Every figure of the paper evaluates many configurations over
+// the same eight streams; this is the engine that makes those sweeps
 // cheap, in the trace-reuse tradition of the CBP championship kits.
 //
+// The engine pulls the stream in chunks (see fillWant) and walks each
+// chunk once through the per-thread front-end trackers: warmup gating, the
+// MaxBranches stop and the split between immediate and deferred errors
+// live here and nowhere else. One per-member rule then picks the schedule
+// (see newMember): batch members resolve the whole walked chunk after the
+// walk through their LookupBatch/UpdateBatchLagged kernels (batch.go);
+// every other member — BatchOff, predictors without the batch contract,
+// block observers without the batched block contract — runs per branch
+// inside the walk, at exactly the point a record-at-a-time loop would
+// call it, with its own commit-delay ring. Reordering the (branch, member)
+// loop nest is safe because member state is private; the shared front end
+// is sequenced identically for every member.
+//
 // Correctness contract: the member results are byte-identical to N
-// independent sim.Run calls over equal sources — same Branches,
-// Mispredicts, Instructions, and (under Options.Collect) the same
-// attribution counters. The repo-level ensemble differential suite pins
-// this for every predictor family, benchmark, and update delay.
+// independent sim.Run calls over equal sources, on every schedule — same
+// Branches, Mispredicts, Instructions, and (under Options.Collect) the
+// same attribution counters. The repo-level ensemble, batch and fused
+// differential suites pin this for every predictor family, benchmark, and
+// update delay.
 package sim
 
 import (
@@ -28,25 +44,59 @@ import (
 	"ev8pred/internal/workload"
 )
 
-// member is the per-configuration state of one ensemble slot (and of a
-// solo Run): the predictor with its fused fast path, its own commit-delay
-// ring, its own mispredict counter and its own attribution hook.
-// Everything shared (stream position, trackers, the information vector,
-// warmup gating) lives in the stream loop's locals.
+// member is the per-configuration state of one engine slot: the
+// predictor with its fused fast path, its schedule, its own commit-delay
+// ring, its own predictions for the current chunk, its own mispredict
+// counter and its own attribution hook. Everything shared (stream
+// position, trackers, the information vectors, warmup gating) lives in
+// the engine.
 type member struct {
-	p           predictor.Predictor
-	fp          predictor.FusedPredictor
-	fused       bool
-	inst        stats.Instrumented
-	ring        delayRing
+	p     predictor.Predictor
+	fp    predictor.FusedPredictor
+	fused bool
+	// bp is set for a batch member, which resolves each walked chunk
+	// through the kernel; nil means the member runs per branch in the walk.
+	bp predictor.BatchPredictor
+	// bbo is set for a batch member that observes fetch blocks: the walk
+	// captures its sequencer-dependent bank per branch into banks.
+	bbo    predictor.BlockBatchObserver
+	banks  []uint8
+	inst   stats.Instrumented
+	ring   delayRing
+	finals []uint64 // the chunk's predictions, bit j for branch j
+	// mispredicts counts the measured window, raw through the run.
 	mispredicts int64
 }
 
-// newMember wraps p with its fused fast path and a commit-delay ring.
-func newMember(p predictor.Predictor, delay int) *member {
-	m := &member{p: p, ring: newDelayRing(delay)}
+// newMember wraps p with its fused fast path, its commit-delay ring and
+// its schedule. A member is a batch member when p implements
+// predictor.BatchPredictor, the run is not under BatchOff, and — if p
+// observes fetch blocks — p also implements the batched block contract
+// (predictor.BlockBatchObserver): its sequencer-dependent banks are then
+// captured in the walk, at the point the per-branch schedule would call
+// Lookup. A BlockBatchObserver that observes no blocks keeps a frozen
+// sequencer, which plain LookupBatch reads live.
+func newMember(p predictor.Predictor, opts Options) member {
+	m := member{p: p, ring: newDelayRing(opts.UpdateDelay), finals: make([]uint64, predictor.BatchWords(batchChunk))}
 	m.fp, m.fused = p.(predictor.FusedPredictor)
+	bp, batch := p.(predictor.BatchPredictor)
+	bbo, banked := p.(predictor.BlockBatchObserver)
+	_, observes := p.(BlockObserver)
+	if batch && opts.Batch != BatchOff && (banked || !observes) {
+		m.bp = bp
+		if observes {
+			m.bbo, m.banks = bbo, make([]uint8, batchChunk)
+		}
+	}
 	return m
+}
+
+// ineligible names why m cannot be a batch member (for the BatchOn error).
+func (m *member) ineligible() string {
+	if _, ok := m.p.(predictor.BatchPredictor); !ok {
+		return "does not implement predictor.BatchPredictor"
+	}
+	return "observes fetch blocks without the batched block contract (predictor.BlockBatchObserver)"
 }
 
 // predict runs the read side for one branch: the fused Lookup when
@@ -57,6 +107,14 @@ func (m *member) predict(info *history.Info) (bool, predictor.Snapshot) {
 		return s.Final, s
 	}
 	return m.p.Predict(info), predictor.Snapshot{}
+}
+
+// step runs one branch of the per-branch schedule: predict, record the
+// prediction as chunk lane j, and train.
+func (m *member) step(info *history.Info, j int, taken bool) {
+	pred, snap := m.predict(info)
+	stageTaken(m.finals, j, pred)
+	m.train(info, snap, taken)
 }
 
 // train hands one branch's outcome to the predictor: immediately at
@@ -85,206 +143,300 @@ func (m *member) apply(u *pendingUpdate) {
 	}
 }
 
-// drain retires every pending update at end of stream, oldest first.
-func (m *member) drain() {
-	for m.ring.count > 0 {
-		m.apply(m.ring.pop())
+// resolve runs a batch member over a walked chunk of m branches: the index
+// pass over the staged infos (or banks), then the in-order resolve over
+// the window of pre pending updates and the chunk, lagged by lag.
+func (mem *member) resolve(s *batchScratch, pre, lag, m int) {
+	win := s.snaps[:pre+m]
+	stagePending(&mem.ring, win, pre)
+	if mem.bbo != nil {
+		mem.bbo.LookupBankedBatch(s.infos[:m], mem.banks[:m], win[pre:])
+	} else {
+		mem.bp.LookupBatch(s.infos[:m], win[pre:])
+	}
+	mem.bp.UpdateBatchLagged(win, pre, lag, s.taken, mem.finals)
+	retireWindow(&mem.ring, s.infos, win, s.taken, pre, m)
+}
+
+// engine is the state of one traversal: its members, the per-thread
+// trackers and the shared counts.
+type engine struct {
+	opts     Options
+	members  []member
+	trackers trackerTable
+	onBlock  func(frontend.Block)
+	// newThread, if set, vets a first-seen thread id before its tracker is
+	// built; an error aborts the run.
+	newThread func(id int) error
+	// afterChunk, if set, sees each walked chunk's records once every
+	// member has resolved it.
+	afterChunk func(recs []trace.Branch)
+	// records is the stream position; branches the raw (pre-warmup-clamp)
+	// conditional branch count; instructions the measured window's.
+	records, branches, instructions int64
+}
+
+// newEngine builds the engine for ps under opts. The fetch-block stream
+// fans out to every block-observing member in member order, then to
+// extra.
+func newEngine(ps []predictor.Predictor, opts Options, extra ...func(frontend.Block)) *engine {
+	e := &engine{opts: opts, members: make([]member, len(ps))}
+	var obs []func(frontend.Block)
+	for k, p := range ps {
+		e.members[k] = newMember(p, opts)
+		if o, ok := p.(BlockObserver); ok {
+			obs = append(obs, o.ObserveBlock)
+		}
+	}
+	obs = append(obs, extra...)
+	switch len(obs) {
+	case 0:
+	case 1:
+		e.onBlock = obs[0]
+	default:
+		e.onBlock = func(b frontend.Block) {
+			for _, f := range obs {
+				f(b)
+			}
+		}
+	}
+	return e
+}
+
+// collect turns on attribution for every instrumented member under
+// Options.Collect. It runs once, before the stream — after a resume's
+// state restore, where enabling an already-collecting predictor is a
+// no-op, so a checkpointed collection window survives. The walk is
+// identical with or without it (the predictor gates its own counting).
+func (e *engine) collect() {
+	if !e.opts.Collect {
+		return
+	}
+	for k := range e.members {
+		m := &e.members[k]
+		if m.inst, _ = m.p.(stats.Instrumented); m.inst != nil {
+			m.inst.EnableStats(true)
+		}
 	}
 }
 
-// fillBatch pulls the next run of records into buf: one NextBatch call
-// when the source supports batching (bs caches the type assertion),
-// trace.ReadBatch's per-record Next normalization otherwise. Both legs
-// follow the trace.BatchSource contract — records first, then io.EOF
-// for a clean end or the source's terminal error.
-func fillBatch(src trace.Source, bs trace.BatchSource, buf []trace.Branch) (int, error) {
-	if bs != nil {
-		return bs.NextBatch(buf)
+// tracker builds the tracker for a first-seen thread id.
+func (e *engine) tracker(id int) (*frontend.Tracker, error) {
+	if e.newThread != nil {
+		if err := e.newThread(id); err != nil {
+			return nil, err
+		}
 	}
-	return trace.ReadBatch(src, buf)
+	return e.trackers.create(id, e.opts, e.onBlock)
+}
+
+// run simulates the stream and fills results: one per member, or one for
+// a member-less (oracle) run, which mispredicts nothing. Under
+// BatchOn every member must be a batch member (ErrBatchIneligible names
+// the first that is not). capture, if set, runs at a clean stop, before
+// the commit-delay rings drain and before the warmup clamp: the pending
+// updates belong to a continuation, and a resumed warmup gate needs the
+// raw branch count. An immediate error (a bad thread id) aborts with the
+// results unfilled; a mid-stream source failure returns the filled
+// results with an error, so a short stream never passes for a whole one.
+func (e *engine) run(src trace.Source, results []Result, capture func() error) error {
+	if e.opts.Batch == BatchOn {
+		for k := range e.members {
+			if m := &e.members[k]; m.bp == nil {
+				return fmt.Errorf("%w: member %d (%s) %s", ErrBatchIneligible, k, m.p.Name(), m.ineligible())
+			}
+		}
+	}
+	srcErr, err := e.walk(src)
+	if err != nil {
+		return err
+	}
+	if capture != nil && srcErr == nil {
+		if err := capture(); err != nil {
+			return err
+		}
+	}
+	// Report only measured branches: zero when the stream ends at or
+	// before the warmup boundary.
+	branches := e.branches - min(e.branches, e.opts.Warmup)
+	for k := range results {
+		results[k].Branches = branches
+		results[k].Instructions = e.instructions
+	}
+	for k := range e.members {
+		m := &e.members[k]
+		for m.ring.count > 0 {
+			m.apply(m.ring.pop())
+		}
+		results[k].Mispredicts = m.mispredicts
+		if m.inst != nil {
+			cs := m.inst.Stats()
+			results[k].Stats = &cs
+		}
+	}
+	if srcErr != nil {
+		return fmt.Errorf("sim: source failed after %d branches: %w", branches, srcErr)
+	}
+	for k := range results {
+		if err := results[k].Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walk is the one stream loop. Each fill is one NextBatch call when the
+// source batches, trace.ReadBatch's per-record normalization otherwise,
+// and is sized by fillWant, so under MaxBranches the source stops exactly
+// at the record that completes the budget. A record is measured iff at
+// least Warmup conditional branches retired before it, and the same
+// boundary gates every member's mispredictions, so numerator and
+// denominator cover one window. srcErr is a deferred source failure; err
+// an immediate abort.
+//
+// Under commit delay every member keeps its own ring, but all rings hold
+// the same branches — the delay and the stream are shared — so the
+// resolve window's plan and its outcome bits are staged once per chunk,
+// and only the pending snapshots are per member.
+func (e *engine) walk(src trace.Source) (srcErr, err error) {
+	opts := &e.opts
+	s := newBatchScratch(opts.UpdateDelay)
+	// The walk reaches the staged members' observers and bank buffers
+	// through slices of their own rather than through the members: the
+	// solo EV8 run measured several percent faster that way.
+	var batch, inline []*member
+	var stagedObs []predictor.BlockBatchObserver
+	var stagedBanks [][]uint8
+	for k := range e.members {
+		m := &e.members[k]
+		if m.bp == nil {
+			inline = append(inline, m)
+			continue
+		}
+		batch = append(batch, m)
+		if m.bbo != nil {
+			stagedObs = append(stagedObs, m.bbo)
+			stagedBanks = append(stagedBanks, m.banks)
+		}
+	}
+	var ring0 *delayRing
+	if len(e.members) > 0 {
+		ring0 = &e.members[0].ring
+	}
+	for {
+		want := fillWant(opts.MaxBranches, e.branches)
+		if want == 0 {
+			break
+		}
+		n, ferr := trace.ReadBatch(src, s.buf[:want])
+		pre, lag := 0, 0
+		if ring0 != nil {
+			pre, lag = lagWindow(ring0.count, want, opts.UpdateDelay)
+			for i := 0; i < pre; i++ {
+				stageTaken(s.taken, i, ring0.at(i).taken)
+			}
+		}
+		m := 0
+		warmup, branches, instructions := opts.Warmup, e.branches, e.instructions
+		for i := range s.buf[:n] {
+			b := &s.buf[i]
+			tr := e.trackers.lookup(b.Thread)
+			if tr == nil {
+				if tr, err = e.tracker(b.Thread); err != nil {
+					return nil, err
+				}
+			}
+			info, isCond := tr.Process(*b)
+			if branches >= warmup {
+				instructions += int64(b.Gap) + 1
+			}
+			if !isCond {
+				continue
+			}
+			for k, bbo := range stagedObs {
+				stagedBanks[k][m] = bbo.StageBank(info.BlockPC)
+			}
+			stageTaken(s.taken, pre+m, b.Taken)
+			s.infos[m] = info
+			for _, mem := range inline {
+				mem.step(&s.infos[m], m, b.Taken)
+			}
+			m++
+			branches++
+		}
+		e.instructions = instructions
+		e.records += int64(n)
+		if m > 0 {
+			start := warmupStart(e.branches, opts.Warmup, m)
+			for _, mem := range batch {
+				mem.resolve(s, pre, lag, m)
+			}
+			for k := range e.members {
+				mem := &e.members[k]
+				mem.mispredicts += countMispredicts(mem.finals, s.taken, pre, start, m)
+			}
+			e.branches += int64(m)
+		}
+		if e.afterChunk != nil {
+			e.afterChunk(s.buf[:n])
+		}
+		if ferr != nil {
+			if ferr != io.EOF {
+				srcErr = ferr
+			}
+			break
+		}
+		if n == 0 {
+			// A source returning no progress and no error would spin;
+			// treat it as end of stream.
+			break
+		}
+	}
+	if srcErr == nil {
+		srcErr = trace.SourceErr(src)
+	}
+	return srcErr, nil
 }
 
 // RunEnsemble simulates one cold predictor per factory over a single
-// traversal of src. The stream is advanced once: each branch's front-end
-// state (per-thread tracker, fetch-block formation, the mode's history
-// variant) and information vector are computed exactly once and handed to
-// every member, and members that observe fetch blocks (BlockObserver, the
-// EV8 bank sequencer) all see the one shared block stream. Per member it
-// keeps the exact semantics of Run — the fused Lookup/UpdateWith path
-// when available, a private commit-delay ring under opts.UpdateDelay, and
-// private attribution counters under opts.Collect — so the returned
+// traversal of src. Each branch's front-end state (per-thread tracker,
+// fetch-block formation, the mode's history variant) and information
+// vector are computed exactly once and handed to every member, and
+// members that observe fetch blocks (BlockObserver, the EV8 bank
+// sequencer) all see the one shared block stream. Per member it keeps the
+// exact semantics of Run — the schedule rule, the fused Lookup/UpdateWith
+// path when available, a private commit-delay ring under opts.UpdateDelay,
+// and private attribution counters under opts.Collect — so the returned
 // Results (factory order) are byte-identical to len(factories)
 // independent Run calls over equal sources.
 //
 // All members share opts; in particular they see the same information
 // vector (opts.Mode) — schemes needing different modes belong in
-// different ensembles. The stream is pulled in batches sized like Run's
-// (see fillWant), so under opts.MaxBranches the source stops exactly
-// where Run's would. The per-branch loop allocates nothing in steady
-// state, per member, preserving the repo's hot-path discipline.
+// different ensembles. Under opts.MaxBranches the source stops exactly
+// where Run's would. The walk allocates nothing in steady state, per
+// member, preserving the repo's hot-path discipline.
 //
-// Errors: a factory failure aborts before any simulation; a mid-stream
-// source failure returns the partial Results with the same error shape as
-// Run. An empty factory list returns an empty, non-nil slice without
-// touching src.
+// Errors: a factory failure aborts before any simulation, as does BatchOn
+// with any member that is not a batch member; a mid-stream source failure
+// returns the partial Results with the same error shape as Run. An empty
+// factory list returns an empty, non-nil slice without touching src.
 func RunEnsemble(factories []Factory, src trace.Source, opts Options) ([]Result, error) {
 	results := make([]Result, len(factories))
 	if len(factories) == 0 {
 		return results, nil
 	}
-	members := make([]member, len(factories))
-	var observers []BlockObserver
+	ps := make([]predictor.Predictor, len(factories))
 	for i, mk := range factories {
 		p, err := mk()
 		if err != nil {
 			return nil, fmt.Errorf("sim: building ensemble member %d: %w", i, err)
 		}
-		members[i] = *newMember(p, opts.UpdateDelay)
-		m := &members[i]
-		if opts.Collect {
-			if inst, ok := p.(stats.Instrumented); ok {
-				m.inst = inst
-				inst.EnableStats(true)
-			}
-		}
-		if obs, ok := p.(BlockObserver); ok {
-			observers = append(observers, obs)
-		}
+		ps[i] = p
 		results[i] = Result{Predictor: p.Name(), SizeBits: p.SizeBits()}
 	}
-	// One tracker callback fans the shared block stream out to every
-	// observing member, in member order.
-	var onBlock func(frontend.Block)
-	if len(observers) > 0 {
-		onBlock = func(b frontend.Block) {
-			for _, obs := range observers {
-				obs.ObserveBlock(b)
-			}
-		}
-	}
-
-	var (
-		trackers     trackerTable
-		branches     int64 // conditional branches processed (pre-warmup-clamp)
-		instructions int64 // instructions over the measured window
-		srcErr       error
-		// info is hoisted exactly as in Run: its address crosses
-		// interface calls, so a loop-local would escape per branch.
-		info   history.Info
-		isCond bool
-	)
-	bs, _ := src.(trace.BatchSource)
-
-	// The stream runs through the batch twin of this loop
-	// (internal/sim/batch.go): the shared front-end walk stages each
-	// chunk once, batch-capable members consume it through their
-	// LookupBatch/UpdateBatchLagged kernels, and the rest replay the
-	// staged infos per branch — byte-identical results at every update
-	// delay, pinned by the batch differential suite. Block-observing
-	// members are allowed when they implement the batched block contract
-	// (predictor.BlockBatchObserver): the walk then captures their
-	// sequencer-dependent banks per branch at the exact scalar
-	// interleaving point. A block observer WITHOUT
-	// the contract forces the scalar loop — its per-branch state would
-	// have advanced past the whole staged chunk. Under BatchOn an
-	// ineligible ensemble is a typed error, never a silent fallback.
-	batchReason := ""
-	if opts.Batch == BatchOff {
-		batchReason = "batch kernel disabled (BatchOff)"
-	} else {
-		for _, obs := range observers {
-			if _, ok := obs.(predictor.BlockBatchObserver); !ok {
-				batchReason = fmt.Sprintf("block-observing member %T lacks the batched block contract (predictor.BlockBatchObserver)", obs)
-				break
-			}
-		}
-	}
-	if batchReason == "" {
-		serr, err := runEnsembleBatchStream(members, src, bs, opts, &trackers, &branches, &instructions, onBlock)
-		if err != nil {
-			return results, err
-		}
-		srcErr = serr
-	} else if opts.Batch == BatchOn {
-		return results, fmt.Errorf("%w: %s", ErrBatchIneligible, batchReason)
-	} else {
-		buf := make([]trace.Branch, batchChunk)
-		for {
-			want := fillWant(opts.MaxBranches, branches)
-			if want == 0 {
-				break
-			}
-			n, ferr := fillBatch(src, bs, buf[:want])
-			for bi := 0; bi < n; bi++ {
-				b := buf[bi]
-				tr := trackers.lookup(b.Thread)
-				if tr == nil {
-					var err error
-					tr, err = trackers.create(b.Thread, opts, onBlock)
-					if err != nil {
-						return results, err
-					}
-				}
-				info, isCond = tr.Process(b)
-				// The warmup gate is identical to Run's: a record is
-				// measured iff at least Warmup conditional branches retired
-				// before it, and the same boundary gates numerator and
-				// denominator.
-				measured := branches >= opts.Warmup
-				if measured {
-					instructions += int64(b.Gap) + 1
-				}
-				if !isCond {
-					continue
-				}
-				for k := range members {
-					m := &members[k]
-					pred, snap := m.predict(&info)
-					if measured && pred != b.Taken {
-						m.mispredicts++
-					}
-					m.train(&info, snap, b.Taken)
-				}
-				branches++
-			}
-			if ferr != nil {
-				if ferr != io.EOF {
-					srcErr = ferr
-				}
-				break
-			}
-			if n == 0 {
-				// A batch source returning no progress and no error would
-				// spin; treat it as end of stream defensively.
-				break
-			}
-		}
-	}
-	for k := range members {
-		members[k].drain()
-	}
-	if opts.Warmup > 0 {
-		branches -= min(branches, opts.Warmup)
-	}
-	for i := range results {
-		m := &members[i]
-		results[i].Branches = branches
-		results[i].Mispredicts = m.mispredicts
-		results[i].Instructions = instructions
-		if m.inst != nil {
-			cs := m.inst.Stats()
-			results[i].Stats = &cs
-		}
-	}
-	if srcErr != nil {
-		return results, fmt.Errorf("sim: source failed after %d branches: %w", branches, srcErr)
-	}
-	for i := range results {
-		if err := results[i].Validate(); err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+	e := newEngine(ps, opts)
+	e.collect()
+	return results, e.run(src, results, nil)
 }
 
 // RunEnsembleBenchmark builds the named synthetic benchmark once and runs

@@ -276,17 +276,17 @@ func TestParseEnsembleMode(t *testing.T) {
 }
 
 // TestEnsembleFillStopsAtBudget: under MaxBranches an ensemble reads its
-// source exactly as far as a solo Run does — in the batch loop and in the
-// scalar loop, with the budget ending mid-chunk — so the generator's next
+// source exactly as far as a solo Run does — with batch members and with
+// per-branch members, with the budget ending mid-chunk — so the generator's next
 // record after RunEnsemble is the one Run leaves.
 func TestEnsembleFillStopsAtBudget(t *testing.T) {
 	prof := benchProfiles(t, "gcc")[0]
 	const budget = 1500 // inside the second 1024-record fill
 	for _, opts := range []Options{
-		{MaxBranches: budget},                                  // batch loop
-		{MaxBranches: budget, Batch: BatchOff},                 // scalar loop
-		{MaxBranches: budget, UpdateDelay: 8},                  // batch loop, commit delay
-		{MaxBranches: budget, UpdateDelay: 8, Batch: BatchOff}, // scalar loop, commit delay
+		{MaxBranches: budget},                                  // batch members
+		{MaxBranches: budget, Batch: BatchOff},                 // per-branch members
+		{MaxBranches: budget, UpdateDelay: 8},                  // batch members, commit delay
+		{MaxBranches: budget, UpdateDelay: 8, Batch: BatchOff}, // per-branch members, commit delay
 	} {
 		solo := workload.MustNew(prof, 0)
 		p, _ := gshareFactories(1)[0]()

@@ -52,102 +52,72 @@ type FrontEndResult struct {
 	LineAccuracy float64
 }
 
-// ErrFrontEndOption reports an Options field RunFrontEnd does not
-// implement; the wrapping error names the field. RunFrontEnd honors Mode
-// and MaxBranches (Workers and Ensemble have no effect on any single
-// run), and rejects the rest instead of silently ignoring them.
+// ErrFrontEndOption reports an Options field or a source RunFrontEnd does
+// not support; the wrapping error names it. The PC generator's counts
+// have no warmup window, so Warmup is rejected. The PC generator and the
+// line predictor hold one thread's state, so a record from a second
+// thread is rejected too.
 var ErrFrontEndOption = errors.New("sim: option not supported by RunFrontEnd")
-
-// frontEndOptionsErr names the first Options field RunFrontEnd would
-// otherwise ignore.
-func frontEndOptionsErr(opts Options) error {
-	field := ""
-	switch {
-	case opts.Warmup != 0:
-		field = "Warmup"
-	case opts.UpdateDelay != 0:
-		field = "UpdateDelay"
-	case opts.Collect:
-		field = "Collect"
-	case opts.LenientFlow:
-		field = "LenientFlow"
-	case opts.Batch == BatchOn:
-		field = "Batch (BatchOn)"
-	default:
-		return nil
-	}
-	return fmt.Errorf("%w: %s", ErrFrontEndOption, field)
-}
 
 // RunFrontEnd simulates the whole §2 PC-address generator: the
 // conditional predictor p (nil = oracle, for upper-bound studies), the
 // jump predictor, the return-address stack, and the line predictor, over
-// a single-threaded source. Options other than Mode and MaxBranches fail
-// with ErrFrontEndOption before anything runs. Like Run, it returns an
-// error when the source fails mid-stream rather than reporting a
-// short-but-successful result, and checks the result with
-// Result.Validate.
+// a single-threaded source. It runs the stream engine with p as its only
+// member (none for the oracle): the line predictor joins the fetch-block
+// fan-out, and the PC generator replays each walked chunk against p's
+// predictions. The Result therefore equals Run's under the same Options;
+// Warmup, and a record from a second thread, fail with ErrFrontEndOption.
+// Like Run, it returns an error when the source fails mid-stream rather
+// than reporting a short-but-successful result, and checks the result
+// with Result.Validate.
 func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg FrontEndConfig) (FrontEndResult, error) {
 	fecfg = fecfg.withDefaults()
 	var res FrontEndResult
-	if err := frontEndOptionsErr(opts); err != nil {
-		return res, err
+	if opts.Warmup != 0 {
+		return res, fmt.Errorf("%w: Warmup", ErrFrontEndOption)
 	}
+	res.Predictor = "oracle"
+	var ps []predictor.Predictor
 	if p != nil {
-		res.Predictor = p.Name()
-		res.SizeBits = p.SizeBits()
-	} else {
-		res.Predictor = "oracle"
+		ps = append(ps, p)
+		res.Predictor, res.SizeBits = p.Name(), p.SizeBits()
 	}
-	tr := frontend.NewTracker(opts.Mode)
 	pg := frontend.MustNewPCGen(fecfg.JumpEntries, fecfg.RASDepth)
 	lp := frontend.MustNewLinePredictor(fecfg.LineEntries)
-	if obs, ok := p.(BlockObserver); ok {
-		tr.OnBlock(func(b frontend.Block) {
-			obs.ObserveBlock(b)
-			lp.Observe(b)
-		})
-	} else {
-		tr.OnBlock(lp.Observe)
+	e := newEngine(ps, opts, lp.Observe)
+	first := -1
+	e.newThread = func(id int) error {
+		if first >= 0 {
+			return fmt.Errorf("%w: record from thread %d after thread %d (multi-thread source)", ErrFrontEndOption, id, first)
+		}
+		first = id
+		return nil
 	}
-
-	for {
-		if opts.MaxBranches > 0 && res.Branches >= opts.MaxBranches {
-			break
-		}
-		b, ok := src.Next()
-		if !ok {
-			break
-		}
-		info, isCond := tr.Process(b)
-		res.Instructions += int64(b.Gap) + 1
-		if isCond {
-			pred := b.Taken // oracle
-			if p != nil {
-				pred = p.Predict(&info)
+	e.afterChunk = func(recs []trace.Branch) {
+		j := 0
+		for _, b := range recs {
+			pred := false
+			if b.Kind == trace.Cond {
+				pred = b.Taken // oracle
+				if p != nil {
+					pred = e.members[0].finals[j>>6]>>(uint(j)&63)&1 == 1
+				}
+				j++
 			}
-			if pred != b.Taken {
-				res.Mispredicts++
-			}
-			res.Branches++
 			pg.Process(b, pred)
-			if p != nil {
-				p.Update(&info, b.Taken)
-			}
-		} else {
-			pg.Process(b, false)
 		}
 	}
+	e.collect()
+	rs := []Result{res.Result}
+	err := e.run(src, rs, nil)
+	res.Result = rs[0]
 	res.PCGen = pg.Stats()
-	res.Blocks = tr.Blocks()
+	e.trackers.each(func(_ int, tr *frontend.Tracker) { res.Blocks += tr.Blocks() })
 	res.RASAccuracy = pg.RASAccuracy()
 	res.JumpAccuracy = pg.JumpAccuracy()
 	res.LineAccuracy = lp.Accuracy()
 	res.LineMisses = lp.Misses()
-	if err := trace.SourceErr(src); err != nil {
-		return res, fmt.Errorf("sim: source failed after %d branches: %w", res.Branches, err)
-	}
-	return res, res.Validate()
+	return res, err
 }
 
 // RunFrontEndBenchmark is RunFrontEnd over a named synthetic benchmark.

@@ -7,7 +7,9 @@ import (
 
 	"ev8pred/internal/ev8"
 	"ev8pred/internal/frontend"
+	"ev8pred/internal/predictor"
 	"ev8pred/internal/predictor/bimodal"
+	"ev8pred/internal/trace"
 	"ev8pred/internal/workload"
 )
 
@@ -88,46 +90,33 @@ func TestRunFrontEndWiresEV8BlockObserver(t *testing.T) {
 	}
 }
 
-// TestRunFrontEndRejectsUnsupportedOptions pins that RunFrontEnd refuses,
-// with ErrFrontEndOption naming the field, every option it does not
-// implement, instead of silently ignoring it; the zero Options (and the
-// supported Mode and MaxBranches) still run.
+// TestRunFrontEndRejectsUnsupportedOptions is the RunFrontEnd column of
+// the options contract table (see TestOptionsContract): its Result
+// equals Run's under every field but Warmup, which it refuses with
+// ErrFrontEndOption naming the field.
 func TestRunFrontEndRejectsUnsupportedOptions(t *testing.T) {
-	prof, err := workload.ByName("li")
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range contractCases {
+		t.Run(tc.name, func(t *testing.T) { checkContract(t, frontEndEntry, tc.opts) })
 	}
-	for _, tc := range []struct {
-		name  string
-		opts  Options
-		field string // "" = must succeed
-	}{
-		{"zero", Options{}, ""},
-		{"mode+max", Options{Mode: frontend.ModeEV8(), MaxBranches: 500}, ""},
-		{"batch auto", Options{Batch: BatchAuto}, ""},
-		{"warmup", Options{Warmup: 10}, "Warmup"},
-		{"update delay", Options{UpdateDelay: 8}, "UpdateDelay"},
-		{"collect", Options{Collect: true}, "Collect"},
-		{"lenient flow", Options{LenientFlow: true}, "LenientFlow"},
-		{"batch on", Options{Batch: BatchOn}, "BatchOn"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r, err := RunFrontEndBenchmark(bimodal.MustNew(4096), prof, 50_000, tc.opts, FrontEndConfig{})
-			if tc.field == "" {
-				if err != nil {
-					t.Fatalf("supported options rejected: %v", err)
-				}
-				if r.Branches == 0 {
-					t.Fatal("no branches simulated")
-				}
-				return
+}
+
+// TestRunFrontEndRejectsMultiThread: the PC generator and the line
+// predictor hold one thread's state, so a record from a second thread
+// fails with ErrFrontEndOption instead of a flow panic, for a real and
+// for the oracle predictor.
+func TestRunFrontEndRejectsMultiThread(t *testing.T) {
+	for _, p := range []predictor.Predictor{bimodal.MustNew(4096), nil} {
+		var srcs []trace.Source
+		for _, name := range []string{"gcc", "li"} {
+			prof, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !errors.Is(err, ErrFrontEndOption) {
-				t.Fatalf("got %v, want ErrFrontEndOption", err)
-			}
-			if !strings.Contains(err.Error(), tc.field) {
-				t.Errorf("error %q does not name %s", err, tc.field)
-			}
-		})
+			srcs = append(srcs, workload.MustNew(prof, 100_000))
+		}
+		_, err := RunFrontEnd(p, workload.NewInterleaved(srcs, 800), Options{Mode: frontend.ModeEV8()}, FrontEndConfig{})
+		if !errors.Is(err, ErrFrontEndOption) || !strings.Contains(err.Error(), "thread") {
+			t.Errorf("predictor %v: got %v, want ErrFrontEndOption naming the thread", p, err)
+		}
 	}
 }

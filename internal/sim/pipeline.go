@@ -3,7 +3,7 @@
 // nothing downstream of it, so a producer goroutine runs it ahead of the
 // simulation on a second CPU: it fills batchChunk-record chunks from the
 // cancel-wrapped generator into a small ring of reused buffers, and the
-// unchanged stream loops consume them through the trace.BatchSource /
+// stream engine consumes them through the trace.BatchSource /
 // trace.ErrSource contracts. The per-branch cost drops from
 // generate+walk+predict to about the larger of generate and walk+predict.
 //
@@ -145,7 +145,7 @@ func (p *pipeSource) produce(src trace.Source, maxBranches int64) {
 		}
 		if n == 0 && err == nil {
 			// A source that makes no progress would spin both stages; the
-			// stream loops end on it too.
+			// engine's walk ends on it too.
 			err = io.EOF
 		}
 		p.full <- pipeChunk{buf: buf, n: n, err: err}

@@ -1,11 +1,15 @@
 // Package sim drives trace-driven branch-prediction simulation: it feeds a
 // branch source through the front-end tracker, hands each conditional
-// branch's information vector to a predictor, and accumulates the paper's
-// metric (mispredictions per 1000 instructions, "misp/KI").
+// branch's information vector to one or more predictors, and accumulates
+// the paper's metric (mispredictions per 1000 instructions, "misp/KI").
 //
-// Update timing follows the paper's methodology (§8.1.1): immediate update
-// by default, with an optional commit-delay mode used to reproduce the
-// authors' validation that the two are equivalent for these predictors.
+// Every entry point runs the one stream engine in ensemble.go: Run,
+// RunCheckpoint and ResumeFrom are an ensemble of one, RunEnsemble an
+// ensemble of many, and RunFrontEnd adds the PC generator and the line
+// predictor around it. Update timing follows the paper's methodology
+// (§8.1.1): immediate update by default, with an optional commit-delay
+// mode used to reproduce the authors' validation that the two are
+// equivalent for these predictors.
 package sim
 
 import (
@@ -61,23 +65,22 @@ type Options struct {
 	// docs/PERFORMANCE.md, "Ensemble execution"); like Workers, it has no
 	// effect on a single Run.
 	Ensemble EnsembleMode
-	// Batch selects whether eligible runs use the data-oriented batch
-	// kernel: BatchAuto (the zero value) engages it when the predictor
-	// implements predictor.BatchPredictor, the source implements
-	// trace.BatchSource and any fetch-block-observing predictor also
-	// implements the batched block contract (predictor.BlockBatchObserver
+	// Batch selects which members use the data-oriented batch kernel:
+	// BatchAuto (the zero value) engages it for every member whose
+	// predictor implements predictor.BatchPredictor and, if it observes
+	// fetch blocks, the batched block contract (predictor.BlockBatchObserver
 	// — the EV8 does), at any UpdateDelay (commit-delayed runs resolve
-	// lagged behind their pending updates); BatchOff forces
-	// the scalar fused path; BatchOn makes an ineligible run fail with
-	// ErrBatchIneligible instead of silently running scalar. Results
-	// are byte-identical in every mode (the batch differential suite
-	// pins that), so like Workers and Ensemble this is a schedule knob,
-	// excluded from cache keys.
+	// lagged behind their pending updates); BatchOff runs every member
+	// per branch; BatchOn makes a run with an ineligible member fail with
+	// ErrBatchIneligible instead of running that member per branch.
+	// Results are byte-identical in every mode (the batch differential
+	// suite pins that), so like Workers and Ensemble this is a schedule
+	// knob, excluded from cache keys.
 	Batch BatchMode
 	// Collect enables component attribution: when set and the predictor
-	// implements stats.Instrumented, Run turns its counters on before
+	// implements stats.Instrumented, the run turns its counters on before
 	// the stream and snapshots them into Result.Stats after. Collection
-	// never touches the per-branch hot loop — enabling and snapshotting
+	// never touches the per-branch walk — enabling and snapshotting
 	// happen once per run, and the predictor-side counting is gated
 	// behind the interface's own flag — and never changes predictions:
 	// the Result's core fields are byte-identical with Collect on or
@@ -206,8 +209,8 @@ func (r *delayRing) push(u pendingUpdate) {
 
 // BlockObserver is implemented by predictors that need to see every
 // completed fetch block, not just the branches — on the EV8 the
-// bank-number sequencing advances on every block (§6.2). Run wires the
-// front-end trackers' block stream to the predictor automatically.
+// bank-number sequencing advances on every block (§6.2). The engine wires
+// the front-end trackers' block stream to the predictor automatically.
 type BlockObserver interface {
 	ObserveBlock(frontend.Block)
 }
@@ -230,7 +233,7 @@ type trackerTable struct {
 }
 
 // lookup returns the tracker for id, or nil if none exists yet. The
-// dense fast path is small enough to inline into the simulation loops.
+// dense fast path is small enough to inline into the engine's walk.
 func (t *trackerTable) lookup(id int) *frontend.Tracker {
 	if uint(id) < uint(len(t.dense)) {
 		return t.dense[id]
@@ -278,10 +281,11 @@ func (t *trackerTable) create(id int, opts Options, onBlock func(frontend.Block)
 // demand, so SMT-interleaved sources work transparently (each thread gets
 // its own history registers and path queue, as on the real machine).
 //
-// When p implements predictor.FusedPredictor the hot loop computes each
-// branch's index set exactly once (Lookup) and trains from the carried
-// snapshot (UpdateWith), including through the commit-delay queue; plain
-// predictors use the Predict/Update pair as before.
+// Run is the engine's ensemble of one (see RunEnsemble): a batch-capable
+// predictor resolves each chunk through the batch kernel; otherwise the
+// fused Lookup/UpdateWith pair computes each branch's index set exactly
+// once, including through the commit-delay queue, and plain predictors
+// use Predict/Update.
 //
 // Run returns an error when the source fails mid-stream (it implements
 // trace.ErrSource and reports a decode error — a truncated or corrupted
@@ -293,153 +297,36 @@ func Run(p predictor.Predictor, src trace.Source, opts Options) (Result, error) 
 	return res, err
 }
 
-// run is the engine behind Run, RunCheckpoint and ResumeFrom: one loop,
+// run is Run, RunCheckpoint and ResumeFrom: an engine of one member,
 // optionally seeded from a checkpoint (resume != nil) and optionally
-// capturing one at the stop point (doCapture). The per-branch path is
-// identical in all modes — resume seeding and capture both happen outside
-// the loop, preserving the zero-allocation discipline.
+// capturing one at the stop point (doCapture). Resume seeding and capture
+// both happen outside the walk, preserving its zero-allocation discipline.
 func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoint, doCapture bool) (Result, *Checkpoint, error) {
-	res := Result{Predictor: p.Name(), SizeBits: p.SizeBits()}
-	var trackers trackerTable
-	var onBlock func(frontend.Block)
-	if obs, ok := p.(BlockObserver); ok {
-		onBlock = obs.ObserveBlock
-	}
-	// One member carries the predictor's fused fast path, commit-delay
-	// ring and attribution hook, exactly as in an ensemble.
-	m := newMember(p, opts.UpdateDelay)
-
-	var records int64
+	rs := []Result{{Predictor: p.Name(), SizeBits: p.SizeBits()}}
+	e := newEngine([]predictor.Predictor{p}, opts)
 	if resume != nil {
-		if err := resume.validateResume(p, opts); err != nil {
-			return res, nil, err
+		if err := resume.restoreInto(e); err != nil {
+			return rs[0], nil, err
 		}
-		if err := resume.restoreInto(p, opts, &trackers, onBlock); err != nil {
-			return res, nil, err
-		}
-		records = resume.Records
-		res.Branches = resume.RawBranches
-		res.Mispredicts = resume.Mispredicts
-		res.Instructions = resume.Instructions
-		for i := range resume.Pending {
-			pu := &resume.Pending[i]
-			m.ring.push(pendingUpdate{info: pu.Info, snap: pu.Snap, taken: pu.Taken})
-		}
-	} else if doCapture {
+	} else if _, ok := p.(predictor.Snapshotter); doCapture && !ok {
 		// Fail before simulating anything: a checkpointing run against a
 		// predictor that cannot snapshot would only discover it at the
 		// stop point.
-		if _, ok := p.(predictor.Snapshotter); !ok {
-			return res, nil, fmt.Errorf("%w (%s)", ErrNotSnapshottable, p.Name())
-		}
+		return rs[0], nil, fmt.Errorf("%w (%s)", ErrNotSnapshottable, p.Name())
 	}
-
-	// Attribution is enabled once, before the stream; the hot loop below
-	// is identical with or without it (the predictor gates its own
-	// counting). The snapshot happens after the commit-delay queue
-	// drains so delayed updates are attributed too. On resume this runs
-	// AFTER the state restore: enabling an already-collecting predictor
-	// is a no-op, so a checkpointed collection window survives.
-	if opts.Collect {
-		m.inst, _ = p.(stats.Instrumented)
-		if m.inst != nil {
-			m.inst.EnableStats(true)
-		}
-	}
-
-	// The batch kernel takes over the whole stream when the run is
-	// eligible (see internal/sim/batch.go for the eligibility argument);
-	// the result is byte-identical to the scalar loop below. Under
-	// BatchOn an ineligible run is a typed error, never a silent scalar
-	// fallback.
-	if bp, bs, reason := planBatch(p, src, opts, onBlock != nil); bp != nil {
-		if err := runBatchStream(bp, bs, opts, &res, &records, &trackers, onBlock, &m.ring); err != nil {
-			return res, nil, err
-		}
-		return finishRun(m, src, opts, res, records, &trackers, doCapture)
-	} else if opts.Batch == BatchOn {
-		return res, nil, fmt.Errorf("%w: %s", ErrBatchIneligible, reason)
-	}
-
-	// info is hoisted out of the loop: its address is passed through
-	// interface calls, so a loop-local would escape and cost one heap
-	// allocation per branch. Hoisted, the whole run allocates it once.
-	var info history.Info
-	var isCond bool
-	for {
-		if opts.MaxBranches > 0 && res.Branches >= opts.MaxBranches {
-			break
-		}
-		b, ok := src.Next()
-		if !ok {
-			break
-		}
-		records++
-		tr := trackers.lookup(b.Thread)
-		if tr == nil {
-			var err error
-			tr, err = trackers.create(b.Thread, opts, onBlock)
-			if err != nil {
-				return res, nil, err
-			}
-		}
-		info, isCond = tr.Process(b)
-		// One gate decides the whole record: it is measured iff the
-		// warmup boundary (retirement of conditional branch #Warmup)
-		// lies before it. For a conditional record this is the same
-		// condition as "this is branch #Warmup+1 or later".
-		measured := res.Branches >= opts.Warmup
-		if measured {
-			res.Instructions += int64(b.Gap) + 1
-		}
-		if !isCond {
-			continue
-		}
-		pred, snap := m.predict(&info)
-		if measured && pred != b.Taken {
-			res.Mispredicts++
-		}
-		res.Branches++
-		m.train(&info, snap, b.Taken)
-	}
-	return finishRun(m, src, opts, res, records, &trackers, doCapture)
-}
-
-// finishRun is the common epilogue of the scalar and batch stream loops:
-// checkpoint capture, commit-delay ring drain, warmup clamp, attribution
-// snapshot, deferred source-error check, and the result sanity check.
-func finishRun(m *member, src trace.Source, opts Options, res Result, records int64, trackers *trackerTable, doCapture bool) (Result, *Checkpoint, error) {
-	// Capture the checkpoint BEFORE the ring drains and before the warmup
-	// clamp: the pending updates belong to the continuation (a resumed run
-	// retires them through its own stream), and the resumed warmup gate
-	// needs the raw branch count. A source failure voids the capture below.
+	e.collect()
 	var ck *Checkpoint
+	var capture func() error
 	if doCapture {
-		var err error
-		ck, err = capture(m.p, opts, trackers, &m.ring, records, res)
-		if err != nil {
-			return res, nil, err
+		capture = func() (err error) {
+			ck, err = e.capture()
+			return err
 		}
 	}
-	m.drain()
-	// Report only measured branches. The clamp matters when the stream
-	// ends at or before the warmup boundary (res.Branches <= Warmup):
-	// zero branches were measured, and the old `> Warmup` guard left the
-	// raw count in place, over-reporting by up to Warmup at the boundary.
-	if opts.Warmup > 0 {
-		res.Branches -= min(res.Branches, opts.Warmup)
+	if err := e.run(src, rs, capture); err != nil {
+		return rs[0], nil, err
 	}
-	if m.inst != nil {
-		cs := m.inst.Stats()
-		res.Stats = &cs
-	}
-	if err := trace.SourceErr(src); err != nil {
-		return res, nil, fmt.Errorf("sim: source failed after %d branches: %w", res.Branches, err)
-	}
-	if err := res.Validate(); err != nil {
-		return res, nil, err
-	}
-	return res, ck, nil
+	return rs[0], ck, nil
 }
 
 // RunBenchmark builds the named synthetic benchmark with instrBudget
