@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build vet staticcheck test race bench bench-baseline bench-ensemble bench-kernel check report fuzz faultinject resume shard-gate serve-gate pipeline-gate perf-harness-test examples clean
+.PHONY: all build vet staticcheck test race bench check report fuzz faultinject resume shard-gate serve-gate pipeline-gate perf-harness-test examples clean
 
 all: build vet test
 
@@ -29,8 +29,9 @@ all: build vet test
 # an EV8 block-boundary fuzz smoke at random delays and a skew-index fuzz
 # smoke), a snapshot-decode
 # fuzz smoke, the benchmark harness's own tests (see perf-harness-test),
-# and benchmark smokes so neither the testing.B harness nor the
-# per-predictor microbenchmarks can rot. The stream-pipeline tests run
+# and benchmark smokes so neither the testing.B harness, the
+# per-predictor microbenchmarks nor the ensemble sweep benchmarks can
+# rot. The stream-pipeline tests run
 # under -race in the blanket run; pipeline-gate reruns them by name for
 # CI.
 check:
@@ -55,6 +56,7 @@ check:
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' .
 	$(GO) test -bench=Table1 -benchtime=1x -run '^$$' .
 	$(GO) test -bench=PredictUpdate -benchtime=100x -run '^$$' .
+	$(GO) test -bench=Sweep -benchtime=1x -run '^$$' .
 
 build:
 	$(GO) build ./...
@@ -87,25 +89,6 @@ race:
 # throughput; -benchmem reports allocation behavior.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Refresh the machine-readable hot-path throughput snapshot (per-predictor
-# branches/sec and allocs/branch, plus the end-to-end Table 1 EV8 loop);
-# see docs/PERFORMANCE.md for how the numbers are defined and compared.
-bench-baseline:
-	$(GO) run ./cmd/benchbaseline -o BENCH_baseline.json
-
-# Refresh the ensemble-engine snapshot: suite-level ns/branch for a
-# multi-configuration sweep under the per-cell and single-pass ensemble
-# schedules at equal worker counts, plus the resulting speedup (see
-# docs/PERFORMANCE.md, "Ensemble execution").
-bench-ensemble:
-	$(GO) run ./cmd/benchensemble -o BENCH_ensemble.json
-
-# Refresh the batch-kernel snapshot: scalar vs batch ns/branch for every
-# BatchPredictor roster entry, with speedups against the committed
-# BENCH_baseline.json reference (see docs/PERFORMANCE.md, "Batch kernel").
-bench-kernel:
-	$(GO) run ./cmd/benchkernel -o BENCH_kernel.json
 
 # Regenerate every table and figure of the paper (10M instructions per
 # benchmark; the paper's full scale is -instructions 100000000).

@@ -286,48 +286,32 @@ func TestBatchZeroAllocsSteadyState(t *testing.T) {
 	}
 
 	t.Run("run", func(t *testing.T) {
-		runAllocs := func(recs []ev8pred.Branch) float64 {
-			return testing.AllocsPerRun(5, func() {
-				p, err := ev8pred.New2BcGskew(ev8pred.Config512K())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := ev8pred.Run(p, trace.NewSlice(recs),
-					ev8pred.Options{Mode: ev8pred.ModeGhist()}); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		short := runAllocs(records[:4096])
-		long := runAllocs(records)
-		if extra := long - short; extra > 0 {
-			t.Errorf("batch run loop: %.1f extra allocs for %d extra records, want 0 (short=%.1f long=%.1f)",
-				extra, len(records)-4096, short, long)
-		}
+		checkSteadyStateAllocs(t, "batch run loop", records, 4096, func(recs []ev8pred.Branch) {
+			p, err := ev8pred.New2BcGskew(ev8pred.Config512K())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ev8pred.Run(p, trace.NewSlice(recs),
+				ev8pred.Options{Mode: ev8pred.ModeGhist()}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 
 	t.Run("ensemble", func(t *testing.T) {
-		runAllocs := func(recs []ev8pred.Branch) float64 {
-			return testing.AllocsPerRun(5, func() {
-				factories := []ev8pred.Factory{
-					func() (ev8pred.Predictor, error) { return ev8pred.New2BcGskew(ev8pred.Config512K()) },
-					func() (ev8pred.Predictor, error) { return ev8pred.NewGshare(1<<16, 16) },
-					func() (ev8pred.Predictor, error) { return ev8pred.NewBimodal(1 << 14) },
-				}
-				_, err := ev8pred.RunEnsemble(factories, trace.NewSlice(recs), ev8pred.Options{
-					Mode:     ev8pred.ModeGhist(),
-					Ensemble: ev8pred.EnsembleOn,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+		checkSteadyStateAllocs(t, "ensemble batch loop", records, 4096, func(recs []ev8pred.Branch) {
+			factories := []ev8pred.Factory{
+				func() (ev8pred.Predictor, error) { return ev8pred.New2BcGskew(ev8pred.Config512K()) },
+				func() (ev8pred.Predictor, error) { return ev8pred.NewGshare(1<<16, 16) },
+				func() (ev8pred.Predictor, error) { return ev8pred.NewBimodal(1 << 14) },
+			}
+			_, err := ev8pred.RunEnsemble(factories, trace.NewSlice(recs), ev8pred.Options{
+				Mode:     ev8pred.ModeGhist(),
+				Ensemble: ev8pred.EnsembleOn,
 			})
-		}
-		short := runAllocs(records[:4096])
-		long := runAllocs(records)
-		if extra := long - short; extra > 0 {
-			t.Errorf("ensemble batch loop: %.1f extra allocs for %d extra records, want 0 (short=%.1f long=%.1f)",
-				extra, len(records)-4096, short, long)
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 }

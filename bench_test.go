@@ -9,10 +9,14 @@ package ev8pred_test
 // Run with: go test -bench=. -benchmem
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"ev8pred"
+	"ev8pred/internal/core"
 	"ev8pred/internal/experiments"
+	"ev8pred/internal/sim"
 	"ev8pred/internal/workload"
 )
 
@@ -143,6 +147,102 @@ func benchWorkers(b *testing.B, workers int) {
 
 func BenchmarkSuiteSerial(b *testing.B)   { benchWorkers(b, 1) }
 func BenchmarkSuiteParallel(b *testing.B) { benchWorkers(b, 0) }
+
+// Ensemble vs per-cell schedule: the same multi-configuration sweep run
+// with every cell generating and front-end processing its own stream, and
+// under the single-pass ensemble engine (one stream pass per benchmark,
+// shared by all configurations). TestEnsembleSweepModesAgree pins that
+// both schedules return identical results, so the timing difference is
+// schedule cost alone.
+
+// gshareSweepFactories returns k gshare configurations differing only in
+// history length — the shape of an ev8sweep history sweep, and the case
+// where ensemble amortization matters most (the predictor step is cheap,
+// so generation + front end dominate a per-cell run).
+func gshareSweepFactories(k int) []ev8pred.Factory {
+	factories := make([]ev8pred.Factory, k)
+	for i := range factories {
+		h := 8 + 2*i
+		factories[i] = func() (ev8pred.Predictor, error) {
+			return ev8pred.NewGshare(1<<16, min(h, 32))
+		}
+	}
+	return factories
+}
+
+// gskewSweepFactories returns k 2Bc-gskew configurations sweeping the G1
+// history length (the ev8sweep 2bcg/history shape) — a heavier predictor
+// step, so the ensemble win is smaller but still real.
+func gskewSweepFactories(k int) []ev8pred.Factory {
+	factories := make([]ev8pred.Factory, k)
+	for i := range factories {
+		h := 13 + 2*i
+		factories[i] = func() (ev8pred.Predictor, error) {
+			c := ev8pred.Config512K()
+			c.Banks[core.G1].HistLen = h
+			c.Banks[core.Meta].HistLen = h * 3 / 4
+			c.Banks[core.G0].HistLen = h * 2 / 3
+			c.Name = fmt.Sprintf("2bcg-512K-g1h%d", h)
+			return ev8pred.New2BcGskew(c)
+		}
+	}
+	return factories
+}
+
+// sweepCells lays a (factory × profile) sweep out in factory-major,
+// profile-minor order under the ghist information vector.
+func sweepCells(factories []ev8pred.Factory, profs []workload.Profile) []sim.Cell {
+	opts := ev8pred.Options{Mode: ev8pred.ModeGhist()}
+	cells := make([]sim.Cell, 0, len(factories)*len(profs))
+	for _, f := range factories {
+		for _, prof := range profs {
+			cells = append(cells, sim.Cell{Factory: f, Profile: prof, Opts: opts})
+		}
+	}
+	return cells
+}
+
+// benchSweep measures one (factories × suite) sweep of 200k instructions
+// per benchmark under the given ensemble mode at the default worker
+// count, reporting ns/branch across the whole fan-out. Both modes run the
+// identical cell list, so the ratio of their ns/branch is the ensemble
+// speedup.
+func benchSweep(b *testing.B, factories []ev8pred.Factory, mode ev8pred.EnsembleMode) {
+	b.Helper()
+	cells := sweepCells(factories, workload.Benchmarks())
+	var branches int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := sim.RunCells(context.Background(), cells, 200_000, sim.PoolOptions{Ensemble: mode})
+		if err != nil {
+			b.Fatal(err)
+		}
+		branches = 0
+		for _, r := range rs {
+			branches += r.Branches
+		}
+	}
+	b.StopTimer()
+	if branches > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(branches), "ns/branch")
+	}
+}
+
+func BenchmarkSweepPerCell8xGshare(b *testing.B) {
+	benchSweep(b, gshareSweepFactories(8), ev8pred.EnsembleOff)
+}
+
+func BenchmarkSweepEnsemble8xGshare(b *testing.B) {
+	benchSweep(b, gshareSweepFactories(8), ev8pred.EnsembleOn)
+}
+
+func BenchmarkSweepPerCell8xGskew(b *testing.B) {
+	benchSweep(b, gskewSweepFactories(8), ev8pred.EnsembleOff)
+}
+
+func BenchmarkSweepEnsemble8xGskew(b *testing.B) {
+	benchSweep(b, gskewSweepFactories(8), ev8pred.EnsembleOn)
+}
 
 // Raw predictor throughput: branches predicted+updated per second.
 

@@ -13,6 +13,7 @@ package ev8pred_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ev8pred"
@@ -284,20 +285,12 @@ func TestDelayedBatchZeroAllocsSteadyState(t *testing.T) {
 	}
 	for _, delay := range []int{8, 1500} {
 		opts := ev8pred.Options{Mode: ev8pred.ModeEV8(), UpdateDelay: delay, Batch: ev8pred.BatchOn, Collect: true}
-		check := func(what string, run func(recs []ev8pred.Branch)) {
-			short := testing.AllocsPerRun(5, func() { run(records[:4096]) })
-			long := testing.AllocsPerRun(5, func() { run(records) })
-			if extra := long - short; extra > 0 {
-				t.Errorf("delay=%d %s: %.1f extra allocs for %d extra records, want 0 (short=%.1f long=%.1f)",
-					delay, what, extra, len(records)-4096, short, long)
-			}
-		}
-		check("run", func(recs []ev8pred.Branch) {
+		checkSteadyStateAllocs(t, fmt.Sprintf("delay=%d run", delay), records, 4096, func(recs []ev8pred.Branch) {
 			if _, err := ev8pred.Run(ev8pred.NewEV8(), trace.NewSlice(recs), opts); err != nil {
 				t.Fatal(err)
 			}
 		})
-		check("ensemble", func(recs []ev8pred.Branch) {
+		checkSteadyStateAllocs(t, fmt.Sprintf("delay=%d ensemble", delay), records, 4096, func(recs []ev8pred.Branch) {
 			factories := []ev8pred.Factory{
 				func() (ev8pred.Predictor, error) { return ev8pred.NewEV8(), nil },
 				func() (ev8pred.Predictor, error) { return ev8pred.New2BcGskew(ev8pred.ConfigEV8Size()) },

@@ -10,12 +10,15 @@ package ev8pred_test
 // for the ensemble scheduler (Options.Ensemble) as a whole.
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
 
 	"ev8pred"
+	"ev8pred/internal/sim"
 	"ev8pred/internal/trace"
+	"ev8pred/internal/workload"
 )
 
 type ensembleCase struct {
@@ -340,26 +343,39 @@ func TestEnsembleZeroAllocsSteadyState(t *testing.T) {
 	if len(records) < 8192 {
 		t.Fatalf("collected only %d records", len(records))
 	}
-	runAllocs := func(recs []ev8pred.Branch) float64 {
-		return testing.AllocsPerRun(5, func() {
-			factories := []ev8pred.Factory{
-				func() (ev8pred.Predictor, error) { return ev8pred.New2BcGskew(ev8pred.Config512K()) },
-				func() (ev8pred.Predictor, error) { return ev8pred.NewGshare(1<<16, 16) },
-				func() (ev8pred.Predictor, error) { return ev8pred.NewBimodal(1 << 14) },
-			}
-			_, err := ev8pred.RunEnsemble(factories, trace.NewSlice(recs), ev8pred.Options{
-				Mode:        ev8pred.ModeGhist(),
-				UpdateDelay: 16,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+	checkSteadyStateAllocs(t, "ensemble loop", records, 2048, func(recs []ev8pred.Branch) {
+		factories := []ev8pred.Factory{
+			func() (ev8pred.Predictor, error) { return ev8pred.New2BcGskew(ev8pred.Config512K()) },
+			func() (ev8pred.Predictor, error) { return ev8pred.NewGshare(1<<16, 16) },
+			func() (ev8pred.Predictor, error) { return ev8pred.NewBimodal(1 << 14) },
+		}
+		_, err := ev8pred.RunEnsemble(factories, trace.NewSlice(recs), ev8pred.Options{
+			Mode:        ev8pred.ModeGhist(),
+			UpdateDelay: 16,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestEnsembleSweepModesAgree pins the property the BenchmarkSweep*
+// pairs rely on: a pool sweep under EnsembleOff and under EnsembleOn
+// returns identical results, so their timing difference measures
+// schedule cost alone.
+func TestEnsembleSweepModesAgree(t *testing.T) {
+	cells := sweepCells(gshareSweepFactories(4), workload.Benchmarks()[:2])
+	perCell, err := sim.RunCells(context.Background(), cells, 50_000,
+		sim.PoolOptions{Workers: 1, Ensemble: ev8pred.EnsembleOff})
+	if err != nil {
+		t.Fatal(err)
 	}
-	short := runAllocs(records[:2048])
-	long := runAllocs(records)
-	if extra := long - short; extra > 0 {
-		t.Errorf("ensemble loop: %.1f extra allocs for %d extra branches, want 0 (short=%.1f long=%.1f)",
-			extra, len(records)-2048, short, long)
+	grouped, err := sim.RunCells(context.Background(), cells, 50_000,
+		sim.PoolOptions{Workers: 1, Ensemble: ev8pred.EnsembleOn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(perCell, grouped) {
+		t.Fatalf("per-cell and ensemble sweeps diverged:\noff: %+v\non:  %+v", perCell, grouped)
 	}
 }

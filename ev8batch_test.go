@@ -378,45 +378,29 @@ func TestEV8BatchZeroAllocsSteadyState(t *testing.T) {
 	}
 
 	t.Run("run", func(t *testing.T) {
-		runAllocs := func(recs []ev8pred.Branch) float64 {
-			return testing.AllocsPerRun(5, func() {
-				if _, err := ev8pred.Run(ev8pred.NewEV8(), trace.NewSlice(recs),
-					ev8pred.Options{Mode: ev8pred.ModeEV8(), Batch: ev8pred.BatchOn}); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		short := runAllocs(records[:4096])
-		long := runAllocs(records)
-		if extra := long - short; extra > 0 {
-			t.Errorf("EV8 batch run loop: %.1f extra allocs for %d extra records, want 0 (short=%.1f long=%.1f)",
-				extra, len(records)-4096, short, long)
-		}
+		checkSteadyStateAllocs(t, "EV8 batch run loop", records, 4096, func(recs []ev8pred.Branch) {
+			if _, err := ev8pred.Run(ev8pred.NewEV8(), trace.NewSlice(recs),
+				ev8pred.Options{Mode: ev8pred.ModeEV8(), Batch: ev8pred.BatchOn}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 
 	t.Run("ensemble", func(t *testing.T) {
 		roster := ev8BatchRoster()
-		runAllocs := func(recs []ev8pred.Branch) float64 {
-			return testing.AllocsPerRun(5, func() {
-				factories := make([]ev8pred.Factory, len(roster))
-				for i, c := range roster {
-					factories[i] = c.make
-				}
-				_, err := ev8pred.RunEnsemble(factories, trace.NewSlice(recs), ev8pred.Options{
-					Mode:     ev8pred.ModeEV8(),
-					Ensemble: ev8pred.EnsembleOn,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+		checkSteadyStateAllocs(t, "EV8 ensemble batch loop", records, 4096, func(recs []ev8pred.Branch) {
+			factories := make([]ev8pred.Factory, len(roster))
+			for i, c := range roster {
+				factories[i] = c.make
+			}
+			_, err := ev8pred.RunEnsemble(factories, trace.NewSlice(recs), ev8pred.Options{
+				Mode:     ev8pred.ModeEV8(),
+				Ensemble: ev8pred.EnsembleOn,
 			})
-		}
-		short := runAllocs(records[:4096])
-		long := runAllocs(records)
-		if extra := long - short; extra > 0 {
-			t.Errorf("EV8 ensemble batch loop: %.1f extra allocs for %d extra records, want 0 (short=%.1f long=%.1f)",
-				extra, len(records)-4096, short, long)
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 }
 

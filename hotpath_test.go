@@ -3,10 +3,11 @@ package ev8pred_test
 // Hot-path performance gates: per-predictor predict+update microbenchmarks
 // over prerecorded events (the workload generator and front end are out of
 // the measured loop), and a hard zero-allocation gate for the paper's hot
-// predictors. cmd/benchbaseline runs the same roster programmatically to
-// write BENCH_baseline.json.
+// predictors, plus the shared steady-state gate the whole-run zero-
+// allocation tests use.
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"ev8pred"
@@ -17,6 +18,25 @@ import (
 )
 
 const hotEvents = 4096
+
+// checkSteadyStateAllocs is the steady-state allocation gate: a whole run
+// carries constant setup cost (predictor tables, trackers, scratch,
+// rings), so it compares the allocations of run over recs[:short] and
+// over all of recs, five runs each — equal totals mean the marginal
+// records allocated nothing. The garbage collector is off while it
+// counts: a collection that lands inside the longer run makes the
+// runtime allocate for its own bookkeeping, which would read as an
+// allocation of the run.
+func checkSteadyStateAllocs(t *testing.T, what string, recs []ev8pred.Branch, short int, run func([]ev8pred.Branch)) {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := testing.AllocsPerRun(5, func() { run(recs[:short]) })
+	l := testing.AllocsPerRun(5, func() { run(recs) })
+	if extra := l - s; extra > 0 {
+		t.Errorf("%s: %.1f extra allocs for %d extra records, want 0 (short=%.1f long=%.1f)",
+			what, extra, len(recs)-short, s, l)
+	}
+}
 
 // TestHotPathZeroAllocs asserts that a steady-state branch allocates
 // nothing — on the fused Lookup/UpdateWith path and on the plain
@@ -78,8 +98,8 @@ func TestHotPathZeroAllocs(t *testing.T) {
 // slice that grows as queue[1:] pops retain the backing array. A full
 // sim.Run carries constant setup cost
 // (predictor tables, tracker, the ring itself), so the gate compares
-// whole-run allocation counts at two stream lengths: equal totals mean
-// the marginal branches allocated nothing.
+// whole-run allocation counts at two stream lengths
+// (checkSteadyStateAllocs).
 func TestDelayedUpdateZeroAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")
@@ -97,25 +117,17 @@ func TestDelayedUpdateZeroAllocsSteadyState(t *testing.T) {
 		t.Fatalf("collected only %d branches", len(branches))
 	}
 
-	runAllocs := func(recs []ev8pred.Branch) float64 {
-		return testing.AllocsPerRun(5, func() {
-			p := ev8pred.NewEV8()
-			_, err := ev8pred.Run(p, trace.NewSlice(recs), ev8pred.Options{
-				Mode:        ev8pred.ModeEV8(),
-				UpdateDelay: 64,
-				Batch:       ev8pred.BatchOff,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+	checkSteadyStateAllocs(t, "delayed-update path", branches, 1024, func(recs []ev8pred.Branch) {
+		p := ev8pred.NewEV8()
+		_, err := ev8pred.Run(p, trace.NewSlice(recs), ev8pred.Options{
+			Mode:        ev8pred.ModeEV8(),
+			UpdateDelay: 64,
+			Batch:       ev8pred.BatchOff,
 		})
-	}
-	short := runAllocs(branches[:1024])
-	long := runAllocs(branches)
-	if extra := long - short; extra > 0 {
-		t.Errorf("delayed-update path: %.1f extra allocs for %d extra branches, want 0 (short=%.1f long=%.1f)",
-			extra, len(branches)-1024, short, long)
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestBatchKernelZeroAllocs gates the kernels themselves: a staged-replay
@@ -157,7 +169,7 @@ func TestBatchKernelZeroAllocs(t *testing.T) {
 // BenchmarkPredictUpdate measures raw per-branch predictor cost: one
 // sub-benchmark per roster entry, replaying prerecorded gcc events through
 // the same code path sim.Run uses (fused when available). ns/op is per
-// branch; compare against BENCH_baseline.json.
+// branch; docs/PERFORMANCE.md's History table has earlier figures.
 func BenchmarkPredictUpdate(b *testing.B) {
 	for _, c := range hotbench.Cases() {
 		events, err := hotbench.Collect(c.Mode, "gcc", hotEvents)
@@ -185,7 +197,7 @@ func BenchmarkPredictUpdate(b *testing.B) {
 // BenchmarkPredictUpdateBatch is the batch-kernel twin: the same events
 // pre-staged into SoA chunks, replayed through LookupBatch/UpdateBatch.
 // ns/op is per branch; the ratio to BenchmarkPredictUpdate's matching
-// entry is the kernel speedup cmd/benchkernel reports.
+// entry is the kernel speedup.
 func BenchmarkPredictUpdateBatch(b *testing.B) {
 	for _, c := range hotbench.Cases() {
 		if !c.Batch {

@@ -55,9 +55,9 @@ func (p *Predictor) LookupBankedBatch(infos []history.Info, banks []uint8, snaps
 }
 
 // LookupBatch implements predictor.BatchPredictor for contexts where no
-// fetch blocks advance inside the chunk (prerecorded-event replay —
-// internal/hotbench, cmd/benchkernel): with the sequencer frozen, reading
-// it live per branch is exactly what the scalar replay's Lookup does.
+// fetch blocks advance inside the chunk (prerecorded-event replay in
+// internal/hotbench and BenchmarkPredictUpdateBatch): with the sequencer
+// frozen, reading it live per branch is what the scalar replay's Lookup does.
 // sim.Run never routes the EV8 here; block-observing runs go through
 // StageBank/LookupBankedBatch.
 func (p *Predictor) LookupBatch(infos []history.Info, snaps []predictor.Snapshot) {

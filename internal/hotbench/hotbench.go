@@ -4,9 +4,8 @@
 // the predictor data path (Lookup/UpdateWith, or Predict/Update) with the
 // workload generator and front-end tracker taken out of the loop.
 //
-// Three consumers share it: the BenchmarkPredictUpdate microbenchmarks,
-// the zero-allocation gate (TestHotPathZeroAllocs), and cmd/benchbaseline,
-// which writes the machine-readable BENCH_baseline.json snapshot.
+// Two consumers share it: the BenchmarkPredictUpdate microbenchmarks and
+// the zero-allocation gates (TestHotPathZeroAllocs, TestBatchKernelZeroAllocs).
 package hotbench
 
 import (
@@ -33,7 +32,7 @@ type Event struct {
 
 // Case names one predictor configuration to measure.
 type Case struct {
-	// Name keys benchmark output and the JSON baseline.
+	// Name keys benchmark output.
 	Name string
 	// Mode is the information vector the predictor is designed for; the
 	// replay events are collected under it.
@@ -44,8 +43,8 @@ type Case struct {
 	// acceptance gate (the paper-relevant hot predictors).
 	Gated bool
 	// Batch marks the configurations whose predictor implements
-	// predictor.BatchPredictor; cmd/benchkernel measures these scalar vs
-	// batch.
+	// predictor.BatchPredictor; BenchmarkPredictUpdateBatch measures
+	// these on the batch kernels.
 	Batch bool
 }
 
