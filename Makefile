@@ -127,11 +127,13 @@ shard-gate:
 # the race detector — concurrent tenants streaming NDJSON jobs whose
 # results are byte-identical to direct engine runs, admission
 # backpressure (typed 429/503), SIGTERM drain that finishes in-flight
-# jobs with no goroutine leaks, the per-run expvar isolation registry,
-# and the debug-listener close/shutdown regression tests.
+# jobs with no goroutine leaks, per-server and per-job metric isolation
+# (two servers in one process, drain counting each job once), the
+# concurrently fed live.Progress, and the debug-listener page and
+# close/shutdown regression tests.
 serve-gate:
 	$(GO) test -race -count=1 ./internal/serve/ ./cmd/ev8serve/
-	$(GO) test -race -run 'TestServeDebug|TestConcurrentObserversIsolated|TestAcquireCollision' -count=1 ./internal/stats/live/
+	$(GO) test -race -run 'TestServeDebug|TestConcurrentObserversIsolated|TestProgressMatchesRunCells' -count=1 ./internal/stats/live/
 
 # Stream-pipeline gate (docs/PARALLELISM.md): under the race detector,
 # runs whose generator runs ahead in a producer goroutine must equal

@@ -76,22 +76,15 @@ func main() {
 	}
 }
 
-// progressCounter aggregates cell completions across every fan-out of the
-// run into a running cells/branches/throughput line. The pool serializes
+// progressCounter prints the run's Progress as a running
+// cells/branches/throughput line per completed cell. The pool serializes
 // Progress callbacks within one fan-out, but experiments may interleave
 // fan-outs, so the counter locks anyway.
 type progressCounter struct {
-	mu       sync.Mutex
-	w        io.Writer
-	start    time.Time
-	scope    string
-	cells    int
-	branches int64
-	instr    int64
-}
-
-func newProgressCounter(w io.Writer) *progressCounter {
-	return &progressCounter{w: w, start: time.Now()}
+	mu    sync.Mutex
+	w     io.Writer
+	p     *live.Progress
+	scope string
 }
 
 // setScope labels subsequent progress lines (the running experiment id).
@@ -105,16 +98,15 @@ func (pc *progressCounter) setScope(s string) {
 func (pc *progressCounter) observe(ev sim.CellDone) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pc.cells++
-	pc.branches += ev.Branches
-	pc.instr += ev.Instructions
-	elapsed := time.Since(pc.start).Seconds()
+	pc.p.Observe(ev)
+	snap := pc.p.Snapshot()
+	elapsed := time.Since(snap.StartedAt).Seconds()
 	rate := 0.0
 	if elapsed > 0 {
-		rate = float64(pc.branches) / elapsed
+		rate = float64(snap.Branches) / elapsed
 	}
 	fmt.Fprintf(pc.w, "%s: cell %d/%d done (%d total), %.1fM branches, %.2fM br/s, %.1fs\n",
-		pc.scope, ev.Done, ev.Total, pc.cells, float64(pc.branches)/1e6, rate/1e6, elapsed)
+		pc.scope, ev.Done, ev.Total, snap.CellsDone, float64(snap.Branches)/1e6, rate/1e6, elapsed)
 }
 
 // run executes the tool; out receives the report unless -o redirects it,
@@ -179,9 +171,11 @@ func run(args []string, out, errw io.Writer) error {
 			cfg.Benchmarks = append(cfg.Benchmarks, p)
 		}
 	}
+	progress := live.NewProgress()
+	cfg.Progress = progress.Observe
 	var counter *progressCounter
 	if *verbose {
-		counter = newProgressCounter(errw)
+		counter = &progressCounter{w: errw, p: progress}
 		cfg.Progress = counter.observe
 		cfg.Log = func(format string, args ...interface{}) {
 			fmt.Fprintf(errw, "ev8bench: "+format+"\n", args...)
@@ -213,30 +207,17 @@ func run(args []string, out, errw io.Writer) error {
 		fmt.Fprintf(errw, "ev8bench: precompute worker %s: tables below cover only this shard's cells (zeros elsewhere); render from an unsharded -cache run once every worker finishes\n", spec)
 	}
 	if *expvarAddr != "" {
-		lv, err := live.Acquire("ev8bench")
+		dbg, err := live.ServeDebug(*expvarAddr,
+			live.Handler("ev8bench", func() any { return progress.Snapshot() }))
 		if err != nil {
 			return err
 		}
-		defer lv.Release()
-		dbg, err := live.ServeDebug(*expvarAddr)
-		if err != nil {
-			return err
-		}
-		// Close frees the port and stops the serve goroutine before exit
-		// (the old API leaked both for the process lifetime).
 		defer func() {
 			if cerr := dbg.Close(); cerr != nil {
 				fmt.Fprintln(os.Stderr, "ev8bench: closing expvar server:", cerr)
 			}
 		}()
 		fmt.Fprintf(errw, "ev8bench: live counters at http://%s/debug/vars\n", dbg.Addr())
-		prev := cfg.Progress
-		cfg.Progress = func(ev sim.CellDone) {
-			if prev != nil {
-				prev(ev)
-			}
-			lv.Observe(ev.Total, ev.Branches, ev.Instructions)
-		}
 	}
 
 	var todo []experiments.Experiment
@@ -329,16 +310,14 @@ func run(args []string, out, errw io.Writer) error {
 		}
 	}
 	if counter != nil {
-		counter.mu.Lock()
-		cells, branches := counter.cells, counter.branches
-		counter.mu.Unlock()
+		snap := progress.Snapshot()
 		elapsed := time.Since(total).Seconds()
 		rate := 0.0
 		if elapsed > 0 {
-			rate = float64(branches) / elapsed
+			rate = float64(snap.Branches) / elapsed
 		}
 		fmt.Fprintf(errw, "total: %d cells, %.1fM branches, %.2fM br/s, %.1fs wall (workers=%d)\n",
-			cells, float64(branches)/1e6, rate/1e6, elapsed, effectiveWorkers(*workers))
+			snap.CellsDone, float64(snap.Branches)/1e6, rate/1e6, elapsed, effectiveWorkers(*workers))
 	}
 	return nil
 }

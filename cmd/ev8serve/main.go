@@ -23,8 +23,8 @@
 // beyond that are refused with 429 and a Retry-After header
 // (backpressure). One tenant can hold at most -tenant-quota admitted
 // jobs, so no tenant can starve the rest. GET /v1/jobs, /v1/jobs/{id}
-// and /healthz report status; /debug/vars serves live per-job-slot
-// progress counters (expvar).
+// and /healthz report status; /debug/vars adds the scheduler totals and
+// the running jobs' progress to the expvar page, under "ev8serve".
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: new submissions are
 // refused, queued jobs are rejected with a typed stream error, running

@@ -5,13 +5,13 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
 
 	"ev8pred/internal/report"
 	"ev8pred/internal/sim"
+	"ev8pred/internal/stats/live"
 )
 
 // APIError is the JSON error body (and NDJSON error-event payload).
@@ -64,15 +64,35 @@ type Event struct {
 //	GET  /v1/jobs      — list jobs (admission order)
 //	GET  /v1/jobs/{id} — one job's status
 //	GET  /healthz      — liveness + drain state
-//	GET  /debug/vars   — process expvar page (live per-slot job metrics)
+//	GET  /debug/vars   — expvar page plus this server's "ev8serve" key:
+//	                     scheduler totals and the running jobs' JobInfo
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.Handle("GET /debug/vars", expvar.Handler())
+	mux.Handle("GET /debug/vars", live.Handler("ev8serve", s.debugVars))
 	return mux
+}
+
+// debugPage is the "ev8serve" key of /debug/vars.
+type debugPage struct {
+	totals
+	Running []JobInfo `json:"running"`
+}
+
+// debugVars snapshots the server's debugPage.
+func (s *Server) debugVars() any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	page := debugPage{totals: s.totals, Running: []JobInfo{}}
+	for _, id := range s.order {
+		if info := s.jobs[id].Info(); info.State == JobRunning {
+			page.Running = append(page.Running, info)
+		}
+	}
+	return page
 }
 
 // writeError sends a non-stream JSON error response.
@@ -220,13 +240,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 					state = JobRejected
 					s.logf("serve: job %s rejected at drain", job.ID)
 				}
-				job.fail(state, api.Message)
-				s.mFailed.Add(1)
+				s.finish(job, state, api.Message)
 				emit(Event{Event: "error", Job: job.ID, Error: api})
 				return
 			}
-			job.setState(JobDone)
-			s.mDone.Add(1)
+			s.finish(job, JobDone, "")
 			emit(Event{Event: "result", Job: job.ID, Runs: out.runs, Points: out.points})
 			return
 		}

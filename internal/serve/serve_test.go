@@ -105,7 +105,7 @@ func TestReorder(t *testing.T) {
 }
 
 func TestAdmissionPolicy(t *testing.T) {
-	s := New(Config{MaxJobs: 1, QueueDepth: 1, TenantQuota: 1, MetricsPrefix: "serve_admit_test"})
+	s := New(Config{MaxJobs: 1, QueueDepth: 1, TenantQuota: 1})
 
 	a, err := s.admit("alice", 4)
 	if err != nil {
@@ -150,18 +150,27 @@ func isAdmitCode(err error, code string, status int) bool {
 // streamEvents POSTs a spec and decodes the NDJSON response.
 func streamEvents(t *testing.T, ts *httptest.Server, tenant string, sp Spec) (int, []Event) {
 	t.Helper()
-	body, err := json.Marshal(sp)
+	status, events, err := submitJob(ts, tenant, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return status, events
+}
+
+// submitJob is streamEvents without the test handle, for goroutines.
+func submitJob(ts *httptest.Server, tenant string, sp Spec) (int, []Event, error) {
+	body, err := json.Marshal(sp)
+	if err != nil {
+		return 0, nil, err
+	}
 	req, err := http.NewRequest("POST", ts.URL+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	req.Header.Set("X-Tenant", tenant)
 	resp, err := ts.Client().Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	var events []Event
@@ -170,14 +179,11 @@ func streamEvents(t *testing.T, ts *httptest.Server, tenant string, sp Spec) (in
 	for sc.Scan() {
 		var e Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+			return 0, nil, fmt.Errorf("bad stream line %q: %w", sc.Text(), err)
 		}
 		events = append(events, e)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, events
+	return resp.StatusCode, events, sc.Err()
 }
 
 // TestSubmitStreamsInOrderAndMatchesEngine is the core serving contract:
@@ -186,7 +192,7 @@ func streamEvents(t *testing.T, ts *httptest.Server, tenant string, sp Spec) (in
 // produces directly for the same spec (which is exactly what ev8sweep
 // -json emits).
 func TestSubmitStreamsInOrderAndMatchesEngine(t *testing.T) {
-	srv := New(Config{Workers: 2, MetricsPrefix: "serve_stream_test"})
+	srv := New(Config{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -260,7 +266,7 @@ func TestSubmitStreamsInOrderAndMatchesEngine(t *testing.T) {
 }
 
 func TestSubmitRejections(t *testing.T) {
-	srv := New(Config{Workers: 1, MetricsPrefix: "serve_reject_test"})
+	srv := New(Config{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -320,7 +326,7 @@ func TestSubmitRejections(t *testing.T) {
 // racing real jobs: the admission ledger is filled directly, then a real
 // HTTP submission must bounce with the backpressure signal.
 func TestQueueFullBackpressure(t *testing.T) {
-	srv := New(Config{MaxJobs: 1, QueueDepth: 1, TenantQuota: 4, MetricsPrefix: "serve_backpressure_test"})
+	srv := New(Config{MaxJobs: 1, QueueDepth: 1, TenantQuota: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -359,7 +365,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 }
 
 func TestHealthAndJobList(t *testing.T) {
-	srv := New(Config{MetricsPrefix: "serve_health_test"})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -424,7 +430,7 @@ func TestHealthAndJobList(t *testing.T) {
 // identical results.
 func TestServedResultsUseCache(t *testing.T) {
 	store := openTestCache(t)
-	srv := New(Config{Workers: 1, Cache: store, MetricsPrefix: "serve_cache_test"})
+	srv := New(Config{Workers: 1, Cache: store})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

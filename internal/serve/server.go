@@ -11,7 +11,6 @@ package serve
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"sync"
 	"time"
@@ -47,9 +46,6 @@ type Config struct {
 	// result store and stores fresh ones — the same store the CLIs
 	// share, so the daemon serves warm sweeps with zero simulation work.
 	Cache *cache.Store
-	// MetricsPrefix namespaces this server's expvar variables (default
-	// "ev8serve"); tests use distinct prefixes to stay isolated.
-	MetricsPrefix string
 	// Log, if non-nil, receives harness diagnostics.
 	Log func(format string, args ...interface{})
 }
@@ -67,9 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCells <= 0 {
 		c.MaxCells = 4096
-	}
-	if c.MetricsPrefix == "" {
-		c.MetricsPrefix = "ev8serve"
 	}
 	return c
 }
@@ -108,47 +101,41 @@ type Job struct {
 	Tenant string
 	Cells  int
 
-	mu        sync.Mutex
-	state     JobState
-	cellsDone int
-	errMsg    string
+	mu       sync.Mutex
+	state    JobState
+	progress *live.Progress // set when the job starts running
+	errMsg   string
 }
 
-// JobInfo is the status-endpoint snapshot of a Job.
+// JobInfo is the status-endpoint snapshot of a Job. The progress fields
+// are the job's live.Progress, zero until the job starts running.
 type JobInfo struct {
-	ID        string   `json:"id"`
-	Tenant    string   `json:"tenant"`
-	State     JobState `json:"state"`
-	Cells     int      `json:"cells"`
-	CellsDone int      `json:"cells_done"`
-	Error     string   `json:"error,omitempty"`
+	ID     string   `json:"id"`
+	Tenant string   `json:"tenant"`
+	State  JobState `json:"state"`
+	Cells  int      `json:"cells"`
+	live.ProgressSnapshot
+	Error string `json:"error,omitempty"`
 }
 
 // Info snapshots the job.
 func (j *Job) Info() JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return JobInfo{ID: j.ID, Tenant: j.Tenant, State: j.state,
-		Cells: j.Cells, CellsDone: j.cellsDone, Error: j.errMsg}
+	info := JobInfo{ID: j.ID, Tenant: j.Tenant, State: j.state, Cells: j.Cells, Error: j.errMsg}
+	if j.progress != nil {
+		info.ProgressSnapshot = j.progress.Snapshot()
+	}
+	return info
 }
 
-func (j *Job) setState(s JobState) {
+// start moves the job to running with a fresh Progress, which it returns.
+func (j *Job) start() *live.Progress {
 	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
-}
-
-func (j *Job) fail(s JobState, msg string) {
-	j.mu.Lock()
-	j.state = s
-	j.errMsg = msg
-	j.mu.Unlock()
-}
-
-func (j *Job) cellDone() {
-	j.mu.Lock()
-	j.cellsDone++
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	j.state = JobRunning
+	j.progress = live.NewProgress()
+	return j.progress
 }
 
 // maxJobHistory bounds the job registry: terminal jobs beyond this many
@@ -162,7 +149,7 @@ const maxJobHistory = 256
 type Server struct {
 	cfg     Config
 	drainCh chan struct{}
-	slots   chan int // run-slot tokens; slot index keys the per-job metrics prefix
+	slots   chan struct{} // run-slot semaphore
 
 	mu       sync.Mutex
 	draining bool
@@ -171,33 +158,32 @@ type Server struct {
 	jobs     map[string]*Job
 	order    []string // job IDs, admission order
 	seq      int
+	totals   totals
+}
 
-	// Aggregate expvar counters, under cfg.MetricsPrefix.
-	mAdmitted, mDone, mFailed          *expvar.Int
-	mRejQueue, mRejQuota, mRejDraining *expvar.Int
+// totals are the scheduler's counters since New. Every admitted job is
+// counted once more by its final state; the rejected_* counters are
+// submissions refused at admission, which were never admitted.
+type totals struct {
+	JobsAdmitted        int `json:"jobs_admitted"`
+	JobsDone            int `json:"jobs_done"`
+	JobsFailed          int `json:"jobs_failed"`
+	JobsRejected        int `json:"jobs_rejected"`
+	RejectedQueueFull   int `json:"rejected_queue_full"`
+	RejectedTenantQuota int `json:"rejected_tenant_quota"`
+	RejectedDraining    int `json:"rejected_draining"`
 }
 
 // New builds a Server from cfg (zero fields take defaults).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
+	return &Server{
 		cfg:     cfg,
 		drainCh: make(chan struct{}),
-		slots:   make(chan int, cfg.MaxJobs),
+		slots:   make(chan struct{}, cfg.MaxJobs),
 		tenants: map[string]int{},
 		jobs:    map[string]*Job{},
-
-		mAdmitted:    live.Int(cfg.MetricsPrefix + ".jobs_admitted"),
-		mDone:        live.Int(cfg.MetricsPrefix + ".jobs_done"),
-		mFailed:      live.Int(cfg.MetricsPrefix + ".jobs_failed"),
-		mRejQueue:    live.Int(cfg.MetricsPrefix + ".rejected_queue_full"),
-		mRejQuota:    live.Int(cfg.MetricsPrefix + ".rejected_tenant_quota"),
-		mRejDraining: live.Int(cfg.MetricsPrefix + ".rejected_draining"),
 	}
-	for i := 0; i < cfg.MaxJobs; i++ {
-		s.slots <- i
-	}
-	return s
 }
 
 // logf forwards a diagnostic to the configured log hook.
@@ -214,17 +200,17 @@ func (s *Server) admit(tenant string, cells int) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		s.mRejDraining.Add(1)
+		s.totals.RejectedDraining++
 		return nil, &AdmitError{Code: "draining", Status: 503,
 			Message: "server is draining; not admitting new jobs"}
 	}
 	if s.tenants[tenant] >= s.cfg.TenantQuota {
-		s.mRejQuota.Add(1)
+		s.totals.RejectedTenantQuota++
 		return nil, &AdmitError{Code: "tenant_quota", Status: 429, RetryAfter: 1,
 			Message: fmt.Sprintf("tenant %q already has %d jobs admitted (quota %d)", tenant, s.tenants[tenant], s.cfg.TenantQuota)}
 	}
 	if s.admitted >= s.cfg.MaxJobs+s.cfg.QueueDepth {
-		s.mRejQueue.Add(1)
+		s.totals.RejectedQueueFull++
 		return nil, &AdmitError{Code: "queue_full", Status: 429, RetryAfter: 1,
 			Message: fmt.Sprintf("admission queue full (%d running + %d queued)", s.cfg.MaxJobs, s.cfg.QueueDepth)}
 	}
@@ -235,7 +221,7 @@ func (s *Server) admit(tenant string, cells int) (*Job, error) {
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.pruneLocked()
-	s.mAdmitted.Add(1)
+	s.totals.JobsAdmitted++
 	return job, nil
 }
 
@@ -248,6 +234,23 @@ func (s *Server) pruneLocked() {
 		}
 		delete(s.jobs, id)
 		s.order = s.order[1:]
+	}
+}
+
+// finish moves job to its terminal state and counts it by that state.
+func (s *Server) finish(job *Job, state JobState, msg string) {
+	job.mu.Lock()
+	job.state, job.errMsg = state, msg
+	job.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch state {
+	case JobDone:
+		s.totals.JobsDone++
+	case JobFailed:
+		s.totals.JobsFailed++
+	case JobRejected:
+		s.totals.JobsRejected++
 	}
 }
 
@@ -334,29 +337,16 @@ type PointSummary struct {
 // through events. It owns the queued→running transition; the caller owns
 // the terminal one.
 func (s *Server) runJob(ctx context.Context, job *Job, cs *compiledSpec, events func(sim.CellDone)) ([]report.Run, []PointSummary, error) {
-	var slot int
 	select {
-	case slot = <-s.slots:
+	case s.slots <- struct{}{}:
 	case <-s.drainCh:
-		s.mRejDraining.Add(1)
 		return nil, nil, &AdmitError{Code: "rejected_draining", Status: 503,
 			Message: "server drained before the job reached a run slot"}
 	case <-ctx.Done():
 		return nil, nil, fmt.Errorf("%w: tenant went away while queued", sim.ErrCanceled)
 	}
-	defer func() { s.slots <- slot }()
-	job.setState(JobRunning)
-
-	// Per-job metric isolation: each run slot owns a distinct expvar
-	// prefix, recycled through the live registry. Slot tokens serialize
-	// reuse, so Acquire cannot collide; if it somehow does, the job runs
-	// without live metrics rather than merging into another job's.
-	lv, lerr := live.Acquire(fmt.Sprintf("%s.slot%d", s.cfg.MetricsPrefix, slot))
-	if lerr != nil {
-		s.logf("serve: job %s: %v (running without live metrics)", job.ID, lerr)
-	} else {
-		defer lv.Release()
-	}
+	defer func() { <-s.slots }()
+	progress := job.start()
 
 	pool := sim.PoolOptions{
 		Workers:  s.cfg.Workers,
@@ -364,10 +354,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, cs *compiledSpec, events 
 		Cache:    s.cfg.Cache,
 		Log:      s.cfg.Log,
 		Progress: func(e sim.CellDone) {
-			job.cellDone()
-			if lv != nil {
-				lv.Observe(e.Total, e.Branches, e.Instructions)
-			}
+			progress.Observe(e)
 			events(e)
 		},
 	}

@@ -1,8 +1,7 @@
-// Package live publishes run progress through the standard library's
-// expvar registry, plus a minimal HTTP endpoint to read it, so a long
-// ev8bench/ev8sweep run — or any job inside the ev8serve daemon — can be
-// inspected from outside the process while it executes (curl the
-// -expvar address or the daemon's /debug/vars).
+// Package live exposes run progress over HTTP, so a long ev8bench run —
+// or any job inside the ev8serve daemon — can be inspected from outside
+// the process while it executes (curl the -expvar address or the
+// daemon's /debug/vars).
 //
 // It is deliberately a separate package from the pure counter layer
 // (package stats): linking expvar/net/http wakes enough background
@@ -10,150 +9,87 @@
 // never serve anything, so only the CLIs and the daemon import this
 // package. The predictor/sim layers depend on package stats alone.
 //
-// Expvar names are process-global, which historically meant "one run per
-// process": two concurrent runs publishing under the same prefix would
-// silently merge their cells/branches/instructions counters into one
-// meaningless stream. The package therefore keeps a registry of active
-// prefixes — Acquire claims one (failing with a typed *PrefixError on
-// collision instead of merging), Release returns it. A long-running
-// daemon recycles a bounded set of prefixes through Acquire/Release, one
-// per concurrent job slot, so its metrics stay trustworthy and the
-// process-global expvar map stays bounded (expvar cannot unpublish; the
-// underlying vars are re-zeroed on reacquisition instead).
+// Progress is plain state owned by the run that feeds it; nothing is
+// published under a process-global expvar name. Handler renders the
+// owner's snapshot into the standard expvar page on each request, so two
+// runs — or two servers — in one process never share a counter.
 package live
 
 import (
 	"context"
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"sync"
 	"time"
+
+	"ev8pred/internal/sim"
 )
 
-// PrefixError is the typed rejection of an Acquire whose prefix is
-// already live: a second concurrent run under the same name would
-// silently merge both runs' counters, which is exactly the bug the
-// registry exists to prevent.
-type PrefixError struct {
-	Prefix string
+// Progress is one run's live progress. Observe and Snapshot are safe
+// for concurrent use.
+type Progress struct {
+	mu   sync.Mutex
+	snap ProgressSnapshot
 }
 
-// Error implements error.
-func (e *PrefixError) Error() string {
-	return fmt.Sprintf("live: metrics prefix %q is already in use by a concurrent run", e.Prefix)
+// ProgressSnapshot is a consistent reading of a Progress.
+type ProgressSnapshot struct {
+	CellsDone    int64     `json:"cells_done"`
+	CellsTotal   int64     `json:"cells_total"`
+	Branches     int64     `json:"branches"`
+	Instructions int64     `json:"instructions"`
+	StartedAt    time.Time `json:"started_at"`
 }
 
-// registry tracks which prefixes are currently live in this process.
-var (
-	regMu sync.Mutex
-	inUse = map[string]bool{}
-)
-
-// Live publishes one run's progress as expvar variables under its
-// prefix. Concurrent Observe calls on one Live are safe — expvar.Int is
-// internally atomic — and concurrent Lives are isolated by the prefix
-// registry.
-type Live struct {
-	prefix    string
-	cells     *expvar.Int
-	total     *expvar.Int
-	branches  *expvar.Int
-	instr     *expvar.Int
-	start     time.Time
-	startedAt *expvar.String
+// NewProgress returns a Progress whose run starts now.
+func NewProgress() *Progress {
+	return &Progress{snap: ProgressSnapshot{StartedAt: time.Now()}}
 }
 
-// publishInt returns the named expvar.Int reset to zero, creating it on
-// first use. Reusing an existing registration is what lets a released
-// prefix be acquired again (expvar panics on duplicate Publish and has
-// no unpublish).
-func publishInt(name string) *expvar.Int {
-	if v := expvar.Get(name); v != nil {
-		if i, ok := v.(*expvar.Int); ok {
-			i.Set(0)
-			return i
+// Observe records one completed cell; it is a sim.ProgressFunc. The
+// total is the fan-out size of the latest event (suite drivers may run
+// several fan-outs; the latest wins, matching what "in progress now"
+// means to a reader).
+func (p *Progress) Observe(e sim.CellDone) {
+	p.mu.Lock()
+	p.snap.CellsDone++
+	p.snap.CellsTotal = int64(e.Total)
+	p.snap.Branches += e.Branches
+	p.snap.Instructions += e.Instructions
+	p.mu.Unlock()
+}
+
+// Snapshot reads the progress so far.
+func (p *Progress) Snapshot() ProgressSnapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.snap
+}
+
+// Handler serves the standard expvar page — every published variable,
+// so cmdline and memstats stay — plus key, rendered as JSON from
+// snapshot on each request.
+func Handler(key string, snapshot func() any) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := json.Marshal(snapshot())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
-	}
-	i := new(expvar.Int)
-	expvar.Publish(name, i)
-	return i
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		fmt.Fprintf(w, "{\n")
+		expvar.Do(func(kv expvar.KeyValue) {
+			fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value)
+		})
+		fmt.Fprintf(w, "%q: %s\n}\n", key, body)
+	})
 }
 
-func publishString(name string) *expvar.String {
-	if v := expvar.Get(name); v != nil {
-		if s, ok := v.(*expvar.String); ok {
-			return s
-		}
-	}
-	s := new(expvar.String)
-	expvar.Publish(name, s)
-	return s
-}
-
-// Int returns the named standalone expvar counter, zeroed, creating it
-// idempotently — the helper serving-layer aggregates (jobs admitted,
-// rejections) use for vars that live outside any single run's prefix.
-func Int(name string) *expvar.Int { return publishInt(name) }
-
-// Acquire claims prefix and publishes (or re-zeroes) the progress
-// variables under "<prefix>.cells_done", ".cells_total", ".branches",
-// ".instructions", ".started_at", returning the handle progress
-// callbacks feed. It fails with a *PrefixError when the prefix is
-// already held by a live run — the caller picks another prefix (the
-// daemon keys one per job slot) rather than silently merging counters.
-// Release the handle when the run ends.
-func Acquire(prefix string) (*Live, error) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if inUse[prefix] {
-		return nil, &PrefixError{Prefix: prefix}
-	}
-	inUse[prefix] = true
-	l := &Live{
-		prefix:    prefix,
-		cells:     publishInt(prefix + ".cells_done"),
-		total:     publishInt(prefix + ".cells_total"),
-		branches:  publishInt(prefix + ".branches"),
-		instr:     publishInt(prefix + ".instructions"),
-		start:     time.Now(),
-		startedAt: publishString(prefix + ".started_at"),
-	}
-	l.startedAt.Set(l.start.Format(time.RFC3339))
-	return l, nil
-}
-
-// Release returns the prefix to the registry so a later run can acquire
-// it. The expvar variables keep their final values until reacquisition
-// re-zeroes them (expvar cannot unpublish). Release is idempotent.
-func (l *Live) Release() {
-	regMu.Lock()
-	delete(inUse, l.prefix)
-	regMu.Unlock()
-}
-
-// Prefix reports the prefix this handle publishes under.
-func (l *Live) Prefix() string { return l.prefix }
-
-// Observe records one completed simulation cell. total is the fan-out
-// size of the current run (suite drivers may run several fan-outs; the
-// latest total wins, matching what "in progress now" means to a reader).
-func (l *Live) Observe(total int, branches, instructions int64) {
-	l.cells.Add(1)
-	l.total.Set(int64(total))
-	l.branches.Add(branches)
-	l.instr.Add(instructions)
-}
-
-// Cells reports the completed-cell count — the daemon's job registry
-// reads it back for status endpoints.
-func (l *Live) Cells() int64 { return l.cells.Value() }
-
-// DebugServer is a running expvar HTTP endpoint with a shutdown path.
-// The old ServeDebug leaked its listener and http.Server for the process
-// lifetime — there was no way to release the port or stop the serve
-// goroutine, so tests could not clean up and a daemon could not drain.
+// DebugServer is a running debug HTTP endpoint with a shutdown path, so
+// tests can release the port and a daemon can drain.
 type DebugServer struct {
 	addr net.Addr
 	srv  *http.Server
@@ -161,17 +97,17 @@ type DebugServer struct {
 }
 
 // ServeDebug starts an HTTP listener on addr (e.g. "localhost:0" or
-// ":8080") serving the expvar JSON on every path. Close (or Shutdown)
-// the returned server to unblock the serve goroutine and free the port;
-// while running, inspect it with: curl http://<Addr>/debug/vars
-func ServeDebug(addr string) (*DebugServer, error) {
+// ":8080") serving h on every path. Close (or Shutdown) the returned
+// server to unblock the serve goroutine and free the port; while
+// running, inspect it with: curl http://<Addr>/debug/vars
+func ServeDebug(addr string, h http.Handler) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("live: expvar listener: %w", err)
+		return nil, fmt.Errorf("live: debug listener: %w", err)
 	}
 	d := &DebugServer{
 		addr: ln.Addr(),
-		srv:  &http.Server{Handler: expvar.Handler()},
+		srv:  &http.Server{Handler: h},
 		done: make(chan struct{}),
 	}
 	go func() {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,99 +11,74 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ev8pred/internal/predictor"
+	"ev8pred/internal/predictor/gshare"
+	"ev8pred/internal/sim"
+	"ev8pred/internal/workload"
 )
 
-// acquire claims a prefix for a test, failing the test on collision and
-// releasing it on cleanup.
-func acquire(t *testing.T, prefix string) *Live {
-	t.Helper()
-	l, err := Acquire(prefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(l.Release)
-	return l
-}
-
-func TestObserveAndReacquire(t *testing.T) {
-	l := acquire(t, "live_test")
-	l.Observe(4, 100, 1000)
-	l.Observe(4, 50, 500)
-	if got := l.cells.Value(); got != 2 {
-		t.Errorf("cells_done = %d, want 2", got)
-	}
-	if got := l.branches.Value(); got != 150 {
-		t.Errorf("branches = %d, want 150", got)
-	}
-	if got := l.total.Value(); got != 4 {
-		t.Errorf("cells_total = %d, want 4", got)
-	}
-	// Release then re-Acquire must not panic (expvar forbids duplicate
-	// Publish) and must re-zero the progress counters.
-	l.Release()
-	l2 := acquire(t, "live_test")
-	if got := l2.cells.Value(); got != 0 {
-		t.Errorf("re-acquired cells_done = %d, want 0", got)
-	}
-}
-
-// TestAcquireCollision pins the isolation contract: a second concurrent
-// Acquire of a live prefix fails with the typed *PrefixError instead of
-// silently merging two runs' counters.
-func TestAcquireCollision(t *testing.T) {
-	acquire(t, "live_collision_test")
-	second, err := Acquire("live_collision_test")
-	if err == nil {
-		second.Release()
-		t.Fatal("second Acquire of a live prefix succeeded")
-	}
-	var pe *PrefixError
-	if !errors.As(err, &pe) {
-		t.Fatalf("collision error %T is not *live.PrefixError", err)
-	}
-	if pe.Prefix != "live_collision_test" {
-		t.Errorf("collision error names prefix %q", pe.Prefix)
-	}
-}
-
-// TestConcurrentObserversIsolated is the regression test for the
-// process-global merge bug: two runs observing concurrently under
-// DIFFERENT prefixes must each count exactly their own cells. (Before
-// the registry, a daemon's concurrent jobs shared one prefix and their
-// counters merged silently.)
+// TestConcurrentObserversIsolated: two runs fed concurrently each count
+// exactly their own cells — each Progress is state of the run that owns
+// it, with no process-global name to merge through.
 func TestConcurrentObserversIsolated(t *testing.T) {
-	a := acquire(t, "live_iso_a")
-	b := acquire(t, "live_iso_b")
+	a, b := NewProgress(), NewProgress()
 	const perRun = 500
 	var wg sync.WaitGroup
-	for _, l := range []*Live{a, b} {
+	for _, p := range []*Progress{a, b} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perRun; i++ {
-				l.Observe(perRun, 10, 100)
+				p.Observe(sim.CellDone{Total: perRun, Branches: 10, Instructions: 100})
 			}
 		}()
 	}
 	wg.Wait()
-	for name, l := range map[string]*Live{"a": a, "b": b} {
-		if got := l.cells.Value(); got != perRun {
-			t.Errorf("run %s counted %d cells, want exactly its own %d", name, got, perRun)
-		}
-		if got := l.branches.Value(); got != perRun*10 {
-			t.Errorf("run %s counted %d branches, want %d", name, got, perRun*10)
+	for name, p := range map[string]*Progress{"a": a, "b": b} {
+		got := p.Snapshot()
+		want := ProgressSnapshot{CellsDone: perRun, CellsTotal: perRun,
+			Branches: perRun * 10, Instructions: perRun * 100, StartedAt: got.StartedAt}
+		if got != want {
+			t.Errorf("run %s: %+v, want exactly its own %+v", name, got, want)
 		}
 	}
 }
 
+// TestProgressMatchesRunCells: a Progress fed by a parallel pool totals
+// the same branches and instructions as the Results the pool returns.
+func TestProgressMatchesRunCells(t *testing.T) {
+	factory := func() (predictor.Predictor, error) { return gshare.New(1<<12, 8) }
+	cells := sim.SuiteCells(factory, workload.Benchmarks(), sim.Options{})
+	p := NewProgress()
+	rs, err := sim.RunCells(context.Background(), cells, 50_000,
+		sim.PoolOptions{Workers: 4, Progress: p.Observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var branches, instr int64
+	for _, r := range rs {
+		branches += r.Branches
+		instr += r.Instructions
+	}
+	got := p.Snapshot()
+	if got.CellsDone != int64(len(cells)) || got.CellsTotal != int64(len(cells)) ||
+		got.Branches != branches || got.Instructions != instr {
+		t.Errorf("progress %+v, want %d cells, %d branches, %d instructions",
+			got, len(cells), branches, instr)
+	}
+}
+
+// TestServeDebug: the page keeps the standard expvar variables and adds
+// the caller's key, rendered from its snapshot at request time.
 func TestServeDebug(t *testing.T) {
-	l := acquire(t, "live_serve_test")
-	l.Observe(8, 1234, 9999)
-	d, err := ServeDebug("127.0.0.1:0")
+	p := NewProgress()
+	d, err := ServeDebug("127.0.0.1:0", Handler("run", func() any { return p.Snapshot() }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	p.Observe(sim.CellDone{Total: 8, Branches: 1234, Instructions: 9999})
 	resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", d.Addr()))
 	if err != nil {
 		t.Fatal(err)
@@ -112,12 +88,20 @@ func TestServeDebug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var vars map[string]any
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("expvar page is not JSON: %v\n%s", err, body)
+	var vars struct {
+		Cmdline  []string         `json:"cmdline"`
+		Memstats map[string]any   `json:"memstats"`
+		Run      ProgressSnapshot `json:"run"`
 	}
-	if got, ok := vars["live_serve_test.branches"]; !ok || got.(float64) != 1234 {
-		t.Errorf("live_serve_test.branches = %v (present=%v)", got, ok)
+	if err := json.Unmarshal(body, &vars); err != nil {
+		t.Fatalf("debug page is not JSON: %v\n%s", err, body)
+	}
+	if len(vars.Cmdline) == 0 || len(vars.Memstats) == 0 {
+		t.Errorf("standard expvar variables missing:\n%s", body)
+	}
+	if want := p.Snapshot(); !vars.Run.StartedAt.Equal(want.StartedAt) || vars.Run.Branches != 1234 ||
+		vars.Run.CellsDone != 1 || vars.Run.CellsTotal != 8 || vars.Run.Instructions != 9999 {
+		t.Errorf("run = %+v, want %+v", vars.Run, want)
 	}
 }
 
@@ -126,7 +110,7 @@ func TestServeDebug(t *testing.T) {
 // the same address can be bound again. (The old ServeDebug returned only
 // the address; the listener and http.Server lived until process exit.)
 func TestServeDebugCloseFreesPort(t *testing.T) {
-	d, err := ServeDebug("127.0.0.1:0")
+	d, err := ServeDebug("127.0.0.1:0", http.NotFoundHandler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +141,7 @@ func TestServeDebugCloseFreesPort(t *testing.T) {
 // TestServeDebugShutdown covers the graceful path: Shutdown returns nil
 // on an idle server and the serve goroutine exits.
 func TestServeDebugShutdown(t *testing.T) {
-	d, err := ServeDebug("127.0.0.1:0")
+	d, err := ServeDebug("127.0.0.1:0", http.NotFoundHandler())
 	if err != nil {
 		t.Fatal(err)
 	}
