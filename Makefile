@@ -27,11 +27,12 @@ all: build vet test
 # form skewing index must equal the primitive H/Hinv steps, the read-
 # once instrumented update must count as the reference update does, with
 # an EV8 block-boundary fuzz smoke at random delays and a skew-index fuzz
-# smoke), a snapshot-decode
+# smoke, and the chunked-walk, block-log replay, linear-index and
+# flow-break differentials), a snapshot-decode
 # fuzz smoke, the benchmark harness's own tests (see perf-harness-test),
 # and benchmark smokes so neither the testing.B harness, the
-# per-predictor microbenchmarks nor the ensemble sweep benchmarks can
-# rot. The stream-pipeline tests run
+# per-predictor microbenchmarks, the ensemble sweep benchmarks nor the
+# tracker walk benchmarks can rot. The stream-pipeline tests run
 # under -race in the blanket run; pipeline-gate reruns them by name for
 # CI.
 check:
@@ -42,7 +43,7 @@ check:
 	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestDelayedBatchZeroAllocsSteadyState' -count=1 .
 	$(GO) test -run 'TestEnsemble|TestEV8Ensemble|TestOptionsContract|TestRunFrontEndRejectsUnsupportedOptions' -count=1 . ./internal/sim/
 	$(GO) test -run 'TestRunFrontEndRejectsMultiThread' -count=1 ./internal/sim/
-	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestCompiled|TestFoldXOR|TestInstrumentedUpdate|TestCollect|TestStoredMask|TestSplitBits' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/predictor/... ./internal/trace/ ./internal/skew/ ./internal/bitutil/ ./internal/counter/
+	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestCompiled|TestFoldXOR|TestInstrumentedUpdate|TestCollect|TestStoredMask|TestSplitBits|TestChunkedWalk|TestWalkHugeGap|TestWalkFlowBreak|TestReplayMatchesReferenceSequencer|TestFlowBreakIsError' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/frontend/ ./internal/sim/ ./internal/predictor/... ./internal/trace/ ./internal/skew/ ./internal/bitutil/ ./internal/counter/
 	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
 	$(GO) test -fuzz FuzzSkewBound -fuzztime 20s -run '^$$' ./internal/skew/
 	$(GO) test -run 'TestFault' -count=1 ./internal/trace/faultinject/
@@ -57,6 +58,7 @@ check:
 	$(GO) test -bench=Table1 -benchtime=1x -run '^$$' .
 	$(GO) test -bench=PredictUpdate -benchtime=100x -run '^$$' .
 	$(GO) test -bench=Sweep -benchtime=1x -run '^$$' .
+	$(GO) test -bench=Tracker -benchtime=100x -run '^$$' ./internal/frontend/
 
 build:
 	$(GO) build ./...

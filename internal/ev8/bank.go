@@ -39,12 +39,14 @@ type blockBank struct {
 
 // bankSequencer tracks the running bank assignment across the dynamic
 // fetch-block sequence. It must observe every completed fetch block (via
-// Predictor.ObserveBlock) to mirror the hardware, which accesses the
-// predictor for every block whether or not it contains branches.
+// Predictor.ObserveBlock or ObserveBlockLog, whose replay advances it) to
+// mirror the hardware, which accesses the predictor for every block
+// whether or not it contains branches.
 type bankSequencer struct {
-	// recent is a ring of the banks assigned to the last few blocks;
-	// predictions for a block may be requested slightly after the block
-	// sequence has moved on, so lookups go by block address.
+	// recent is a ring of the banks assigned to the last few blocks
+	// (its length a power of two); predictions for a block may be
+	// requested slightly after the block sequence has moved on, so
+	// lookups go by block address.
 	recent [8]blockBank
 	head   int
 
@@ -55,32 +57,6 @@ type bankSequencer struct {
 	started    bool
 }
 
-// observe processes a completed fetch block and returns the bank the block
-// was assigned. The block's own assignment is recorded, and the NEXT
-// block's bank is computed two-block-ahead from the address of the
-// completed block's predecessor (which plays Y for the next block) and the
-// completed block's own bank (which plays bank(Z)).
-func (s *bankSequencer) observe(addr, next uint64) uint8 {
-	if !s.started || addr != s.curAddr {
-		// Cold start or resynchronization (e.g. an SMT thread switch):
-		// adopt the block with a bank guaranteed to differ from the
-		// most recently issued one, preserving the §6.2 invariant.
-		s.curAddr = addr
-		s.curBank = BankNumber(s.prevAddr, s.lastIssued)
-		s.started = true
-	}
-	bank := s.curBank
-	s.lastIssued = bank
-	s.recent[s.head] = blockBank{addr: s.curAddr, bank: bank}
-	s.head = (s.head + 1) % len(s.recent)
-
-	nextBank := BankNumber(s.prevAddr, s.curBank)
-	s.prevAddr = s.curAddr
-	s.curAddr = next
-	s.curBank = nextBank
-	return bank
-}
-
 // bankFor returns the bank assigned to the block at addr: the in-progress
 // block, one of the recently completed ones, or (when the sequencer has
 // not seen the block — e.g. the predictor is used without block
@@ -89,8 +65,8 @@ func (s *bankSequencer) bankFor(addr uint64) uint8 {
 	if s.started && addr == s.curAddr {
 		return s.curBank
 	}
-	for i := 0; i < len(s.recent); i++ {
-		j := (s.head - 1 - i + 2*len(s.recent)) % len(s.recent)
+	for i := 1; i <= len(s.recent); i++ {
+		j := (s.head - i) & (len(s.recent) - 1)
 		if s.recent[j].addr == addr {
 			return s.recent[j].bank
 		}

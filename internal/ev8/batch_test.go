@@ -4,51 +4,84 @@ import (
 	"math/rand"
 	"testing"
 
-	"ev8pred/internal/bitutil"
 	"ev8pred/internal/core"
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
 	"ev8pred/internal/predictor/predtest"
 )
 
-// TestStagedIndexMatchesTrees pins the hand-flattened staged index pass
-// (stageIndexQuad) against the generic xor-tree evaluator for random
-// information vectors, every bank, and both wordline variants. This is
-// the equivalence the whole EV8 batch path rests on.
-func TestStagedIndexMatchesTrees(t *testing.T) {
-	cfg := core.ConfigEV8Size()
-	var histMask [core.NumBanks]uint64
+// treeIndices evaluates the four table indices of the EV8 geometry from
+// the xor trees, the specification the linear tables are built from.
+func treeIndices(pc, hist, z, y uint64, bank uint8, addrWL bool) [core.NumBanks]uint64 {
+	var idx [core.NumBanks]uint64
 	for b := core.BIM; b < core.NumBanks; b++ {
-		histMask[b] = bitutil.Mask(cfg.Banks[b].HistLen)
+		h := hist & histMasks[b]
+		wl := wordlineAddrOnly(pc)
+		if !addrWL {
+			wl = wordlineEV8(pc, h)
+		}
+		idx[b] = tables[b].evalIndex(pc, h, z, y, bank, wl)
+	}
+	return idx
+}
+
+// TestStagedIndexLinearMatchesTrees pins the byte-sliced linear tables —
+// the one index evaluator of both the scalar Lookup and the staged batch
+// pass — against the generic xor-tree evaluator, for both wordline
+// variants and every bank: first for every single input bit of PC,
+// history, Z and Y (so every table entry's basis image is checked, and a
+// bit the tables do not cover must not matter to the trees either), then
+// for random information vectors.
+func TestStagedIndexLinearMatchesTrees(t *testing.T) {
+	check := func(addrWL bool, pc, hist, z, y uint64, bank uint8) {
+		t.Helper()
+		info := history.Info{PC: pc, Hist: hist, Path: [3]uint64{z, y, 0}}
+		var got [core.NumBanks]uint64
+		IndexOptions{AddressOnlyWordline: addrWL}.linear().index(&info, bank, &got)
+		if want := treeIndices(pc, hist, z, y, bank, addrWL); got != want {
+			t.Fatalf("addrWL=%v bank=%d pc=%#x hist=%#x z=%#x y=%#x:\nlinear %x\ntrees  %x",
+				addrWL, bank, pc, hist, z, y, got, want)
+		}
 	}
 	rng := rand.New(rand.NewSource(0xE58))
 	for _, addrWL := range []bool{false, true} {
+		for bank := uint8(0); bank < NumPredictorBanks; bank++ {
+			check(addrWL, 0, 0, 0, 0, bank)
+			for i := 0; i < 64; i++ {
+				bit := uint64(1) << i
+				check(addrWL, bit, 0, 0, 0, bank)
+				check(addrWL, 0, bit, 0, 0, bank)
+				check(addrWL, 0, 0, bit, 0, bank)
+				check(addrWL, 0, 0, 0, bit, bank)
+			}
+		}
 		for trial := 0; trial < 20000; trial++ {
-			info := history.Info{
-				PC:   rng.Uint64(),
-				Hist: rng.Uint64(),
-				Path: [3]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()},
-			}
-			bank := uint8(rng.Intn(int(core.NumBanks)))
+			check(addrWL, rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64(), uint8(rng.Intn(NumPredictorBanks)))
+		}
+	}
+}
 
-			var want [core.NumBanks]uint64
-			for b := core.BIM; b < core.NumBanks; b++ {
-				hist := info.Hist & histMask[b]
-				var wl uint64
-				if addrWL {
-					wl = wordlineAddrOnly(info.PC)
-				} else {
-					wl = wordlineEV8(info.PC, hist)
-				}
-				want[b] = tables[b].evalIndex(info.PC, hist, info.Path[0], info.Path[1], bank, wl)
-			}
-
-			var got [predictor.MaxSnapshotBanks]uint64
-			stageIndexQuad(&info, bank, addrWL, &got)
-			if got != want {
-				t.Fatalf("addrWL=%v bank=%d info=%+v:\nstaged  %x\ngeneric %x",
-					addrWL, bank, info, got, want)
-			}
+// TestStagedIndexSlicesRejectUncoveredTrees checks the build-time guard:
+// a tree reading a PC, history, Z or Y bit outside the linear tables'
+// slices is refused, so a tree edit cannot be dropped from the index
+// silently.
+func TestStagedIndexSlicesRejectUncoveredTrees(t *testing.T) {
+	if err := checkSlices(&tables); err != nil {
+		t.Fatalf("shipped trees rejected: %v", err)
+	}
+	for _, bad := range []xorTree{
+		{aMask: bits(18)},
+		{aMask: bits(1)},
+		{hMask: bits(24)},
+		{zMask: bits(7)},
+		{yMask: bits(5)},
+	} {
+		g1 := g1Index
+		g1.unshuffle = [3]xorTree{g1.unshuffle[0], g1.unshuffle[1], bad}
+		ts := tables
+		ts[core.G1] = &g1
+		if err := checkSlices(&ts); err == nil {
+			t.Errorf("tree %+v outside the slices accepted", bad)
 		}
 	}
 }

@@ -34,6 +34,7 @@ func DefaultConfig() Config {
 type Predictor struct {
 	core    *core.Predictor
 	seq     bankSequencer
+	lin     *linearIndex
 	pending snapRing
 	name    string
 	idxOpts IndexOptions
@@ -56,10 +57,11 @@ type Predictor struct {
 
 // New builds the EV8 predictor.
 func New(cfg Config) (*Predictor, error) {
-	p := &Predictor{lastBank: -1, idxOpts: cfg.Index, partial: cfg.PartialUpdate}
+	p := &Predictor{lastBank: -1, idxOpts: cfg.Index, partial: cfg.PartialUpdate,
+		lin: cfg.Index.linear()}
 	coreCfg := core.ConfigEV8Size()
 	coreCfg.PartialUpdate = cfg.PartialUpdate
-	coreCfg.Indexes = newIndexSet(&p.seq, cfg.Index, coreCfg)
+	coreCfg.Indexes = newIndexSet(&p.seq, p.lin)
 	coreCfg.Name = cfg.Name
 	if coreCfg.Name == "" {
 		coreCfg.Name = "EV8-352Kbit"
@@ -87,38 +89,91 @@ func MustNew(cfg Config) *Predictor {
 
 // ObserveBlock implements the sim.BlockObserver wiring: the hardware
 // accesses the predictor for every fetch block, so the bank sequencer
-// advances on every block, branches or not. It also audits the §6.2
-// guarantee that two dynamically successive blocks never share a bank.
+// advances on every block, branches or not. It is the one-block case of
+// ObserveBlockLog.
 func (p *Predictor) ObserveBlock(b frontend.Block) {
-	bank := p.seq.observe(b.Addr, b.Next)
+	p.replay([]frontend.LogEntry{{Addr: b.Addr, Next: b.Next, Conds: uint8(b.CondCount)}}, nil, nil, nil)
+}
+
+// replay sequences every block of entries, in order: the §6.2 bank
+// sequencer, which assigns each block its bank two blocks ahead, and the
+// §6 observations — bank use, the audit that two dynamically successive
+// blocks never share a bank, and the two-block fetch cycles. Once the
+// first marks[k] entries are sequenced it captures banks[k], the bank of
+// the block at infos[k].BlockPC. The sequencer state one block hands the
+// next is held in locals for the whole replay.
+func (p *Predictor) replay(entries []frontend.LogEntry, marks []int32, infos []history.Info, banks []uint8) {
+	s := &p.seq
+	cur, curBank, prev, issued, head := s.curAddr, s.curBank, s.prevAddr, s.lastIssued, s.head
+	k := 0
+	for e := 0; ; e++ {
+		for ; k < len(marks) && int(marks[k]) == e; k++ {
+			// bankFor inlined for the two cases a thread's own flow
+			// produces: the branch's block is in progress, or its record
+			// just completed it. Only the rare lookup leaves the loop.
+			bpc, last := infos[k].BlockPC, &s.recent[(head-1)&(len(s.recent)-1)]
+			switch {
+			case s.started && bpc == cur:
+				banks[k] = curBank
+			case bpc == last.addr:
+				banks[k] = last.bank
+			default:
+				s.curAddr, s.curBank, s.head = cur, curBank, head
+				banks[k] = s.bankFor(bpc)
+			}
+		}
+		if e == len(entries) {
+			break
+		}
+		en := &entries[e]
+		for addr := en.Addr; ; {
+			next := en.Next
+			if en.Run {
+				next = (addr | (frontend.BlockBytes - 1)) + 1
+			}
+			if addr != cur || !s.started {
+				// Cold start or resynchronization (e.g. an SMT thread
+				// switch): adopt the block with a bank guaranteed to
+				// differ from the most recently issued one, preserving
+				// the §6.2 invariant.
+				cur, curBank, s.started = addr, BankNumber(prev, issued), true
+			}
+			// Record the block's bank, and compute the next block's two
+			// blocks ahead: this block's predecessor plays Y, this
+			// block's bank plays bank(Z).
+			bank := curBank
+			s.recent[head] = blockBank{addr: cur, bank: bank}
+			head = (head + 1) & (len(s.recent) - 1)
+			prev, cur, curBank, issued = cur, next, BankNumber(prev, bank), bank
+			p.count(addr, bank, int(en.Conds))
+			if next >= en.Next {
+				break
+			}
+			addr = next
+		}
+	}
+	s.curAddr, s.curBank, s.prevAddr, s.lastIssued, s.head = cur, curBank, prev, issued, head
+}
+
+// count records the §6 observations of one block at addr, assigned bank,
+// holding conds conditional branches.
+func (p *Predictor) count(addr uint64, bank uint8, conds int) {
 	p.bankUse[bank&3]++
 	p.blocksSeen++
 	if p.lastBank >= 0 && int16(bank) == p.lastBank {
 		p.bankConflicts++
 	}
-	p.lastBank = int16(bank)
-	p.lastAddr = b.Addr
-
+	p.lastBank, p.lastAddr = int16(bank), addr
 	// Fetch-cycle pairing: two dynamically successive blocks share a
 	// cycle; the §6.2 bank discipline is exactly what makes the paired
 	// accesses conflict-free on single-ported banks. Count the
 	// conditional branches predicted in each cycle (up to 8+8 = 16).
-	p.cycleConds += b.CondCount
-	p.cycleSlot++
-	if p.cycleSlot == 2 {
-		p.finishCycle()
+	p.cycleConds += conds
+	if p.cycleSlot++; p.cycleSlot == 2 {
+		p.condsPerCycle[min(p.cycleConds, 16)]++
+		p.cycles++
+		p.cycleSlot, p.cycleConds = 0, 0
 	}
-}
-
-// finishCycle closes the current fetch cycle.
-func (p *Predictor) finishCycle() {
-	if p.cycleConds > 16 {
-		p.cycleConds = 16
-	}
-	p.condsPerCycle[p.cycleConds]++
-	p.cycles++
-	p.cycleSlot = 0
-	p.cycleConds = 0
 }
 
 // Cycles returns the number of two-block fetch cycles modeled.

@@ -36,7 +36,7 @@ func TestBankNumberUsesY6Y5(t *testing.T) {
 func TestBankSequenceConflictFreeOnRandomBlocks(t *testing.T) {
 	// Property (§6.2): over an arbitrary dynamic block sequence, two
 	// successive fetch blocks never map to the same bank.
-	var seq bankSequencer
+	p := MustNew(DefaultConfig())
 	r := rng.New(99, 0)
 	addr := uint64(0x1000)
 	last := int16(-1)
@@ -48,7 +48,7 @@ func TestBankSequenceConflictFreeOnRandomBlocks(t *testing.T) {
 		case r.Bool(0.4):
 			next = uint64(r.Intn(1<<20)) * 4
 		}
-		bank := int16(seq.observe(addr, next))
+		bank := observeBank(p, addr, next)
 		if bank == last {
 			t.Fatalf("step %d: consecutive blocks share bank %d", i, bank)
 		}
@@ -57,11 +57,19 @@ func TestBankSequenceConflictFreeOnRandomBlocks(t *testing.T) {
 	}
 }
 
+// observeBank sequences one block through p and returns the bank the
+// sequencer assigned it.
+func observeBank(p *Predictor, addr, next uint64) int16 {
+	p.ObserveBlock(frontend.Block{Addr: addr, Next: next})
+	return p.lastBank
+}
+
 func TestBankSequencerLookupRecent(t *testing.T) {
-	var seq bankSequencer
-	seq.observe(0x1000, 0x2000)
+	p := MustNew(DefaultConfig())
+	seq := &p.seq
+	observeBank(p, 0x1000, 0x2000)
 	b1 := seq.bankFor(0x1000)
-	seq.observe(0x2000, 0x3000)
+	observeBank(p, 0x2000, 0x3000)
 	// The completed block 0x1000 must still resolve to its bank.
 	if got := seq.bankFor(0x1000); got != b1 {
 		t.Errorf("recent lookup = %d, want %d", got, b1)

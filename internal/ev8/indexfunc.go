@@ -1,6 +1,8 @@
 package ev8
 
 import (
+	"fmt"
+
 	"ev8pred/internal/bitutil"
 	"ev8pred/internal/core"
 	"ev8pred/internal/history"
@@ -197,41 +199,173 @@ var tables = [core.NumBanks]*tableIndex{
 	core.Meta: &metaIndex,
 }
 
-// indexSet implements the EV8 hardware index functions, with bank numbers
-// supplied by the sequencer. Per-table history lengths are applied by
-// masking info.Hist before evaluating each table's trees (the wordline
-// always sees the masked BIM history — h3..h0 are within every table's
-// window). A struct with fixed arrays rather than a capturing closure: the
-// per-branch evaluation performs no heap allocation.
+// Every §7 index bit is an XOR tree, so the four indices are one GF(2)-
+// linear map of the branch's PC, its history (each table masked to its
+// own length), the Z-block bits z6,z5 and the bank number. The simulator
+// evaluates that map from byte-sliced tables built from the trees above:
+// the indices packed one per 16-bit lane, table b in lane b, are
+//
+//	q = ⊕_k pc[k][byte k of PC>>2] ⊕ ⊕_k hist[k][byte k of hist] ⊕ z[(z6,z5)] ⊕ bank·bankLanes
+//
+// so a lookup costs six loads and XORs however wide the trees are. The
+// trees stay the specification: newLinearTables derives the tables from
+// evalIndex and refuses trees that read a bit outside the slices.
+const (
+	pcSlices   = 2 // PC bits a2..a17
+	histSlices = 3 // history bits h0..h23
+	laneBits   = 16
+	laneMask   = 1<<laneBits - 1
+	// bankLanes broadcasts the two bank bits, (i1,i0) of every index,
+	// to all four lanes.
+	bankLanes = 0x0001_0001_0001_0001
+)
+
+// The input bits the tables cover.
+const (
+	pcCovered   = (1<<(8*pcSlices) - 1) << 2
+	histCovered = 1<<(8*histSlices) - 1
+	zCovered    = 3 << 5
+)
+
+// linearIndex is the byte-sliced form of one wordline variant's index set.
+type linearIndex struct {
+	pc   [pcSlices][256]uint64
+	hist [histSlices][256]uint64
+	z    [4]uint64
+}
+
+// linearTables holds the tables of the two wordline variants (see
+// IndexOptions.linear).
+var linearTables = newLinearTables()
+
+// quad returns the four table indices packed in 16-bit lanes.
+func (l *linearIndex) quad(pc, hist, z uint64, bank uint8) uint64 {
+	a := pc >> 2
+	return l.pc[0][uint8(a)] ^ l.pc[1][uint8(a>>8)] ^
+		l.hist[0][uint8(hist)] ^ l.hist[1][uint8(hist>>8)] ^ l.hist[2][uint8(hist>>16)] ^
+		l.z[z>>5&3] ^ uint64(bank&3)*bankLanes
+}
+
+// index writes the four table indices of a branch in the block the
+// sequencer assigned bank. It stores through idx rather than returning
+// the array: a returned array is copied with 16-byte loads, which cannot
+// forward from its 8-byte stores.
+func (l *linearIndex) index(info *history.Info, bank uint8, idx *[core.NumBanks]uint64) {
+	q := l.quad(info.PC, info.Hist, info.Path[0], bank)
+	idx[0] = q & laneMask
+	idx[1] = q >> laneBits & laneMask
+	idx[2] = q >> (2 * laneBits) & laneMask
+	idx[3] = q >> (3 * laneBits)
+}
+
+// treeQuad evaluates the four index functions from the trees (bank 0),
+// with the per-table history masks of the EV8 geometry applied, packed as
+// linearIndex.quad packs them.
+func treeQuad(ts *[core.NumBanks]*tableIndex, addrWL bool, pc, hist, z, y uint64) uint64 {
+	var q uint64
+	for b := core.BIM; b < core.NumBanks; b++ {
+		h := hist & histMasks[b]
+		wl := wordlineAddrOnly(pc)
+		if !addrWL {
+			wl = wordlineEV8(pc, h)
+		}
+		q |= ts[b].evalIndex(pc, h, z, y, 0, wl) << (laneBits * uint(b))
+	}
+	return q
+}
+
+// histMasks are the per-table history masks of the EV8 geometry (the
+// core configuration New always builds).
+var histMasks = func() (m [core.NumBanks]uint64) {
+	cfg := core.ConfigEV8Size()
+	for b := core.BIM; b < core.NumBanks; b++ {
+		m[b] = bitutil.Mask(cfg.Banks[b].HistLen)
+	}
+	return m
+}()
+
+// newLinearTables builds both wordline variants' tables from the trees,
+// by linearity: each byte's entry is the XOR of its set bits' images.
+func newLinearTables() (ls [2]*linearIndex) {
+	if err := checkSlices(&tables); err != nil {
+		panic(err)
+	}
+	for v, addrWL := range []bool{false, true} {
+		l := &linearIndex{}
+		for k := range l.pc {
+			fillSlice(&l.pc[k], func(i int) uint64 { return treeQuad(&tables, addrWL, 1<<(2+8*k+i), 0, 0, 0) })
+		}
+		for k := range l.hist {
+			fillSlice(&l.hist[k], func(i int) uint64 { return treeQuad(&tables, addrWL, 0, 1<<(8*k+i), 0, 0) })
+		}
+		for z := range l.z {
+			l.z[z] = treeQuad(&tables, addrWL, 0, 0, uint64(z)<<5, 0)
+		}
+		ls[v] = l
+	}
+	return ls
+}
+
+// fillSlice sets t[v] to the XOR of img(i) over the set bits i of v.
+func fillSlice(t *[256]uint64, img func(i int) uint64) {
+	for i := 0; i < 8; i++ {
+		bit := img(i)
+		for v := 0; v < 1<<i; v++ {
+			t[v|1<<i] = t[v] ^ bit
+		}
+	}
+}
+
+// checkSlices reports any input bit a tree or a wordline reads outside the
+// bits the linear tables cover, so a tree edit that reaches further fails
+// at start-up instead of being dropped from the index.
+func checkSlices(ts *[core.NumBanks]*tableIndex) error {
+	for b, t := range ts {
+		trees := append(append([]xorTree(nil), t.column...), t.unshuffle[:]...)
+		for _, x := range trees {
+			if x.aMask&^pcCovered != 0 || x.hMask&^histCovered != 0 ||
+				x.zMask&^zCovered != 0 || x.yMask != 0 {
+				return fmt.Errorf("ev8: table %d tree %+v reads bits outside the linear index slices", b, x)
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		bit := uint64(1) << i
+		if bit&pcCovered == 0 && (wordlineEV8(bit, 0) != 0 || wordlineAddrOnly(bit) != 0) {
+			return fmt.Errorf("ev8: wordline reads PC bit %d outside the linear index slices", i)
+		}
+		if bit&histCovered == 0 && wordlineEV8(0, bit) != 0 {
+			return fmt.Errorf("ev8: wordline reads history bit %d outside the linear index slices", i)
+		}
+	}
+	return nil
+}
+
+// indexSet implements the EV8 hardware index functions (core.IndexSet),
+// with bank numbers supplied by the sequencer. A struct rather than a
+// capturing closure: the per-branch evaluation performs no heap
+// allocation.
 type indexSet struct {
-	seq        *bankSequencer
-	histMask   [core.NumBanks]uint64
-	addrOnlyWL bool
+	seq *bankSequencer
+	lin *linearIndex
 }
 
 // index computes the four table indices for an information vector.
-func (ix *indexSet) index(info *history.Info) [core.NumBanks]uint64 {
-	bank := ix.seq.bankFor(info.BlockPC)
-	z, y := info.Path[0], info.Path[1]
-	var idx [core.NumBanks]uint64
-	for b := core.BIM; b < core.NumBanks; b++ {
-		hist := info.Hist & ix.histMask[b]
-		var wl uint64
-		if ix.addrOnlyWL {
-			wl = wordlineAddrOnly(info.PC)
-		} else {
-			wl = wordlineEV8(info.PC, hist)
-		}
-		idx[b] = tables[b].evalIndex(info.PC, hist, z, y, bank, wl)
-	}
+func (ix *indexSet) index(info *history.Info) (idx [core.NumBanks]uint64) {
+	ix.lin.index(info, ix.seq.bankFor(info.BlockPC), &idx)
 	return idx
 }
 
-// newIndexSet builds the core.IndexSet for the configured variant.
-func newIndexSet(seq *bankSequencer, opt IndexOptions, cfg core.Config) core.IndexSet {
-	ix := &indexSet{seq: seq, addrOnlyWL: opt.AddressOnlyWordline}
-	for b := core.BIM; b < core.NumBanks; b++ {
-		ix.histMask[b] = bitutil.Mask(cfg.Banks[b].HistLen)
-	}
+// newIndexSet builds the core.IndexSet over one variant's tables.
+func newIndexSet(seq *bankSequencer, lin *linearIndex) core.IndexSet {
+	ix := &indexSet{seq: seq, lin: lin}
 	return ix.index
+}
+
+// linear returns the variant's linear index tables.
+func (o IndexOptions) linear() *linearIndex {
+	if o.AddressOnlyWordline {
+		return linearTables[1]
+	}
+	return linearTables[0]
 }

@@ -14,12 +14,15 @@
 //   - the path queue: addresses of the three previous fetch blocks (§5.2).
 //
 // Tracker turns a trace.Branch stream into per-conditional-branch
-// history.Info vectors under a configurable Mode. The five information
+// history.Info vectors under a configurable Mode, a chunk of records at a
+// time (Walk) or one record at a time (Process), and logs the fetch blocks
+// it completes (BlockLog). The five information
 // vectors compared in Figure 7 are all Mode values (see the Mode*
 // constructors).
 package frontend
 
 import (
+	"errors"
 	"fmt"
 
 	"ev8pred/internal/history"
@@ -101,6 +104,12 @@ func (m Mode) String() string {
 	}
 }
 
+// ErrFlow reports a record whose gap does not start where its thread's
+// previous record left the flow, breaking trace.Branch's address
+// invariant (PC == previous NextPC + Gap*InstrBytes). Walk returns it
+// wrapped with the thread id; a lenient tracker resynchronizes instead.
+var ErrFlow = errors.New("frontend: record does not continue its thread's flow")
+
 // Tracker consumes a single thread's record stream and yields the
 // information vector for each conditional branch.
 type Tracker struct {
@@ -108,7 +117,7 @@ type Tracker struct {
 
 	ghist   history.Register
 	lg      history.Register
-	lgDelay *history.DelayLine
+	lgDelay history.DelayLine
 	path    history.PathQueue
 
 	flowPC     uint64
@@ -127,6 +136,8 @@ type Tracker struct {
 	lenient   bool
 	onBlock   func(Block)
 	threadTag int
+	// one is Process's log: one record's entries and mark.
+	one BlockLog
 }
 
 // Block summarizes a completed fetch block (for observers such as the EV8
@@ -155,7 +166,8 @@ func NewTracker(mode Mode) *Tracker {
 	}
 	return &Tracker{
 		mode:    mode,
-		lgDelay: history.NewDelayLine(mode.DelayBlocks),
+		lgDelay: *history.NewDelayLine(mode.DelayBlocks),
+		one:     NewBlockLog(1),
 	}
 }
 
@@ -164,16 +176,17 @@ func (t *Tracker) SetThread(id int) { t.threadTag = id }
 
 // SetLenient makes the tracker tolerate backwards flow discontinuities by
 // resynchronizing (completing the in-progress block and restarting the
-// flow) instead of panicking. This models a front end whose single
-// history context is shared by interleaved threads — the §3 "shared
-// history" SMT configuration. Resyncs counts the discontinuities.
+// flow) instead of failing with ErrFlow. This models a front end whose
+// single history context is shared by interleaved threads — the §3
+// "shared history" SMT configuration. Resyncs counts the discontinuities.
 func (t *Tracker) SetLenient(v bool) { t.lenient = v }
 
 // Resyncs returns the number of flow discontinuities absorbed in lenient
 // mode.
 func (t *Tracker) Resyncs() int64 { return t.resyncs }
 
-// OnBlock registers an observer invoked at every fetch-block completion.
+// OnBlock registers an observer Process hands every completed fetch block
+// to, in order, once the record is walked. Walk logs blocks instead.
 func (t *Tracker) OnBlock(fn func(Block)) { t.onBlock = fn }
 
 // Mode returns the tracker's information-vector mode.
@@ -203,66 +216,110 @@ func (t *Tracker) Reset() {
 	t.blocks, t.lgBits, t.condSeen, t.resyncs = 0, 0, 0, 0
 }
 
-// Process advances the front end over one record. For conditional records
-// it returns the information vector the predictor would have been handed
-// (valid at prediction time, i.e. computed before the branch's own outcome
-// affects any state) and true.
+// Process advances the front end over one record: it is Walk over that
+// record alone, with the record's blocks handed to the OnBlock observer.
+// For conditional records it returns the information vector the predictor
+// would have been handed (valid at prediction time, i.e. computed before
+// the branch's own outcome affects any state) and true. It panics on a
+// record that does not continue the flow (ErrFlow) outside lenient mode.
 func (t *Tracker) Process(b trace.Branch) (history.Info, bool) {
-	if !t.started {
+	recs := [1]trace.Branch{b}
+	var infos [1]history.Info
+	t.one.Reset()
+	if _, err := t.Walk(recs[:], infos[:], &t.one); err != nil {
+		panic(err.Error())
+	}
+	if t.onBlock != nil {
+		for i := range t.one.Entries {
+			t.one.Entries[i].EachBlock(t.onBlock)
+		}
+	}
+	return infos[0], len(t.one.Marks) == 1
+}
+
+// Walk advances the front end over recs, consecutive records of the
+// tracker's thread. Each conditional branch among them gets the
+// information vector Process would return, written to
+// infos[len(log.Marks)] before log.Marks gains the branch's mark: the
+// length of log.Entries once the branch's record is walked. Every fetch
+// block the records complete is appended to log.Entries, a straight-line
+// run of empty blocks as one entry, so each record adds at most
+// RunsPerRecord entries whatever its gap. The log must have room for
+// len(recs) records (NewBlockLog) and infos for len(log.Marks)+len(recs)
+// vectors; neither grows.
+//
+// Walk returns the number of records walked: len(recs), or, outside
+// lenient mode, the index of the first record that does not continue the
+// flow, with an error wrapping ErrFlow; the records before it are walked.
+func (t *Tracker) Walk(recs []trace.Branch, infos []history.Info, log *BlockLog) (int, error) {
+	if cap(log.Entries)-len(log.Entries) < RunsPerRecord*len(recs) ||
+		cap(log.Marks)-len(log.Marks) < len(recs) || len(infos) < len(log.Marks)+len(recs) {
+		panic(fmt.Sprintf("frontend: Walk of %d records overruns the block log or the info buffer", len(recs)))
+	}
+	for i := range recs {
+		b := &recs[i]
 		start := b.PC - uint64(b.Gap)*trace.InstrBytes
-		t.flowPC = start
-		t.blockStart = start
-		t.started = true
-	}
-	// Flow invariant: the record's gap instructions start exactly at the
-	// current flow point.
-	if start := b.PC - uint64(b.Gap)*trace.InstrBytes; start != t.flowPC {
-		if !t.lenient {
-			panic(fmt.Sprintf("frontend: record PC %#x (gap %d) does not continue flow %#x (inconsistent trace)",
-				b.PC, b.Gap, t.flowPC))
+		if !t.started {
+			t.flowPC, t.blockStart, t.started = start, start, true
 		}
-		// Thread switch (or other discontinuity): close the in-progress
-		// block and restart the flow at the new stream position.
-		t.completeBlock(start)
-		t.flowPC = start
-		t.resyncs++
-	}
-	t.advance(b.PC)
+		// Flow invariant: the record's gap instructions start exactly at
+		// the current flow point.
+		if start != t.flowPC {
+			if !t.lenient {
+				return i, fmt.Errorf("%w: thread %d: record PC %#x (gap %d) does not continue flow %#x",
+					ErrFlow, t.threadTag, b.PC, b.Gap, t.flowPC)
+			}
+			// Thread switch (or other discontinuity): close the
+			// in-progress block and restart the flow at the new stream
+			// position.
+			t.completeBlock(start, log)
+			t.flowPC = start
+			t.resyncs++
+		}
+		// The gap completes a block only if it crosses an aligned
+		// boundary.
+		if b.PC&^(BlockBytes-1) > t.flowPC {
+			t.advance(b.PC, log)
+		} else if t.flowPC < b.PC {
+			t.flowPC = b.PC
+		}
 
-	var info history.Info
-	isCond := b.Kind == trace.Cond
-	if isCond {
-		// Path is copied element-wise, not as Snapshot's 24-byte array:
-		// the queue was just written by Push's three 8-byte stores,
-		// which a wider load cannot forward from.
-		info = history.Info{
-			PC:      b.PC,
-			BlockPC: t.blockStart,
-			Hist:    t.selectHist(),
-			Path:    [3]uint64{t.path.Z(), t.path.Y(), t.path.X()},
-			Thread:  t.threadTag,
+		isCond := b.Kind == trace.Cond
+		if isCond {
+			// The vector is written field by field: a composite literal
+			// is built on the stack and copied with 16-byte loads, which
+			// cannot forward from its 8-byte stores.
+			info := &infos[len(log.Marks)]
+			info.PC = b.PC
+			info.BlockPC = t.blockStart
+			info.Hist = t.selectHist()
+			info.Path[0], info.Path[1], info.Path[2] = t.path.Z(), t.path.Y(), t.path.X()
+			info.Thread = t.threadTag
+			t.condSeen++
+			// Retire the branch into the per-branch global history and
+			// the in-progress block state.
+			t.ghist.Shift(b.Taken)
+			t.blockHasCond = true
+			t.blockCondCount++
+			t.blockLastPC = b.PC
+			t.blockLastTaken = b.Taken
 		}
-		t.condSeen++
-		// Retire the branch into the per-branch global history and the
-		// in-progress block state.
-		t.ghist.Shift(b.Taken)
-		t.blockHasCond = true
-		t.blockCondCount++
-		t.blockLastPC = b.PC
-		t.blockLastTaken = b.Taken
-	}
 
-	if b.Taken {
-		t.completeBlock(b.Target)
-		t.flowPC = b.Target
-	} else {
-		next := b.PC + trace.InstrBytes
-		if next%BlockBytes == 0 {
-			t.completeBlock(next)
+		if b.Taken {
+			t.completeBlock(b.Target, log)
+			t.flowPC = b.Target
+		} else {
+			next := b.PC + trace.InstrBytes
+			if next%BlockBytes == 0 {
+				t.completeBlock(next, log)
+			}
+			t.flowPC = next
 		}
-		t.flowPC = next
+		if isCond {
+			log.Marks = append(log.Marks, int32(len(log.Entries)))
+		}
 	}
-	return info, isCond
+	return len(recs), nil
 }
 
 // selectHist materializes the mode's history variant.
@@ -273,43 +330,64 @@ func (t *Tracker) selectHist() uint64 {
 	return t.lgDelay.Old()
 }
 
-// advance walks the straight-line instructions from the current flow point
-// up to (but excluding) pc, completing fetch blocks at aligned boundaries.
-func (t *Tracker) advance(pc uint64) {
-	for t.flowPC < pc {
+// advance walks the straight-line instructions from the flow point up to
+// (but excluding) pc, across at least one aligned boundary, completing a
+// fetch block at every boundary on the way: the in-progress block on its
+// own if it holds a conditional branch, then the empty blocks as one run.
+func (t *Tracker) advance(pc uint64, log *BlockLog) {
+	end := pc &^ (BlockBytes - 1) // the last boundary the walk reaches
+	if t.blockHasCond {
 		regionEnd := (t.flowPC | (BlockBytes - 1)) + 1
-		if regionEnd <= pc {
-			t.completeBlock(regionEnd)
-			t.flowPC = regionEnd
-		} else {
+		t.completeBlock(regionEnd, log)
+		if regionEnd == end {
 			t.flowPC = pc
+			return
 		}
 	}
+	t.completeRun(end, log)
+	t.flowPC = pc
 }
 
 // completeBlock finalizes the in-progress fetch block: inserts the lghist
 // bit (§5.1: only blocks containing a conditional branch insert one),
-// snapshots the delayed history, pushes the path queue, and notifies any
-// observer.
-func (t *Tracker) completeBlock(nextStart uint64) {
+// snapshots the delayed history, logs the block and pushes the path queue.
+func (t *Tracker) completeBlock(nextStart uint64, log *BlockLog) {
 	if t.blockHasCond {
 		t.lg.Shift(history.LGHistBit(t.blockLastPC, t.blockLastTaken, t.mode.PathBit))
 		t.lgBits++
 	}
 	t.lgDelay.Push(t.lg.Value())
-	if t.onBlock != nil {
-		t.onBlock(Block{
-			Addr:          t.blockStart,
-			Next:          nextStart,
-			HasCond:       t.blockHasCond,
-			CondCount:     t.blockCondCount,
-			LastCondPC:    t.blockLastPC,
-			LastCondTaken: t.blockLastTaken,
-		})
-	}
+	e := log.add()
+	e.Addr, e.Next = t.blockStart, nextStart
+	e.LastCondPC, e.LastCondTaken = t.blockLastPC, t.blockLastTaken
+	e.Conds, e.Run = uint8(t.blockCondCount), false
 	t.path.Push(t.blockStart)
 	t.blocks++
 	t.blockStart = nextStart
 	t.blockHasCond = false
 	t.blockCondCount = 0
+}
+
+// completeRun finalizes the in-progress block, which holds no conditional
+// branch, and the empty aligned blocks after it up to the boundary end, in
+// closed form: no lghist bit is inserted, the delay line takes one push of
+// the unchanged lghist per block, and only the last three block addresses
+// survive in the path queue.
+func (t *Tracker) completeRun(end uint64, log *BlockLog) {
+	first, base := t.blockStart, t.blockStart&^(BlockBytes-1)
+	n := int64((end - base) / BlockBytes)
+	t.lgDelay.PushN(t.lg.Value(), n)
+	e := log.add()
+	e.Addr, e.Next = first, end
+	e.LastCondPC, e.LastCondTaken = t.blockLastPC, t.blockLastTaken
+	e.Conds, e.Run = 0, true
+	for k := max(n-3, 0); k < n; k++ {
+		addr := base + uint64(k)*BlockBytes
+		if k == 0 {
+			addr = first
+		}
+		t.path.Push(addr)
+	}
+	t.blocks += n
+	t.blockStart = end
 }

@@ -143,6 +143,21 @@ func (d *DelayLine) Push(v uint64) {
 	}
 }
 
+// PushN records v n times: the n pushes of one unchanged value, in
+// closed form once n fills the ring.
+func (d *DelayLine) PushN(v uint64, n int64) {
+	if n < int64(len(d.buf)) {
+		for ; n > 0; n-- {
+			d.Push(v)
+		}
+		return
+	}
+	for i := range d.buf {
+		d.buf[i] = v
+	}
+	d.head = int((int64(d.head) + n) % int64(len(d.buf)))
+}
+
 // Old returns the value pushed depth calls ago; before depth pushes have
 // occurred it returns 0 (the hardware's cold history).
 func (d *DelayLine) Old() uint64 {

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +161,29 @@ func TestDelayLineProperty(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDelayLinePushNMatchesPushes: PushN(v, n) leaves the ring exactly
+// as n Push(v) calls do, below and above the ring's length.
+func TestDelayLinePushNMatchesPushes(t *testing.T) {
+	f := func(pre []uint64, v uint64, depthRaw, nRaw uint8) bool {
+		depth, n := int(depthRaw)%8, int64(nRaw)%20
+		got, want := NewDelayLine(depth), NewDelayLine(depth)
+		for _, p := range pre {
+			got.Push(p)
+			want.Push(p)
+		}
+		got.PushN(v, n)
+		for i := int64(0); i < n; i++ {
+			want.Push(v)
+		}
+		gb, gh := got.State()
+		wb, wh := want.State()
+		return reflect.DeepEqual(gb, wb) && gh == wh
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -12,6 +12,7 @@ package predictor
 
 import (
 	"ev8pred/internal/bitutil"
+	"ev8pred/internal/frontend"
 	"ev8pred/internal/history"
 )
 
@@ -211,33 +212,42 @@ type BatchPredictor interface {
 // predictor's index set is NOT a pure function of the information vector:
 // it also depends on sequencing state that advances on every fetch block,
 // between branches. That state is still a deterministic function of the
-// record stream, so the simulator's staged front-end walk can capture it
-// per branch — StageBank is called for each conditional branch at exactly
-// the point the per-branch schedule would call Lookup (immediately after the
-// branch's record is processed, after any fetch blocks it completed were
+// record stream, so the simulator walks a chunk into a block log
+// (frontend.Tracker.Walk) and ObserveBlockLog replays it, capturing each
+// branch's sequencing input at the branch's mark — the log length once
+// the branch's record was walked, exactly the point the per-branch
+// schedule calls Lookup (after any fetch blocks the record completed were
 // observed) — and the index pass then runs over the whole chunk from the
 // captured values.
 //
 // The contract extends BatchPredictor's exact-scalar-equivalence: for a
-// chunk staged this way,
+// chunk walked into log with information vectors infos,
 //
-//	banks[i] = StageBank(infos[i].BlockPC)   // during the front-end walk
+//	ObserveBlockLog(log, infos, banks)
 //	LookupBankedBatch(infos, banks, snaps)
 //	UpdateBatch(snaps, taken, finals)
 //
-// must equal the scalar Lookup/UpdateWith interleaving at update delay 0,
-// and with UpdateBatchLagged in place of UpdateBatch at any delay.
-// LookupBankedBatch is the banked twin of LookupBatch: it fills only
-// snaps[i].Idx, touches no counter state, and must not consult the live
-// sequencer — every sequencer-dependent input is in banks. StageBank is a
-// pure read of the sequencer (no state advances). None of the three calls
-// may allocate.
+// must equal observing each block through ObserveBlock and interleaving
+// the scalar Lookup/UpdateWith calls at the marks, at update delay 0, and
+// with UpdateBatchLagged in place of UpdateBatch at any delay.
+// ObserveBlockLog advances the sequencing state over every logged block
+// and touches no counter state; banks[k] = StageBank(infos[k].BlockPC)
+// read at mark k. LookupBankedBatch is the banked twin of LookupBatch: it
+// fills only snaps[i].Idx, touches no counter state, and must not consult
+// the live sequencer — every sequencer-dependent input is in banks.
+// StageBank is a pure read of the sequencer (no state advances). None of
+// the calls may allocate.
 //
 // The plain LookupBatch remains valid when no blocks advance inside the
 // chunk (prerecorded-event replay): with the sequencer frozen, reading it
 // live per branch is exactly what scalar replay does.
 type BlockBatchObserver interface {
 	BatchPredictor
+	// ObserveBlockLog observes every block of a walked chunk's log in
+	// order and captures banks[k] = StageBank(infos[k].BlockPC) when the
+	// replay reaches log.Marks[k]. len(banks) and len(infos) must be at
+	// least len(log.Marks).
+	ObserveBlockLog(log *frontend.BlockLog, infos []history.Info, banks []uint8)
 	// StageBank returns the bank-sequencing input the index functions
 	// would read for a branch in the fetch block at blockPC, at the
 	// current sequencing position.

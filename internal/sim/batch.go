@@ -20,10 +20,11 @@
 //   - A predictor that observes fetch blocks (BlockObserver — the EV8
 //     §6.2 sequencer advances on every block, between branches) is a
 //     batch member only if it also implements
-//     predictor.BlockBatchObserver, the batched block contract: the walk
-//     captures the sequencer-dependent bank per branch (StageBank) at the
-//     exact per-branch interleaving point, and the index pass runs from
-//     the captured values (LookupBankedBatch). The §6.2 sequencer state is a
+//     predictor.BlockBatchObserver, the batched block contract: replaying
+//     the walk's block log (ObserveBlockLog) captures the
+//     sequencer-dependent bank per branch at its log mark, the exact
+//     per-branch interleaving point, and the index pass runs from the
+//     captured values (LookupBankedBatch). The §6.2 sequencer state is a
 //     deterministic function of the record stream and disjoint from the
 //     counter tables, so observing the whole chunk's blocks before
 //     resolving its branches commutes with the counter updates. Block
@@ -42,6 +43,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ev8pred/internal/frontend"
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
 	"ev8pred/internal/trace"
@@ -111,6 +113,7 @@ const batchChunk = 1024
 type batchScratch struct {
 	buf   []trace.Branch
 	infos []history.Info
+	log   frontend.BlockLog
 	snaps []predictor.Snapshot
 	taken []uint64
 }
@@ -120,6 +123,7 @@ func newBatchScratch(delay int) *batchScratch {
 	return &batchScratch{
 		buf:   make([]trace.Branch, batchChunk),
 		infos: make([]history.Info, batchChunk),
+		log:   frontend.NewBlockLog(batchChunk),
 		snaps: make([]predictor.Snapshot, win),
 		taken: make([]uint64, predictor.BatchWords(win)),
 	}

@@ -162,7 +162,7 @@ func (ck *Checkpoint) restoreInto(e *engine) error {
 		return fmt.Errorf("sim: restoring predictor state: %w", err)
 	}
 	for _, ts := range ck.Trackers {
-		tr, err := e.trackers.create(ts.Thread, e.opts, e.onBlock)
+		tr, err := e.trackers.create(ts.Thread, e.opts)
 		if err != nil {
 			return err
 		}

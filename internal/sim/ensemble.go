@@ -11,17 +11,22 @@
 // cheap, in the trace-reuse tradition of the CBP championship kits.
 //
 // The engine pulls the stream in chunks (see fillWant) and walks each
-// chunk once through the per-thread front-end trackers: warmup gating, the
-// MaxBranches stop and the split between immediate and deferred errors
-// live here and nowhere else. One per-member rule then picks the schedule
-// (see newMember): batch members resolve the whole walked chunk after the
-// walk through their LookupBatch/UpdateBatchLagged kernels (batch.go);
-// every other member — BatchOff, predictors without the batch contract,
-// block observers without the batched block contract — runs per branch
-// inside the walk, at exactly the point a record-at-a-time loop would
-// call it, with its own commit-delay ring. Reordering the (branch, member)
-// loop nest is safe because member state is private; the shared front end
-// is sequenced identically for every member.
+// chunk once through the per-thread front-end trackers (Tracker.Walk, one
+// call per run of one thread's records), which write the chunk's
+// information vectors and log its fetch blocks (frontend.BlockLog):
+// warmup gating, the MaxBranches stop and the split between immediate and
+// deferred errors live here and nowhere else. One per-member rule then
+// picks the schedule (see newMember): batch members resolve the whole
+// walked chunk through their LookupBatch/UpdateBatchLagged kernels
+// (batch.go), a block-observing one after replaying the log
+// (ObserveBlockLog); every other member — BatchOff, predictors without
+// the batch contract, block observers without the batched block contract
+// — runs per branch over the chunk, a block observer seeing the logged
+// blocks up to each branch's mark first, at exactly the point a
+// record-at-a-time loop would call it, with its own commit-delay ring.
+// Reordering the (branch, member) loop nest is safe because member state
+// is private; the shared front end is sequenced identically for every
+// member.
 //
 // Correctness contract: the member results are byte-identical to N
 // independent sim.Run calls over equal sources, on every schedule — same
@@ -55,12 +60,15 @@ type member struct {
 	fp    predictor.FusedPredictor
 	fused bool
 	// bp is set for a batch member, which resolves each walked chunk
-	// through the kernel; nil means the member runs per branch in the walk.
+	// through the kernel; nil means the member steps each walked chunk
+	// branch by branch.
 	bp predictor.BatchPredictor
-	// bbo is set for a batch member that observes fetch blocks: the walk
-	// captures its sequencer-dependent bank per branch into banks.
-	bbo    predictor.BlockBatchObserver
-	banks  []uint8
+	// bbo is set for a batch member that observes fetch blocks: its log
+	// replay captures its sequencer-dependent bank per branch into banks.
+	bbo   predictor.BlockBatchObserver
+	banks []uint8
+	// obs is set for a per-branch member that observes fetch blocks.
+	obs    BlockObserver
 	inst   stats.Instrumented
 	ring   delayRing
 	finals []uint64 // the chunk's predictions, bit j for branch j
@@ -73,20 +81,23 @@ type member struct {
 // predictor.BatchPredictor, the run is not under BatchOff, and — if p
 // observes fetch blocks — p also implements the batched block contract
 // (predictor.BlockBatchObserver): its sequencer-dependent banks are then
-// captured in the walk, at the point the per-branch schedule would call
-// Lookup. A BlockBatchObserver that observes no blocks keeps a frozen
-// sequencer, which plain LookupBatch reads live.
+// captured at each branch's log mark, the point the per-branch schedule
+// would call Lookup. A BlockBatchObserver that observes no blocks keeps a
+// frozen sequencer, which plain LookupBatch reads live.
 func newMember(p predictor.Predictor, opts Options) member {
 	m := member{p: p, ring: newDelayRing(opts.UpdateDelay), finals: make([]uint64, predictor.BatchWords(batchChunk))}
 	m.fp, m.fused = p.(predictor.FusedPredictor)
 	bp, batch := p.(predictor.BatchPredictor)
 	bbo, banked := p.(predictor.BlockBatchObserver)
-	_, observes := p.(BlockObserver)
-	if batch && opts.Batch != BatchOff && (banked || !observes) {
+	obs, observes := p.(BlockObserver)
+	switch {
+	case batch && opts.Batch != BatchOff && (banked || !observes):
 		m.bp = bp
 		if observes {
 			m.bbo, m.banks = bbo, make([]uint8, batchChunk)
 		}
+	case observes:
+		m.obs = obs
 	}
 	return m
 }
@@ -115,6 +126,33 @@ func (m *member) step(info *history.Info, j int, taken bool) {
 	pred, snap := m.predict(info)
 	stageTaken(m.finals, j, pred)
 	m.train(info, snap, taken)
+}
+
+// stepChunk runs a per-branch member over a walked chunk of m branches,
+// whose outcomes start at lane pre of s.taken. A block observer first
+// sees the logged blocks up to each branch's mark, as a record-at-a-time
+// loop interleaves blocks and branches, and the chunk's remaining blocks
+// last.
+func (mem *member) stepChunk(s *batchScratch, pre, m int) {
+	e := 0
+	for j := 0; j < m; j++ {
+		if mem.obs != nil {
+			e = observeLog(mem.obs, s.log.Entries, e, int(s.log.Marks[j]))
+		}
+		w := pre + j
+		mem.step(&s.infos[j], j, s.taken[w>>6]>>(uint(w)&63)&1 == 1)
+	}
+	if mem.obs != nil {
+		observeLog(mem.obs, s.log.Entries, e, len(s.log.Entries))
+	}
+}
+
+// observeLog hands obs the blocks of entries [from, to) and returns to.
+func observeLog(obs BlockObserver, entries []frontend.LogEntry, from, to int) int {
+	for ; from < to; from++ {
+		entries[from].EachBlock(obs.ObserveBlock)
+	}
+	return to
 }
 
 // train hands one branch's outcome to the predictor: immediately at
@@ -164,41 +202,22 @@ type engine struct {
 	opts     Options
 	members  []member
 	trackers trackerTable
-	onBlock  func(frontend.Block)
 	// newThread, if set, vets a first-seen thread id before its tracker is
 	// built; an error aborts the run.
 	newThread func(id int) error
-	// afterChunk, if set, sees each walked chunk's records once every
-	// member has resolved it.
-	afterChunk func(recs []trace.Branch)
+	// afterChunk, if set, sees each walked chunk's records and block log
+	// once every member has resolved it.
+	afterChunk func(recs []trace.Branch, log *frontend.BlockLog)
 	// records is the stream position; branches the raw (pre-warmup-clamp)
 	// conditional branch count; instructions the measured window's.
 	records, branches, instructions int64
 }
 
-// newEngine builds the engine for ps under opts. The fetch-block stream
-// fans out to every block-observing member in member order, then to
-// extra.
-func newEngine(ps []predictor.Predictor, opts Options, extra ...func(frontend.Block)) *engine {
+// newEngine builds the engine for ps under opts.
+func newEngine(ps []predictor.Predictor, opts Options) *engine {
 	e := &engine{opts: opts, members: make([]member, len(ps))}
-	var obs []func(frontend.Block)
 	for k, p := range ps {
 		e.members[k] = newMember(p, opts)
-		if o, ok := p.(BlockObserver); ok {
-			obs = append(obs, o.ObserveBlock)
-		}
-	}
-	obs = append(obs, extra...)
-	switch len(obs) {
-	case 0:
-	case 1:
-		e.onBlock = obs[0]
-	default:
-		e.onBlock = func(b frontend.Block) {
-			for _, f := range obs {
-				f(b)
-			}
-		}
 	}
 	return e
 }
@@ -227,7 +246,25 @@ func (e *engine) tracker(id int) (*frontend.Tracker, error) {
 			return nil, err
 		}
 	}
-	return e.trackers.create(id, e.opts, e.onBlock)
+	return e.trackers.create(id, e.opts)
+}
+
+// walkRun walks recs[i:j], a run of one thread's records, through that
+// thread's tracker into the chunk's infos and block log. A record that
+// breaks its thread's flow is an immediate error naming its stream index.
+func (e *engine) walkRun(s *batchScratch, recs []trace.Branch, i, j int) error {
+	id := recs[i].Thread
+	tr := e.trackers.lookup(id)
+	if tr == nil {
+		var err error
+		if tr, err = e.tracker(id); err != nil {
+			return err
+		}
+	}
+	if k, err := tr.Walk(recs[i:j], s.infos, &s.log); err != nil {
+		return fmt.Errorf("sim: stream record %d: %w", e.records+int64(i+k), err)
+	}
+	return nil
 }
 
 // run simulates the stream and fills results: one per member, or one for
@@ -301,22 +338,12 @@ func (e *engine) run(src trace.Source, results []Result, capture func() error) e
 func (e *engine) walk(src trace.Source) (srcErr, err error) {
 	opts := &e.opts
 	s := newBatchScratch(opts.UpdateDelay)
-	// The walk reaches the staged members' observers and bank buffers
-	// through slices of their own rather than through the members: the
-	// solo EV8 run measured several percent faster that way.
 	var batch, inline []*member
-	var stagedObs []predictor.BlockBatchObserver
-	var stagedBanks [][]uint8
 	for k := range e.members {
-		m := &e.members[k]
-		if m.bp == nil {
+		if m := &e.members[k]; m.bp == nil {
 			inline = append(inline, m)
-			continue
-		}
-		batch = append(batch, m)
-		if m.bbo != nil {
-			stagedObs = append(stagedObs, m.bbo)
-			stagedBanks = append(stagedBanks, m.banks)
+		} else {
+			batch = append(batch, m)
 		}
 	}
 	var ring0 *delayRing
@@ -336,36 +363,44 @@ func (e *engine) walk(src trace.Source) (srcErr, err error) {
 				stageTaken(s.taken, i, ring0.at(i).taken)
 			}
 		}
-		m := 0
+		// Stage the outcomes and count the measured instructions, and
+		// walk each run of one thread's records as the run ends.
+		recs := s.buf[:n]
+		s.log.Reset()
+		m, run := 0, 0
 		warmup, branches, instructions := opts.Warmup, e.branches, e.instructions
-		for i := range s.buf[:n] {
-			b := &s.buf[i]
-			tr := e.trackers.lookup(b.Thread)
-			if tr == nil {
-				if tr, err = e.tracker(b.Thread); err != nil {
+		for i := range recs {
+			b := &recs[i]
+			if b.Thread != recs[run].Thread {
+				if err := e.walkRun(s, recs, run, i); err != nil {
 					return nil, err
 				}
+				run = i
 			}
-			info, isCond := tr.Process(*b)
 			if branches >= warmup {
 				instructions += int64(b.Gap) + 1
 			}
-			if !isCond {
-				continue
+			if b.Kind == trace.Cond {
+				stageTaken(s.taken, pre+m, b.Taken)
+				m++
+				branches++
 			}
-			for k, bbo := range stagedObs {
-				stagedBanks[k][m] = bbo.StageBank(info.BlockPC)
+		}
+		if n > 0 {
+			if err := e.walkRun(s, recs, run, n); err != nil {
+				return nil, err
 			}
-			stageTaken(s.taken, pre+m, b.Taken)
-			s.infos[m] = info
-			for _, mem := range inline {
-				mem.step(&s.infos[m], m, b.Taken)
-			}
-			m++
-			branches++
 		}
 		e.instructions = instructions
 		e.records += int64(n)
+		for _, mem := range batch {
+			if mem.bbo != nil {
+				mem.bbo.ObserveBlockLog(&s.log, s.infos[:m], mem.banks[:m])
+			}
+		}
+		for _, mem := range inline {
+			mem.stepChunk(s, pre, m)
+		}
 		if m > 0 {
 			start := warmupStart(e.branches, opts.Warmup, m)
 			for _, mem := range batch {
@@ -378,7 +413,7 @@ func (e *engine) walk(src trace.Source) (srcErr, err error) {
 			e.branches += int64(m)
 		}
 		if e.afterChunk != nil {
-			e.afterChunk(s.buf[:n])
+			e.afterChunk(recs, &s.log)
 		}
 		if ferr != nil {
 			if ferr != io.EOF {

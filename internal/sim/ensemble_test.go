@@ -223,7 +223,7 @@ func TestTrackerTableSparseIDs(t *testing.T) {
 	}
 
 	var tbl trackerTable
-	tr, err := tbl.create(maxDenseThread+1, Options{Mode: frontend.ModeGhist()}, nil)
+	tr, err := tbl.create(maxDenseThread+1, Options{Mode: frontend.ModeGhist()})
 	if err != nil {
 		t.Fatal(err)
 	}

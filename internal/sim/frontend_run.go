@@ -63,9 +63,9 @@ var ErrFrontEndOption = errors.New("sim: option not supported by RunFrontEnd")
 // conditional predictor p (nil = oracle, for upper-bound studies), the
 // jump predictor, the return-address stack, and the line predictor, over
 // a single-threaded source. It runs the stream engine with p as its only
-// member (none for the oracle): the line predictor joins the fetch-block
-// fan-out, and the PC generator replays each walked chunk against p's
-// predictions. The Result therefore equals Run's under the same Options;
+// member (none for the oracle): the line predictor reads each walked
+// chunk's block log, and the PC generator replays the chunk's records
+// against p's predictions. The Result therefore equals Run's under the same Options;
 // Warmup, and a record from a second thread, fail with ErrFrontEndOption.
 // Like Run, it returns an error when the source fails mid-stream rather
 // than reporting a short-but-successful result, and checks the result
@@ -84,7 +84,7 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 	}
 	pg := frontend.MustNewPCGen(fecfg.JumpEntries, fecfg.RASDepth)
 	lp := frontend.MustNewLinePredictor(fecfg.LineEntries)
-	e := newEngine(ps, opts, lp.Observe)
+	e := newEngine(ps, opts)
 	first := -1
 	e.newThread = func(id int) error {
 		if first >= 0 {
@@ -93,7 +93,10 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 		first = id
 		return nil
 	}
-	e.afterChunk = func(recs []trace.Branch) {
+	e.afterChunk = func(recs []trace.Branch, log *frontend.BlockLog) {
+		for i := range log.Entries {
+			log.Entries[i].EachBlock(lp.Observe)
+		}
 		j := 0
 		for _, b := range recs {
 			pred := false

@@ -209,8 +209,12 @@ func (r *delayRing) push(u pendingUpdate) {
 
 // BlockObserver is implemented by predictors that need to see every
 // completed fetch block, not just the branches — on the EV8 the
-// bank-number sequencing advances on every block (§6.2). The engine wires
-// the front-end trackers' block stream to the predictor automatically.
+// bank-number sequencing advances on every block (§6.2). The engine
+// replays each walked chunk's block log to the predictor: a per-branch
+// member sees the blocks up to each branch's log mark before the branch,
+// and a batch member replays the whole log through the batched block
+// contract (predictor.BlockBatchObserver), capturing its banks at the
+// marks.
 type BlockObserver interface {
 	ObserveBlock(frontend.Block)
 }
@@ -253,16 +257,13 @@ func (t *trackerTable) lookupSparse(id int) *frontend.Tracker {
 // thread id. A negative id cannot come from a valid trace (the trace
 // writer rejects it) and is reported as an error instead of growing a
 // table backwards.
-func (t *trackerTable) create(id int, opts Options, onBlock func(frontend.Block)) (*frontend.Tracker, error) {
+func (t *trackerTable) create(id int, opts Options) (*frontend.Tracker, error) {
 	if id < 0 {
 		return nil, fmt.Errorf("sim: negative thread id %d in branch record", id)
 	}
 	tr := frontend.NewTracker(opts.Mode)
 	tr.SetThread(id)
 	tr.SetLenient(opts.LenientFlow)
-	if onBlock != nil {
-		tr.OnBlock(onBlock)
-	}
 	if id < maxDenseThread {
 		for len(t.dense) <= id {
 			t.dense = append(t.dense, nil)
