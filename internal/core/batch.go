@@ -3,8 +3,8 @@
 // The chunked path splits the per-branch work at the only boundary the
 // scheme allows. Index computation is a pure function of the
 // information vector, so LookupBatch stages it for the whole chunk
-// through the same evaluator as the scalar Lookup (indexParams.indexInto,
-// straight-line arithmetic over the closed-form skewing functions) — no
+// through the same evaluator as the scalar Lookup (linearIndex.indexInto,
+// one XOR of byte-sliced table entries for all four banks) — no
 // counter state touched, no per-branch interface dispatch. Everything
 // downstream of the indices is state-dependent: a hot loop body recurs
 // many times inside one 1024-record chunk and aliases with its own
@@ -29,7 +29,7 @@ import (
 // staged over the whole chunk through the scalar path's index evaluator.
 // Only snaps[i].Idx is filled.
 func (p *Predictor) LookupBatch(infos []history.Info, snaps []predictor.Snapshot) {
-	if p.ip == nil {
+	if p.li == nil {
 		// Caller-supplied IndexSet: the index function is opaque, so the
 		// stage degrades to per-branch calls — still state-independent,
 		// still correct.
@@ -39,7 +39,7 @@ func (p *Predictor) LookupBatch(infos []history.Info, snaps []predictor.Snapshot
 		return
 	}
 	for i := range infos {
-		p.ip.indexInto(&infos[i], &snaps[i].Idx)
+		p.li.indexInto(&infos[i], &snaps[i].Idx)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestLookupBatchMatchesLookupIdx(t *testing.T) {
 // caller-supplied IndexSet leaves no precompiled parameters to inline.
 func TestLookupBatchCustomIndexSet(t *testing.T) {
 	cfg := Config512K()
-	cfg.Indexes = DefaultIndexSet(Config512K())
+	cfg.Indexes = MustNew(Config512K()).Config().Indexes
 	p := MustNew(cfg)
 	ref := MustNew(Config512K())
 	infos, _ := batchEvents(300, 9)

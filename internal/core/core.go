@@ -80,7 +80,8 @@ type Config struct {
 	// Ignored when a custom IndexSet is supplied.
 	UsePath bool
 	// Indexes computes the four bank indices for a branch; nil selects
-	// DefaultIndexSet (the unconstrained skewing functions of [17]).
+	// the unconstrained skewing functions of [17] used everywhere in §8
+	// except §8.5 (newLinearIndex).
 	Indexes IndexSet
 	// Name labels the configuration in reports; empty derives one.
 	Name string
@@ -96,13 +97,11 @@ type Predictor struct {
 	cfg   Config
 	banks [NumBanks]*counter.Split
 	name  string
-	// customIndexes records that cfg.Indexes was caller-supplied, i.e. the
-	// configuration is not canonicalizable (ConfigKey returns "").
-	customIndexes bool
-	// ip holds the precomputed default index parameters (nil under a
-	// custom IndexSet); the batch index stage inlines over it instead of
-	// calling through the IndexSet function value.
-	ip *indexParams
+	// li holds the default index tables; nil records that cfg.Indexes
+	// was caller-supplied, so the configuration is not canonicalizable
+	// (ConfigKey returns ""). The batch index stage calls it directly
+	// instead of through the IndexSet function value.
+	li *linearIndex
 	// st holds the attribution counters when collection is enabled
 	// (stats.Instrumented); nil — the default — keeps the update path
 	// attribution-free apart from this one pointer check.
@@ -116,6 +115,9 @@ func New(cfg Config) (*Predictor, error) {
 		if bc.Entries <= 0 || !bitutil.IsPow2(uint64(bc.Entries)) {
 			return nil, fmt.Errorf("core: %v entries %d not a positive power of two", b, bc.Entries)
 		}
+		if bitutil.Log2(uint64(bc.Entries)) > 32 {
+			return nil, fmt.Errorf("core: %v entries %d wider than 32 index bits", b, bc.Entries)
+		}
 		if bc.HystEntries == 0 {
 			bc.HystEntries = bc.Entries
 		}
@@ -123,17 +125,21 @@ func New(cfg Config) (*Predictor, error) {
 			return nil, fmt.Errorf("core: %v history length %d out of range", b, bc.HistLen)
 		}
 	}
-	p := &Predictor{cfg: cfg, customIndexes: cfg.Indexes != nil}
+	p := &Predictor{cfg: cfg}
+	if p.cfg.Indexes == nil {
+		li, err := newLinearIndex(cfg)
+		if err != nil {
+			return nil, err
+		}
+		p.li = li
+		p.cfg.Indexes = li.index
+	}
 	for b := BIM; b < NumBanks; b++ {
 		s, err := counter.NewSplit(cfg.Banks[b].Entries, cfg.Banks[b].HystEntries)
 		if err != nil {
 			return nil, fmt.Errorf("core: %v: %w", b, err)
 		}
 		p.banks[b] = s
-	}
-	if p.cfg.Indexes == nil {
-		p.ip = newIndexParams(cfg)
-		p.cfg.Indexes = p.ip.index
 	}
 	p.name = cfg.Name
 	if p.name == "" {
@@ -151,77 +157,86 @@ func MustNew(cfg Config) *Predictor {
 	return p
 }
 
-// indexParams holds the per-bank constants of the default index functions
-// in fixed arrays. Keeping them in a struct (rather than closure captures)
-// and ranging the skewed banks with a plain counted loop keeps the
-// per-branch path free of slice literals and heap allocation — the index
-// computation is the innermost loop of every simulation. indexInto is the
-// family's one index evaluator: the scalar IndexSet (index) and the batch
-// index stage (LookupBatch) both call it.
-type indexParams struct {
-	bits     [NumBanks]uint
-	pcMask   [NumBanks]uint64        // Mask(bits): PCBits without the branches
-	histMask [NumBanks]uint64        // Mask(HistLen): HistMask likewise
-	fns      [NumBanks]skew.Compiled // G0..Meta, bound to bits+HistLen; BIM is unskewed
-	bimHist  int                     // BIM history length, folded to bits[BIM]
-	usePath  bool
+// linearIndex evaluates the default index functions from byte-sliced
+// tables (skew.Linear) over the words PC>>2, history and the §5.2 path
+// hash. indexInto is the family's one index evaluator: the scalar
+// IndexSet (index) and the batch index stage (LookupBatch) both call it.
+type linearIndex struct {
+	lin     *skew.Linear
+	usePath bool
 }
 
 // index computes the four bank indices for an information vector.
-func (ip *indexParams) index(info *history.Info) [NumBanks]uint64 {
+func (li *linearIndex) index(info *history.Info) [NumBanks]uint64 {
 	var idx [NumBanks]uint64
-	ip.indexInto(info, &idx)
+	li.indexInto(info, &idx)
 	return idx
 }
 
 // indexInto computes the four bank indices for an information vector
 // into idx.
-func (ip *indexParams) indexInto(info *history.Info, idx *[NumBanks]uint64) {
+func (li *linearIndex) indexInto(info *history.Info, idx *[NumBanks]uint64) {
 	var pathHash uint64
-	if ip.usePath {
+	if li.usePath {
 		// A few bits from each of the three previous block
 		// addresses, as §5.2 uses them: cheap, fixed extraction.
 		pathHash = bitutil.Field(info.Path[0], 5, 4) ^
 			bitutil.Field(info.Path[1], 5, 4)<<2 ^
 			bitutil.Field(info.Path[2], 5, 4)<<4
 	}
-	pc := info.PC >> 2
-	bim := pc & ip.pcMask[BIM]
-	if ip.bimHist > 0 {
-		bim ^= bitutil.FoldXOR(info.Hist, ip.bimHist, int(ip.bits[BIM]))
-	}
-	idx[BIM] = bim ^ pathHash&ip.pcMask[BIM]
-	for b := G0; b <= Meta; b++ {
-		v := pc&ip.pcMask[b] | (info.Hist&ip.histMask[b])<<ip.bits[b]
-		v ^= pathHash << (ip.bits[b] / 2)
-		idx[b] = ip.fns[b].Index(v)
-	}
+	li.lin.Index(info.PC>>2, info.Hist, pathHash, idx)
 }
 
-// newIndexParams precomputes the default index functions for cfg: the
-// masks, and the skewing functions compiled to their closed form bound to
-// each bank's vector length (skew.Compile), so the per-branch index work
-// is straight-line arithmetic with no iterated H/Hinv steps.
-func newIndexParams(cfg Config) *indexParams {
-	ip := &indexParams{usePath: cfg.UsePath, bimHist: cfg.Banks[BIM].HistLen}
+// linearKey holds the parameters that determine the default index map.
+type linearKey struct {
+	bits, hist [NumBanks]int
+	usePath    bool
+}
+
+// newLinearIndex builds the default index functions for cfg by linearity,
+// from their reference form: BIM takes the low PC bits, XORed with its
+// folded history and the path hash; G0, G1 and Meta apply three distinct
+// skewing functions, evaluated by their primitive steps (skew.Func.Index),
+// to the vector of low PC bits below the bank's truncated history, with
+// the path hash XORed in at half the index width. Predictors with equal
+// index parameters share the tables.
+func newLinearIndex(cfg Config) (*linearIndex, error) {
+	key := linearKey{usePath: cfg.UsePath}
+	bits := &key.bits
+	var fns [NumBanks]*skew.Func
 	for b := BIM; b < NumBanks; b++ {
-		bits := bitutil.Log2(uint64(cfg.Banks[b].Entries))
-		ip.bits[b] = uint(bits)
-		ip.pcMask[b] = bitutil.Mask(bits)
-		ip.histMask[b] = bitutil.Mask(cfg.Banks[b].HistLen)
+		bits[b] = bitutil.Log2(uint64(cfg.Banks[b].Entries))
+		key.hist[b] = cfg.Banks[b].HistLen
 		if b >= G0 {
-			ip.fns[b] = skew.MustFamily(bits, 3)[int(b-G0)].Compile(bits + cfg.Banks[b].HistLen)
+			fam, err := skew.NewFamily(bits[b], 3)
+			if err != nil {
+				return nil, fmt.Errorf("core: %v: %w", b, err)
+			}
+			fns[b] = fam[b-G0]
 		}
 	}
-	return ip
-}
-
-// DefaultIndexSet builds the unconstrained index functions used everywhere
-// in §8 except §8.5: BIM indexed by address (XORed with its folded history
-// when a BIM history length is configured), and G0/G1/Meta indexed by three
-// distinct skewing functions of (address, per-bank-truncated history).
-func DefaultIndexSet(cfg Config) IndexSet {
-	return newIndexParams(cfg).index
+	lin, err := skew.NewLinear(key, func(w, i int) (idx [NumBanks]uint64) {
+		var x [3]uint64 // PC>>2, history, path hash
+		x[w] = 1 << i
+		pc, hist, ph := x[0], x[1], x[2]&0xff
+		if !cfg.UsePath {
+			ph = 0
+		}
+		idx[BIM] = (pc ^ ph) & bitutil.Mask(bits[BIM])
+		if h := cfg.Banks[BIM].HistLen; h > 0 && bits[BIM] > 0 {
+			idx[BIM] ^= bitutil.FoldXOR(hist, h, bits[BIM])
+		}
+		for b := G0; b <= Meta; b++ {
+			h := cfg.Banks[b].HistLen
+			v := pc&bitutil.Mask(bits[b]) | (hist&bitutil.Mask(h))<<bits[b]
+			idx[b] = fns[b].Index(v^ph<<(bits[b]/2), bits[b]+h)
+		}
+		return idx
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return &linearIndex{lin: lin, usePath: cfg.UsePath}, nil
 }
 
 // lookup reads the four prediction bits for the computed indices.

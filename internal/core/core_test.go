@@ -27,6 +27,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(c); err == nil {
 		t.Error("hysteresis larger than prediction accepted")
 	}
+	c = Config512K()
+	c.Banks[G1].Entries = 2 // one index bit: too narrow for a skewing function
+	if _, err := New(c); err == nil {
+		t.Error("a skewed bank of one index bit accepted")
+	}
 }
 
 func TestBankString(t *testing.T) {

@@ -64,33 +64,85 @@ func indexConfigs() []Config {
 	return cfgs
 }
 
-// TestIndexEvaluatorMatchesReference checks the family's one index
-// evaluator, through both its callers (Lookup and LookupBatch), against
-// the formula it replaced.
-func TestIndexEvaluatorMatchesReference(t *testing.T) {
-	r := rng.New(41, 0)
-	infos := make([]history.Info, 300)
-	for i := range infos {
-		infos[i] = history.Info{
+// indexInfos returns the vectors the index tests evaluate: every unit
+// input bit of PC, history and each path address, then n random vectors.
+func indexInfos(seed uint64, n int) []history.Info {
+	var infos []history.Info
+	for i := 0; i < 64; i++ {
+		bit := uint64(1) << i
+		infos = append(infos, history.Info{PC: bit}, history.Info{Hist: bit},
+			history.Info{Path: [3]uint64{bit, 0, 0}}, history.Info{Path: [3]uint64{0, bit, 0}},
+			history.Info{Path: [3]uint64{0, 0, bit}})
+	}
+	r := rng.New(seed, 0)
+	for i := 0; i < n; i++ {
+		infos = append(infos, history.Info{
 			PC:   r.Uint64(),
 			Hist: r.Uint64(),
 			Path: [3]uint64{r.Uint64(), r.Uint64(), r.Uint64()},
-		}
+		})
+	}
+	return infos
+}
+
+// checkIndexes compares the family's one index evaluator, through both
+// its callers (Lookup and LookupBatch), with refIndex on infos.
+func checkIndexes(t *testing.T, cfg Config, infos []history.Info) {
+	t.Helper()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	snaps := make([]predictor.Snapshot, len(infos))
+	p.LookupBatch(infos, snaps)
+	for i := range infos {
+		want := refIndex(cfg, &infos[i])
+		if got := p.Lookup(&infos[i]).Idx; got != want {
+			t.Fatalf("%s usePath=%v bimHist=%d: Lookup Idx %v of %+v, want %v",
+				p.Name(), cfg.UsePath, cfg.Banks[BIM].HistLen, got, infos[i], want)
+		}
+		if got := snaps[i].Idx; got != want {
+			t.Fatalf("%s usePath=%v bimHist=%d: LookupBatch Idx %v of %+v, want %v",
+				p.Name(), cfg.UsePath, cfg.Banks[BIM].HistLen, got, infos[i], want)
+		}
+	}
+}
+
+// TestIndexEvaluatorMatchesReference checks the linear index tables of
+// every configuration in indexConfigs against the formula they are built
+// from, on every unit input bit and 54 × 800 random vectors.
+func TestIndexEvaluatorMatchesReference(t *testing.T) {
+	infos := indexInfos(41, 800)
 	for _, cfg := range indexConfigs() {
-		p := MustNew(cfg)
-		p.LookupBatch(infos, snaps)
-		for i := range infos {
-			want := refIndex(cfg, &infos[i])
-			if got := p.Lookup(&infos[i]).Idx; got != want {
-				t.Fatalf("%s usePath=%v bimHist=%d: Lookup Idx %v, want %v",
-					p.Name(), cfg.UsePath, cfg.Banks[BIM].HistLen, got, want)
-			}
-			if got := snaps[i].Idx; got != want {
-				t.Fatalf("%s usePath=%v bimHist=%d: LookupBatch Idx %v, want %v",
-					p.Name(), cfg.UsePath, cfg.Banks[BIM].HistLen, got, want)
-			}
+		checkIndexes(t, cfg, infos)
+	}
+}
+
+// TestLinearIndexShared: predictors with equal index parameters share one
+// set of tables whatever their other fields; different ones do not.
+func TestLinearIndexShared(t *testing.T) {
+	a := Config512K()
+	b := a
+	b.Name, b.PartialUpdate, b.Banks[G0].HystEntries = "other", false, a.Banks[G0].Entries/2
+	c := a
+	c.UsePath = true
+	pa, pb, pc := MustNew(a), MustNew(b), MustNew(c)
+	if pa.li.lin != pb.li.lin {
+		t.Error("equal index parameters built two table sets")
+	}
+	if pa.li.lin == pc.li.lin {
+		t.Error("UsePath on and off share tables")
+	}
+}
+
+// TestLinearIndexRejectsWideBanks: banks are limited to 32 index bits,
+// the width of a table lane; the check comes before any allocation.
+func TestLinearIndexRejectsWideBanks(t *testing.T) {
+	for b := BIM; b < NumBanks; b++ {
+		c := Config512K()
+		c.Banks[b].Entries = 1 << 33
+		if _, err := New(c); err == nil {
+			t.Errorf("%v with 2^33 entries accepted", b)
 		}
 	}
 }

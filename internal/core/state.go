@@ -38,7 +38,7 @@ func (p *Predictor) fingerprint() string {
 // is an opaque function the key cannot capture, so such configurations
 // return "" and are never cached (the EV8 wrapper keys itself).
 func (p *Predictor) ConfigKey() string {
-	if p.customIndexes {
+	if p.li == nil {
 		return ""
 	}
 	return "2bcgskew|" + p.fingerprint()

@@ -6,6 +6,7 @@ import (
 	"ev8pred/internal/bitutil"
 	"ev8pred/internal/core"
 	"ev8pred/internal/history"
+	"ev8pred/internal/skew"
 )
 
 // This file implements the §7 index functions. Physical structure of each
@@ -287,16 +288,17 @@ var histMasks = func() (m [core.NumBanks]uint64) {
 // newLinearTables builds both wordline variants' tables from the trees,
 // by linearity: each byte's entry is the XOR of its set bits' images.
 func newLinearTables() (ls [2]*linearIndex) {
+	xor := func(a, b uint64) uint64 { return a ^ b }
 	if err := checkSlices(&tables); err != nil {
 		panic(err)
 	}
 	for v, addrWL := range []bool{false, true} {
 		l := &linearIndex{}
 		for k := range l.pc {
-			fillSlice(&l.pc[k], func(i int) uint64 { return treeQuad(&tables, addrWL, 1<<(2+8*k+i), 0, 0, 0) })
+			skew.FillSlice(&l.pc[k], func(i int) uint64 { return treeQuad(&tables, addrWL, 1<<(2+8*k+i), 0, 0, 0) }, xor)
 		}
 		for k := range l.hist {
-			fillSlice(&l.hist[k], func(i int) uint64 { return treeQuad(&tables, addrWL, 0, 1<<(8*k+i), 0, 0) })
+			skew.FillSlice(&l.hist[k], func(i int) uint64 { return treeQuad(&tables, addrWL, 0, 1<<(8*k+i), 0, 0) }, xor)
 		}
 		for z := range l.z {
 			l.z[z] = treeQuad(&tables, addrWL, 0, 0, uint64(z)<<5, 0)
@@ -304,16 +306,6 @@ func newLinearTables() (ls [2]*linearIndex) {
 		ls[v] = l
 	}
 	return ls
-}
-
-// fillSlice sets t[v] to the XOR of img(i) over the set bits i of v.
-func fillSlice(t *[256]uint64, img func(i int) uint64) {
-	for i := 0; i < 8; i++ {
-		bit := img(i)
-		for v := 0; v < 1<<i; v++ {
-			t[v|1<<i] = t[v] ^ bit
-		}
-	}
 }
 
 // checkSlices reports any input bit a tree or a wordline reads outside the

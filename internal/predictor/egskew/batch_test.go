@@ -130,12 +130,16 @@ func TestBatchLaggedMatchesScalar(t *testing.T) {
 // TestIndexEvaluatorMatchesReference checks the family's one index
 // evaluator, through Lookup and LookupBatch, against the formula written
 // out from its parts with the skewing functions evaluated by their
-// primitive H/Hinv steps (skew.Func.Index).
+// primitive H/Hinv steps (skew.Func.Index): on every unit PC and history
+// bit and 2000 random vectors, at several sizes and history lengths.
 func TestIndexEvaluatorMatchesReference(t *testing.T) {
+	var infos []history.Info
+	for i := 0; i < 64; i++ {
+		infos = append(infos, history.Info{PC: 1 << i}, history.Info{Hist: 1 << i})
+	}
 	r := rng.New(43, 0)
-	infos := make([]history.Info, 300)
-	for i := range infos {
-		infos[i] = history.Info{PC: r.Uint64(), Hist: r.Uint64()}
+	for i := 0; i < 2000; i++ {
+		infos = append(infos, history.Info{PC: r.Uint64(), Hist: r.Uint64()})
 	}
 	snaps := make([]predictor.Snapshot, len(infos))
 	for _, entries := range []int{4, 1024, 8192, 64 * 1024} {
@@ -150,12 +154,21 @@ func TestIndexEvaluatorMatchesReference(t *testing.T) {
 				v := ibim | predictor.HistMask(info.Hist, histLen)<<uint(bits)
 				want := [predictor.MaxSnapshotBanks]uint64{ibim, fam[0].Index(v, bits+histLen), fam[1].Index(v, bits+histLen)}
 				if got := e.Lookup(info).Idx; got != want {
-					t.Fatalf("%s: Lookup Idx %v, want %v", e.Name(), got, want)
+					t.Fatalf("%s: Lookup Idx %v of %+v, want %v", e.Name(), got, *info, want)
 				}
 				if got := snaps[i].Idx; got != want {
-					t.Fatalf("%s: LookupBatch Idx %v, want %v", e.Name(), got, want)
+					t.Fatalf("%s: LookupBatch Idx %v of %+v, want %v", e.Name(), got, *info, want)
 				}
 			}
 		}
+	}
+}
+
+// TestLinearIndexRejectsWideBanks: banks are limited to 32 index bits,
+// the width of a table lane; the tables, built before the banks, reject
+// wider ones.
+func TestLinearIndexRejectsWideBanks(t *testing.T) {
+	if _, err := New(1<<33, 13, true); err == nil {
+		t.Error("2^33 entries accepted")
 	}
 }

@@ -24,15 +24,12 @@ type EGskew struct {
 	bim     *counter.Array
 	g0      *counter.Array
 	g1      *counter.Array
-	bits    int
 	histLen int
-	// The index evaluator's constants: PCBits and HistMask masks, and
-	// the two skewing functions bound to the bits+histLen vector.
-	pcMask   uint64
-	histMask uint64
-	fns      [2]skew.Compiled
-	partial  bool
-	name     string
+	// lin holds the index functions' byte-sliced tables over the words
+	// PC>>2 and history: BIM, G0 and G1 in lanes 0, 1 and 2.
+	lin     *skew.Linear
+	partial bool
+	name    string
 	// st holds attribution counters when stats collection is enabled
 	// (stats.Instrumented); nil keeps the update path at one pointer
 	// check.
@@ -68,20 +65,32 @@ func New(entries, histLen int, partial bool) (*EGskew, error) {
 	if err != nil {
 		return nil, fmt.Errorf("egskew: %w", err)
 	}
-	vlen := bits + histLen
+	// The reference form: PC bits for BIM, and the two skewing functions,
+	// by their primitive steps, of PC bits (low) concatenated with
+	// history (high) for G0 and G1.
+	lin, err := skew.NewLinear(linearKey{bits, histLen}, func(w, i int) (idx [4]uint64) {
+		var x [3]uint64 // PC>>2, history, unused
+		x[w] = 1 << i
+		idx[0] = x[0] & bitutil.Mask(bits)
+		v := idx[0] | (x[1]&bitutil.Mask(histLen))<<bits
+		idx[1], idx[2] = fns[0].Index(v, bits+histLen), fns[1].Index(v, bits+histLen)
+		return idx
+	})
+	if err != nil {
+		return nil, fmt.Errorf("egskew: %w", err)
+	}
 	return &EGskew{
-		bim:      counter.NewArray(entries, counter.WeakNotTaken),
-		g0:       counter.NewArray(entries, counter.WeakNotTaken),
-		g1:       counter.NewArray(entries, counter.WeakNotTaken),
-		bits:     bits,
-		histLen:  histLen,
-		pcMask:   bitutil.Mask(bits),
-		histMask: bitutil.Mask(histLen),
-		fns:      [2]skew.Compiled{fns[0].Compile(vlen), fns[1].Compile(vlen)},
-		partial:  partial,
-		name:     fmt.Sprintf("e-gskew-3x%dK-h%d", entries/1024, histLen),
+		bim:     counter.NewArray(entries, counter.WeakNotTaken),
+		g0:      counter.NewArray(entries, counter.WeakNotTaken),
+		g1:      counter.NewArray(entries, counter.WeakNotTaken),
+		histLen: histLen,
+		lin:     lin,
+		partial: partial,
+		name:    fmt.Sprintf("e-gskew-3x%dK-h%d", entries/1024, histLen),
 	}, nil
 }
+
+type linearKey struct{ bits, histLen int } // the parameters that determine the index map
 
 // MustNew is New but panics on error.
 func MustNew(entries, histLen int, partial bool) *EGskew {
@@ -92,14 +101,13 @@ func MustNew(entries, histLen int, partial bool) *EGskew {
 	return e
 }
 
-// indices computes the three bank indices for an information vector: PC
-// bits for BIM, and the two skewing functions of PC bits (low)
-// concatenated with history (high) for G0 and G1. It is the family's one
-// index evaluator; Lookup, Predict, Update and LookupBatch all call it.
+// indices computes the three bank indices for an information vector from
+// the linear tables. It is the family's one index evaluator; Lookup,
+// Predict, Update and LookupBatch all call it.
 func (e *EGskew) indices(info *history.Info) (ibim, i0, i1 uint64) {
-	ibim = (info.PC >> 2) & e.pcMask
-	v := ibim | (info.Hist&e.histMask)<<uint(e.bits)
-	return ibim, e.fns[0].Index(v), e.fns[1].Index(v)
+	var idx [4]uint64
+	e.lin.Index(info.PC>>2, info.Hist, 0, &idx)
+	return idx[0], idx[1], idx[2]
 }
 
 // b2i converts a vote to a count without a slice round-trip.
@@ -284,9 +292,9 @@ func (e *EGskew) Reset() {
 }
 
 // LookupBatch implements predictor.BatchPredictor: the pure index stage
-// over the chunk, through the scalar path's evaluator (indices: PC bits
-// and the two skewing functions in their closed form). No counter state
-// is touched; the unused fourth index is zeroed, as Lookup leaves it.
+// over the chunk, through the scalar path's evaluator (indices). No
+// counter state is touched; the unused fourth index is zeroed, as Lookup
+// leaves it.
 func (e *EGskew) LookupBatch(infos []history.Info, snaps []predictor.Snapshot) {
 	for i := range infos {
 		ibim, i0, i1 := e.indices(&infos[i])

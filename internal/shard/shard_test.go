@@ -176,7 +176,7 @@ func TestPlanRejectsUncacheable(t *testing.T) {
 	_, xs, profs, instr, opts := testSweep(t)
 	custom := func(int) (predictor.Predictor, error) {
 		cfg := core.Config256K()
-		std := core.DefaultIndexSet(cfg)
+		std := core.MustNew(cfg).Config().Indexes
 		cfg.Indexes = func(info *history.Info) [core.NumBanks]uint64 { return std(info) }
 		cfg.Name = "2bcg-custom-idx"
 		return core.New(cfg)

@@ -109,19 +109,17 @@ func (g *Generator) Next() (trace.Branch, bool) {
 	if g.done {
 		return trace.Branch{}, false
 	}
-	b := g.step()
-	g.instr += int64(b.Gap) + 1
-	if g.budget > 0 && g.instr >= g.budget {
-		g.done = true
-	}
+	var b trace.Branch
+	g.step(&b)
 	return b, true
 }
 
 // NextBatch implements trace.BatchSource: it interprets records directly
-// into the caller's buffer, so batch consumers (sim.RunEnsemble) pay one
-// call per batch instead of one interface dispatch per record. A
-// synthetic stream cannot fail, so the only terminal condition is the
-// budget running out (io.EOF).
+// into the caller's buffer, field by field, so batch consumers
+// (sim.RunEnsemble) pay one call per batch instead of one interface
+// dispatch per record, and no record is copied. A synthetic stream cannot
+// fail, so the only terminal condition is the budget running out
+// (io.EOF).
 func (g *Generator) NextBatch(dst []trace.Branch) (int, error) {
 	if g.done {
 		return 0, io.EOF
@@ -130,36 +128,33 @@ func (g *Generator) NextBatch(dst []trace.Branch) (int, error) {
 		if g.done {
 			return i, nil
 		}
-		b := g.step()
-		g.instr += int64(b.Gap) + 1
-		if g.budget > 0 && g.instr >= g.budget {
-			g.done = true
-		}
-		dst[i] = b
+		g.step(&dst[i])
 	}
 	return len(dst), nil
 }
 
-// emit finalizes a record at pc: the gap is the real address distance from
-// the previous control transfer's successor, which is what makes the
-// front-end flow reconstruction exact.
-func (g *Generator) emit(pc, target uint64, taken bool, kind trace.Kind) trace.Branch {
+// emit writes the record at pc into b, every field: the gap is the real
+// address distance from the previous control transfer's successor, which
+// is what makes the front-end flow reconstruction exact. It charges the
+// record to the budget. Writing through b rather than returning a
+// literal spares NextBatch a copy whose wide loads could not forward from
+// the narrow stores that built it.
+func (g *Generator) emit(b *trace.Branch, pc, target uint64, taken bool, kind trace.Kind) {
 	if pc < g.lastNextPC {
 		panic(fmt.Sprintf("workload: layout regression: pc %#x < flow %#x", pc, g.lastNextPC))
 	}
-	b := trace.Branch{
-		PC:     pc,
-		Target: target,
-		Taken:  taken,
-		Gap:    int((pc - g.lastNextPC) / trace.InstrBytes),
-		Kind:   kind,
-	}
+	gap := int((pc - g.lastNextPC) / trace.InstrBytes)
+	b.PC, b.Target, b.Taken, b.Gap, b.Kind, b.Thread = pc, target, taken, gap, kind, 0
 	g.lastNextPC = b.NextPC()
-	return b
+	g.instr += int64(gap) + 1
+	if g.budget > 0 && g.instr >= g.budget {
+		g.done = true
+	}
 }
 
-// step advances the interpreter until exactly one record is produced.
-func (g *Generator) step() trace.Branch {
+// step advances the interpreter until exactly one record is produced,
+// into b.
+func (g *Generator) step(b *trace.Branch) {
 	for {
 		if len(g.stack) == 0 {
 			// Driver loop.
@@ -168,7 +163,8 @@ func (g *Generator) step() trace.Branch {
 			if slot == len(g.prog.callSeq) {
 				// Wrap: unconditional jump back to the driver start.
 				g.seqPos = 0
-				return g.emit(g.prog.jumpPC, g.prog.driverStart, true, trace.Jump)
+				g.emit(b, g.prog.jumpPC, g.prog.driverStart, true, trace.Jump)
+				return
 			}
 			fn := g.prog.callSeq[slot]
 			callPC := g.prog.callPCs[slot]
@@ -179,7 +175,8 @@ func (g *Generator) step() trace.Branch {
 				fn:    fn,
 				retPC: callPC + trace.InstrBytes,
 			})
-			return g.emit(callPC, f.entry, true, trace.Call)
+			g.emit(b, callPC, f.entry, true, trace.Call)
+			return
 		}
 
 		f := &g.stack[len(g.stack)-1]
@@ -191,20 +188,24 @@ func (g *Generator) step() trace.Branch {
 					f.remain--
 					f.pos = 0
 					g.ghist.Shift(true)
-					return g.emit(s.branchPC, s.target, true, trace.Cond)
+					g.emit(b, s.branchPC, s.target, true, trace.Cond)
+					return
 				}
 				g.stack = g.stack[:len(g.stack)-1]
 				g.ghist.Shift(false)
-				return g.emit(s.branchPC, s.target, false, trace.Cond)
+				g.emit(b, s.branchPC, s.target, false, trace.Cond)
+				return
 			case frameFunc:
 				fn := &g.prog.funcs[f.fn]
 				ret := f.retPC
 				g.stack = g.stack[:len(g.stack)-1]
-				return g.emit(fn.retPC, ret, true, trace.Return)
+				g.emit(b, fn.retPC, ret, true, trace.Return)
+				return
 			case frameSwitchCase:
 				pc, tgt := f.jumpPC, f.jumpTarget
 				g.stack = g.stack[:len(g.stack)-1]
-				return g.emit(pc, tgt, true, trace.Jump)
+				g.emit(b, pc, tgt, true, trace.Jump)
+				return
 			default: // frameIfBody
 				g.stack = g.stack[:len(g.stack)-1]
 				continue
@@ -229,7 +230,8 @@ func (g *Generator) step() trace.Branch {
 			if !taken && len(s.body) > 0 {
 				g.stack = append(g.stack, frame{kind: frameIfBody, stmts: s.body})
 			}
-			return g.emit(s.branchPC, s.target, taken, trace.Cond)
+			g.emit(b, s.branchPC, s.target, taken, trace.Cond)
+			return
 		case stmtSwitch:
 			// Skewed dispatch: a hot case plus a uniform tail.
 			c := 0
@@ -241,7 +243,8 @@ func (g *Generator) step() trace.Branch {
 				jumpPC:     s.caseJumpPCs[c],
 				jumpTarget: s.join,
 			})
-			return g.emit(s.branchPC, s.caseAddrs[c], true, trace.Jump)
+			g.emit(b, s.branchPC, s.caseAddrs[c], true, trace.Jump)
+			return
 		}
 	}
 }

@@ -361,6 +361,20 @@ func BenchmarkGenerator(b *testing.B) {
 	}
 }
 
+// BenchmarkGeneratorNextBatch is BenchmarkGenerator through NextBatch in
+// 1024-record chunks, the engine's chunk size; ns/op is per record.
+func BenchmarkGeneratorNextBatch(b *testing.B) {
+	prof, _ := ByName("gcc")
+	g := MustNew(prof, 0)
+	buf := make([]trace.Branch, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(buf) {
+		if _, err := g.NextBatch(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestSwitchDispatchStructure(t *testing.T) {
 	// Indirect dispatches (switches) must appear in switch-enabled
 	// profiles, always as Jump records from a recurring PC with varying
