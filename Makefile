@@ -15,7 +15,8 @@ all: build vet test
 # differential suite (single-pass
 # ensemble results must be byte-identical to per-cell runs, members on
 # the batch and per-branch schedules side by side, and every entry point
-# must honour each Options field or reject it with a typed error), the
+# must honour each Options field or reject it with a typed error; the
+# pool's TestRunCells* suite rides along), the
 # RunFrontEnd multi-thread rejection, the
 # resume-equivalence and cache-correctness suites (checkpointed-and-
 # resumed runs and cache hits must be byte-identical to straight
@@ -41,7 +42,7 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestDelayedBatchZeroAllocsSteadyState' -count=1 .
-	$(GO) test -run 'TestEnsemble|TestEV8Ensemble|TestOptionsContract|TestRunFrontEndRejectsUnsupportedOptions' -count=1 . ./internal/sim/
+	$(GO) test -run 'TestEnsemble|TestEV8Ensemble|TestOptionsContract|TestRunFrontEndRejectsUnsupportedOptions|TestRunCells' -count=1 . ./internal/sim/
 	$(GO) test -run 'TestRunFrontEndRejectsMultiThread' -count=1 ./internal/sim/
 	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestLinear|TestCompiled|TestFoldXOR|TestInstrumentedUpdate|TestCollect|TestStoredMask|TestSplitBits|TestChunkedWalk|TestWalkHugeGap|TestWalkFlowBreak|TestReplayMatchesReferenceSequencer|TestFlowBreakIsError' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/frontend/ ./internal/sim/ ./internal/predictor/... ./internal/predictor/egskew/ ./internal/trace/ ./internal/skew/ ./internal/bitutil/ ./internal/counter/
 	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .

@@ -160,8 +160,7 @@ func TestEnsembleBatchScalarEquivalent(t *testing.T) {
 				t.Fatal(err)
 			}
 			runEns := func(mode ev8pred.BatchMode) []ev8pred.Result {
-				opts := ev8pred.Options{Mode: ev8pred.ModeGhist(), Collect: collect,
-					Ensemble: ev8pred.EnsembleOn, Batch: mode}
+				opts := ev8pred.Options{Mode: ev8pred.ModeGhist(), Collect: collect, Batch: mode}
 				rs, err := ev8pred.RunEnsembleBenchmark(factories, prof, 200_000, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -306,8 +305,7 @@ func TestBatchZeroAllocsSteadyState(t *testing.T) {
 				func() (ev8pred.Predictor, error) { return ev8pred.NewBimodal(1 << 14) },
 			}
 			_, err := ev8pred.RunEnsemble(factories, trace.NewSlice(recs), ev8pred.Options{
-				Mode:     ev8pred.ModeGhist(),
-				Ensemble: ev8pred.EnsembleOn,
+				Mode: ev8pred.ModeGhist(),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -132,7 +132,7 @@ func BenchmarkBackupHierarchy(b *testing.B) {
 func benchWorkers(b *testing.B, workers int) {
 	b.Helper()
 	cfg := benchConfig(200_000) // full suite: 8 cells per column
-	cfg.Workers = workers
+	cfg.Pool.Workers = workers
 	e, err := experiments.ByID("fig5")
 	if err != nil {
 		b.Fatal(err)

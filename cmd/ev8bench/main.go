@@ -159,7 +159,8 @@ func run(args []string, out, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := experiments.Config{Instructions: *instructions, Workers: *workers, Ensemble: ensembleMode, Batch: batchMode}
+	cfg := experiments.Config{Instructions: *instructions, Batch: batchMode,
+		Pool: sim.PoolOptions{Workers: *workers, Ensemble: ensembleMode}}
 	if *benchmarks == "" {
 		cfg.Benchmarks = workload.Benchmarks()
 	} else {
@@ -172,12 +173,12 @@ func run(args []string, out, errw io.Writer) error {
 		}
 	}
 	progress := live.NewProgress()
-	cfg.Progress = progress.Observe
+	cfg.Pool.Progress = progress.Observe
 	var counter *progressCounter
 	if *verbose {
 		counter = &progressCounter{w: errw, p: progress}
-		cfg.Progress = counter.observe
-		cfg.Log = func(format string, args ...interface{}) {
+		cfg.Pool.Progress = counter.observe
+		cfg.Pool.Log = func(format string, args ...interface{}) {
 			fmt.Fprintf(errw, "ev8bench: "+format+"\n", args...)
 		}
 	}
@@ -186,7 +187,7 @@ func run(args []string, out, errw io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cfg.Cache = store
+		cfg.Pool.Cache = store
 		defer func() {
 			if *verbose {
 				hits, misses, readErrs, puts := store.Counts()
@@ -200,10 +201,10 @@ func run(args []string, out, errw io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if cfg.Cache == nil {
+		if cfg.Pool.Cache == nil {
 			return fmt.Errorf("-shard requires -cache: the shared store is how precompute workers hand results to each other")
 		}
-		cfg.Shard, cfg.Shards = spec.Index, spec.Count
+		cfg.Shard = spec
 		fmt.Fprintf(errw, "ev8bench: precompute worker %s: tables below cover only this shard's cells (zeros elsewhere); render from an unsharded -cache run once every worker finishes\n", spec)
 	}
 	if *expvarAddr != "" {
@@ -329,11 +330,7 @@ func runStatsSuite(cfg experiments.Config) ([]report.Run, error) {
 	factory := func() (predictor.Predictor, error) { return ev8.New(ev8.DefaultConfig()) }
 	opts := sim.Options{Mode: frontend.ModeEV8(), Collect: true, Batch: cfg.Batch}
 	results, err := sim.RunCells(context.Background(),
-		sim.SuiteCells(factory, cfg.Benchmarks, opts), cfg.Instructions,
-		sim.PoolOptions{
-			Workers: cfg.Workers, Progress: cfg.Progress, Ensemble: cfg.Ensemble,
-			Cache: cfg.Cache, Log: cfg.Log,
-		})
+		sim.SuiteCells(factory, cfg.Benchmarks, opts), cfg.Instructions, cfg.Pool)
 	if err != nil {
 		return nil, fmt.Errorf("stats suite: %w", err)
 	}

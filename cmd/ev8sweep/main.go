@@ -178,7 +178,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}()
 	}
-	opts := sim.Options{Mode: mode, Workers: *workers, Collect: *collect, Ensemble: ensembleMode, Batch: batchMode}
+	opts := sim.Options{Mode: mode, Collect: *collect, Batch: batchMode}
 
 	var pts []sweep.Point
 	switch {

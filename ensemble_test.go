@@ -7,7 +7,7 @@ package ev8pred_test
 // (trace.BatchSource) or record-at-a-time. A divergence here means the
 // shared front-end pass leaked state between members or dropped a
 // semantic of the per-cell loop, so these tests are the acceptance gate
-// for the ensemble scheduler (Options.Ensemble) as a whole.
+// for the pool's ensemble scheduler (EnsembleMode) as a whole.
 
 import (
 	"context"

@@ -260,7 +260,7 @@ func TestEV8EnsembleBatchScalarEquivalent(t *testing.T) {
 						}
 					}
 					o := opts
-					o.Ensemble, o.Batch = ev8pred.EnsembleOn, mode
+					o.Batch = mode
 					rs, err := ev8pred.RunEnsembleBenchmark(factories, prof, 200_000, o)
 					if err != nil {
 						t.Fatal(err)
@@ -394,8 +394,7 @@ func TestEV8BatchZeroAllocsSteadyState(t *testing.T) {
 				factories[i] = c.make
 			}
 			_, err := ev8pred.RunEnsemble(factories, trace.NewSlice(recs), ev8pred.Options{
-				Mode:     ev8pred.ModeEV8(),
-				Ensemble: ev8pred.EnsembleOn,
+				Mode: ev8pred.ModeEV8(),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -162,7 +162,8 @@ func RunBenchmark(p Predictor, prof Profile, instructions int64, opts Options) (
 	return sim.RunBenchmark(p, prof, instructions, opts)
 }
 
-// Ensemble scheduling modes (see RunEnsemble and Options.Ensemble).
+// Ensemble scheduling modes of the cell pool (the Ensemble field of
+// internal/sim's PoolOptions; see RunEnsemble).
 const (
 	// EnsembleAuto groups cells into per-workload ensembles only when the
 	// amortization can win (the default).

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ev8pred/internal/cache"
 	"ev8pred/internal/report"
 	"ev8pred/internal/shard"
 	"ev8pred/internal/sim"
@@ -32,16 +31,6 @@ type Config struct {
 	Instructions int64
 	// Benchmarks is the profile list (defaults to the full Table 2 set).
 	Benchmarks []workload.Profile
-	// Workers bounds how many simulation cells run concurrently: 0 uses
-	// one worker per CPU, 1 forces the serial debugging path. Rendered
-	// tables are byte-identical for every worker count.
-	Workers int
-	// Ensemble selects the pool's cell-grouping policy: auto (the zero
-	// value) collapses the (column × benchmark) fan-outs into one
-	// single-pass ensemble per benchmark when that amortization can win,
-	// on forces it, off forces per-cell runs. Rendered tables are
-	// byte-identical in every mode.
-	Ensemble sim.EnsembleMode
 	// Batch selects the batch-kernel schedule for every simulation cell:
 	// auto (the zero value) lets each run choose, on demands the chunked
 	// kernel and fails a cell that is ineligible (sim.ErrBatchIneligible —
@@ -49,38 +38,26 @@ type Config struct {
 	// the scalar path. A schedule knob only: rendered tables are
 	// byte-identical in every mode, and the result cache keys ignore it.
 	Batch sim.BatchMode
-	// Progress, if non-nil, receives one event per completed simulation
-	// cell (cmd/ev8bench -v wires a throughput counter here).
-	Progress sim.ProgressFunc
-	// Cache, if non-nil, is the content-addressed result store consulted
-	// before (and fed after) every simulation cell; a regenerated table
-	// whose cells are all cached costs file reads instead of stream
-	// simulations (docs/CACHING.md). cmd/ev8bench's -cache flag opens it.
-	Cache *cache.Store
-	// Log, if non-nil, receives harness diagnostics (a corrupt cache
-	// entry refused and recomputed, a result that could not be stored).
-	Log func(format string, args ...interface{})
-	// Shard and Shards, when Shards > 1, turn the run into one worker of
-	// a sharded precompute (docs/SHARDING.md): the cell-based fan-outs —
-	// the (factory × benchmark) grids behind the tables and figures —
-	// simulate only the cells shard Shard of Shards owns, assigned by the
-	// same stable hash of the cells' cache keys the sweep sharding layer
-	// uses (internal/shard), and hand their results to the other
-	// participants through the shared Cache (required). Cells a worker
-	// skips come back as zero Results, so a worker's tables are cache
-	// fuel, not reading material; a final unsharded run over the same
-	// store renders every table from hits alone. Generators that are not
-	// plain cell grids (SMT interleavings, front-end measurements,
-	// trace statistics) run in full on every worker.
-	Shard, Shards int
-}
-
-// pool returns the fan-out configuration shared by every generator.
-func (cfg Config) pool() sim.PoolOptions {
-	return sim.PoolOptions{
-		Workers: cfg.Workers, Progress: cfg.Progress, Ensemble: cfg.Ensemble,
-		Cache: cfg.Cache, Log: cfg.Log,
-	}
+	// Pool schedules every generator's fan-out (see sim.PoolOptions): its
+	// worker count, ensemble mode, progress hook (cmd/ev8bench -v wires a
+	// throughput counter here), result store (-cache, docs/CACHING.md)
+	// and diagnostics log. Rendered tables are byte-identical for every
+	// worker count and ensemble mode.
+	Pool sim.PoolOptions
+	// Shard, when its Count is above 1, turns the run into one worker of a
+	// sharded precompute (docs/SHARDING.md): the cell-based fan-outs — the
+	// (factory × benchmark) grids behind the tables and figures — simulate
+	// only the cells the shard owns, assigned by the same stable hash of
+	// the cells' cache keys the sweep sharding layer uses
+	// (internal/shard), and hand their results to the other participants
+	// through the shared Pool.Cache (required). Cells a worker skips come
+	// back as zero Results, so a worker's tables are cache fuel, not
+	// reading material; a final unsharded run over the same store renders
+	// every table from hits alone. Generators that are not plain cell
+	// grids (SMT interleavings, front-end measurements, trace statistics)
+	// run in full on every worker. The zero value and a Count of 1 mean
+	// unsharded.
+	Shard shard.Spec
 }
 
 // Default returns the standard harness configuration.
@@ -153,17 +130,17 @@ func IDs() []string {
 
 // suite runs a predictor factory over every benchmark and returns the
 // per-benchmark results in benchmark order. Cells fan out through the
-// harness pool (cfg.Workers).
+// harness pool (cfg.Pool).
 func suite(cfg Config, opts sim.Options, factory sim.Factory) ([]sim.Result, error) {
 	return runCells(cfg, sim.SuiteCells(factory, cfg.Benchmarks, opts))
 }
 
 // runCells is the cell fan-out every grid-shaped generator goes through.
 // Unsharded it is sim.RunCells; as a sharded-precompute worker
-// (cfg.Shards > 1) it simulates only the cells this shard owns — chosen
-// by the same stable hash of the cells' cache keys internal/shard uses
-// for sweeps, so the partition is identical on every worker — through
-// the shared store, and returns zero Results for the rest. A cell
+// (cfg.Shard.Count > 1) it simulates only the cells this shard owns —
+// chosen by the same stable hash of the cells' cache keys internal/shard
+// uses for sweeps, so the partition is identical on every worker —
+// through the shared store, and returns zero Results for the rest. A cell
 // without a canonical cache key cannot be handed to the other workers,
 // so sharding refuses it loudly instead of silently computing it
 // everywhere or nowhere.
@@ -175,16 +152,18 @@ func runCells(cfg Config, cells []sim.Cell) ([]sim.Result, error) {
 			cells[i].Opts.Batch = cfg.Batch
 		}
 	}
-	if cfg.Shards <= 1 {
-		return sim.RunCells(context.Background(), cells, cfg.Instructions, cfg.pool())
+	if cfg.Shard != (shard.Spec{}) {
+		if err := cfg.Shard.Validate(); err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
 	}
-	if cfg.Shard < 0 || cfg.Shard >= cfg.Shards {
-		return nil, fmt.Errorf("experiments: shard %d out of range for %d shards", cfg.Shard, cfg.Shards)
+	if cfg.Shard.Count <= 1 {
+		return sim.RunCells(context.Background(), cells, cfg.Instructions, cfg.Pool)
 	}
-	if cfg.Cache == nil {
-		return nil, fmt.Errorf("experiments: sharded precompute requires a shared Cache — the store is how shards hand results to each other")
+	if cfg.Pool.Cache == nil {
+		return nil, fmt.Errorf("experiments: sharded precompute requires a shared Pool.Cache — the store is how shards hand results to each other")
 	}
-	owned := make([]sim.Cell, 0, len(cells)/cfg.Shards+1)
+	owned := make([]sim.Cell, 0, len(cells)/cfg.Shard.Count+1)
 	ownedAt := make([]int, 0, cap(owned))
 	for i, c := range cells {
 		k, ok, err := sim.CellKey(c, cfg.Instructions)
@@ -194,12 +173,12 @@ func runCells(cfg Config, cells []sim.Cell) ([]sim.Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("experiments: cell %d (%s on %s) has no canonical configuration key, so no shard could answer for it through the shared store", i, describeCell(c), c.Profile.Name)
 		}
-		if shard.Assign(k.Hash(), cfg.Shards) == cfg.Shard {
+		if cfg.Shard.Owns(k.Hash()) {
 			owned = append(owned, c)
 			ownedAt = append(ownedAt, i)
 		}
 	}
-	rs, err := sim.RunCells(context.Background(), owned, cfg.Instructions, cfg.pool())
+	rs, err := sim.RunCells(context.Background(), owned, cfg.Instructions, cfg.Pool)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +240,7 @@ func jobs[T any](cfg Config, fns []func() (T, error)) ([]T, error) {
 	for i, fn := range fns {
 		wrapped[i] = func(context.Context) (T, error) { return fn() }
 	}
-	return sim.Parallel(context.Background(), cfg.Workers, wrapped)
+	return sim.Parallel(context.Background(), cfg.Pool.Workers, wrapped)
 }
 
 // addSeriesColumns builds the common per-benchmark × per-series misp/KI

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"ev8pred/internal/core"
 	"ev8pred/internal/frontend"
 	"ev8pred/internal/predictor"
+	"ev8pred/internal/shard"
 	"ev8pred/internal/sim"
 	"ev8pred/internal/workload"
 )
@@ -350,7 +352,7 @@ func TestParallelSerialByteIdentical(t *testing.T) {
 			render := func(workers int) string {
 				cfg := testConfig("li", "go")
 				cfg.Instructions = 200_000
-				cfg.Workers = workers
+				cfg.Pool.Workers = workers
 				tbl, err := e.Run(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -376,10 +378,10 @@ func TestProgressEventsCoverAllCells(t *testing.T) {
 	}
 	cfg := testConfig("li", "go")
 	cfg.Instructions = 100_000
-	cfg.Workers = 2
+	cfg.Pool.Workers = 2
 	var mu sync.Mutex
 	events := 0
-	cfg.Progress = func(sim.CellDone) {
+	cfg.Pool.Progress = func(sim.CellDone) {
 		mu.Lock()
 		events++
 		mu.Unlock()
@@ -421,9 +423,9 @@ func TestShardedPrecomputeFillsCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := base
-		cfg.Cache = store
-		cfg.Shard, cfg.Shards = k, 3
-		cfg.Progress = func(sim.CellDone) {
+		cfg.Pool.Cache = store
+		cfg.Shard = shard.Spec{Index: k, Count: 3}
+		cfg.Pool.Progress = func(sim.CellDone) {
 			mu.Lock()
 			simulated++
 			mu.Unlock()
@@ -443,7 +445,7 @@ func TestShardedPrecomputeFillsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := base
-	final.Cache = store
+	final.Pool.Cache = store
 	tbl, err = e.Run(final)
 	if err != nil {
 		t.Fatal(err)
@@ -464,7 +466,7 @@ func TestShardedPrecomputeValidation(t *testing.T) {
 	}
 	cfg := testConfig("li")
 	cfg.Instructions = 100_000
-	cfg.Shard, cfg.Shards = 0, 2
+	cfg.Shard = shard.Spec{Index: 0, Count: 2}
 	if _, err := e.Run(cfg); err == nil || !strings.Contains(err.Error(), "Cache") {
 		t.Errorf("sharding without a store: %v", err)
 	}
@@ -472,8 +474,8 @@ func TestShardedPrecomputeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Cache = store
-	cfg.Shard = 2
+	cfg.Pool.Cache = store
+	cfg.Shard.Index = 2
 	if _, err := e.Run(cfg); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("out-of-range shard: %v", err)
 	}
@@ -500,8 +502,8 @@ func TestSmallBIMPenaltyScalesWithPredictorSize(t *testing.T) {
 		c.Banks[core.Meta].HistLen = logn
 		c.Banks[core.G1].HistLen = logn + 4
 		c.Name = "sized"
-		rs, err := sim.RunSuite(func() (predictor.Predictor, error) { return core.New(c) },
-			cfg.Benchmarks, cfg.Instructions, sim.Options{Mode: frontend.ModeGhist()})
+		rs, err := sim.RunCells(context.Background(), sim.SuiteCells(func() (predictor.Predictor, error) { return core.New(c) },
+			cfg.Benchmarks, sim.Options{Mode: frontend.ModeGhist()}), cfg.Instructions, sim.PoolOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,10 @@ import (
 	"ev8pred/internal/sweep"
 )
 
-// optionsRow is the ev8serve column of the sim.Options contract for one
-// field. A field a spec can reach (spec or cfg set) must be honoured:
-// the served runs equal sweep.RunPool under want. A field a spec cannot
+// optionsRow is the ev8serve column of the options contract for one
+// sim.Options or sim.PoolOptions field. A field a spec can reach (spec or
+// cfg set) must be honoured: the job's pool equals pool, and the served
+// runs equal sweep.RunPool under want and pool. A field a spec cannot
 // reach (json set) must be refused as bad_spec when its JSON name is
 // submitted.
 type optionsRow struct {
@@ -25,15 +26,16 @@ type optionsRow struct {
 	spec  func(*Spec)
 	cfg   Config
 	want  sim.Options
+	pool  sim.PoolOptions
 	json  string
 }
 
 var optionsRows = []optionsRow{
 	{field: "Mode", spec: func(sp *Spec) { sp.Mode = "ev8" }, want: sim.Options{Mode: frontend.ModeEV8()}},
 	{field: "Collect", spec: func(sp *Spec) { sp.Stats = true }, want: sim.Options{Collect: true}},
-	{field: "Ensemble", name: "Ensemble/off", spec: func(sp *Spec) { sp.Ensemble = "off" }, want: sim.Options{Ensemble: sim.EnsembleOff}},
-	{field: "Ensemble", name: "Ensemble/on", spec: func(sp *Spec) { sp.Ensemble = "on" }, want: sim.Options{Ensemble: sim.EnsembleOn}},
-	{field: "Workers", cfg: Config{Workers: 2}, want: sim.Options{Workers: 2}},
+	{field: "Ensemble", name: "Ensemble/off", spec: func(sp *Spec) { sp.Ensemble = "off" }, pool: sim.PoolOptions{Ensemble: sim.EnsembleOff}},
+	{field: "Ensemble", name: "Ensemble/on", spec: func(sp *Spec) { sp.Ensemble = "on" }, pool: sim.PoolOptions{Ensemble: sim.EnsembleOn}},
+	{field: "Workers", cfg: Config{Workers: 2}, pool: sim.PoolOptions{Workers: 2}},
 	{field: "MaxBranches", json: "max_branches"},
 	{field: "UpdateDelay", json: "update_delay"},
 	{field: "Warmup", json: "warmup"},
@@ -41,15 +43,21 @@ var optionsRows = []optionsRow{
 	{field: "Batch", json: "batch"},
 }
 
-// TestServeOptionsContract crosses every sim.Options field with the
-// daemon: honoured fields match the engine run directly, unreachable
-// ones are refused. A new Options field without a row fails the test.
+// TestServeOptionsContract crosses every sim.Options field, and the
+// schedule-level PoolOptions fields a job takes from its spec or its
+// server, with the daemon: honoured fields match the engine run directly,
+// unreachable ones are refused. A new Options field without a row fails
+// the test.
 func TestServeOptionsContract(t *testing.T) {
+	ot, pt := reflect.TypeOf(sim.Options{}), reflect.TypeOf(sim.PoolOptions{})
 	covered := map[string]bool{}
 	for _, row := range optionsRows {
 		covered[row.field] = true
+		_, inOpts := ot.FieldByName(row.field)
+		if _, inPool := pt.FieldByName(row.field); !inOpts && !inPool {
+			t.Errorf("row %q names no sim.Options or sim.PoolOptions field", row.field)
+		}
 	}
-	ot := reflect.TypeOf(sim.Options{})
 	for i := 0; i < ot.NumField(); i++ {
 		if name := ot.Field(i).Name; !covered[name] {
 			t.Errorf("sim.Options.%s has no row in optionsRows: say whether ev8serve honours or refuses it", name)
@@ -73,20 +81,22 @@ func TestServeOptionsContract(t *testing.T) {
 			if row.spec != nil {
 				row.spec(&sp)
 			}
-			cs, err := sp.compile(srv.cfg.Workers, srv.cfg.MaxCells)
+			cs, err := sp.compile(srv.cfg.MaxCells)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(cs.opts, row.want) {
 				t.Errorf("spec compiles to %+v, want %+v", cs.opts, row.want)
 			}
+			if got := srv.jobPool(cs); !reflect.DeepEqual(got, row.pool) {
+				t.Errorf("job runs under pool %+v, want %+v", got, row.pool)
+			}
 			_, events := streamEvents(t, ts, "alice", sp)
 			last := events[len(events)-1]
 			if last.Event != "result" {
 				t.Fatalf("job failed: %+v", last)
 			}
-			pts, err := sweep.RunPool(cs.factory, cs.xs, cs.profs, cs.instr, row.want,
-				sim.PoolOptions{Workers: row.want.Workers, Ensemble: row.want.Ensemble})
+			pts, err := sweep.RunPool(cs.factory, cs.xs, cs.profs, cs.instr, row.want, row.pool)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -173,7 +173,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, &APIError{Code: "bad_spec", Message: "decoding spec: " + err.Error()})
 		return
 	}
-	cs, err := sp.compile(s.cfg.Workers, s.cfg.MaxCells)
+	cs, err := sp.compile(s.cfg.MaxCells)
 	if err != nil {
 		status, api := apiErrorFor(err)
 		writeError(w, status, api)

@@ -56,7 +56,7 @@ func TestSpecCompileErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := testSpec()
 			tc.mut(&sp)
-			_, err := sp.compile(1, 4)
+			_, err := sp.compile(4)
 			var se *SpecError
 			if !errors.As(err, &se) {
 				t.Fatalf("error %v (%T) is not *SpecError", err, err)
@@ -73,9 +73,12 @@ func TestSpecCompileErrors(t *testing.T) {
 // defaults.
 func TestSpecCompileDefaults(t *testing.T) {
 	sp := Spec{Scheme: "gshare", Param: "history", Values: []int{4}, Instructions: 1000}
-	cs, err := sp.compile(0, 0)
+	cs, err := sp.compile(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cs.ensemble != sim.EnsembleAuto {
+		t.Errorf("default ensemble = %v, want auto", cs.ensemble)
 	}
 	if got, want := len(cs.profs), len(workload.Benchmarks()); got != want {
 		t.Errorf("default benchmarks = %d profiles, want the full suite of %d", got, want)
@@ -223,7 +226,7 @@ func TestSubmitStreamsInOrderAndMatchesEngine(t *testing.T) {
 	}
 
 	// Byte-identical to the engine run the CLI would do.
-	cs, err := sp.compile(srv.cfg.Workers, srv.cfg.MaxCells)
+	cs, err := sp.compile(srv.cfg.MaxCells)
 	if err != nil {
 		t.Fatal(err)
 	}

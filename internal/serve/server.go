@@ -332,6 +332,12 @@ type PointSummary struct {
 	Mean float64 `json:"mean_misp_per_ki"`
 }
 
+// jobPool is the pool a job of cs runs under: the spec's ensemble mode
+// and the server's worker bound, store and log. Progress is the caller's.
+func (s *Server) jobPool(cs *compiledSpec) sim.PoolOptions {
+	return sim.PoolOptions{Workers: s.cfg.Workers, Ensemble: cs.ensemble, Cache: s.cfg.Cache, Log: s.cfg.Log}
+}
+
 // runJob takes a run slot (or gives up on drain/cancel), executes the
 // compiled spec through the shared engine, and reports per-cell progress
 // through events. It owns the queued→running transition; the caller owns
@@ -348,15 +354,10 @@ func (s *Server) runJob(ctx context.Context, job *Job, cs *compiledSpec, events 
 	defer func() { <-s.slots }()
 	progress := job.start()
 
-	pool := sim.PoolOptions{
-		Workers:  s.cfg.Workers,
-		Ensemble: cs.opts.Ensemble,
-		Cache:    s.cfg.Cache,
-		Log:      s.cfg.Log,
-		Progress: func(e sim.CellDone) {
-			progress.Observe(e)
-			events(e)
-		},
+	pool := s.jobPool(cs)
+	pool.Progress = func(e sim.CellDone) {
+		progress.Observe(e)
+		events(e)
 	}
 	pts, err := sweep.RunPoolCtx(ctx, cs.factory, cs.xs, cs.profs, cs.instr, cs.opts, pool)
 	if err != nil {

@@ -59,19 +59,19 @@ func (e *SpecError) Error() string {
 
 // compiledSpec is a Spec resolved into engine inputs.
 type compiledSpec struct {
-	factory sweep.Factory
-	xs      []int
-	profs   []workload.Profile
-	instr   int64
-	opts    sim.Options
-	cells   int
+	factory  sweep.Factory
+	xs       []int
+	profs    []workload.Profile
+	instr    int64
+	opts     sim.Options
+	ensemble sim.EnsembleMode
+	cells    int
 }
 
 // compile validates sp and resolves it against the same rosters the
-// CLIs use. workers is the per-job worker bound (schedule-only);
-// maxCells caps the job's cell fan-out so one tenant cannot submit an
-// unbounded grid.
-func (sp *Spec) compile(workers, maxCells int) (*compiledSpec, error) {
+// CLIs use. maxCells caps the job's cell fan-out so one tenant cannot
+// submit an unbounded grid.
+func (sp *Spec) compile(maxCells int) (*compiledSpec, error) {
 	if len(sp.Values) == 0 {
 		return nil, &SpecError{Field: "values", Reason: "at least one parameter value required"}
 	}
@@ -120,10 +120,11 @@ func (sp *Spec) compile(workers, maxCells int) (*compiledSpec, error) {
 		xs:      sp.Values,
 		profs:   profs,
 		instr:   sp.Instructions,
-		// The exact Options ev8sweep builds for these flags: Workers and
-		// Ensemble are schedule-only (excluded from cache keys), so the
-		// server's worker bound never changes results.
-		opts:  sim.Options{Mode: mode, Workers: workers, Collect: sp.Stats, Ensemble: ens},
-		cells: cells,
+		// The exact Options ev8sweep builds for these flags. The ensemble
+		// mode, like the server's worker bound, only schedules the job's
+		// pool (see Server.jobPool), so neither changes results.
+		opts:     sim.Options{Mode: mode, Collect: sp.Stats},
+		ensemble: ens,
+		cells:    cells,
 	}, nil
 }

@@ -83,17 +83,40 @@ func ParseSpec(s string) (Spec, error) {
 	if err != nil {
 		return Spec{}, &SpecError{Spec: s, Reason: fmt.Sprintf("shard count %q is not a number", ns)}
 	}
-	if n < 1 {
-		return Spec{}, &SpecError{Spec: s, Reason: fmt.Sprintf("shard count %d must be at least 1", n)}
+	spec := Spec{Index: k, Count: n}
+	if reason := spec.invalid(); reason != "" {
+		return Spec{}, &SpecError{Spec: s, Reason: reason}
 	}
-	if k < 0 || k >= n {
-		return Spec{}, &SpecError{Spec: s, Reason: fmt.Sprintf("shard index %d out of range [0, %d)", k, n)}
+	return spec, nil
+}
+
+// Validate rejects a spec that names no shard — a count below 1 or an
+// index outside [0, Count) — with a *SpecError, so a spec built in code
+// is held to the same rule as a parsed one.
+func (s Spec) Validate() error {
+	if reason := s.invalid(); reason != "" {
+		return &SpecError{Spec: s.String(), Reason: reason}
 	}
-	return Spec{Index: k, Count: n}, nil
+	return nil
+}
+
+// invalid says why s names no shard, or returns "" if it names one.
+func (s Spec) invalid() string {
+	if s.Count < 1 {
+		return fmt.Sprintf("shard count %d must be at least 1", s.Count)
+	}
+	if s.Index < 0 || s.Index >= s.Count {
+		return fmt.Sprintf("shard index %d out of range [0, %d)", s.Index, s.Count)
+	}
+	return ""
 }
 
 // String renders the spec as the CLI spells it.
 func (s Spec) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
+
+// Owns reports whether the spec's shard owns the cell with content hash
+// hash (see Assign).
+func (s Spec) Owns(hash string) bool { return Assign(hash, s.Count) == s.Index }
 
 // Assign maps a cell's content hash to its owning shard in [0, n) by
 // highest-random-weight (rendezvous) hashing: each shard's weight for the
@@ -186,7 +209,7 @@ func NewPlan(factory sweep.Factory, xs []int, profs []workload.Profile, instrBud
 func (p *Plan) Owned(spec Spec) []Cell {
 	var owned []Cell
 	for _, c := range p.Cells {
-		if Assign(c.Hash, spec.Count) == spec.Index {
+		if spec.Owns(c.Hash) {
 			owned = append(owned, c)
 		}
 	}

@@ -85,6 +85,27 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestSpecValidate holds a spec built in code to ParseSpec's rule: the
+// same specs are accepted and rejected, with the typed *SpecError.
+func TestSpecValidate(t *testing.T) {
+	for _, good := range []Spec{{0, 1}, {0, 3}, {2, 3}, {7, 8}} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("Spec%+v rejected: %v", good, err)
+		}
+	}
+	for _, bad := range []Spec{{}, {3, 3}, {4, 3}, {-1, 3}, {1, 0}, {1, -2}} {
+		err := bad.Validate()
+		var se *SpecError
+		if !errors.As(err, &se) {
+			t.Errorf("Spec%+v: error %v is not *shard.SpecError", bad, err)
+			continue
+		}
+		if _, perr := ParseSpec(bad.String()); perr == nil || perr.(*SpecError).Reason != se.Reason {
+			t.Errorf("Spec%+v: Validate says %q, ParseSpec(%q) says %v", bad, se.Reason, bad.String(), perr)
+		}
+	}
+}
+
 // TestAssignProperties pins the partitioner's contract: deterministic,
 // in-range, reasonably balanced, and minimally disrupted by resharding —
 // growing N by one moves cells only TO the new shard, never between

@@ -50,9 +50,9 @@ import (
 )
 
 // BatchMode selects whether the engine's eligible members resolve through
-// the batch kernel. Like Workers and Ensemble it chooses a schedule,
-// never a result: all modes are byte-identical (the batch differential
-// suite pins that), so it is excluded from cache keys.
+// the batch kernel. Like the pool's worker count and ensemble mode it
+// chooses a schedule, never a result: all modes are byte-identical (the
+// batch differential suite pins that), so it is excluded from cache keys.
 type BatchMode int
 
 const (

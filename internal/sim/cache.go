@@ -19,10 +19,10 @@ import (
 )
 
 // canonicalOptions serializes exactly the result-affecting options.
-// Workers, Ensemble and Batch are deliberately excluded: they choose a
-// schedule, and results are byte-identical across schedules
-// (pool_test.go and the batch differential suite pin that), so a serial
-// run may answer a parallel or batched one and vice versa.
+// Batch is deliberately excluded: it chooses a schedule, and results are
+// byte-identical across schedules (the batch differential suite pins
+// that), so a scalar run may answer a batched one and vice versa. The
+// pool's schedule (PoolOptions) is not part of Options at all.
 // Collect IS included — it decides whether Result.Stats exists.
 func canonicalOptions(o Options) string {
 	return fmt.Sprintf("mode=%v/%v/%d|max=%d|delay=%d|warmup=%d|lenient=%v|collect=%v",
@@ -159,13 +159,7 @@ func runCellsCached(ctx context.Context, cells []Cell, instrBudget int64, pool P
 
 	if pool.Progress != nil {
 		for done, i := range hits {
-			r := results[i]
-			pool.Progress(CellDone{
-				Index: i, Done: done + 1, Total: len(cells),
-				Predictor: r.Predictor, Workload: r.Workload,
-				Branches: r.Branches, Mispredicts: r.Mispredicts,
-				Instructions: r.Instructions,
-			})
+			pool.Progress(cellDone(i, done+1, len(cells), results[i]))
 		}
 	}
 	if len(misses) == 0 {

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ev8pred/internal/predictor"
 	"ev8pred/internal/trace"
 	"ev8pred/internal/workload"
 )
@@ -117,27 +116,12 @@ func (c *cancelBatchSource) NextBatch(dst []trace.Branch) (int, error) {
 	return c.batch.NextBatch(dst)
 }
 
-// runBenchmarkCtx is RunBenchmark with mid-stream cancellation: the
-// workload source is wrapped so ctx ending terminates the run with an
-// error wrapping ErrCanceled. The pool routes every per-cell job here,
-// which is also what makes the pool's own first-error cancellation take
-// effect mid-cell instead of only between cells. Outside pool jobs the
+// runEnsembleBenchmarkCtx is RunEnsembleBenchmark with mid-stream
+// cancellation: the workload source is wrapped so ctx ending terminates
+// the run with an error wrapping ErrCanceled. The pool runs every job
+// here, which is also what makes the pool's own first-error cancellation
+// take effect mid-job instead of only between jobs. Outside pool jobs the
 // generator runs ahead on a second CPU (see pipeline.go).
-func runBenchmarkCtx(ctx context.Context, p predictor.Predictor, prof workload.Profile, instrBudget int64, opts Options) (Result, error) {
-	g, err := workload.New(prof, instrBudget)
-	if err != nil {
-		return Result{}, err
-	}
-	src, stop := stream(ctx, g, opts.MaxBranches, pipelining())
-	defer stop()
-	r, err := Run(p, src, opts)
-	r.Workload = prof.Name
-	return r, err
-}
-
-// runEnsembleBenchmarkCtx is RunEnsembleBenchmark with the same
-// cancellation wrapping and pipelining, for the grouped (single-pass
-// ensemble) schedule.
 func runEnsembleBenchmarkCtx(ctx context.Context, factories []Factory, prof workload.Profile, instrBudget int64, opts Options) ([]Result, error) {
 	g, err := workload.New(prof, instrBudget)
 	if err != nil {

@@ -22,8 +22,9 @@ import (
 
 const contractInstr = 50_000
 
-// contractCases is the field list. Workers and Ensemble choose a schedule
-// and have no effect on a single run; the rest change what a run computes.
+// contractCases is the field list. Batch chooses a schedule; the rest
+// change what a run computes. The pool's schedule (PoolOptions) is crossed
+// by the RunCells entries, one per EnsembleMode.
 var contractCases = []struct {
 	name string
 	opts Options
@@ -33,15 +34,12 @@ var contractCases = []struct {
 	{"warmup", Options{Warmup: 10}},
 	{"update delay", Options{UpdateDelay: 8}},
 	{"lenient flow", Options{LenientFlow: true}},
-	{"workers", Options{Workers: 3}},
-	{"ensemble on", Options{Ensemble: EnsembleOn}},
-	{"ensemble off", Options{Ensemble: EnsembleOff}},
 	{"batch auto", Options{Batch: BatchAuto}},
 	{"batch off", Options{Batch: BatchOff}},
 	{"batch on", Options{Batch: BatchOn}},
 	{"collect", Options{Collect: true}},
 	{"all", Options{Mode: frontend.ModeEV8(), MaxBranches: 3000, UpdateDelay: 8, Warmup: 10,
-		LenientFlow: true, Workers: 3, Ensemble: EnsembleOff, Batch: BatchOn, Collect: true}},
+		LenientFlow: true, Batch: BatchOn, Collect: true}},
 }
 
 // contractFactories are the members: a batch-capable predictor without
@@ -142,6 +140,7 @@ var (
 	contractEntries = []contractEntry{
 		{"RunEnsemble of one", 1, runEnsembleEntry(1), honoursAll},
 		{"RunEnsemble of two", 2, runEnsembleEntry(2), honoursAll},
+		{"RunCells EnsembleAuto", 2, runCellsEntry(EnsembleAuto), honoursAll},
 		{"RunCells EnsembleOn", 2, runCellsEntry(EnsembleOn), honoursAll},
 		{"RunCells EnsembleOff", 2, runCellsEntry(EnsembleOff), honoursAll},
 		{"RunCheckpoint+ResumeFrom", 1, runResumed, honoursAll},
@@ -189,7 +188,7 @@ func checkContract(t *testing.T, e contractEntry, opts Options) {
 }
 
 // TestOptionsContract crosses RunEnsemble (of one and of two), RunCells
-// (EnsembleOn and EnsembleOff) and RunCheckpoint→ResumeFrom with the field
+// (EnsembleAuto, On and Off) and RunCheckpoint→ResumeFrom with the field
 // list; TestRunFrontEndRejectsUnsupportedOptions is the RunFrontEnd
 // column.
 func TestOptionsContract(t *testing.T) {

@@ -41,14 +41,26 @@ func TestEnsembleGroupsDecisions(t *testing.T) {
 	cells := sweepCells(gshareFactories(3), profs, Options{}) // 6 cells, 2 workloads
 	distinct := sweepCells(gshareFactories(1), profs, Options{})
 
-	if g := ensembleGroups(cells, PoolOptions{Ensemble: EnsembleOff}); g != nil {
+	// singletons reports whether g is one group of one per cell, in order.
+	singletons := func(g []cellGroup, n int) bool {
+		if len(g) != n {
+			return false
+		}
+		for i := range g {
+			if len(g[i].cells) != 1 || g[i].cells[0] != i {
+				return false
+			}
+		}
+		return true
+	}
+	if g := ensembleGroups(cells, PoolOptions{Ensemble: EnsembleOff}); !singletons(g, len(cells)) {
 		t.Errorf("EnsembleOff grouped anyway: %v", g)
 	}
-	if g := ensembleGroups(nil, PoolOptions{Ensemble: EnsembleOn}); g != nil {
+	if g := ensembleGroups(nil, PoolOptions{Ensemble: EnsembleOn}); len(g) != 0 {
 		t.Errorf("empty cell list grouped: %v", g)
 	}
-	// Auto: fan-out no wider than the workers -> per-cell.
-	if g := ensembleGroups(cells, PoolOptions{Workers: 6}); g != nil {
+	// Auto: fan-out no wider than the workers -> groups of one.
+	if g := ensembleGroups(cells, PoolOptions{Workers: 6}); !singletons(g, len(cells)) {
 		t.Errorf("auto grouped a fan-out that fits the workers: %v", g)
 	}
 	// Auto: wider than the workers and workloads shared -> grouped.
@@ -60,13 +72,13 @@ func TestEnsembleGroupsDecisions(t *testing.T) {
 	if g[0].prof.Name != "li" || len(g[0].cells) != 3 || g[0].cells[0] != 0 || g[0].cells[1] != 2 {
 		t.Errorf("group 0 wrong: %+v", g[0])
 	}
-	// Auto: nothing shared -> per-cell even when wider than the workers.
-	if g := ensembleGroups(distinct, PoolOptions{Workers: 1}); g != nil {
+	// Auto: nothing shared -> groups of one even when wider than the workers.
+	if g := ensembleGroups(distinct, PoolOptions{Workers: 1}); !singletons(g, len(distinct)) {
 		t.Errorf("auto grouped singletons: %v", g)
 	}
 	// On: groups even when the fan-out fits, and even singletons.
-	if g := ensembleGroups(distinct, PoolOptions{Workers: 8, Ensemble: EnsembleOn}); len(g) != 2 {
-		t.Errorf("on: %d groups, want 2 singletons", len(g))
+	if g := ensembleGroups(distinct, PoolOptions{Workers: 8, Ensemble: EnsembleOn}); !singletons(g, len(distinct)) {
+		t.Errorf("on: %v, want 2 singletons", g)
 	}
 	// Differing options split a shared workload into separate groups.
 	mixed := []Cell{

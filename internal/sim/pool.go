@@ -10,9 +10,10 @@
 // consumed serially (see DESIGN.md). Outside pool jobs a stream's
 // generator alone runs ahead on a second CPU (pipeline.go); pool jobs
 // keep it inline, because the fan-out already fills the CPUs. Every
-// suite-level driver (RunSuite, the sweep harness, the experiment
-// generators) routes through RunCells; Workers == 1 forces the serial
-// path for debugging.
+// suite-level driver (the sweep harness, the experiment generators, the
+// daemon) routes through RunCells, whose PoolOptions are the one place a
+// fan-out's schedule is set; Workers == 1 forces the serial path for
+// debugging.
 package sim
 
 import (
@@ -106,9 +107,10 @@ type ProgressFunc func(CellDone)
 
 // PoolOptions configures one fan-out through the pool.
 type PoolOptions struct {
-	// Workers bounds concurrent cells: 0 = one per CPU (DefaultWorkers),
-	// 1 = serial (the debugging path, no extra goroutines), N = at most
-	// N in flight.
+	// Workers bounds concurrent jobs — a job is one cell, or one group of
+	// cells run as an ensemble: 0 = one per CPU (DefaultWorkers), 1 =
+	// serial (the debugging path, no extra goroutines), N = at most N in
+	// flight.
 	Workers int
 	// Progress, if non-nil, receives one event per completed cell.
 	Progress ProgressFunc
@@ -128,26 +130,28 @@ type PoolOptions struct {
 }
 
 // Cell is one independent simulation job: a cold predictor from Factory
-// run over Profile under Opts. Suite-level fields of Opts (Workers) are
-// ignored; the enclosing fan-out decides those.
+// run over Profile under Opts. The enclosing fan-out's PoolOptions decide
+// how the cell is scheduled.
 type Cell struct {
 	Factory Factory
 	Profile workload.Profile
 	Opts    Options
 }
 
-// RunCells simulates every cell with at most pool.Workers in flight and
-// returns the results in cell order. The first error (including a panic
-// inside a cell, converted to an error) cancels the context handed to
-// outstanding jobs and wins; queued cells that have not started are
+// RunCells simulates every cell with at most pool.Workers jobs in flight
+// and returns the results in cell order. The first error (including a
+// panic inside a cell, converted to an error) cancels the context handed
+// to outstanding jobs and wins; queued jobs that have not started are
 // skipped. A nil ctx is treated as context.Background().
 //
-// Cells that share a (workload, options) pair may be grouped into one
-// single-pass ensemble task per benchmark (pool.Ensemble; the default
+// Each job is one group of cells run as a single-pass ensemble over
+// their shared benchmark stream (see ensembleGroups). Cells sharing a
+// (workload, options) pair are grouped under pool.Ensemble — the default
 // EnsembleAuto groups exactly when the fan-out exceeds the workers and a
-// workload is shared), so a K-point sweep advances each benchmark stream
-// once instead of K times. Grouping changes only the schedule: results,
-// their order, and the per-cell Progress events are the same either way.
+// workload is shared — so a K-point sweep advances each benchmark stream
+// once instead of K times; every other cell is a group of one. Grouping
+// changes only the schedule: results, their order, and the per-cell
+// Progress events are the same either way.
 func RunCells(ctx context.Context, cells []Cell, instrBudget int64, pool PoolOptions) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -155,100 +159,7 @@ func RunCells(ctx context.Context, cells []Cell, instrBudget int64, pool PoolOpt
 	if pool.Cache != nil {
 		return runCellsCached(ctx, cells, instrBudget, pool)
 	}
-	if groups := ensembleGroups(cells, pool); groups != nil {
-		return runCellGroups(ctx, cells, groups, instrBudget, pool)
-	}
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	jobs := make([]func(context.Context) (Result, error), len(cells))
-	for i, c := range cells {
-		jobs[i] = func(jctx context.Context) (Result, error) {
-			p, err := c.Factory()
-			if err != nil {
-				return Result{}, fmt.Errorf("sim: building predictor for %s: %w", c.Profile.Name, err)
-			}
-			// The pool's job context flows into the stream (see cancel.go),
-			// so canceling the fan-out — first error, caller gave up, daemon
-			// draining — interrupts a cell mid-run instead of only between
-			// cells.
-			r, err := runBenchmarkCtx(jctx, p, c.Profile, instrBudget, c.Opts)
-			if err != nil {
-				return Result{}, err
-			}
-			if pool.Progress != nil {
-				mu.Lock()
-				done++
-				pool.Progress(CellDone{
-					Index: i, Done: done, Total: len(cells),
-					Predictor: r.Predictor, Workload: r.Workload,
-					Branches: r.Branches, Mispredicts: r.Mispredicts,
-					Instructions: r.Instructions,
-				})
-				mu.Unlock()
-			}
-			return r, nil
-		}
-	}
-	return Parallel(ctx, pool.Workers, jobs)
-}
-
-// cellGroup is one ensemble task of the grouped schedule: the cells
-// (input positions) that share one workload and one option set.
-type cellGroup struct {
-	prof  workload.Profile
-	opts  Options
-	cells []int
-}
-
-// ensembleGroups decides whether to run cells as per-workload ensembles
-// and, if so, returns the groups in first-appearance order. It returns
-// nil — meaning "use the per-cell schedule" — when the mode is
-// EnsembleOff, or when EnsembleAuto finds nothing to amortize: a fan-out
-// no wider than the worker count (per-cell parallelism already fills the
-// machine and finishes no later), or no workload shared by two cells.
-func ensembleGroups(cells []Cell, pool PoolOptions) []cellGroup {
-	if pool.Ensemble == EnsembleOff || len(cells) == 0 {
-		return nil
-	}
-	if pool.Ensemble == EnsembleAuto {
-		workers := pool.Workers
-		if workers <= 0 {
-			workers = DefaultWorkers()
-		}
-		if len(cells) <= workers {
-			return nil
-		}
-	}
-	type key struct {
-		prof workload.Profile
-		opts Options
-	}
-	index := make(map[key]int)
-	var groups []cellGroup
-	shared := false
-	for i, c := range cells {
-		k := key{c.Profile, c.Opts}
-		gi, ok := index[k]
-		if !ok {
-			gi = len(groups)
-			index[k] = gi
-			groups = append(groups, cellGroup{prof: c.Profile, opts: c.Opts})
-		}
-		groups[gi].cells = append(groups[gi].cells, i)
-		shared = shared || len(groups[gi].cells) > 1
-	}
-	if pool.Ensemble == EnsembleAuto && !shared {
-		return nil
-	}
-	return groups
-}
-
-// runCellGroups executes the grouped schedule: one RunEnsembleBenchmark
-// job per group, fanned out through the same bounded pool, with results
-// scattered back to input cell order and one Progress event per cell.
-func runCellGroups(ctx context.Context, cells []Cell, groups []cellGroup, instrBudget int64, pool PoolOptions) ([]Result, error) {
+	groups := ensembleGroups(cells, pool)
 	var (
 		mu   sync.Mutex
 		done int
@@ -260,20 +171,19 @@ func runCellGroups(ctx context.Context, cells []Cell, groups []cellGroup, instrB
 			for k, ci := range g.cells {
 				factories[k] = cells[ci].Factory
 			}
+			// The pool's job context flows into the stream (see cancel.go),
+			// so canceling the fan-out — first error, caller gave up, daemon
+			// draining — interrupts a group mid-run instead of only between
+			// groups.
 			rs, err := runEnsembleBenchmarkCtx(jctx, factories, g.prof, instrBudget, g.opts)
 			if err != nil {
-				return nil, fmt.Errorf("sim: ensemble over %s: %w", g.prof.Name, err)
+				return nil, fmt.Errorf("sim: running %s: %w", g.prof.Name, err)
 			}
 			if pool.Progress != nil {
 				mu.Lock()
 				for k, r := range rs {
 					done++
-					pool.Progress(CellDone{
-						Index: g.cells[k], Done: done, Total: len(cells),
-						Predictor: r.Predictor, Workload: r.Workload,
-						Branches: r.Branches, Mispredicts: r.Mispredicts,
-						Instructions: r.Instructions,
-					})
+					pool.Progress(cellDone(g.cells[k], done, len(cells), r))
 				}
 				mu.Unlock()
 			}
@@ -293,8 +203,64 @@ func runCellGroups(ctx context.Context, cells []Cell, groups []cellGroup, instrB
 	return out, nil
 }
 
+// cellDone is the Progress event of cell index, the done-th of total to
+// complete, with result r.
+func cellDone(index, done, total int, r Result) CellDone {
+	return CellDone{
+		Index: index, Done: done, Total: total,
+		Predictor: r.Predictor, Workload: r.Workload,
+		Branches: r.Branches, Mispredicts: r.Mispredicts,
+		Instructions: r.Instructions,
+	}
+}
+
+// cellGroup is one job of the pool: the cells (input positions) that
+// share one workload and one option set and run as one ensemble.
+type cellGroup struct {
+	prof  workload.Profile
+	opts  Options
+	cells []int
+}
+
+// ensembleGroups partitions cells into the pool's jobs, in
+// first-appearance order. Cells that share a (workload, options) pair go
+// into one group when the mode groups: always under EnsembleOn, and under
+// EnsembleAuto when the fan-out is wider than the worker count (otherwise
+// per-cell parallelism already fills the machine and finishes no later).
+// Every other cell — under EnsembleOff, under an Auto fan-out that fits
+// the workers, or with no workload shared — is a group of one.
+func ensembleGroups(cells []Cell, pool PoolOptions) []cellGroup {
+	group := pool.Ensemble != EnsembleOff
+	if pool.Ensemble == EnsembleAuto {
+		workers := pool.Workers
+		if workers <= 0 {
+			workers = DefaultWorkers()
+		}
+		group = len(cells) > workers
+	}
+	type key struct {
+		prof workload.Profile
+		opts Options
+	}
+	index := make(map[key]int)
+	groups := make([]cellGroup, 0, len(cells))
+	for i, c := range cells {
+		k := key{c.Profile, c.Opts}
+		gi, ok := index[k]
+		if !ok {
+			gi = len(groups)
+			groups = append(groups, cellGroup{prof: c.Profile, opts: c.Opts})
+			if group {
+				index[k] = gi
+			}
+		}
+		groups[gi].cells = append(groups[gi].cells, i)
+	}
+	return groups
+}
+
 // SuiteCells builds one cell per profile, all sharing factory and opts —
-// the RunSuite fan-out shape.
+// one predictor configuration over a benchmark suite.
 func SuiteCells(factory Factory, profs []workload.Profile, opts Options) []Cell {
 	cells := make([]Cell, len(profs))
 	for i, prof := range profs {

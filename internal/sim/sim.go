@@ -24,7 +24,8 @@ import (
 	"ev8pred/internal/workload"
 )
 
-// Options configures one simulation run.
+// Options configures one simulation run. How a fan-out of runs is
+// scheduled — worker count, ensemble grouping — is PoolOptions' concern.
 type Options struct {
 	// Mode selects the information vector (defaults to conventional
 	// ghist, the academic baseline).
@@ -49,22 +50,6 @@ type Options struct {
 	// are forced through one shared history context (the §3
 	// shared-history SMT model).
 	LenientFlow bool
-	// Workers bounds how many benchmark cells suite-level drivers
-	// (RunSuite, RunCells, the sweep and experiment harnesses) simulate
-	// concurrently: 0 uses one worker per CPU, 1 forces the serial
-	// debugging path. It has no effect on a single Run, which consumes its
-	// stream serially without reordering records; outside pool jobs, only
-	// the generator of a RunBenchmark or RunEnsembleBenchmark stream runs
-	// ahead on a second CPU (see pipeline.go).
-	Workers int
-	// Ensemble selects how suite-level drivers schedule cells that share
-	// a workload: EnsembleAuto (the zero value) groups them into one
-	// single-pass ensemble per benchmark when that amortization is worth
-	// it, EnsembleOn forces grouping, EnsembleOff forces the per-cell
-	// path. Results are byte-identical in every mode (see
-	// docs/PERFORMANCE.md, "Ensemble execution"); like Workers, it has no
-	// effect on a single Run.
-	Ensemble EnsembleMode
 	// Batch selects which members use the data-oriented batch kernel:
 	// BatchAuto (the zero value) engages it for every member whose
 	// predictor implements predictor.BatchPredictor and, if it observes
@@ -74,8 +59,8 @@ type Options struct {
 	// per branch; BatchOn makes a run with an ineligible member fail with
 	// ErrBatchIneligible instead of running that member per branch.
 	// Results are byte-identical in every mode (the batch differential
-	// suite pins that), so like Workers and Ensemble this is a schedule
-	// knob, excluded from cache keys.
+	// suite pins that), so this is a schedule knob, excluded from cache
+	// keys.
 	Batch BatchMode
 	// Collect enables component attribution: when set and the predictor
 	// implements stats.Instrumented, the run turns its counters on before
@@ -331,24 +316,24 @@ func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoi
 }
 
 // RunBenchmark builds the named synthetic benchmark with instrBudget
-// instructions and runs p over it. For a cancelable variant see the
-// pool: RunCells threads its context into every cell's stream.
+// instructions and runs p over it. Outside pool jobs the generator runs
+// ahead on a second CPU (see pipeline.go). For a cancelable variant see
+// the pool: RunCells threads its context into every cell's stream.
 func RunBenchmark(p predictor.Predictor, prof workload.Profile, instrBudget int64, opts Options) (Result, error) {
-	return runBenchmarkCtx(context.Background(), p, prof, instrBudget, opts)
+	g, err := workload.New(prof, instrBudget)
+	if err != nil {
+		return Result{}, err
+	}
+	src, stop := stream(context.Background(), g, opts.MaxBranches, pipelining())
+	defer stop()
+	r, err := Run(p, src, opts)
+	r.Workload = prof.Name
+	return r, err
 }
 
 // Factory builds a fresh predictor instance for one benchmark run.
 // Experiments use factories so that every benchmark starts cold.
 type Factory func() (predictor.Predictor, error)
-
-// RunSuite runs a fresh predictor from factory over every profile. The
-// benchmark cells run in parallel (bounded by opts.Workers; every cell is
-// a cold predictor over an independent deterministic stream) and the
-// results come back in profile order, identical to a serial run.
-func RunSuite(factory Factory, profs []workload.Profile, instrBudget int64, opts Options) ([]Result, error) {
-	return RunCells(context.Background(), SuiteCells(factory, profs, opts), instrBudget,
-		PoolOptions{Workers: opts.Workers, Ensemble: opts.Ensemble})
-}
 
 // Mean returns the arithmetic mean misp/KI across results (the summary
 // statistic the experiment harness reports next to per-benchmark rows).

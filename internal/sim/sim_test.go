@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -221,9 +222,9 @@ func TestRunSuiteShapes(t *testing.T) {
 		}
 		profs = append(profs, p)
 	}
-	rs, err := RunSuite(func() (predictor.Predictor, error) {
+	rs, err := RunCells(context.Background(), SuiteCells(func() (predictor.Predictor, error) {
 		return gshare.New(1<<15, 14)
-	}, profs, 300_000, Options{})
+	}, profs, Options{}), 300_000, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

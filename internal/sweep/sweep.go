@@ -29,27 +29,20 @@ type Point struct {
 	Results []sim.Result
 }
 
-// Run sweeps the parameter values in xs. Every point runs every benchmark
-// cold (a fresh predictor per benchmark, as in the experiment harness).
-// All (parameter value × benchmark) cells fan out through one bounded
-// pool run (opts.Workers; 1 = serial), and the points come back in xs
-// order with per-benchmark results in profile order, identical to a
+// RunPool sweeps the parameter values in xs. Every point runs every
+// benchmark cold (a fresh predictor per benchmark, as in the experiment
+// harness). All (parameter value × benchmark) cells fan out through one
+// bounded pool run (pool.Workers; 1 = serial), and the points come back
+// in xs order with per-benchmark results in profile order, identical to a
 // serial sweep. Because every swept value visits the same benchmarks
-// under the same options, the pool's ensemble scheduler (opts.Ensemble,
+// under the same options, the pool's ensemble scheduler (pool.Ensemble,
 // default auto) can collapse the K×B cell fan-out into one single-pass
 // ensemble task per benchmark — each stream is generated and front-end
 // processed once and shared by all K family members — with byte-identical
-// points.
-func Run(factory Factory, xs []int, profs []workload.Profile, instrBudget int64, opts sim.Options) ([]Point, error) {
-	return RunPool(factory, xs, profs, instrBudget, opts,
-		sim.PoolOptions{Workers: opts.Workers, Ensemble: opts.Ensemble})
-}
-
-// RunPool is Run with an explicit pool configuration, which is how a
-// caller attaches a result cache (pool.Cache), progress reporting, or a
-// diagnostics log to the sweep. cmd/ev8sweep's -cache flag routes here: a
-// repeated sweep whose cells are all cached re-runs with zero simulation
-// work.
+// points. pool also attaches a result cache (pool.Cache), progress
+// reporting or a diagnostics log; cmd/ev8sweep's -cache flag routes here,
+// so a repeated sweep whose cells are all cached re-runs with zero
+// simulation work.
 func RunPool(factory Factory, xs []int, profs []workload.Profile, instrBudget int64, opts sim.Options, pool sim.PoolOptions) ([]Point, error) {
 	return RunPoolCtx(context.Background(), factory, xs, profs, instrBudget, opts, pool)
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,8 +27,8 @@ func profs(t *testing.T, names ...string) []workload.Profile {
 }
 
 func TestRunValidation(t *testing.T) {
-	_, err := Run(func(int) (predictor.Predictor, error) { return gshare.New(64, 6) },
-		nil, nil, 0, sim.Options{})
+	_, err := RunPool(func(int) (predictor.Predictor, error) { return gshare.New(64, 6) },
+		nil, nil, 0, sim.Options{}, sim.PoolOptions{})
 	if err == nil {
 		t.Error("empty parameter list accepted")
 	}
@@ -37,9 +38,9 @@ func TestHistoryLengthSweepShape(t *testing.T) {
 	// The §5.3 claim in miniature: for a 64K-entry gshare (log2 = 16),
 	// some history length > 5 beats the very short ones, and the curve
 	// is not monotone garbage (best <= worst).
-	pts, err := Run(func(h int) (predictor.Predictor, error) {
+	pts, err := RunPool(func(h int) (predictor.Predictor, error) {
 		return gshare.New(64*1024, h)
-	}, []int{2, 8, 14, 20}, profs(t, "li", "perl"), 400_000, sim.Options{Mode: frontend.ModeGhist()})
+	}, []int{2, 8, 14, 20}, profs(t, "li", "perl"), 400_000, sim.Options{Mode: frontend.ModeGhist()}, sim.PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +64,15 @@ func TestLongHistoryBeatsLog2SizeFor2BcGskew(t *testing.T) {
 	// against the truncated ones on a correlation-heavy pair.
 	benchSet := profs(t, "li", "gcc")
 	opts := sim.Options{Mode: frontend.ModeGhist()}
-	long, err := sim.RunSuite(func() (predictor.Predictor, error) {
+	long, err := sim.RunCells(context.Background(), sim.SuiteCells(func() (predictor.Predictor, error) {
 		return core.New(core.Config256K())
-	}, benchSet, 400_000, opts)
+	}, benchSet, opts), 400_000, sim.PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := sim.RunSuite(func() (predictor.Predictor, error) {
+	short, err := sim.RunCells(context.Background(), sim.SuiteCells(func() (predictor.Predictor, error) {
 		return core.New(core.Config256KShortHist())
-	}, benchSet, 400_000, opts)
+	}, benchSet, opts), 400_000, sim.PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +87,10 @@ func TestLongHistoryBeatsLog2SizeFor2BcGskew(t *testing.T) {
 // a crowded pool.
 func TestSweepParallelSerialByteIdentical(t *testing.T) {
 	render := func(workers int) string {
-		pts, err := Run(func(h int) (predictor.Predictor, error) {
+		pts, err := RunPool(func(h int) (predictor.Predictor, error) {
 			return gshare.New(16*1024, h)
 		}, []int{6, 10, 14}, profs(t, "li", "go"), 150_000,
-			sim.Options{Mode: frontend.ModeGhist(), Workers: workers})
+			sim.Options{Mode: frontend.ModeGhist()}, sim.PoolOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,9 +105,9 @@ func TestSweepParallelSerialByteIdentical(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	pts, err := Run(func(h int) (predictor.Predictor, error) {
+	pts, err := RunPool(func(h int) (predictor.Predictor, error) {
 		return gshare.New(4096, h)
-	}, []int{4, 8}, profs(t, "m88ksim"), 100_000, sim.Options{})
+	}, []int{4, 8}, profs(t, "m88ksim"), 100_000, sim.Options{}, sim.PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
