@@ -32,8 +32,8 @@ all: build vet test
 # flow-break differentials), a snapshot-decode
 # fuzz smoke, the benchmark harness's own tests (see perf-harness-test),
 # and benchmark smokes so neither the testing.B harness, the
-# per-predictor microbenchmarks, the ensemble sweep benchmarks nor the
-# tracker walk benchmarks can rot. The stream-pipeline tests run
+# per-predictor microbenchmarks, the ensemble sweep benchmarks, the
+# tracker walk benchmarks nor the warm cached-job benchmark can rot. The stream-pipeline tests run
 # under -race in the blanket run; pipeline-gate reruns them by name for
 # CI.
 check:
@@ -60,6 +60,7 @@ check:
 	$(GO) test -bench=PredictUpdate -benchtime=100x -run '^$$' .
 	$(GO) test -bench=Sweep -benchtime=1x -run '^$$' .
 	$(GO) test -bench=Tracker -benchtime=100x -run '^$$' ./internal/frontend/
+	$(GO) test -bench=RunCellsWarm -benchtime=1x -run '^$$' ./internal/sim/
 
 build:
 	$(GO) build ./...

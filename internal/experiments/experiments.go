@@ -217,9 +217,7 @@ func runColumns(cfg Config, cols []column) (map[string][]sim.Result, error) {
 	nb := len(cfg.Benchmarks)
 	cells := make([]sim.Cell, 0, len(cols)*nb)
 	for _, col := range cols {
-		for _, prof := range cfg.Benchmarks {
-			cells = append(cells, sim.Cell{Factory: col.factory, Profile: prof, Opts: col.opts})
-		}
+		cells = append(cells, sim.SuiteCells(col.factory, cfg.Benchmarks, col.opts)...)
 	}
 	rs, err := runCells(cfg, cells)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"ev8pred/internal/cache"
 	"ev8pred/internal/report"
 	"ev8pred/internal/sim"
 	"ev8pred/internal/stats/live"
@@ -65,7 +66,8 @@ type Event struct {
 //	GET  /v1/jobs/{id} — one job's status
 //	GET  /healthz      — liveness + drain state
 //	GET  /debug/vars   — expvar page plus this server's "ev8serve" key:
-//	                     scheduler totals and the running jobs' JobInfo
+//	                     scheduler totals, the running jobs' JobInfo and,
+//	                     with a cache attached, its counter snapshot
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -79,7 +81,8 @@ func (s *Server) Handler() http.Handler {
 // debugPage is the "ev8serve" key of /debug/vars.
 type debugPage struct {
 	totals
-	Running []JobInfo `json:"running"`
+	Running []JobInfo       `json:"running"`
+	Cache   *cache.Snapshot `json:"cache,omitempty"`
 }
 
 // debugVars snapshots the server's debugPage.
@@ -91,6 +94,10 @@ func (s *Server) debugVars() any {
 		if info := s.jobs[id].Info(); info.State == JobRunning {
 			page.Running = append(page.Running, info)
 		}
+	}
+	if s.cfg.Cache != nil {
+		snap := s.cfg.Cache.Snapshot()
+		page.Cache = &snap
 	}
 	return page
 }

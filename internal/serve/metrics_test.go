@@ -64,6 +64,31 @@ func TestTwoServersIsolated(t *testing.T) {
 	}
 }
 
+// TestDebugVarsCacheSnapshot: with a cache attached, the debug page
+// carries the store's counters, the snapshot /healthz shows too; without
+// one the page has no cache key.
+func TestDebugVarsCacheSnapshot(t *testing.T) {
+	plain := httptest.NewServer(New(Config{Workers: 1}).Handler())
+	defer plain.Close()
+	runOK(t, plain, testSpec())
+	if c := readDebug(t, plain).Cache; c != nil {
+		t.Errorf("server without a cache shows cache counters %+v", c)
+	}
+
+	store := openTestCache(t)
+	ts := httptest.NewServer(New(Config{Workers: 1, Cache: store}).Handler())
+	defer ts.Close()
+	runOK(t, ts, testSpec())
+	runOK(t, ts, testSpec())
+	want := store.Snapshot()
+	if want.Hits == 0 || want.Misses == 0 || want.Puts == 0 {
+		t.Fatalf("a cold and a warm job left counters %+v", want)
+	}
+	if c := readDebug(t, ts).Cache; c == nil || *c != want {
+		t.Errorf("debug page cache counters %+v, want %+v", c, want)
+	}
+}
+
 // TestDrainCountsEachJobOnce drains with one job running and one queued:
 // the queued one ends rejected, and every admitted job is counted once,
 // by its final state.

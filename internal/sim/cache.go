@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"ev8pred/internal/cache"
 	"ev8pred/internal/predictor"
@@ -45,26 +46,75 @@ func workloadKey(prof workload.Profile, instrBudget int64) (string, error) {
 // cannot be cached: its predictor does not implement
 // predictor.ConfigKeyer, or reports an empty key (a configuration —
 // e.g. caller-supplied index functions — that no canonical string can
-// capture). Deriving the key builds one predictor from the cell's
-// factory; it is discarded afterwards.
+// capture). The configuration half of the key comes from one predictor
+// built by the cell's factory and then discarded. Cells built by
+// SuiteCells share that build: the first CellKey on any of them runs the
+// factory and the rest reuse its key. Any other cell builds one
+// predictor per call.
 func CellKey(c Cell, instrBudget int64) (cache.Key, bool, error) {
-	p, err := c.Factory()
+	return (&keyer{budget: instrBudget}).key(c)
+}
+
+// keyer derives the cache keys of one fan-out's cells. With a non-nil
+// workloads map it canonicalizes each distinct profile once. Profiles
+// equal under == share one entry; the only such pair json.Marshal tells
+// apart is a float field holding 0 in one and -0 in the other.
+type keyer struct {
+	budget    int64
+	workloads map[workload.Profile]string
+}
+
+// key derives c's cache key, as CellKey documents.
+func (k *keyer) key(c Cell) (cache.Key, bool, error) {
+	config, err := c.configKey()
 	if err != nil {
 		return cache.Key{}, false, fmt.Errorf("sim: building predictor for %s: %w", c.Profile.Name, err)
 	}
-	keyer, ok := p.(predictor.ConfigKeyer)
-	if !ok {
-		return cache.Key{}, false, nil
-	}
-	config := keyer.ConfigKey()
 	if config == "" {
 		return cache.Key{}, false, nil
 	}
-	wl, err := workloadKey(c.Profile, instrBudget)
-	if err != nil {
-		return cache.Key{}, false, err
+	wl, ok := k.workloads[c.Profile]
+	if !ok {
+		if wl, err = workloadKey(c.Profile, k.budget); err != nil {
+			return cache.Key{}, false, err
+		}
+		if k.workloads != nil {
+			k.workloads[c.Profile] = wl
+		}
 	}
 	return cache.Key{Workload: wl, Config: config, Options: canonicalOptions(c.Opts)}, true, nil
+}
+
+// configMemo is the configuration key that the cells of one SuiteCells
+// call share, filled by the first configKey on any of them.
+type configMemo struct {
+	once sync.Once
+	key  string
+	err  error
+}
+
+// configKey returns the canonical configuration key of the cell's
+// predictor, "" when it has none, or the factory's error. It reads the
+// cell's shared memo when it has one and builds a predictor otherwise.
+func (c Cell) configKey() (string, error) {
+	if c.memo == nil {
+		return factoryConfigKey(c.Factory)
+	}
+	c.memo.once.Do(func() { c.memo.key, c.memo.err = factoryConfigKey(c.Factory) })
+	return c.memo.key, c.memo.err
+}
+
+// factoryConfigKey builds one predictor from f and returns its
+// configuration key, "" when it implements no predictor.ConfigKeyer.
+func factoryConfigKey(f Factory) (string, error) {
+	p, err := f()
+	if err != nil {
+		return "", err
+	}
+	if keyer, ok := p.(predictor.ConfigKeyer); ok {
+		return keyer.ConfigKey(), nil
+	}
+	return "", nil
 }
 
 // ResultFromEntry rebuilds a Result from a cached entry — the inverse of
@@ -133,11 +183,12 @@ func runCellsCached(ctx context.Context, cells []Cell, instrBudget int64, pool P
 		misses []miss
 		hits   []int
 	)
+	keys := keyer{budget: instrBudget, workloads: make(map[workload.Profile]string)}
 	for i, c := range cells {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		k, ok, err := CellKey(c, instrBudget)
+		k, ok, err := keys.key(c)
 		if err != nil {
 			return nil, err
 		}

@@ -132,10 +132,16 @@ type PoolOptions struct {
 // Cell is one independent simulation job: a cold predictor from Factory
 // run over Profile under Opts. The enclosing fan-out's PoolOptions decide
 // how the cell is scheduled.
+//
+// Cells built by SuiteCells, and copies of them, share one memo of
+// their factory's configuration key (see CellKey). Replacing Factory on
+// such a copy would key it by the old factory; build a new Cell instead.
 type Cell struct {
 	Factory Factory
 	Profile workload.Profile
 	Opts    Options
+
+	memo *configMemo
 }
 
 // RunCells simulates every cell with at most pool.Workers jobs in flight
@@ -260,11 +266,13 @@ func ensembleGroups(cells []Cell, pool PoolOptions) []cellGroup {
 }
 
 // SuiteCells builds one cell per profile, all sharing factory and opts —
-// one predictor configuration over a benchmark suite.
+// one predictor configuration over a benchmark suite. The cells share
+// one configuration key, so keying them all builds one predictor.
 func SuiteCells(factory Factory, profs []workload.Profile, opts Options) []Cell {
 	cells := make([]Cell, len(profs))
+	memo := new(configMemo)
 	for i, prof := range profs {
-		cells[i] = Cell{Factory: factory, Profile: prof, Opts: opts}
+		cells[i] = Cell{Factory: factory, Profile: prof, Opts: opts, memo: memo}
 	}
 	return cells
 }

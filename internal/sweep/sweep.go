@@ -79,9 +79,7 @@ func Cells(factory Factory, xs []int, profs []workload.Profile, opts sim.Options
 			}
 			return p, nil
 		}
-		for _, prof := range profs {
-			cells = append(cells, sim.Cell{Factory: mk, Profile: prof, Opts: opts})
-		}
+		cells = append(cells, sim.SuiteCells(mk, profs, opts)...)
 	}
 	return cells
 }
