@@ -258,8 +258,9 @@ func TestSweepWarmCacheZeroWork(t *testing.T) {
 
 	run := func(store *cache.Store) []sweep.Point {
 		t.Helper()
+		// 8 cells over 2 workers: the pool groups them into ensembles.
 		pts, err := sweep.RunPool(factory, xs, profs, instr, opts,
-			sim.PoolOptions{Workers: 2, Ensemble: sim.EnsembleOn, Cache: store})
+			sim.PoolOptions{Workers: 2, Cache: store})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,7 @@
 //
 //	ev8bench [-experiment all|none|table1|table2|fig5|...|ablations|perf|smt|backup]
 //	         [-instructions N] [-benchmarks gcc,go,...] [-o report.txt]
-//	         [-j workers] [-ensemble auto|on|off] [-batch auto|on|off]
-//	         [-cache DIR] [-shard k/N] [-v]
+//	         [-j workers] [-cache DIR] [-shard k/N] [-v]
 //	         [-stats] [-json stats.json] [-csv stats.csv]
 //	         [-expvar localhost:8080]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -15,13 +14,13 @@
 // benchmark (the paper uses 100M; pass -instructions 100000000 for the
 // full-scale run). Simulation cells — one cold predictor over one
 // benchmark — run in parallel across the CPUs (-j 1 forces the serial
-// debugging path); the report is byte-identical for every -j. -ensemble
-// controls the single-pass ensemble scheduler: cells that evaluate
-// different configurations over the same benchmark can share one
-// generated stream and one front-end pass ("auto" groups when the
-// amortization can win, "on" forces it, "off" forces per-cell runs; the
-// report is byte-identical in every mode, see docs/PERFORMANCE.md). -v
-// prints a cells/throughput progress counter to stderr.
+// debugging path); the report is byte-identical for every -j. Cells that
+// evaluate different configurations over the same benchmark share one
+// generated stream and one front-end pass when the pool finds that the
+// amortization can win; that schedule is the pool's choice, not a flag,
+// because the report is byte-identical under every schedule (see
+// docs/PERFORMANCE.md). -v prints a cells/throughput progress counter to
+// stderr.
 //
 // -cache DIR attaches the content-addressed result cache (docs/CACHING.md):
 // cells whose exact inputs were simulated before are answered from DIR
@@ -119,8 +118,6 @@ func run(args []string, out, errw io.Writer) error {
 		benchmarks   = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all eight)")
 		outPath      = fs.String("o", "", "write the report to this file instead of stdout")
 		workers      = fs.Int("j", 0, "parallel simulation cells (0 = one per CPU, 1 = serial)")
-		ensemble     = fs.String("ensemble", "auto", "single-pass ensemble scheduling: auto|on|off (results identical in every mode)")
-		batch        = fs.String("batch", "auto", "batch-kernel scheduling: auto|on|off (results identical in every mode; on fails if a cell is ineligible)")
 		verbose      = fs.Bool("v", false, "print a progress/throughput counter to stderr")
 		statsSuite   = fs.Bool("stats", false, "run the EV8 component-attribution suite and emit it as JSON")
 		jsonPath     = fs.String("json", "", "write the -stats JSON to this file instead of the report stream")
@@ -148,19 +145,7 @@ func run(args []string, out, errw io.Writer) error {
 	}
 	defer stopProfiles()
 
-	ensembleMode, err := sim.ParseEnsembleMode(*ensemble)
-	if err != nil {
-		return err
-	}
-	if err := cliflag.Enum("batch", *batch, "auto", "on", "off"); err != nil {
-		return err
-	}
-	batchMode, err := sim.ParseBatchMode(*batch)
-	if err != nil {
-		return err
-	}
-	cfg := experiments.Config{Instructions: *instructions, Batch: batchMode,
-		Pool: sim.PoolOptions{Workers: *workers, Ensemble: ensembleMode}}
+	cfg := experiments.Config{Instructions: *instructions, Pool: sim.PoolOptions{Workers: *workers}}
 	if *benchmarks == "" {
 		cfg.Benchmarks = workload.Benchmarks()
 	} else {
@@ -328,7 +313,7 @@ func run(args []string, out, errw io.Writer) error {
 // and returns the machine-readable records — the -stats payload.
 func runStatsSuite(cfg experiments.Config) ([]report.Run, error) {
 	factory := func() (predictor.Predictor, error) { return ev8.New(ev8.DefaultConfig()) }
-	opts := sim.Options{Mode: frontend.ModeEV8(), Collect: true, Batch: cfg.Batch}
+	opts := sim.Options{Mode: frontend.ModeEV8(), Collect: true}
 	results, err := sim.RunCells(context.Background(),
 		sim.SuiteCells(factory, cfg.Benchmarks, opts), cfg.Instructions, cfg.Pool)
 	if err != nil {

@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"ev8pred/internal/cliflag"
+	"ev8pred/internal/experiments"
 	"ev8pred/internal/shard"
+	"ev8pred/internal/sim"
+	"ev8pred/internal/workload"
 )
 
 func TestRunSingleExperiment(t *testing.T) {
@@ -200,37 +203,44 @@ func TestRunVerboseProgress(t *testing.T) {
 	}
 }
 
-// TestRunEnsembleModesIdenticalReport: the report must be byte-identical
-// under per-cell and single-pass ensemble scheduling (timing lines
-// stripped), and a bad -ensemble value must be rejected.
+// TestRunEnsembleModesIdenticalReport: the report the CLI renders, with
+// the pool choosing the schedule (-j 1, so the fig10 grid runs as
+// ensembles), must be byte-identical to the experiment rendered under
+// the per-cell reference schedule (experiments.Config.Pool.Ensemble =
+// EnsembleOff). The schedule is no user's choice: -ensemble and -batch
+// are undefined flags.
 func TestRunEnsembleModesIdenticalReport(t *testing.T) {
-	render := func(mode string) string {
-		var sb, eb strings.Builder
-		err := run([]string{
-			"-experiment", "fig10", "-benchmarks", "li,m88ksim",
-			"-instructions", "100000", "-ensemble", mode,
-		}, &sb, &eb)
+	var sb, eb strings.Builder
+	if err := run([]string{
+		"-experiment", "fig10", "-benchmarks", "li,m88ksim",
+		"-instructions", "100000", "-j", "1",
+	}, &sb, &eb); err != nil {
+		t.Fatal(err)
+	}
+	e, err := experiments.ByID("fig10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := experiments.Config{Instructions: 100_000,
+		Pool: sim.PoolOptions{Workers: 1, Ensemble: sim.EnsembleOff}}
+	for _, name := range []string{"li", "m88ksim"} {
+		p, err := workload.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var kept []string
-		for _, line := range strings.Split(sb.String(), "\n") {
-			if strings.Contains(line, "s)") && strings.HasPrefix(strings.TrimSpace(line), "(") {
-				continue // per-experiment timing line
-			}
-			kept = append(kept, line)
-		}
-		return strings.Join(kept, "\n")
+		cfg.Benchmarks = append(cfg.Benchmarks, p)
 	}
-	off := render("off")
-	for _, mode := range []string{"auto", "on"} {
-		if got := render(mode); got != off {
-			t.Errorf("-ensemble %s report differs from -ensemble off:\n--- %s ---\n%s\n--- off ---\n%s",
-				mode, mode, got, off)
-		}
+	tbl, err := e.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var sb, eb strings.Builder
-	if err := run([]string{"-ensemble", "nonesuch"}, &sb, &eb); err == nil {
-		t.Error("unknown ensemble mode accepted")
+	if want := tbl.String(); !strings.Contains(sb.String(), want) {
+		t.Errorf("CLI report does not contain the EnsembleOff table:\n--- CLI ---\n%s\n--- off ---\n%s", sb.String(), want)
+	}
+	for _, flag := range []string{"-ensemble", "-batch"} {
+		var sb, eb strings.Builder
+		if err := run([]string{flag, "off"}, &sb, &eb); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s off: err = %v, want an undefined-flag error", flag, err)
+		}
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"sort"
 	"strings"
 
-	"ev8pred/internal/cliflag"
 	"ev8pred/internal/core"
 	"ev8pred/internal/ev8"
 	"ev8pred/internal/frontend"
@@ -88,14 +87,6 @@ var predictorFactories = map[string]func() (predictor.Predictor, error){
 	},
 }
 
-var modes = map[string]frontend.Mode{
-	"ghist":         frontend.ModeGhist(),
-	"lghist":        frontend.ModeLghist(),
-	"lghist-nopath": frontend.ModeLghistNoPath(),
-	"old-lghist":    frontend.ModeOldLghist(),
-	"ev8":           frontend.ModeEV8(),
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ev8sim:", err)
@@ -116,7 +107,6 @@ func run(args []string, out io.Writer) error {
 		threads      = fs.Int("threads", 1, "SMT: interleave N copies of each benchmark")
 		quantum      = fs.Int64("quantum", 1000, "SMT: instructions per thread switch")
 		collect      = fs.Bool("stats", false, "collect component-attribution counters (predictors that support them)")
-		batch        = fs.String("batch", "auto", "batch-kernel scheduling: auto|on|off (results identical in every mode; on fails if the run is ineligible)")
 		saveCk       = fs.String("save-checkpoint", "", "stop after -checkpoint-branches conditional branches and write a resumable checkpoint to this file (single predictor, single workload)")
 		ckBranches   = fs.Int64("checkpoint-branches", 0, "conditional-branch cut point for -save-checkpoint")
 		resumePath   = fs.String("resume", "", "resume from a checkpoint written by -save-checkpoint and run the source dry (same -mode and predictor required)")
@@ -132,18 +122,11 @@ func run(args []string, out io.Writer) error {
 	}
 	defer stopProfiles()
 
-	mode, ok := modes[*modeName]
-	if !ok {
-		return fmt.Errorf("unknown mode %q", *modeName)
-	}
-	if err := cliflag.Enum("batch", *batch, "auto", "on", "off"); err != nil {
-		return err
-	}
-	batchMode, err := sim.ParseBatchMode(*batch)
+	mode, err := frontend.ModeByName(*modeName)
 	if err != nil {
 		return err
 	}
-	opts := sim.Options{Mode: mode, Collect: *collect, Batch: batchMode}
+	opts := sim.Options{Mode: mode, Collect: *collect}
 
 	var names []string
 	for _, n := range strings.Split(*predictors, ",") {

@@ -123,8 +123,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-predictors", "nonesuch"}, &sb); err == nil {
 		t.Error("unknown predictor accepted")
 	}
-	if err := run([]string{"-mode", "nonesuch"}, &sb); err == nil {
-		t.Error("unknown mode accepted")
+	if err := run([]string{"-mode", "nonesuch"}, &sb); err == nil || !strings.Contains(err.Error(), "lghist-nopath|old-lghist") {
+		t.Errorf("unknown mode: err = %v, want frontend.ModeByName's error", err)
+	}
+	for _, flag := range []string{"-batch", "-ensemble"} {
+		if err := run([]string{flag, "off"}, &sb); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s off: err = %v, want an undefined-flag error", flag, err)
+		}
 	}
 	if err := run([]string{"-benchmarks", "nonesuch", "-instructions", "1000"}, &sb); err == nil {
 		t.Error("unknown benchmark accepted")

@@ -15,9 +15,10 @@
 // information vector. Every (value × benchmark) cell runs in parallel
 // across the CPUs (-j 1 forces the serial path); the table is
 // byte-identical for every -j. A K-value sweep visits each benchmark K
-// times with identical streams, so the harness schedules one single-pass
-// ensemble per benchmark when that amortization can win (-ensemble
-// auto|on|off; the table is byte-identical in every mode).
+// times with identical streams, so the pool schedules one single-pass
+// ensemble per benchmark when that amortization can win; the schedule
+// is the pool's choice, not a flag, because the table is byte-identical
+// under every schedule.
 //
 // -cpuprofile and -memprofile write profiles for go tool pprof.
 //
@@ -86,10 +87,8 @@ func run(args []string, out io.Writer) error {
 		values       = fs.String("values", "8,12,16,20,24", "comma-separated parameter values")
 		benchmarks   = fs.String("benchmarks", "all", "comma-separated benchmarks or 'all'")
 		instructions = fs.Int64("instructions", 5_000_000, "instructions per benchmark")
-		modeName     = fs.String("mode", "ghist", "information vector: ghist|lghist|ev8")
+		modeName     = fs.String("mode", "ghist", "information vector: ghist|lghist|lghist-nopath|old-lghist|ev8")
 		workers      = fs.Int("j", 0, "parallel simulation cells (0 = one per CPU, 1 = serial)")
-		ensemble     = fs.String("ensemble", "auto", "single-pass ensemble scheduling: auto|on|off (results identical in every mode)")
-		batch        = fs.String("batch", "auto", "batch-kernel scheduling: auto|on|off (results identical in every mode; on fails if a cell is ineligible)")
 		collect      = fs.Bool("stats", false, "collect component-attribution counters (predictors that support them)")
 		cacheDir     = fs.String("cache", "", "content-addressed result cache directory (e.g. "+cache.DefaultDir+"; empty = no caching)")
 		verbose      = fs.Bool("v", false, "print harness diagnostics (cache hit/miss summary, refused entries) to stderr")
@@ -147,18 +146,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	ensembleMode, err := sim.ParseEnsembleMode(*ensemble)
-	if err != nil {
-		return err
-	}
-	if err := cliflag.Enum("batch", *batch, "auto", "on", "off"); err != nil {
-		return err
-	}
-	batchMode, err := sim.ParseBatchMode(*batch)
-	if err != nil {
-		return err
-	}
-	pool := sim.PoolOptions{Workers: *workers, Ensemble: ensembleMode}
+	pool := sim.PoolOptions{Workers: *workers}
 	if *verbose {
 		pool.Log = func(format string, args ...interface{}) {
 			fmt.Fprintf(os.Stderr, "ev8sweep: "+format+"\n", args...)
@@ -178,7 +166,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}()
 	}
-	opts := sim.Options{Mode: mode, Collect: *collect, Batch: batchMode}
+	opts := sim.Options{Mode: mode, Collect: *collect}
 
 	var pts []sweep.Point
 	switch {

@@ -8,8 +8,11 @@ import (
 	"testing"
 
 	"ev8pred/internal/cliflag"
+	"ev8pred/internal/frontend"
 	"ev8pred/internal/shard"
+	"ev8pred/internal/sim"
 	"ev8pred/internal/sweep"
+	"ev8pred/internal/workload"
 )
 
 func TestRunGshareHistorySweep(t *testing.T) {
@@ -107,30 +110,45 @@ func TestBuildFactoryCoverage(t *testing.T) {
 	}
 }
 
-// TestRunEnsembleModesIdenticalTable: the sweep table must be
-// byte-identical whether the harness runs per-cell or single-pass
-// ensembles, and a bad -ensemble value must be rejected.
+// TestRunEnsembleModesIdenticalTable: the sweep table the CLI renders,
+// with the pool choosing the schedule (-j 1, so the 6 cells run as one
+// ensemble per benchmark), must be byte-identical to the table of the
+// same sweep under the per-cell reference schedule (EnsembleOff). The
+// schedule is no user's choice: -ensemble and -batch are undefined flags.
 func TestRunEnsembleModesIdenticalTable(t *testing.T) {
-	sweep := func(mode string) string {
-		var sb strings.Builder
-		err := run([]string{
-			"-scheme", "gshare", "-param", "history", "-values", "6,10,14",
-			"-benchmarks", "li,go", "-instructions", "100000", "-ensemble", mode,
-		}, &sb)
+	var sb strings.Builder
+	if err := run([]string{
+		"-scheme", "gshare", "-param", "history", "-values", "6,10,14",
+		"-benchmarks", "li,go", "-instructions", "100000", "-j", "1",
+	}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	factory, err := sweep.FamilyFactory("gshare", "history")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var profs []workload.Profile
+	for _, name := range []string{"li", "go"} {
+		p, err := workload.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sb.String()
+		profs = append(profs, p)
 	}
-	off := sweep("off")
-	for _, mode := range []string{"auto", "on"} {
-		if got := sweep(mode); got != off {
-			t.Errorf("-ensemble %s table differs from -ensemble off:\n%s\n---\n%s", mode, got, off)
+	pts, err := sweep.RunPool(factory, []int{6, 10, 14}, profs, 100_000,
+		sim.Options{Mode: frontend.ModeGhist()}, sim.PoolOptions{Workers: 1, Ensemble: sim.EnsembleOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := sweep.Table("gshare sweep: history (ghist info vector, 100000 instr/bench)", "history", pts).String()
+	if got := sb.String(); got != off {
+		t.Errorf("CLI table differs from the EnsembleOff table:\n%s\n---\n%s", got, off)
+	}
+	for _, flag := range []string{"-ensemble", "-batch"} {
+		var sb strings.Builder
+		if err := run([]string{"-values", "4", flag, "off"}, &sb); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s off: err = %v, want an undefined-flag error", flag, err)
 		}
-	}
-	var sb strings.Builder
-	if err := run([]string{"-values", "4", "-ensemble", "nonesuch"}, &sb); err == nil {
-		t.Error("unknown ensemble mode accepted")
 	}
 }
 

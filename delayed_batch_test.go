@@ -250,25 +250,6 @@ func TestDelayedBatchCheckpointEquivalent(t *testing.T) {
 	}
 }
 
-// TestDelayedBatchOn pins that a delayed run is batch-eligible: BatchOn
-// succeeds at every delay, solo and in an ensemble.
-func TestDelayedBatchOn(t *testing.T) {
-	records := collectRecords(t, "go", 5_000)
-	for _, delay := range delayedBatchDelays {
-		opts := ev8pred.Options{Mode: ev8pred.ModeEV8(), UpdateDelay: delay, Batch: ev8pred.BatchOn}
-		if _, err := ev8pred.Run(ev8pred.NewEV8(), trace.NewSlice(records), opts); err != nil {
-			t.Errorf("delay=%d: solo BatchOn run rejected: %v", delay, err)
-		}
-		factories := []ev8pred.Factory{
-			func() (ev8pred.Predictor, error) { return ev8pred.NewEV8(), nil },
-			func() (ev8pred.Predictor, error) { return ev8pred.New2BcGskew(ev8pred.ConfigEV8Size()) },
-		}
-		if _, err := ev8pred.RunEnsemble(factories, trace.NewSlice(records), opts); err != nil {
-			t.Errorf("delay=%d: ensemble BatchOn run rejected: %v", delay, err)
-		}
-	}
-}
-
 // TestDelayedBatchZeroAllocsSteadyState gates the allocation discipline
 // of the delayed batch paths: whole-run allocation counts at two stream
 // lengths must be equal — the resolve window, like all batch scratch, and
@@ -284,7 +265,7 @@ func TestDelayedBatchZeroAllocsSteadyState(t *testing.T) {
 		t.Fatalf("collected only %d records", len(records))
 	}
 	for _, delay := range []int{8, 1500} {
-		opts := ev8pred.Options{Mode: ev8pred.ModeEV8(), UpdateDelay: delay, Batch: ev8pred.BatchOn, Collect: true}
+		opts := ev8pred.Options{Mode: ev8pred.ModeEV8(), UpdateDelay: delay, Collect: true}
 		checkSteadyStateAllocs(t, fmt.Sprintf("delay=%d run", delay), records, 4096, func(recs []ev8pred.Branch) {
 			if _, err := ev8pred.Run(ev8pred.NewEV8(), trace.NewSlice(recs), opts); err != nil {
 				t.Fatal(err)

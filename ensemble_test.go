@@ -59,8 +59,9 @@ func ensembleRoster() []ensembleCase {
 
 // ensembleRosterEV8 covers the schemes that belong under the EV8
 // information vector, including the two BlockObserver consumers (the EV8
-// itself, standalone and inside a cascade) — the shared fetch-block
-// fan-out must keep their bank sequencers exactly in per-cell lockstep.
+// itself, standalone and inside a cascade, which forwards each block to
+// it) — the shared fetch-block fan-out must keep their bank sequencers
+// exactly in per-cell lockstep.
 func ensembleRosterEV8() []ensembleCase {
 	return []ensembleCase{
 		{"ev8", func() (ev8pred.Predictor, error) { return ev8pred.NewEV8(), nil }},
@@ -360,9 +361,9 @@ func TestEnsembleZeroAllocsSteadyState(t *testing.T) {
 }
 
 // TestEnsembleSweepModesAgree pins the property the BenchmarkSweep*
-// pairs rely on: a pool sweep under EnsembleOff and under EnsembleOn
-// returns identical results, so their timing difference measures
-// schedule cost alone.
+// pairs rely on: a pool sweep under EnsembleOff and under EnsembleAuto
+// with fewer workers than cells (which groups) returns identical
+// results, so their timing difference measures schedule cost alone.
 func TestEnsembleSweepModesAgree(t *testing.T) {
 	cells := sweepCells(gshareSweepFactories(4), workload.Benchmarks()[:2])
 	perCell, err := sim.RunCells(context.Background(), cells, 50_000,
@@ -371,7 +372,7 @@ func TestEnsembleSweepModesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	grouped, err := sim.RunCells(context.Background(), cells, 50_000,
-		sim.PoolOptions{Workers: 1, Ensemble: ev8pred.EnsembleOn})
+		sim.PoolOptions{Workers: 1, Ensemble: ev8pred.EnsembleAuto})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,7 @@ package ev8pred_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"ev8pred"
@@ -123,9 +121,9 @@ func TestEV8BatchScalarEquivalent(t *testing.T) {
 }
 
 // TestEV8BatchDelayEquivalent pins the lagged resolve on the EV8 over a
-// whole benchmark: under commit delay the run takes the kernel (BatchOn
-// accepts it) and matches the scalar ring's results, Stats included, at
-// delays shorter and longer than a chunk.
+// whole benchmark: under commit delay the run takes the kernel (pinned by
+// TestBatchEligibility in internal/sim) and matches the scalar ring's
+// results, Stats included, at delays shorter and longer than a chunk.
 func TestEV8BatchDelayEquivalent(t *testing.T) {
 	tc := ev8BatchRoster()[0]
 	for _, delay := range []int{1, 8, 64, 1500} {
@@ -133,18 +131,6 @@ func TestEV8BatchDelayEquivalent(t *testing.T) {
 		auto, off := runEV8BatchPair(t, tc, "gcc", 50_000, opts)
 		if !equalResult(auto, off) {
 			t.Errorf("delay=%d: batch %+v != scalar %+v", delay, auto, off)
-		}
-		prof, err := ev8pred.BenchmarkByName("gcc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		on := ev8pred.Options{Mode: ev8pred.ModeEV8(), UpdateDelay: delay, Collect: true, Batch: ev8pred.BatchOn}
-		r, err := ev8pred.RunBenchmark(ev8pred.NewEV8(), prof, 50_000, on)
-		if err != nil {
-			t.Fatalf("delay=%d: BatchOn run rejected: %v", delay, err)
-		}
-		if !equalResult(r, auto) {
-			t.Errorf("delay=%d: BatchOn %+v != BatchAuto %+v", delay, r, auto)
 		}
 	}
 }
@@ -176,45 +162,6 @@ func TestEV8BatchMaxBranchesEquivalent(t *testing.T) {
 		if auto.Branches != max {
 			t.Errorf("max=%d: run measured %d branches", max, auto.Branches)
 		}
-	}
-}
-
-// TestEV8BatchOnEligibility pins the BatchOn contract on the EV8 surface:
-// eligible EV8 runs — immediate or commit-delayed — take the kernel, and
-// each disqualifying condition fails with ErrBatchIneligible instead of a
-// silent scalar fallback.
-func TestEV8BatchOnEligibility(t *testing.T) {
-	prof, err := ev8pred.BenchmarkByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(p ev8pred.Predictor, opts ev8pred.Options) error {
-		opts.Mode = ev8pred.ModeEV8()
-		opts.Batch = ev8pred.BatchOn
-		_, err := ev8pred.RunBenchmark(p, prof, 20_000, opts)
-		return err
-	}
-	if err := run(ev8pred.NewEV8(), ev8pred.Options{}); err != nil {
-		t.Errorf("eligible EV8 run rejected under BatchOn: %v", err)
-	}
-	if err := run(ev8pred.NewEV8(), ev8pred.Options{UpdateDelay: 1}); err != nil {
-		t.Errorf("delayed EV8 run rejected under BatchOn: %v", err)
-	}
-	cascade := ev8BatchRoster()[3]
-	p, err := cascade.make()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run(p, ev8pred.Options{}); !errors.Is(err, ev8pred.ErrBatchIneligible) {
-		t.Errorf("cascade BatchOn run: got %v, want ErrBatchIneligible", err)
-	}
-	// One BatchOn rule for every entry point: an ensemble holding the
-	// cascade fails too, naming it, instead of running it per branch.
-	factories := []ev8pred.Factory{ev8BatchRoster()[0].make, cascade.make}
-	_, err = ev8pred.RunEnsembleBenchmark(factories, prof, 20_000,
-		ev8pred.Options{Mode: ev8pred.ModeEV8(), Batch: ev8pred.BatchOn})
-	if !errors.Is(err, ev8pred.ErrBatchIneligible) || !strings.Contains(err.Error(), p.Name()) {
-		t.Errorf("ensemble with cascade BatchOn run: got %v, want ErrBatchIneligible naming %s", err, p.Name())
 	}
 }
 
@@ -380,7 +327,7 @@ func TestEV8BatchZeroAllocsSteadyState(t *testing.T) {
 	t.Run("run", func(t *testing.T) {
 		checkSteadyStateAllocs(t, "EV8 batch run loop", records, 4096, func(recs []ev8pred.Branch) {
 			if _, err := ev8pred.Run(ev8pred.NewEV8(), trace.NewSlice(recs),
-				ev8pred.Options{Mode: ev8pred.ModeEV8(), Batch: ev8pred.BatchOn}); err != nil {
+				ev8pred.Options{Mode: ev8pred.ModeEV8()}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -168,14 +168,14 @@ const (
 	// EnsembleAuto groups cells into per-workload ensembles only when the
 	// amortization can win (the default).
 	EnsembleAuto = sim.EnsembleAuto
-	// EnsembleOn always groups cells that share a workload.
-	EnsembleOn = sim.EnsembleOn
-	// EnsembleOff always simulates cells independently.
+	// EnsembleOff always simulates cells independently: the reference
+	// schedule for differential testing.
 	EnsembleOff = sim.EnsembleOff
 )
 
 // Batch scheduling modes (see Options.Batch). Results are byte-identical
-// in every mode; the knob exists for differential testing and debugging.
+// in both modes; BatchOff exists only as the reference for differential
+// testing.
 const (
 	// BatchAuto routes every eligible member through the batch kernel
 	// (default).
@@ -183,16 +183,7 @@ const (
 	// BatchOff runs every member per branch, on the fused path when the
 	// predictor has one.
 	BatchOff = sim.BatchOff
-	// BatchOn requires the batch kernel: a run with an ineligible member,
-	// solo or in an ensemble, fails with ErrBatchIneligible instead of
-	// running that member per branch.
-	BatchOn = sim.BatchOn
 )
-
-// ErrBatchIneligible reports a BatchOn run with a member that cannot take
-// the batch kernel; the wrapping error names the member and the
-// disqualifying condition.
-var ErrBatchIneligible = sim.ErrBatchIneligible
 
 // RunEnsemble simulates every factory-built predictor over ONE shared
 // pass of src: the stream is advanced once and its front-end state

@@ -1,16 +1,17 @@
 // Package cliflag validates serving-adjacent command-line flag values —
-// worker counts, listen addresses — with one typed error, so every CLI
-// rejects a malformed value with a clear message instead of panicking or
-// silently substituting a default. (The -shard spec has its own typed
-// validation in internal/shard.ParseSpec; this package covers the knobs
-// that package flag itself cannot range-check.)
+// worker counts, positive limits, listen addresses — with one typed
+// error, so every CLI rejects a malformed value with a clear message
+// instead of panicking or silently substituting a default. (The -shard
+// spec has its own typed validation in internal/shard.ParseSpec; -mode
+// goes through frontend.ModeByName. This package covers the knobs that
+// package flag itself cannot range-check. No CLI takes a schedule flag:
+// the pool and the engine choose the schedule, which changes no result.)
 package cliflag
 
 import (
 	"fmt"
 	"net"
 	"strconv"
-	"strings"
 )
 
 // Error describes one rejected flag value: which flag, what value, why.
@@ -47,20 +48,6 @@ func Positive(flag string, v int64) error {
 			Reason: "value must be positive"}
 	}
 	return nil
-}
-
-// Enum validates a flag restricted to a fixed set of spellings (schedule
-// modes like -batch and -ensemble auto|on|off), so every CLI rejects a
-// typo with the same typed error shape instead of each reimplementing
-// the check.
-func Enum(flag, value string, allowed ...string) error {
-	for _, a := range allowed {
-		if value == a {
-			return nil
-		}
-	}
-	return &Error{Flag: flag, Value: value,
-		Reason: "want " + strings.Join(allowed, "|")}
 }
 
 // HostPort validates a listen address of the form "host:port" (host may

@@ -48,31 +48,6 @@ func TestPositive(t *testing.T) {
 	}
 }
 
-// TestEnum pins the fixed-spelling validator behind -batch / -ensemble:
-// exact members accepted, everything else — case variants, prefixes,
-// empty — rejected with the typed *Error listing the allowed set.
-func TestEnum(t *testing.T) {
-	for _, ok := range []string{"auto", "on", "off"} {
-		if err := Enum("batch", ok, "auto", "on", "off"); err != nil {
-			t.Errorf("Enum(%q) rejected: %v", ok, err)
-		}
-	}
-	for _, bad := range []string{"", "Auto", "ON", "o", "onn", "auto ", "yes", "1"} {
-		err := Enum("batch", bad, "auto", "on", "off")
-		var fe *Error
-		if err == nil || !errors.As(err, &fe) {
-			t.Errorf("Enum(%q) = %v, want typed *Error", bad, err)
-			continue
-		}
-		if fe.Flag != "batch" {
-			t.Errorf("Enum(%q) error names flag %q, want %q", bad, fe.Flag, "batch")
-		}
-		if !strings.Contains(err.Error(), "auto|on|off") {
-			t.Errorf("Enum(%q) message %q does not list the allowed set", bad, err)
-		}
-	}
-}
-
 // TestHostPort is the table of rejected -expvar / -addr forms: each must
 // fail with the typed error, never a panic or a silent default.
 func TestHostPort(t *testing.T) {

@@ -31,13 +31,6 @@ type Config struct {
 	Instructions int64
 	// Benchmarks is the profile list (defaults to the full Table 2 set).
 	Benchmarks []workload.Profile
-	// Batch selects the batch-kernel schedule for every simulation cell:
-	// auto (the zero value) lets each run choose, on demands the chunked
-	// kernel and fails a cell that is ineligible (sim.ErrBatchIneligible —
-	// the ablation grid's delayed-update columns, for example), off forces
-	// the scalar path. A schedule knob only: rendered tables are
-	// byte-identical in every mode, and the result cache keys ignore it.
-	Batch sim.BatchMode
 	// Pool schedules every generator's fan-out (see sim.PoolOptions): its
 	// worker count, ensemble mode, progress hook (cmd/ev8bench -v wires a
 	// throughput counter here), result store (-cache, docs/CACHING.md)
@@ -145,13 +138,6 @@ func suite(cfg Config, opts sim.Options, factory sim.Factory) ([]sim.Result, err
 // so sharding refuses it loudly instead of silently computing it
 // everywhere or nowhere.
 func runCells(cfg Config, cells []sim.Cell) ([]sim.Result, error) {
-	// The batch schedule is a harness-wide knob, not a per-experiment one:
-	// apply it to every cell here so -batch reaches each grid uniformly.
-	if cfg.Batch != sim.BatchAuto {
-		for i := range cells {
-			cells[i].Opts.Batch = cfg.Batch
-		}
-	}
 	if cfg.Shard != (shard.Spec{}) {
 		if err := cfg.Shard.Validate(); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)

@@ -72,19 +72,24 @@ func ModeOldLghist() Mode {
 func ModeEV8() Mode { return ModeOldLghist() }
 
 // ModeByName maps the CLI/API spelling of an information vector to its
-// Mode — the single lookup behind ev8sweep's -mode flag and the serving
-// layer's experiment specs (internal/serve), so a spec submitted over
-// HTTP resolves to exactly the mode the CLI would.
+// Mode. It covers the five vectors of Figure 7 and is the single lookup
+// behind ev8sim's and ev8sweep's -mode flags and the serving layer's
+// experiment specs (internal/serve), so every surface accepts the same
+// names with the same error.
 func ModeByName(name string) (Mode, error) {
 	switch name {
 	case "ghist":
 		return ModeGhist(), nil
 	case "lghist":
 		return ModeLghist(), nil
+	case "lghist-nopath":
+		return ModeLghistNoPath(), nil
+	case "old-lghist":
+		return ModeOldLghist(), nil
 	case "ev8":
 		return ModeEV8(), nil
 	default:
-		return Mode{}, fmt.Errorf("frontend: unknown mode %q (want ghist|lghist|ev8)", name)
+		return Mode{}, fmt.Errorf("frontend: unknown mode %q (want ghist|lghist|lghist-nopath|old-lghist|ev8)", name)
 	}
 }
 

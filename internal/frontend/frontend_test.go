@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"ev8pred/internal/history"
@@ -29,6 +30,41 @@ func TestModeStrings(t *testing.T) {
 	odd := Mode{Compressed: true, DelayBlocks: 2}
 	if odd.String() != "lghist(delay=2,path=false)" {
 		t.Errorf("odd mode = %q", odd.String())
+	}
+}
+
+// TestModeByNameRoundTrip: each of the five CLI/API names resolves to its
+// Figure 7 constructor, and that mode's String is the figure's label, so
+// a name → Mode → label round trip lands on the vector the name means.
+// (ev8 and old-lghist name the same vector and share a label.) An unknown
+// name is refused with the full list of accepted names.
+func TestModeByNameRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		mode  Mode
+		label string
+	}{
+		{"ghist", ModeGhist(), "ghist"},
+		{"lghist", ModeLghist(), "lghist+path"},
+		{"lghist-nopath", ModeLghistNoPath(), "lghist,no path"},
+		{"old-lghist", ModeOldLghist(), "3-old lghist"},
+		{"ev8", ModeEV8(), "3-old lghist"},
+	} {
+		m, err := ModeByName(tc.name)
+		if err != nil {
+			t.Errorf("ModeByName(%q): %v", tc.name, err)
+			continue
+		}
+		if m != tc.mode {
+			t.Errorf("ModeByName(%q) = %+v, want %+v", tc.name, m, tc.mode)
+		}
+		if got := m.String(); got != tc.label {
+			t.Errorf("ModeByName(%q).String() = %q, want %q", tc.name, got, tc.label)
+		}
+	}
+	_, err := ModeByName("nonesuch")
+	if err == nil || !strings.Contains(err.Error(), "ghist|lghist|lghist-nopath|old-lghist|ev8") {
+		t.Errorf("ModeByName(nonesuch): err = %v, want the list of accepted names", err)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 
 	"ev8pred/internal/bitutil"
 	"ev8pred/internal/counter"
+	"ev8pred/internal/frontend"
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
 )
@@ -53,11 +54,16 @@ type Config struct {
 	Name string
 }
 
+// blockObserver is a component that observes every fetch block
+// (sim.BlockObserver; the EV8's §6.2 bank sequencer).
+type blockObserver interface{ ObserveBlock(frontend.Block) }
+
 // Cascade is a two-level predictor hierarchy.
 type Cascade struct {
-	primary predictor.Predictor
-	backup  predictor.Predictor
-	conf    Confident // nil when the backup has no confidence signal
+	primary   predictor.Predictor
+	backup    predictor.Predictor
+	conf      Confident       // nil when the backup has no confidence signal
+	observers []blockObserver // the components that observe fetch blocks
 
 	// override holds 2-bit counters: taken (>=2) means "the backup has
 	// been beating the primary here — let it override".
@@ -90,6 +96,11 @@ func New(primary, backup predictor.Predictor, cfg Config) (*Cascade, error) {
 	}
 	if conf, ok := backup.(Confident); ok {
 		c.conf = conf
+	}
+	for _, p := range []predictor.Predictor{primary, backup} {
+		if o, ok := p.(blockObserver); ok {
+			c.observers = append(c.observers, o)
+		}
 	}
 	if c.name == "" {
 		c.name = fmt.Sprintf("cascade(%s->%s)", primary.Name(), backup.Name())
@@ -149,6 +160,15 @@ func (c *Cascade) Update(info *history.Info, taken bool) {
 	}
 	c.primary.Update(info, taken)
 	c.backup.Update(info, taken)
+}
+
+// ObserveBlock forwards each fetch block to every component that
+// observes blocks, so an EV8 inside the cascade runs its bank sequencer
+// over the same block stream as it would alone.
+func (c *Cascade) ObserveBlock(b frontend.Block) {
+	for _, o := range c.observers {
+		o.ObserveBlock(b)
+	}
 }
 
 // Overrides returns the number of late redirects the backup caused and

@@ -3,6 +3,7 @@ package cascade
 import (
 	"testing"
 
+	"ev8pred/internal/ev8"
 	"ev8pred/internal/frontend"
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
@@ -112,6 +113,36 @@ func TestPerceptronBackupOnRealWorkload(t *testing.T) {
 	total, _ := casc.Overrides()
 	if total == 0 {
 		t.Error("perceptron backup never overrode")
+	}
+}
+
+// TestInnerEV8SeesEveryBlock: the cascade forwards each fetch block to
+// its components, so an EV8 inside it runs its §6.2 bank sequencer over
+// exactly the blocks it sequences alone, instead of falling back to
+// address bits, under the batch and the per-branch schedule.
+func TestInnerEV8SeesEveryBlock(t *testing.T) {
+	for _, name := range []string{"gcc", "li"} {
+		prof, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range []sim.BatchMode{sim.BatchAuto, sim.BatchOff} {
+			opts := sim.Options{Mode: frontend.ModeEV8(), Batch: batch}
+			alone := ev8.MustNew(ev8.DefaultConfig())
+			if _, err := sim.RunBenchmark(alone, prof, 200_000, opts); err != nil {
+				t.Fatal(err)
+			}
+			inner := ev8.MustNew(ev8.DefaultConfig())
+			if _, err := sim.RunBenchmark(MustNew(inner, perceptron.MustNew(256, 12), Config{}), prof, 200_000, opts); err != nil {
+				t.Fatal(err)
+			}
+			if alone.BlocksObserved() == 0 || inner.BlocksObserved() != alone.BlocksObserved() {
+				t.Errorf("%s batch=%d: inner EV8 observed %d blocks, alone %d", name, batch, inner.BlocksObserved(), alone.BlocksObserved())
+			}
+			if inner.BankUse() != alone.BankUse() {
+				t.Errorf("%s batch=%d: inner EV8 bank use %v, alone %v", name, batch, inner.BankUse(), alone.BankUse())
+			}
+		}
 	}
 }
 

@@ -10,9 +10,14 @@ import (
 
 	"ev8pred/internal/bitutil"
 	"ev8pred/internal/counter"
+	"ev8pred/internal/frontend"
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
 )
+
+// blockObserver is a component that observes every fetch block
+// (sim.BlockObserver; the EV8's §6.2 bank sequencer).
+type blockObserver interface{ ObserveBlock(frontend.Block) }
 
 // Hybrid combines two component predictors with a PC-indexed chooser.
 // Chooser semantics: counter >= 2 selects component B.
@@ -21,6 +26,7 @@ type Hybrid struct {
 	chooser    *counter.Array
 	chooseBits int
 	name       string
+	observers  []blockObserver // the components that observe fetch blocks
 }
 
 // New returns a hybrid of a and b with chooserEntries chooser counters.
@@ -31,13 +37,19 @@ func New(a, b predictor.Predictor, chooserEntries int) (*Hybrid, error) {
 	if chooserEntries <= 0 || !bitutil.IsPow2(uint64(chooserEntries)) {
 		return nil, fmt.Errorf("hybrid: chooser entries %d not a positive power of two", chooserEntries)
 	}
-	return &Hybrid{
+	h := &Hybrid{
 		a:          a,
 		b:          b,
 		chooser:    counter.NewArray(chooserEntries, counter.WeakTaken), // slight initial preference for B
 		chooseBits: bitutil.Log2(uint64(chooserEntries)),
 		name:       fmt.Sprintf("hybrid(%s,%s)", a.Name(), b.Name()),
-	}, nil
+	}
+	for _, p := range []predictor.Predictor{a, b} {
+		if o, ok := p.(blockObserver); ok {
+			h.observers = append(h.observers, o)
+		}
+	}
+	return h, nil
 }
 
 // MustNew is New but panics on error.
@@ -71,6 +83,15 @@ func (h *Hybrid) Update(info *history.Info, taken bool) {
 	h.b.Update(info, taken)
 	if pa != pb {
 		h.chooser.Update(h.chooseIndex(info.PC), pb == taken)
+	}
+}
+
+// ObserveBlock forwards each fetch block to every component that
+// observes blocks, so an EV8 inside the hybrid runs its bank sequencer
+// over the same block stream as it would alone.
+func (h *Hybrid) ObserveBlock(b frontend.Block) {
+	for _, o := range h.observers {
+		o.ObserveBlock(b)
 	}
 }
 

@@ -3,12 +3,16 @@ package hybrid
 import (
 	"testing"
 
+	"ev8pred/internal/ev8"
+	"ev8pred/internal/frontend"
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
 	"ev8pred/internal/predictor/bimodal"
 	"ev8pred/internal/predictor/gshare"
 	"ev8pred/internal/predictor/local"
 	"ev8pred/internal/predictor/predtest"
+	"ev8pred/internal/sim"
+	"ev8pred/internal/workload"
 )
 
 func mk() predictor.Predictor {
@@ -71,5 +75,30 @@ func TestChooserUnmovedWhenComponentsAgree(t *testing.T) {
 	}
 	if got := h.chooser.Get(h.chooseIndex(in.PC)); got != before {
 		t.Errorf("chooser moved %d -> %d with agreeing components", before, got)
+	}
+}
+
+// TestInnerEV8SeesEveryBlock: the hybrid forwards each fetch block to its
+// components, so an EV8 inside it runs its §6.2 bank sequencer over
+// exactly the blocks it sequences alone.
+func TestInnerEV8SeesEveryBlock(t *testing.T) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sim.Options{Mode: frontend.ModeEV8()}
+	alone := ev8.MustNew(ev8.DefaultConfig())
+	if _, err := sim.RunBenchmark(alone, prof, 200_000, opts); err != nil {
+		t.Fatal(err)
+	}
+	inner := ev8.MustNew(ev8.DefaultConfig())
+	if _, err := sim.RunBenchmark(MustNew(gshare.MustNew(1024, 8), inner, 1024), prof, 200_000, opts); err != nil {
+		t.Fatal(err)
+	}
+	if alone.BlocksObserved() == 0 || inner.BlocksObserved() != alone.BlocksObserved() {
+		t.Errorf("inner EV8 observed %d blocks, alone %d", inner.BlocksObserved(), alone.BlocksObserved())
+	}
+	if inner.BankUse() != alone.BankUse() {
+		t.Errorf("inner EV8 bank use %v, alone %v", inner.BankUse(), alone.BankUse())
 	}
 }

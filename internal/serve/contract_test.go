@@ -19,7 +19,7 @@ import (
 // cfg set) must be honoured: the job's pool equals pool, and the served
 // runs equal sweep.RunPool under want and pool. A field a spec cannot
 // reach (json set) must be refused as bad_spec when its JSON name is
-// submitted.
+// submitted with value (1 when nil).
 type optionsRow struct {
 	field string
 	name  string // subtest name when a field has several rows
@@ -28,13 +28,17 @@ type optionsRow struct {
 	want  sim.Options
 	pool  sim.PoolOptions
 	json  string
+	value any
 }
 
 var optionsRows = []optionsRow{
 	{field: "Mode", spec: func(sp *Spec) { sp.Mode = "ev8" }, want: sim.Options{Mode: frontend.ModeEV8()}},
 	{field: "Collect", spec: func(sp *Spec) { sp.Stats = true }, want: sim.Options{Collect: true}},
-	{field: "Ensemble", name: "Ensemble/off", spec: func(sp *Spec) { sp.Ensemble = "off" }, pool: sim.PoolOptions{Ensemble: sim.EnsembleOff}},
-	{field: "Ensemble", name: "Ensemble/on", spec: func(sp *Spec) { sp.Ensemble = "on" }, pool: sim.PoolOptions{Ensemble: sim.EnsembleOn}},
+	// The pool chooses the ensemble schedule: a spec spelling it in the
+	// form earlier servers accepted is refused.
+	{field: "Ensemble", name: "Ensemble/auto", json: "ensemble", value: "auto"},
+	{field: "Ensemble", name: "Ensemble/off", json: "ensemble", value: "off"},
+	{field: "Ensemble", name: "Ensemble/on", json: "ensemble", value: "on"},
 	{field: "Workers", cfg: Config{Workers: 2}, pool: sim.PoolOptions{Workers: 2}},
 	{field: "MaxBranches", json: "max_branches"},
 	{field: "UpdateDelay", json: "update_delay"},
@@ -75,7 +79,11 @@ func TestServeOptionsContract(t *testing.T) {
 			defer ts.Close()
 			sp := testSpec()
 			if row.json != "" {
-				checkRefused(t, ts, sp, row.json)
+				value := row.value
+				if value == nil {
+					value = 1
+				}
+				checkRefused(t, ts, sp, row.json, value)
 				return
 			}
 			if row.spec != nil {
@@ -88,7 +96,7 @@ func TestServeOptionsContract(t *testing.T) {
 			if !reflect.DeepEqual(cs.opts, row.want) {
 				t.Errorf("spec compiles to %+v, want %+v", cs.opts, row.want)
 			}
-			if got := srv.jobPool(cs); !reflect.DeepEqual(got, row.pool) {
+			if got := srv.jobPool(); !reflect.DeepEqual(got, row.pool) {
 				t.Errorf("job runs under pool %+v, want %+v", got, row.pool)
 			}
 			_, events := streamEvents(t, ts, "alice", sp)
@@ -113,16 +121,16 @@ func TestServeOptionsContract(t *testing.T) {
 	}
 }
 
-// checkRefused submits sp with one extra top-level field, name, and
-// expects 400 bad_spec.
-func checkRefused(t *testing.T, ts *httptest.Server, sp Spec, name string) {
+// checkRefused submits sp with one extra top-level field, name set to
+// value, and expects 400 bad_spec.
+func checkRefused(t *testing.T, ts *httptest.Server, sp Spec, name string, value any) {
 	t.Helper()
 	var body map[string]any
 	raw, _ := json.Marshal(sp)
 	if err := json.Unmarshal(raw, &body); err != nil {
 		t.Fatal(err)
 	}
-	body[name] = 1
+	body[name] = value
 	raw, _ = json.Marshal(body)
 	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(raw))
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"ev8pred/internal/sim"
 )
 
 // readDebug fetches ts's /debug/vars and decodes its "ev8serve" key.
@@ -86,6 +88,44 @@ func TestDebugVarsCacheSnapshot(t *testing.T) {
 	}
 	if c := readDebug(t, ts).Cache; c == nil || *c != want {
 		t.Errorf("debug page cache counters %+v, want %+v", c, want)
+	}
+}
+
+// TestDrainRunsJobWithFreeSlot: a job admitted before the drain starts
+// runs to completion when a run slot is free, even when the drain began
+// before the job reached its slot (a SIGTERM right after "accepted").
+// Each job is an independent chance for the drain to win a random pick.
+func TestDrainRunsJobWithFreeSlot(t *testing.T) {
+	const jobs = 20
+	srv := New(Config{Workers: 1, MaxJobs: 1, QueueDepth: jobs, TenantQuota: jobs})
+	sp := Spec{Scheme: "gshare", Param: "history", Values: []int{4},
+		Benchmarks: []string{"li"}, Instructions: 10_000}
+	cs, err := sp.compile(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := make([]*Job, jobs)
+	for i := range admitted {
+		if admitted[i], err = srv.admit("alice", cs.cells); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(ctx) }()
+	for !srv.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	for _, job := range admitted {
+		if _, _, err := srv.runJob(ctx, job, cs, func(sim.CellDone) {}); err != nil {
+			t.Errorf("job %s with a free slot: %v", job.ID, err)
+		}
+		srv.finish(job, JobDone, "")
+		srv.release(job)
+	}
+	if err := <-drained; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"ev8pred/internal/cache"
+	"ev8pred/internal/frontend"
 	"ev8pred/internal/report"
 	"ev8pred/internal/sim"
 	"ev8pred/internal/sweep"
@@ -48,7 +49,6 @@ func TestSpecCompileErrors(t *testing.T) {
 		{"bad scheme", func(s *Spec) { s.Scheme = "nonesuch" }, "scheme/param"},
 		{"bad param", func(s *Spec) { s.Param = "nonesuch" }, "scheme/param"},
 		{"bad mode", func(s *Spec) { s.Mode = "nonesuch" }, "mode"},
-		{"bad ensemble", func(s *Spec) { s.Ensemble = "nonesuch" }, "ensemble"},
 		{"bad benchmark", func(s *Spec) { s.Benchmarks = []string{"nonesuch"} }, "benchmarks"},
 		{"too many cells", func(s *Spec) { s.Values = []int{1, 2, 3, 4, 5} }, "values/benchmarks"},
 	}
@@ -68,17 +68,16 @@ func TestSpecCompileErrors(t *testing.T) {
 	}
 }
 
-// TestSpecCompileDefaults pins the zero-value semantics: empty mode,
-// ensemble and benchmarks mean ghist, auto and the full suite — the CLI
-// defaults.
+// TestSpecCompileDefaults pins the zero-value semantics: empty mode and
+// benchmarks mean ghist and the full suite — the CLI defaults.
 func TestSpecCompileDefaults(t *testing.T) {
 	sp := Spec{Scheme: "gshare", Param: "history", Values: []int{4}, Instructions: 1000}
 	cs, err := sp.compile(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.ensemble != sim.EnsembleAuto {
-		t.Errorf("default ensemble = %v, want auto", cs.ensemble)
+	if cs.opts.Mode != frontend.ModeGhist() {
+		t.Errorf("default mode = %v, want ghist", cs.opts.Mode)
 	}
 	if got, want := len(cs.profs), len(workload.Benchmarks()); got != want {
 		t.Errorf("default benchmarks = %d profiles, want the full suite of %d", got, want)

@@ -332,10 +332,10 @@ type PointSummary struct {
 	Mean float64 `json:"mean_misp_per_ki"`
 }
 
-// jobPool is the pool a job of cs runs under: the spec's ensemble mode
-// and the server's worker bound, store and log. Progress is the caller's.
-func (s *Server) jobPool(cs *compiledSpec) sim.PoolOptions {
-	return sim.PoolOptions{Workers: s.cfg.Workers, Ensemble: cs.ensemble, Cache: s.cfg.Cache, Log: s.cfg.Log}
+// jobPool is the pool every job runs under: the server's worker bound,
+// store and log. Progress is the caller's.
+func (s *Server) jobPool() sim.PoolOptions {
+	return sim.PoolOptions{Workers: s.cfg.Workers, Cache: s.cfg.Cache, Log: s.cfg.Log}
 }
 
 // runJob takes a run slot (or gives up on drain/cancel), executes the
@@ -343,18 +343,26 @@ func (s *Server) jobPool(cs *compiledSpec) sim.PoolOptions {
 // through events. It owns the queued→running transition; the caller owns
 // the terminal one.
 func (s *Server) runJob(ctx context.Context, job *Job, cs *compiledSpec, events func(sim.CellDone)) ([]report.Run, []PointSummary, error) {
+	// A free slot is taken before the drain is looked at: select picks at
+	// random among ready cases, so a job admitted before the drain could
+	// otherwise be rejected with a slot to spare. Only a job that has to
+	// wait for a slot is rejected by the drain.
 	select {
 	case s.slots <- struct{}{}:
-	case <-s.drainCh:
-		return nil, nil, &AdmitError{Code: "rejected_draining", Status: 503,
-			Message: "server drained before the job reached a run slot"}
-	case <-ctx.Done():
-		return nil, nil, fmt.Errorf("%w: tenant went away while queued", sim.ErrCanceled)
+	default:
+		select {
+		case s.slots <- struct{}{}:
+		case <-s.drainCh:
+			return nil, nil, &AdmitError{Code: "rejected_draining", Status: 503,
+				Message: "server drained before the job reached a run slot"}
+		case <-ctx.Done():
+			return nil, nil, fmt.Errorf("%w: tenant went away while queued", sim.ErrCanceled)
+		}
 	}
 	defer func() { <-s.slots }()
 	progress := job.start()
 
-	pool := s.jobPool(cs)
+	pool := s.jobPool()
 	pool.Progress = func(e sim.CellDone) {
 		progress.Observe(e)
 		events(e)

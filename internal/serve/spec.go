@@ -2,9 +2,9 @@
 // daemon, and its compilation into the exact (factory, values, profiles,
 // options) inputs the sweep engine takes. Compilation goes through the
 // same lookups as the CLIs — sweep.FamilyFactory, frontend.ModeByName,
-// workload.ByName, sim.ParseEnsembleMode — so a spec served over HTTP
-// simulates exactly the cells the equivalent ev8sweep invocation would,
-// and (through the content-addressed cache) shares its results with it.
+// workload.ByName — so a spec served over HTTP simulates exactly the
+// cells the equivalent ev8sweep invocation would, and (through the
+// content-addressed cache) shares its results with it.
 package serve
 
 import (
@@ -19,7 +19,9 @@ import (
 // Spec is one experiment request: a predictor config grid (scheme/param
 // swept over values), a workload profile set, and simulation options.
 // The zero values of the optional fields mean what the CLI defaults
-// mean: all benchmarks, ghist mode, auto ensemble scheduling, no stats.
+// mean: all benchmarks, ghist mode, no stats. A spec sets no schedule:
+// the server's pool chooses it (a field such as "ensemble" is unknown and
+// rejected), because results are identical under every schedule.
 type Spec struct {
 	// Scheme and Param select the predictor family and the swept design
 	// parameter, exactly as ev8sweep's -scheme/-param flags
@@ -33,13 +35,9 @@ type Spec struct {
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Instructions is the per-benchmark instruction budget (-instructions).
 	Instructions int64 `json:"instructions"`
-	// Mode selects the information vector: ghist|lghist|ev8 (-mode;
-	// empty = ghist).
+	// Mode selects the information vector:
+	// ghist|lghist|lghist-nopath|old-lghist|ev8 (-mode; empty = ghist).
 	Mode string `json:"mode,omitempty"`
-	// Ensemble selects the single-pass ensemble schedule: auto|on|off
-	// (-ensemble; empty = auto). Schedule-only — results are identical
-	// in every mode.
-	Ensemble string `json:"ensemble,omitempty"`
 	// Stats enables component-attribution collection (-stats); the
 	// returned runs then carry the counters, byte-identical to the CLI's.
 	Stats bool `json:"stats,omitempty"`
@@ -59,13 +57,12 @@ func (e *SpecError) Error() string {
 
 // compiledSpec is a Spec resolved into engine inputs.
 type compiledSpec struct {
-	factory  sweep.Factory
-	xs       []int
-	profs    []workload.Profile
-	instr    int64
-	opts     sim.Options
-	ensemble sim.EnsembleMode
-	cells    int
+	factory sweep.Factory
+	xs      []int
+	profs   []workload.Profile
+	instr   int64
+	opts    sim.Options
+	cells   int
 }
 
 // compile validates sp and resolves it against the same rosters the
@@ -90,14 +87,6 @@ func (sp *Spec) compile(maxCells int) (*compiledSpec, error) {
 	if err != nil {
 		return nil, &SpecError{Field: "mode", Reason: err.Error()}
 	}
-	ensName := sp.Ensemble
-	if ensName == "" {
-		ensName = "auto"
-	}
-	ens, err := sim.ParseEnsembleMode(ensName)
-	if err != nil {
-		return nil, &SpecError{Field: "ensemble", Reason: err.Error()}
-	}
 	var profs []workload.Profile
 	if len(sp.Benchmarks) == 0 {
 		profs = workload.Benchmarks()
@@ -120,11 +109,8 @@ func (sp *Spec) compile(maxCells int) (*compiledSpec, error) {
 		xs:      sp.Values,
 		profs:   profs,
 		instr:   sp.Instructions,
-		// The exact Options ev8sweep builds for these flags. The ensemble
-		// mode, like the server's worker bound, only schedules the job's
-		// pool (see Server.jobPool), so neither changes results.
-		opts:     sim.Options{Mode: mode, Collect: sp.Stats},
-		ensemble: ens,
-		cells:    cells,
+		// The exact Options ev8sweep builds for these flags.
+		opts:  sim.Options{Mode: mode, Collect: sp.Stats},
+		cells: cells,
 	}, nil
 }

@@ -29,18 +29,14 @@
 //     counter tables, so observing the whole chunk's blocks before
 //     resolving its branches commutes with the counter updates. Block
 //     observers without the contract run per branch.
-//   - Options.Batch selects the schedule: BatchAuto (the default) makes
+//   - Options.Batch is not a user choice: BatchAuto (the default) makes
 //     every eligible member a batch member, precisely because results
-//     are identical; BatchOff runs every member per branch (differential
-//     testing); BatchOn demands the kernel for every member and makes an
-//     ineligible member a typed error (ErrBatchIneligible) instead of a
-//     silent per-branch fallback, so benchmarks measure what they claim
-//     to.
+//     are identical, and the engine decides eligibility from the
+//     predictor's interfaces alone. BatchOff, which runs every member per
+//     branch, exists only as the differential suites' reference.
 package sim
 
 import (
-	"errors"
-	"fmt"
 	"math/bits"
 
 	"ev8pred/internal/frontend"
@@ -51,7 +47,7 @@ import (
 
 // BatchMode selects whether the engine's eligible members resolve through
 // the batch kernel. Like the pool's worker count and ensemble mode it
-// chooses a schedule, never a result: all modes are byte-identical (the
+// chooses a schedule, never a result: both modes are byte-identical (the
 // batch differential suite pins that), so it is excluded from cache keys.
 type BatchMode int
 
@@ -60,45 +56,10 @@ const (
 	// member.
 	BatchAuto BatchMode = iota
 	// BatchOff runs every member per branch (the fused path when the
-	// predictor has one).
+	// predictor has one): the reference schedule of the differential
+	// suites.
 	BatchOff
-	// BatchOn requires the batch path: a run with an ineligible member
-	// fails with ErrBatchIneligible instead of running it per branch.
-	BatchOn
 )
-
-// String renders the mode for flags and logs.
-func (m BatchMode) String() string {
-	switch m {
-	case BatchAuto:
-		return "auto"
-	case BatchOff:
-		return "off"
-	case BatchOn:
-		return "on"
-	default:
-		return "invalid"
-	}
-}
-
-// ParseBatchMode parses the CLI spelling of a BatchMode.
-func ParseBatchMode(s string) (BatchMode, error) {
-	switch s {
-	case "auto":
-		return BatchAuto, nil
-	case "on":
-		return BatchOn, nil
-	case "off":
-		return BatchOff, nil
-	default:
-		return BatchAuto, fmt.Errorf("sim: unknown batch mode %q (want auto|on|off)", s)
-	}
-}
-
-// ErrBatchIneligible reports a run that requested BatchOn with a member
-// that cannot take the batch kernel; the wrapping error names the member
-// and the disqualifying condition.
-var ErrBatchIneligible = errors.New("sim: batch kernel required (BatchOn) but run is ineligible")
 
 // batchChunk is the number of trace records walked per chunk. 1024
 // records keep the per-chunk scratch (records, infos, snapshots,

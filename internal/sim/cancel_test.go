@@ -42,12 +42,12 @@ func TestRunCellsCanceledContext(t *testing.T) {
 }
 
 // TestRunCellsCanceledEnsemble is the same contract on the grouped
-// single-pass ensemble schedule.
+// single-pass ensemble schedule (4 cells over one worker group).
 func TestRunCellsCanceledEnsemble(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RunCells(ctx, cancelTestCells(t, 4), 2_000_000,
-		PoolOptions{Workers: 1, Ensemble: EnsembleOn})
+		PoolOptions{Workers: 1})
 	if err == nil {
 		t.Fatal("grouped RunCells with canceled context returned nil error")
 	}

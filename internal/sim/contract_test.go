@@ -23,8 +23,11 @@ import (
 const contractInstr = 50_000
 
 // contractCases is the field list. Batch chooses a schedule; the rest
-// change what a run computes. The pool's schedule (PoolOptions) is crossed
-// by the RunCells entries, one per EnsembleMode.
+// change what a run computes. "all" leaves Batch at BatchAuto, so the
+// batch members take the kernel under every other field. The pool's
+// schedule (PoolOptions) is crossed by the RunCells entries: per cell
+// under EnsembleOff and under EnsembleAuto when the cells fit the
+// workers, grouped under EnsembleAuto when they do not.
 var contractCases = []struct {
 	name string
 	opts Options
@@ -36,10 +39,9 @@ var contractCases = []struct {
 	{"lenient flow", Options{LenientFlow: true}},
 	{"batch auto", Options{Batch: BatchAuto}},
 	{"batch off", Options{Batch: BatchOff}},
-	{"batch on", Options{Batch: BatchOn}},
 	{"collect", Options{Collect: true}},
 	{"all", Options{Mode: frontend.ModeEV8(), MaxBranches: 3000, UpdateDelay: 8, Warmup: 10,
-		LenientFlow: true, Batch: BatchOn, Collect: true}},
+		LenientFlow: true, Collect: true}},
 }
 
 // contractFactories are the members: a batch-capable predictor without
@@ -80,13 +82,13 @@ func runEnsembleEntry(n int) func(*testing.T, workload.Profile, Options) ([]Resu
 	}
 }
 
-func runCellsEntry(mode EnsembleMode) func(*testing.T, workload.Profile, Options) ([]Result, error) {
+func runCellsEntry(workers int, mode EnsembleMode) func(*testing.T, workload.Profile, Options) ([]Result, error) {
 	return func(t *testing.T, prof workload.Profile, opts Options) ([]Result, error) {
 		cells := make([]Cell, len(contractFactories))
 		for i, f := range contractFactories {
 			cells[i] = Cell{Factory: f, Profile: prof, Opts: opts}
 		}
-		return RunCells(context.Background(), cells, contractInstr, PoolOptions{Workers: 2, Ensemble: mode})
+		return RunCells(context.Background(), cells, contractInstr, PoolOptions{Workers: workers, Ensemble: mode})
 	}
 }
 
@@ -140,9 +142,9 @@ var (
 	contractEntries = []contractEntry{
 		{"RunEnsemble of one", 1, runEnsembleEntry(1), honoursAll},
 		{"RunEnsemble of two", 2, runEnsembleEntry(2), honoursAll},
-		{"RunCells EnsembleAuto", 2, runCellsEntry(EnsembleAuto), honoursAll},
-		{"RunCells EnsembleOn", 2, runCellsEntry(EnsembleOn), honoursAll},
-		{"RunCells EnsembleOff", 2, runCellsEntry(EnsembleOff), honoursAll},
+		{"RunCells EnsembleAuto per cell", 2, runCellsEntry(2, EnsembleAuto), honoursAll},
+		{"RunCells EnsembleAuto grouped", 2, runCellsEntry(1, EnsembleAuto), honoursAll},
+		{"RunCells EnsembleOff", 2, runCellsEntry(1, EnsembleOff), honoursAll},
 		{"RunCheckpoint+ResumeFrom", 1, runResumed, honoursAll},
 	}
 	frontEndEntry = contractEntry{"RunFrontEnd", 1, runFrontEndEntry, frontEndRejects}
@@ -188,7 +190,7 @@ func checkContract(t *testing.T, e contractEntry, opts Options) {
 }
 
 // TestOptionsContract crosses RunEnsemble (of one and of two), RunCells
-// (EnsembleAuto, On and Off) and RunCheckpoint→ResumeFrom with the field
+// (EnsembleAuto per cell and grouped, EnsembleOff) and RunCheckpoint→ResumeFrom with the field
 // list; TestRunFrontEndRejectsUnsupportedOptions is the RunFrontEnd
 // column.
 func TestOptionsContract(t *testing.T) {

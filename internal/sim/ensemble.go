@@ -102,14 +102,6 @@ func newMember(p predictor.Predictor, opts Options) member {
 	return m
 }
 
-// ineligible names why m cannot be a batch member (for the BatchOn error).
-func (m *member) ineligible() string {
-	if _, ok := m.p.(predictor.BatchPredictor); !ok {
-		return "does not implement predictor.BatchPredictor"
-	}
-	return "observes fetch blocks without the batched block contract (predictor.BlockBatchObserver)"
-}
-
 // predict runs the read side for one branch: the fused Lookup when
 // available (its snapshot rides to update time), Predict otherwise.
 func (m *member) predict(info *history.Info) (bool, predictor.Snapshot) {
@@ -268,22 +260,14 @@ func (e *engine) walkRun(s *batchScratch, recs []trace.Branch, i, j int) error {
 }
 
 // run simulates the stream and fills results: one per member, or one for
-// a member-less (oracle) run, which mispredicts nothing. Under
-// BatchOn every member must be a batch member (ErrBatchIneligible names
-// the first that is not). capture, if set, runs at a clean stop, before
-// the commit-delay rings drain and before the warmup clamp: the pending
-// updates belong to a continuation, and a resumed warmup gate needs the
-// raw branch count. An immediate error (a bad thread id) aborts with the
-// results unfilled; a mid-stream source failure returns the filled
-// results with an error, so a short stream never passes for a whole one.
+// a member-less (oracle) run, which mispredicts nothing. capture, if set,
+// runs at a clean stop, before the commit-delay rings drain and before
+// the warmup clamp: the pending updates belong to a continuation, and a
+// resumed warmup gate needs the raw branch count. An immediate error (a
+// bad thread id) aborts with the results unfilled; a mid-stream source
+// failure returns the filled results with an error, so a short stream
+// never passes for a whole one.
 func (e *engine) run(src trace.Source, results []Result, capture func() error) error {
-	if e.opts.Batch == BatchOn {
-		for k := range e.members {
-			if m := &e.members[k]; m.bp == nil {
-				return fmt.Errorf("%w: member %d (%s) %s", ErrBatchIneligible, k, m.p.Name(), m.ineligible())
-			}
-		}
-	}
 	srcErr, err := e.walk(src)
 	if err != nil {
 		return err
@@ -451,10 +435,10 @@ func (e *engine) walk(src trace.Source) (srcErr, err error) {
 // where Run's would. The walk allocates nothing in steady state, per
 // member, preserving the repo's hot-path discipline.
 //
-// Errors: a factory failure aborts before any simulation, as does BatchOn
-// with any member that is not a batch member; a mid-stream source failure
-// returns the partial Results with the same error shape as Run. An empty
-// factory list returns an empty, non-nil slice without touching src.
+// Errors: a factory failure aborts before any simulation; a mid-stream
+// source failure returns the partial Results with the same error shape as
+// Run. An empty factory list returns an empty, non-nil slice without
+// touching src.
 func RunEnsemble(factories []Factory, src trace.Source, opts Options) ([]Result, error) {
 	results := make([]Result, len(factories))
 	if len(factories) == 0 {

@@ -36,6 +36,9 @@ func gshareFactories(k int) []Factory {
 	return out
 }
 
+// TestEnsembleGroupsDecisions pins the pool's one grouping rule: cells
+// sharing a (workload, options) pair form one group exactly when the mode
+// is not EnsembleOff and the fan-out is wider than the workers.
 func TestEnsembleGroupsDecisions(t *testing.T) {
 	profs := benchProfiles(t, "li", "go")
 	cells := sweepCells(gshareFactories(3), profs, Options{}) // 6 cells, 2 workloads
@@ -53,46 +56,52 @@ func TestEnsembleGroupsDecisions(t *testing.T) {
 		}
 		return true
 	}
-	if g := ensembleGroups(cells, PoolOptions{Ensemble: EnsembleOff}); !singletons(g, len(cells)) {
+	if g := ensembleGroups(cells, PoolOptions{Workers: 1, Ensemble: EnsembleOff}); !singletons(g, len(cells)) {
 		t.Errorf("EnsembleOff grouped anyway: %v", g)
 	}
-	if g := ensembleGroups(nil, PoolOptions{Ensemble: EnsembleOn}); len(g) != 0 {
+	if g := ensembleGroups(nil, PoolOptions{Workers: 1}); len(g) != 0 {
 		t.Errorf("empty cell list grouped: %v", g)
 	}
-	// Auto: fan-out no wider than the workers -> groups of one.
-	if g := ensembleGroups(cells, PoolOptions{Workers: 6}); !singletons(g, len(cells)) {
-		t.Errorf("auto grouped a fan-out that fits the workers: %v", g)
+	// Fan-out no wider than the workers -> groups of one.
+	for _, workers := range []int{6, 8} {
+		if g := ensembleGroups(cells, PoolOptions{Workers: workers}); !singletons(g, len(cells)) {
+			t.Errorf("workers=%d: grouped a fan-out that fits the workers: %v", workers, g)
+		}
 	}
-	// Auto: wider than the workers and workloads shared -> grouped.
-	g := ensembleGroups(cells, PoolOptions{Workers: 2})
-	if len(g) != 2 {
-		t.Fatalf("auto: %d groups, want 2", len(g))
+	// Wider than the workers and workloads shared -> grouped, from one
+	// worker short of the fan-out down to the serial pool.
+	for _, workers := range []int{5, 2, 1} {
+		g := ensembleGroups(cells, PoolOptions{Workers: workers})
+		if len(g) != 2 {
+			t.Fatalf("workers=%d: %d groups, want 2", workers, len(g))
+		}
+		// Factory-major input: group 0 is the first profile with cells 0,2,4.
+		if g[0].prof.Name != "li" || len(g[0].cells) != 3 || g[0].cells[0] != 0 || g[0].cells[1] != 2 {
+			t.Errorf("workers=%d: group 0 wrong: %+v", workers, g[0])
+		}
 	}
-	// Factory-major input: group 0 is the first profile with cells 0,2,4.
-	if g[0].prof.Name != "li" || len(g[0].cells) != 3 || g[0].cells[0] != 0 || g[0].cells[1] != 2 {
-		t.Errorf("group 0 wrong: %+v", g[0])
+	// Workers 0 means one per CPU: a fan-out wider than that groups.
+	wide := sweepCells(gshareFactories(DefaultWorkers()+1), profs, Options{})
+	if g := ensembleGroups(wide, PoolOptions{}); len(g) != 2 {
+		t.Errorf("default workers: %d groups for %d cells, want 2", len(g), len(wide))
 	}
-	// Auto: nothing shared -> groups of one even when wider than the workers.
+	// Nothing shared -> groups of one even when wider than the workers.
 	if g := ensembleGroups(distinct, PoolOptions{Workers: 1}); !singletons(g, len(distinct)) {
-		t.Errorf("auto grouped singletons: %v", g)
-	}
-	// On: groups even when the fan-out fits, and even singletons.
-	if g := ensembleGroups(distinct, PoolOptions{Workers: 8, Ensemble: EnsembleOn}); !singletons(g, len(distinct)) {
-		t.Errorf("on: %v, want 2 singletons", g)
+		t.Errorf("grouped singletons: %v", g)
 	}
 	// Differing options split a shared workload into separate groups.
 	mixed := []Cell{
 		{Factory: gshareFactories(1)[0], Profile: profs[0], Opts: Options{}},
 		{Factory: gshareFactories(1)[0], Profile: profs[0], Opts: Options{UpdateDelay: 8}},
 	}
-	if g := ensembleGroups(mixed, PoolOptions{Ensemble: EnsembleOn}); len(g) != 2 {
+	if g := ensembleGroups(mixed, PoolOptions{Workers: 1}); len(g) != 2 {
 		t.Errorf("options not part of the group key: %d groups, want 2", len(g))
 	}
 }
 
 // TestRunCellsEnsembleMatchesPerCell pins the scatter: grouped scheduling
-// must return the same results in the same cell order as per-cell runs,
-// at every worker count.
+// (EnsembleAuto, 12 cells over at most 8 workers) must return the same
+// results in the same cell order as per-cell runs, at every worker count.
 func TestRunCellsEnsembleMatchesPerCell(t *testing.T) {
 	profs := benchProfiles(t, "li", "go", "m88ksim")
 	cells := sweepCells(gshareFactories(4), profs, Options{})
@@ -106,7 +115,7 @@ func TestRunCellsEnsembleMatchesPerCell(t *testing.T) {
 	}
 	want := run(1, EnsembleOff)
 	for _, workers := range []int{1, 2, 8} {
-		got := run(workers, EnsembleOn)
+		got := run(workers, EnsembleAuto)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Errorf("workers=%d: result[%d] = %+v, per-cell %+v", workers, i, got[i], want[i])
@@ -120,7 +129,7 @@ func TestRunCellsEnsembleProgress(t *testing.T) {
 	cells := sweepCells(gshareFactories(3), profs, Options{})
 	var events []CellDone
 	_, err := RunCells(context.Background(), cells, 50_000,
-		PoolOptions{Workers: 2, Ensemble: EnsembleOn,
+		PoolOptions{Workers: 2,
 			Progress: func(ev CellDone) { events = append(events, ev) }})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +163,7 @@ func TestRunCellsEnsembleFactoryError(t *testing.T) {
 		{Factory: bad, Profile: profs[0], Opts: Options{}},
 		{Factory: bad, Profile: profs[0], Opts: Options{}},
 	}
-	_, err := RunCells(context.Background(), cells, 10_000, PoolOptions{Ensemble: EnsembleOn})
+	_, err := RunCells(context.Background(), cells, 10_000, PoolOptions{Workers: 1})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -262,28 +271,6 @@ func TestNegativeThreadIDRejected(t *testing.T) {
 	if _, err := RunEnsemble(factories, trace.NewSlice(recs), Options{}); err == nil ||
 		!strings.Contains(err.Error(), "negative thread id") {
 		t.Errorf("RunEnsemble: err = %v, want negative-thread error", err)
-	}
-}
-
-// TestParseEnsembleMode covers the flag plumbing both ways.
-func TestParseEnsembleMode(t *testing.T) {
-	for _, tc := range []struct {
-		s    string
-		want EnsembleMode
-	}{{"auto", EnsembleAuto}, {"on", EnsembleOn}, {"off", EnsembleOff}} {
-		got, err := ParseEnsembleMode(tc.s)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseEnsembleMode(%q) = (%v, %v), want %v", tc.s, got, err, tc.want)
-		}
-		if got.String() != tc.s {
-			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.s)
-		}
-	}
-	if _, err := ParseEnsembleMode("sometimes"); err == nil {
-		t.Error("bad mode accepted")
-	}
-	if s := EnsembleMode(9).String(); !strings.Contains(s, "9") {
-		t.Errorf("unknown mode String() = %q", s)
 	}
 }
 

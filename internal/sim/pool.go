@@ -35,51 +35,18 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // workload: independently (one simulated stream per cell) or grouped
 // into single-pass ensembles (one simulated stream per benchmark, shared
 // by every predictor configuration over it — see RunEnsemble). Results
-// are byte-identical in every mode; only the work schedule changes.
+// are byte-identical in both modes; only the work schedule changes.
 type EnsembleMode uint8
 
 const (
 	// EnsembleAuto (the zero value) groups cells into per-workload
-	// ensembles when the amortization can win: the fan-out is wider than
-	// the worker count (otherwise per-cell parallelism already uses
-	// every core) and at least one workload is shared by two cells.
+	// ensembles when the fan-out is wider than the worker count
+	// (otherwise per-cell parallelism already uses every core).
 	EnsembleAuto EnsembleMode = iota
-	// EnsembleOn always groups cells that share a workload, even when
-	// the fan-out fits the workers — the deterministic path for tests
-	// and measurements.
-	EnsembleOn
-	// EnsembleOff always simulates every cell independently — the
-	// pre-ensemble schedule, and the right choice when cells ≤ workers.
+	// EnsembleOff always simulates every cell independently: the
+	// reference schedule of the differential suites.
 	EnsembleOff
 )
-
-// String names the mode as the CLI flags spell it.
-func (m EnsembleMode) String() string {
-	switch m {
-	case EnsembleAuto:
-		return "auto"
-	case EnsembleOn:
-		return "on"
-	case EnsembleOff:
-		return "off"
-	default:
-		return fmt.Sprintf("EnsembleMode(%d)", uint8(m))
-	}
-}
-
-// ParseEnsembleMode parses the CLI spelling of an EnsembleMode.
-func ParseEnsembleMode(s string) (EnsembleMode, error) {
-	switch s {
-	case "auto":
-		return EnsembleAuto, nil
-	case "on":
-		return EnsembleOn, nil
-	case "off":
-		return EnsembleOff, nil
-	default:
-		return EnsembleAuto, fmt.Errorf("sim: unknown ensemble mode %q (want auto|on|off)", s)
-	}
-}
 
 // CellDone describes one completed cell of a suite-level run.
 type CellDone struct {
@@ -116,7 +83,8 @@ type PoolOptions struct {
 	Progress ProgressFunc
 	// Ensemble selects per-cell vs grouped single-pass scheduling for
 	// cells that share a workload (see EnsembleMode). The zero value
-	// (EnsembleAuto) groups only when the amortization can win.
+	// (EnsembleAuto) groups only when the amortization can win;
+	// EnsembleOff is the differential suites' reference.
 	Ensemble EnsembleMode
 	// Cache, if non-nil, answers cells from the content-addressed result
 	// store before simulating and stores fresh results after (see
@@ -153,11 +121,11 @@ type Cell struct {
 // Each job is one group of cells run as a single-pass ensemble over
 // their shared benchmark stream (see ensembleGroups). Cells sharing a
 // (workload, options) pair are grouped under pool.Ensemble — the default
-// EnsembleAuto groups exactly when the fan-out exceeds the workers and a
-// workload is shared — so a K-point sweep advances each benchmark stream
-// once instead of K times; every other cell is a group of one. Grouping
-// changes only the schedule: results, their order, and the per-cell
-// Progress events are the same either way.
+// EnsembleAuto groups exactly when the fan-out exceeds the workers — so
+// a K-point sweep advances each benchmark stream once instead of K
+// times; every other cell is a group of one. Grouping changes only the
+// schedule: results, their order, and the per-cell Progress events are
+// the same either way.
 func RunCells(ctx context.Context, cells []Cell, instrBudget int64, pool PoolOptions) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -229,21 +197,18 @@ type cellGroup struct {
 }
 
 // ensembleGroups partitions cells into the pool's jobs, in
-// first-appearance order. Cells that share a (workload, options) pair go
-// into one group when the mode groups: always under EnsembleOn, and under
-// EnsembleAuto when the fan-out is wider than the worker count (otherwise
-// per-cell parallelism already fills the machine and finishes no later).
-// Every other cell — under EnsembleOff, under an Auto fan-out that fits
-// the workers, or with no workload shared — is a group of one.
+// first-appearance order. Under EnsembleAuto, when the fan-out is wider
+// than the worker count, cells that share a (workload, options) pair go
+// into one group; otherwise per-cell parallelism already fills the
+// machine and finishes no later. Every other cell — under EnsembleOff,
+// under a fan-out that fits the workers, or with no workload shared — is
+// a group of one.
 func ensembleGroups(cells []Cell, pool PoolOptions) []cellGroup {
-	group := pool.Ensemble != EnsembleOff
-	if pool.Ensemble == EnsembleAuto {
-		workers := pool.Workers
-		if workers <= 0 {
-			workers = DefaultWorkers()
-		}
-		group = len(cells) > workers
+	workers := pool.Workers
+	if workers <= 0 {
+		workers = DefaultWorkers()
 	}
+	group := pool.Ensemble != EnsembleOff && len(cells) > workers
 	type key struct {
 		prof workload.Profile
 		opts Options

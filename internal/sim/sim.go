@@ -56,11 +56,10 @@ type Options struct {
 	// fetch blocks, the batched block contract (predictor.BlockBatchObserver
 	// — the EV8 does), at any UpdateDelay (commit-delayed runs resolve
 	// lagged behind their pending updates); BatchOff runs every member
-	// per branch; BatchOn makes a run with an ineligible member fail with
-	// ErrBatchIneligible instead of running that member per branch.
-	// Results are byte-identical in every mode (the batch differential
-	// suite pins that), so this is a schedule knob, excluded from cache
-	// keys.
+	// per branch, the reference the differential suites compare against.
+	// Results are byte-identical in both modes, so this is a schedule,
+	// not a setting of the experiment: no command-line flag or served
+	// spec exposes it, and it is excluded from cache keys.
 	Batch BatchMode
 	// Collect enables component attribution: when set and the predictor
 	// implements stats.Instrumented, the run turns its counters on before
