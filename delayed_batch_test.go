@@ -250,6 +250,43 @@ func TestDelayedBatchCheckpointEquivalent(t *testing.T) {
 	}
 }
 
+// TestDelayedBatchOn pins that a delayed run is batch-eligible: the EV8
+// carries the batched block contract the engine requires of a block
+// observer, and a run under the default schedule succeeds at every delay,
+// solo and in an ensemble, with the same Results as the per-branch
+// reference.
+func TestDelayedBatchOn(t *testing.T) {
+	if _, ok := ev8pred.Predictor(ev8pred.NewEV8()).(predictor.BlockBatchObserver); !ok {
+		t.Fatal("EV8 does not implement predictor.BlockBatchObserver")
+	}
+	records := collectRecords(t, "go", 5_000)
+	factories := []ev8pred.Factory{
+		func() (ev8pred.Predictor, error) { return ev8pred.NewEV8(), nil },
+		func() (ev8pred.Predictor, error) { return ev8pred.New2BcGskew(ev8pred.ConfigEV8Size()) },
+	}
+	for _, delay := range delayedBatchDelays {
+		var solo, ens [2][]ev8pred.Result
+		for i, mode := range []ev8pred.BatchMode{ev8pred.BatchAuto, ev8pred.BatchOff} {
+			opts := ev8pred.Options{Mode: ev8pred.ModeEV8(), UpdateDelay: delay, Batch: mode}
+			r, err := ev8pred.Run(ev8pred.NewEV8(), trace.NewSlice(records), opts)
+			if err != nil {
+				t.Fatalf("delay=%d batch=%d: solo run rejected: %v", delay, mode, err)
+			}
+			solo[i] = []ev8pred.Result{r}
+			if ens[i], err = ev8pred.RunEnsemble(factories, trace.NewSlice(records), opts); err != nil {
+				t.Fatalf("delay=%d batch=%d: ensemble run rejected: %v", delay, mode, err)
+			}
+		}
+		for _, pair := range [][2][]ev8pred.Result{solo, ens} {
+			for j := range pair[0] {
+				if !equalResult(pair[0][j], pair[1][j]) {
+					t.Errorf("delay=%d member %d: batch %+v != scalar %+v", delay, j, pair[0][j], pair[1][j])
+				}
+			}
+		}
+	}
+}
+
 // TestDelayedBatchZeroAllocsSteadyState gates the allocation discipline
 // of the delayed batch paths: whole-run allocation counts at two stream
 // lengths must be equal — the resolve window, like all batch scratch, and

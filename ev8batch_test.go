@@ -18,6 +18,7 @@ import (
 
 	"ev8pred"
 	"ev8pred/internal/predictor"
+	"ev8pred/internal/sim"
 	"ev8pred/internal/trace"
 )
 
@@ -161,6 +162,62 @@ func TestEV8BatchMaxBranchesEquivalent(t *testing.T) {
 		}
 		if auto.Branches != max {
 			t.Errorf("max=%d: run measured %d branches", max, auto.Branches)
+		}
+	}
+}
+
+// TestEV8BatchOnEligibility pins the eligibility contract on the EV8
+// surface: the EV8 — immediate or commit-delayed — meets both conditions
+// for the kernel (predictor.BatchPredictor and the batched block
+// contract), while the cascade around it forwards fetch blocks but has no
+// kernel, so it runs per branch instead of failing, solo and in an
+// ensemble with a batch member, matching the per-branch reference.
+func TestEV8BatchOnEligibility(t *testing.T) {
+	ev8, cascade := ev8BatchRoster()[0], ev8BatchRoster()[3]
+	p, err := ev8.make()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.(predictor.BatchPredictor); !ok {
+		t.Error("EV8 does not implement predictor.BatchPredictor")
+	}
+	if _, ok := p.(predictor.BlockBatchObserver); !ok {
+		t.Error("EV8 does not implement predictor.BlockBatchObserver")
+	}
+	c, err := cascade.make()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.(predictor.BatchPredictor); ok {
+		t.Error("cascade implements predictor.BatchPredictor")
+	}
+	if _, ok := c.(sim.BlockObserver); !ok {
+		t.Error("cascade does not observe fetch blocks")
+	}
+	for _, delay := range []int{0, 1} {
+		for _, tc := range []ev8BatchCase{ev8, cascade} {
+			auto, off := runEV8BatchPair(t, tc, "gcc", 20_000, ev8pred.Options{UpdateDelay: delay})
+			if !equalResult(auto, off) {
+				t.Errorf("%s delay=%d: batch %+v != scalar %+v", tc.name, delay, auto, off)
+			}
+		}
+	}
+	prof, err := ev8pred.BenchmarkByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factories := []ev8pred.Factory{ev8.make, cascade.make}
+	var got [2][]ev8pred.Result
+	for i, mode := range []ev8pred.BatchMode{ev8pred.BatchAuto, ev8pred.BatchOff} {
+		got[i], err = ev8pred.RunEnsembleBenchmark(factories, prof, 20_000,
+			ev8pred.Options{Mode: ev8pred.ModeEV8(), Batch: mode})
+		if err != nil {
+			t.Fatalf("ensemble with cascade batch=%d: %v", mode, err)
+		}
+	}
+	for j := range got[0] {
+		if !equalResult(got[0][j], got[1][j]) {
+			t.Errorf("ensemble member %d: batch %+v != scalar %+v", j, got[0][j], got[1][j])
 		}
 	}
 }
