@@ -48,6 +48,7 @@ check:
 	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
 	$(GO) test -fuzz FuzzSkewBound -fuzztime 20s -run '^$$' ./internal/skew/
 	$(GO) test -run 'TestFault' -count=1 ./internal/trace/faultinject/
+	$(GO) test -run 'TestSourceContract' -count=1 ./internal/sim/
 	$(GO) test -fuzz FuzzReader -fuzztime 30s -run '^$$' ./internal/trace/
 	$(GO) test -run 'TestResume' -count=1 .
 	$(GO) test -run 'TestCache|TestSweepWarmCacheZeroWork|TestUncacheable|TestSnapshotMutants|TestCheckpointMutants' -count=1 .

@@ -205,7 +205,10 @@ func TestBatchCheckpointEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := trace.Collect(g, 30_000)
+	records, err := trace.Collect(g, 30_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const stop = 7_777 // mid-chunk, mid-word
 	capture := func(mode ev8pred.BatchMode) (ev8pred.Result, *ev8pred.Checkpoint) {
 		p, err := ev8pred.New2BcGskew(ev8pred.Config512K())
@@ -279,7 +282,10 @@ func TestBatchZeroAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := trace.Collect(g, 16384)
+	records, err := trace.Collect(g, 16384)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(records) < 16384 {
 		t.Fatalf("collected only %d records", len(records))
 	}

@@ -112,6 +112,7 @@ func (pc *progressCounter) observe(ev sim.CellDone) {
 // and errw receives the -v progress stream.
 func run(args []string, out, errw io.Writer) error {
 	fs := flag.NewFlagSet("ev8bench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a bad flag is one error line, not the whole usage
 	var (
 		experiment   = fs.String("experiment", "all", "experiment id, 'all', or 'none' (skip the tables); one of "+strings.Join(experiments.IDs(), ","))
 		instructions = fs.Int64("instructions", 10_000_000, "synthetic instructions per benchmark")
@@ -127,8 +128,12 @@ func run(args []string, out, errw io.Writer) error {
 		expvarAddr   = fs.String("expvar", "", "serve live expvar progress counters on this address (e.g. localhost:8080)")
 	)
 	profiles := profiling.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		fs.SetOutput(out)
+		fs.Usage()
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("%v (run with -h for usage)", err)
 	}
 	if err := cliflag.Workers("j", *workers); err != nil {
 		return err

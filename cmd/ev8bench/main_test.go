@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -242,5 +243,25 @@ func TestRunEnsembleModesIdenticalReport(t *testing.T) {
 		if err := run([]string{flag, "off"}, &sb, &eb); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s off: err = %v, want an undefined-flag error", flag, err)
 		}
+	}
+}
+
+// TestRunBadFlag: a mistyped flag is one error line with a hint to use
+// -h, and -h prints the full usage to the output writer.
+func TestRunBadFlag(t *testing.T) {
+	var out strings.Builder
+	runArgs := func(args ...string) error { return run(args, &out, io.Discard) }
+	err := runArgs("-no-such-flag")
+	if err == nil || strings.Contains(err.Error(), "\n") || !strings.Contains(err.Error(), "-h") {
+		t.Errorf("bad flag: err = %q, want one line naming -h", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("bad flag wrote %q to the output", out.String())
+	}
+	if err := runArgs("-h"); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	if !strings.Contains(out.String(), "-experiment") {
+		t.Errorf("-h output lacks -experiment:\n%s", out.String())
 	}
 }

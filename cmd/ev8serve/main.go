@@ -64,6 +64,7 @@ func main() {
 // it to dial "-addr 127.0.0.1:0" without parsing output).
 func run(args []string, out, errw io.Writer, sig <-chan os.Signal, ready func(net.Addr)) error {
 	fs := flag.NewFlagSet("ev8serve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a bad flag is one error line, not the whole usage
 	var (
 		addr         = fs.String("addr", "localhost:8311", "HTTP listen address")
 		workers      = fs.Int("j", 0, "parallel simulation cells per job (0 = one per CPU, 1 = serial)")
@@ -75,8 +76,12 @@ func run(args []string, out, errw io.Writer, sig <-chan os.Signal, ready func(ne
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "how long a drain waits for in-flight jobs before giving up")
 		verbose      = fs.Bool("v", false, "print harness diagnostics to stderr")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		fs.SetOutput(out)
+		fs.Usage()
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("%v (run with -h for usage)", err)
 	}
 	if err := cliflag.HostPort("addr", *addr); err != nil {
 		return err

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -345,5 +346,25 @@ func TestServeE2E(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestRunBadFlag: a mistyped flag is one error line with a hint to use
+// -h, and -h prints the full usage to the output writer.
+func TestRunBadFlag(t *testing.T) {
+	var out strings.Builder
+	runArgs := func(args ...string) error { return run(args, &out, io.Discard, nil, nil) }
+	err := runArgs("-no-such-flag")
+	if err == nil || strings.Contains(err.Error(), "\n") || !strings.Contains(err.Error(), "-h") {
+		t.Errorf("bad flag: err = %q, want one line naming -h", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("bad flag wrote %q to the output", out.String())
+	}
+	if err := runArgs("-h"); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	if !strings.Contains(out.String(), "-addr") {
+		t.Errorf("-h output lacks -addr:\n%s", out.String())
 	}
 }

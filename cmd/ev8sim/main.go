@@ -98,6 +98,7 @@ func main() {
 // table to out.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ev8sim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a bad flag is one error line, not the whole usage
 	var (
 		predictors   = fs.String("predictors", "ev8", "comma-separated predictor list: "+strings.Join(predictorNames(), ","))
 		benchmarks   = fs.String("benchmarks", "gcc", "comma-separated benchmarks or 'all'")
@@ -113,8 +114,12 @@ func run(args []string, out io.Writer) error {
 		jsonPath     = fs.String("json", "", "emit results as JSON to this file ('-' = stdout, replacing the table)")
 	)
 	profiles := profiling.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		fs.SetOutput(out)
+		fs.Usage()
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("%v (run with -h for usage)", err)
 	}
 	stopProfiles, err := profiles.Start("ev8sim", os.Stderr)
 	if err != nil {
@@ -159,10 +164,10 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		records := trace.Collect(rd, 0)
+		records, err := trace.Collect(rd, 0)
 		// A decode error mid-stream (truncation, CRC mismatch) must fail
 		// the run, not silently simulate the valid prefix.
-		if err := rd.Err(); err != nil {
+		if err != nil {
 			return fmt.Errorf("%s: %w", *traceFile, err)
 		}
 		if err := closer.Close(); err != nil {
@@ -259,8 +264,8 @@ func runCheckpointed(names []string, benchmarks, traceFile string, instructions 
 		if err != nil {
 			return sim.Result{}, err
 		}
-		records := trace.Collect(rd, 0)
-		if err := rd.Err(); err != nil {
+		records, err := trace.Collect(rd, 0)
+		if err != nil {
 			return sim.Result{}, fmt.Errorf("%s: %w", traceFile, err)
 		}
 		if err := closer.Close(); err != nil {

@@ -151,3 +151,23 @@ func TestEveryFactoryBuilds(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBadFlag: a mistyped flag is one error line with a hint to use
+// -h, and -h prints the full usage to the output writer.
+func TestRunBadFlag(t *testing.T) {
+	var out strings.Builder
+	runArgs := func(args ...string) error { return run(args, &out) }
+	err := runArgs("-no-such-flag")
+	if err == nil || strings.Contains(err.Error(), "\n") || !strings.Contains(err.Error(), "-h") {
+		t.Errorf("bad flag: err = %q, want one line naming -h", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("bad flag wrote %q to the output", out.String())
+	}
+	if err := runArgs("-h"); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	if !strings.Contains(out.String(), "-predictors") {
+		t.Errorf("-h output lacks -predictors:\n%s", out.String())
+	}
+}

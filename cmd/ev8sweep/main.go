@@ -81,6 +81,7 @@ func main() {
 // run executes the sweep against the given arguments.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ev8sweep", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a bad flag is one error line, not the whole usage
 	var (
 		scheme       = fs.String("scheme", "gshare", "predictor family: gshare|2bcg|perceptron")
 		param        = fs.String("param", "history", "swept parameter: history|size")
@@ -98,8 +99,12 @@ func run(args []string, out io.Writer) error {
 		mergeDir     = fs.String("merge", "", "coordinator mode: merge a completed sharded sweep from this manifest directory (requires -cache and the same sweep flags the workers ran)")
 	)
 	profiles := profiling.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		fs.SetOutput(out)
+		fs.Usage()
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("%v (run with -h for usage)", err)
 	}
 	stopProfiles, err := profiles.Start("ev8sweep", os.Stderr)
 	if err != nil {

@@ -31,6 +31,7 @@ func main() {
 // run executes the tool against the given arguments.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a bad flag is one error line, not the whole usage
 	var (
 		benchmarks   = fs.String("benchmarks", "all", "comma-separated benchmarks or 'all'")
 		instructions = fs.Int64("instructions", 10_000_000, "instructions per benchmark")
@@ -39,8 +40,12 @@ func run(args []string, out io.Writer) error {
 		format       = fs.Int("format", trace.DefaultVersion,
 			"trace format version: 2 adds per-chunk CRCs and a counted footer, 1 is the legacy bare stream")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		fs.SetOutput(out)
+		fs.Usage()
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("%v (run with -h for usage)", err)
 	}
 
 	var profs []workload.Profile
@@ -103,20 +108,23 @@ func writeTrace(path string, prof workload.Profile, instructions int64, useGzip 
 		return 0, nil, err
 	}
 	stats := trace.NewStats()
+	buf := make([]trace.Branch, 1024)
 	for {
-		b, ok := g.Next()
-		if !ok {
+		n, err := g.NextBatch(buf)
+		for _, b := range buf[:n] {
+			stats.Add(b)
+			if err := tw.Write(b); err != nil {
+				f.Close()
+				return tw.Count(), stats, err
+			}
+		}
+		if err == io.EOF {
 			break
 		}
-		stats.Add(b)
-		if err := tw.Write(b); err != nil {
+		if err != nil {
 			f.Close()
 			return tw.Count(), stats, err
 		}
-	}
-	if err := trace.SourceErr(g); err != nil {
-		f.Close()
-		return tw.Count(), stats, err
 	}
 	if err := tw.Flush(); err != nil {
 		f.Close()

@@ -28,7 +28,10 @@ func TestRunGeneratesReadableTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	recs := trace.Collect(r, 0)
+	recs, err := trace.Collect(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(recs) == 0 {
 		t.Fatal("empty trace written")
 	}
@@ -52,8 +55,8 @@ func TestRunGzip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	if recs := trace.Collect(r, 10); len(recs) != 10 {
-		t.Errorf("gzip trace yielded %d records", len(recs))
+	if recs, err := trace.Collect(r, 10); err != nil || len(recs) != 10 {
+		t.Errorf("gzip trace yielded %d records, err %v", len(recs), err)
 	}
 }
 
@@ -81,11 +84,12 @@ func TestRunFormat1(t *testing.T) {
 	if r.Version() != 1 {
 		t.Fatalf("trace version = %d, want 1", r.Version())
 	}
-	if recs := trace.Collect(r, 0); len(recs) == 0 {
-		t.Fatal("empty v1 trace written")
-	}
-	if err := r.Err(); err != nil {
+	recs, err := trace.Collect(r, 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("empty v1 trace written")
 	}
 }
 
@@ -100,5 +104,25 @@ func TestRunErrors(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-benchmarks", "nonesuch"}, &sb); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// TestRunBadFlag: a mistyped flag is one error line with a hint to use
+// -h, and -h prints the full usage to the output writer.
+func TestRunBadFlag(t *testing.T) {
+	var out strings.Builder
+	runArgs := func(args ...string) error { return run(args, &out) }
+	err := runArgs("-no-such-flag")
+	if err == nil || strings.Contains(err.Error(), "\n") || !strings.Contains(err.Error(), "-h") {
+		t.Errorf("bad flag: err = %q, want one line naming -h", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("bad flag wrote %q to the output", out.String())
+	}
+	if err := runArgs("-h"); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	if !strings.Contains(out.String(), "-benchmarks") {
+		t.Errorf("-h output lacks -benchmarks:\n%s", out.String())
 	}
 }

@@ -49,16 +49,19 @@ func inspect(tbl *report.Table, path string) error {
 	defer closer.Close()
 	stats := trace.NewStats()
 	tr := frontend.NewTracker(frontend.ModeEV8())
+	buf := make([]trace.Branch, 1024)
 	for {
-		b, ok := r.Next()
-		if !ok {
+		n, err := r.NextBatch(buf)
+		for _, b := range buf[:n] {
+			stats.Add(b)
+			tr.Process(b)
+		}
+		if err == io.EOF {
 			break
 		}
-		stats.Add(b)
-		tr.Process(b)
-	}
-	if err := r.Err(); err != nil {
-		return err
+		if err != nil {
+			return err
+		}
 	}
 	perBit := 0.0
 	if tr.LghistBits() > 0 {

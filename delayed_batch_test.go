@@ -70,7 +70,11 @@ func collectRecords(t *testing.T, bench string, n int) []ev8pred.Branch {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return trace.Collect(g, n)
+	recs, err := trace.Collect(g, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 // stateOf returns the predictor's serialized state, or nil for predictors

@@ -3,8 +3,8 @@ package ev8pred_test
 // Differential suite for the single-pass ensemble engine: RunEnsemble must
 // produce Results byte-identical to independent Run calls — for every
 // predictor family, every benchmark, every update-delay setting, with and
-// without attribution collection, and whether the stream arrives batched
-// (trace.BatchSource) or record-at-a-time. A divergence here means the
+// without attribution collection, and whether the stream arrives in full
+// chunks or one record per read. A divergence here means the
 // shared front-end pass leaked state between members or dropped a
 // semantic of the per-cell loop, so these tests are the acceptance gate
 // for the pool's ensemble scheduler (EnsembleMode) as a whole.
@@ -190,15 +190,16 @@ func TestEnsembleStatsMatch(t *testing.T) {
 	}
 }
 
-// nextOnly hides a source's NextBatch (and Err) so the ensemble loop is
-// forced onto the record-at-a-time leg of fillBatch.
-type nextOnly struct{ src ev8pred.Source }
+// oneAtATime delivers at most one record per NextBatch call, so every
+// chunk the engine walks holds a single record.
+type oneAtATime struct{ src ev8pred.Source }
 
-func (n *nextOnly) Next() (ev8pred.Branch, bool) { return n.src.Next() }
+func (o *oneAtATime) NextBatch(dst []ev8pred.Branch) (int, error) {
+	return o.src.NextBatch(dst[:min(len(dst), 1)])
+}
 
-// TestEnsembleBatchedMatchesUnbatched feeds the same records through the
-// batched (trace.Slice implements BatchSource) and unbatched legs and
-// asserts identical Results.
+// TestEnsembleBatchedMatchesUnbatched feeds the same records in full
+// chunks and one record per read and asserts identical Results.
 func TestEnsembleBatchedMatchesUnbatched(t *testing.T) {
 	prof, err := ev8pred.BenchmarkByName("gcc")
 	if err != nil {
@@ -208,7 +209,10 @@ func TestEnsembleBatchedMatchesUnbatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := trace.Collect(g, 30_000)
+	records, err := trace.Collect(g, 30_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	factories := []ev8pred.Factory{
 		func() (ev8pred.Predictor, error) { return ev8pred.NewGshare(1<<16, 16) },
 		func() (ev8pred.Predictor, error) { return ev8pred.NewBimodal(1 << 14) },
@@ -216,15 +220,11 @@ func TestEnsembleBatchedMatchesUnbatched(t *testing.T) {
 	}
 	for _, delay := range []int{0, 8} {
 		opts := ev8pred.Options{Mode: ev8pred.ModeGhist(), UpdateDelay: delay}
-		var batchSrc ev8pred.Source = trace.NewSlice(records)
-		if _, ok := batchSrc.(ev8pred.BatchSource); !ok {
-			t.Fatal("trace.Slice does not implement BatchSource")
-		}
-		batched, err := ev8pred.RunEnsemble(factories, batchSrc, opts)
+		batched, err := ev8pred.RunEnsemble(factories, trace.NewSlice(records), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		unbatched, err := ev8pred.RunEnsemble(factories, &nextOnly{trace.NewSlice(records)}, opts)
+		unbatched, err := ev8pred.RunEnsemble(factories, &oneAtATime{trace.NewSlice(records)}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,9 +279,9 @@ func TestEnsembleEdgeSemantics(t *testing.T) {
 	}
 }
 
-// TestEnsembleSourceError checks the mid-stream failure contract: the
+// TestEnsembleSourceFailure checks the mid-stream failure contract: the
 // same error shape as Run, with partial results intact.
-func TestEnsembleSourceError(t *testing.T) {
+func TestEnsembleSourceFailure(t *testing.T) {
 	prof, err := ev8pred.BenchmarkByName("gcc")
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,10 @@ func TestEnsembleSourceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := trace.Collect(g, 2_000)
+	records, err := trace.Collect(g, 2_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fail := errors.New("simulated decode failure")
 	src := &failingSource{records: records, err: fail}
 	factories := []ev8pred.Factory{
@@ -305,23 +308,21 @@ func TestEnsembleSourceError(t *testing.T) {
 	}
 }
 
-// failingSource replays records then fails as a trace.ErrSource would.
+// failingSource replays records then fails as a corrupt trace would.
 type failingSource struct {
 	records []ev8pred.Branch
 	pos     int
 	err     error
 }
 
-func (f *failingSource) Next() (ev8pred.Branch, bool) {
+func (f *failingSource) NextBatch(dst []ev8pred.Branch) (int, error) {
 	if f.pos >= len(f.records) {
-		return ev8pred.Branch{}, false
+		return 0, f.err
 	}
-	b := f.records[f.pos]
-	f.pos++
-	return b, true
+	n := copy(dst, f.records[f.pos:])
+	f.pos += n
+	return n, nil
 }
-
-func (f *failingSource) Err() error { return f.err }
 
 // TestEnsembleZeroAllocsSteadyState gates the per-branch-per-member
 // allocation discipline: a whole RunEnsemble carries constant setup cost
@@ -340,7 +341,10 @@ func TestEnsembleZeroAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := trace.Collect(g, 8192)
+	records, err := trace.Collect(g, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(records) < 8192 {
 		t.Fatalf("collected only %d records", len(records))
 	}

@@ -315,7 +315,10 @@ func TestEV8BatchCheckpointEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := trace.Collect(g, 30_000)
+	records, err := trace.Collect(g, 30_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const stop = 7_777 // mid-chunk, mid-word
 	capture := func(mode ev8pred.BatchMode) (ev8pred.Result, *ev8pred.Checkpoint) {
 		opts := ev8pred.Options{Mode: ev8pred.ModeEV8(), MaxBranches: stop, Batch: mode}
@@ -376,7 +379,10 @@ func TestEV8BatchZeroAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := trace.Collect(g, 16384)
+	records, err := trace.Collect(g, 16384)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(records) < 16384 {
 		t.Fatalf("collected only %d records", len(records))
 	}

@@ -48,7 +48,9 @@ type (
 	Info = history.Info
 	// Branch is one dynamic control-transfer trace record.
 	Branch = trace.Branch
-	// Source is a stream of trace records.
+	// Source is a stream of trace records, read in batches through its
+	// one method, NextBatch: like an io.Reader, it returns io.EOF at a
+	// clean end and any other error, sticky, when the stream fails.
 	Source = trace.Source
 	// Mode selects the information vector the front end materializes.
 	Mode = frontend.Mode
@@ -61,10 +63,6 @@ type (
 	Factory = sim.Factory
 	// EnsembleMode selects per-cell vs single-pass ensemble scheduling.
 	EnsembleMode = sim.EnsembleMode
-	// BatchSource is a Source that can also deliver records in batches;
-	// the simulator uses NextBatch when available to amortize per-record
-	// interface-call overhead.
-	BatchSource = trace.BatchSource
 	// BatchPredictor is a FusedPredictor that can run whole record chunks
 	// through each pipeline stage (docs/PERFORMANCE.md, "Batch kernel");
 	// 2Bc-gskew, e-gskew and gshare implement it.
@@ -136,20 +134,10 @@ func NewWorkload(prof Profile, instructions int64) (Source, error) {
 	return workload.New(prof, instructions)
 }
 
-// ErrSource is a Source that can fail mid-stream; after Next returns
-// false, Err distinguishes a clean end of stream from a decode error.
-// File-backed trace readers implement it, and Run checks it, so corrupted
-// input cannot masquerade as a short-but-valid run.
-type ErrSource = trace.ErrSource
-
 // ErrBadTraceFormat is the sentinel every trace decode failure wraps:
 // bad magic, truncation, CRC mismatch, footer count mismatch, or an
 // out-of-range field. Match with errors.Is.
 var ErrBadTraceFormat = trace.ErrBadFormat
-
-// SourceErr returns the deferred stream error of src if it exposes one
-// (implements ErrSource), and nil otherwise.
-func SourceErr(src Source) error { return trace.SourceErr(src) }
 
 // Run simulates a predictor over an arbitrary branch source. A non-nil
 // error means the source failed mid-stream (e.g. a corrupted trace file);

@@ -89,7 +89,10 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := ev8pred.CollectTrace(src, 0)
+	records, err := ev8pred.CollectTrace(src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(records) == 0 {
 		t.Fatal("no records")
 	}

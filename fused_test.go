@@ -178,12 +178,12 @@ func TestFusedPredictMatchesLookup(t *testing.T) {
 			if obs, ok := p.(sim.BlockObserver); ok {
 				tr.OnBlock(obs.ObserveBlock)
 			}
+			records, err := ev8pred.CollectTrace(src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			checked := 0
-			for {
-				b, ok := src.Next()
-				if !ok {
-					break
-				}
+			for _, b := range records {
 				info, isCond := tr.Process(b)
 				if !isCond {
 					continue

@@ -112,7 +112,10 @@ func TestDelayedUpdateZeroAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	branches := trace.Collect(g, 4096)
+	branches, err := trace.Collect(g, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(branches) < 4096 {
 		t.Fatalf("collected only %d branches", len(branches))
 	}

@@ -80,7 +80,10 @@ func TestInstrumentedUpdateMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		records := trace.Collect(g, 30000)
+		records, err := trace.Collect(g, 30000)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(records) < 30000 {
 			t.Fatalf("%s: collected only %d records", bench, len(records))
 		}

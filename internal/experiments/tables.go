@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"ev8pred/internal/core"
 	"ev8pred/internal/frontend"
@@ -79,7 +80,8 @@ func runTable2(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return row{}, err
 			}
-			return row{stats: trace.Measure(g, 0), sites: g.StaticSites()}, nil
+			s, err := trace.Measure(g, 0)
+			return row{stats: s, sites: g.StaticSites()}, err
 		}
 	}
 	rows, err := jobs(cfg, fns)
@@ -114,12 +116,18 @@ func runTable3(cfg Config) (*report.Table, error) {
 				return 0, err
 			}
 			tr := frontend.NewTracker(frontend.ModeEV8())
+			buf := make([]trace.Branch, 1024)
 			for {
-				b, ok := g.Next()
-				if !ok {
+				n, err := g.NextBatch(buf)
+				for _, b := range buf[:n] {
+					tr.Process(b)
+				}
+				if err == io.EOF {
 					break
 				}
-				tr.Process(b)
+				if err != nil {
+					return 0, err
+				}
 			}
 			if tr.LghistBits() == 0 {
 				return 0, nil

@@ -280,12 +280,11 @@ func TestTrackerResetRestoresPowerOnState(t *testing.T) {
 	}
 	for name, mode := range modes {
 		tr := NewTracker(mode)
-		g := workload.MustNew(prof, 0)
-		for i := 0; i < 5000; i++ {
-			b, ok := g.Next()
-			if !ok {
-				t.Fatalf("%s: workload ran dry", name)
-			}
+		recs, err := trace.Collect(workload.MustNew(prof, 0), 5000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, b := range recs {
 			tr.Process(b)
 		}
 		tr.Reset()
@@ -336,11 +335,11 @@ func TestBlockGeometryOnRealWorkload(t *testing.T) {
 			t.Fatalf("block %+v contains branch outside its region", b)
 		}
 	})
-	for {
-		b, ok := g.Next()
-		if !ok {
-			break
-		}
+	recs, err := trace.Collect(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range recs {
 		tr.Process(b)
 	}
 	if tr.Blocks() == 0 {
@@ -398,10 +397,11 @@ func BenchmarkTrackerProcess(b *testing.B) {
 	prof, _ := workload.ByName("gcc")
 	g := workload.MustNew(prof, 0)
 	tr := NewTracker(ModeEV8())
+	r := make([]trace.Branch, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, _ := g.Next()
-		tr.Process(r)
+		g.NextBatch(r)
+		tr.Process(r[0])
 	}
 }
 

@@ -121,11 +121,11 @@ func TestPCGenOverWorkload(t *testing.T) {
 	}
 	g := workload.MustNew(prof, 400_000)
 	pg := MustNewPCGen(1024, 32)
-	for {
-		b, ok := g.Next()
-		if !ok {
-			break
-		}
+	recs, err := trace.Collect(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range recs {
 		pg.Process(b, b.Taken) // oracle conditional predictor
 	}
 	s := pg.Stats()
@@ -178,9 +178,10 @@ func BenchmarkPCGen(b *testing.B) {
 	prof, _ := workload.ByName("perl")
 	g := workload.MustNew(prof, 0)
 	pg := MustNewPCGen(1024, 32)
+	r := make([]trace.Branch, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, _ := g.Next()
-		pg.Process(r, r.Taken)
+		g.NextBatch(r)
+		pg.Process(r[0], r[0].Taken)
 	}
 }

@@ -33,7 +33,11 @@ func walkStreams(t *testing.T) []walkStream {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return trace.Collect(workload.MustNew(prof, 0), n)
+		recs, err := trace.Collect(workload.MustNew(prof, 0), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
 	}
 	var streams []walkStream
 	for _, name := range []string{"gcc", "li", "go"} {

@@ -20,6 +20,7 @@ import (
 	"ev8pred/internal/predictor/bimodal"
 	"ev8pred/internal/predictor/egskew"
 	"ev8pred/internal/predictor/gshare"
+	"ev8pred/internal/trace"
 	"ev8pred/internal/workload"
 )
 
@@ -81,14 +82,18 @@ func Collect(mode frontend.Mode, bench string, n int) ([]Event, error) {
 	}
 	events := make([]Event, 0, n)
 	tr := frontend.NewTracker(mode)
+	buf := make([]trace.Branch, 1024)
 	for len(events) < n {
-		b, ok := src.Next()
-		if !ok {
-			return nil, fmt.Errorf("hotbench: %s ran dry after %d events", bench, len(events))
+		// A record is at most one event, so no read passes the n-th.
+		k, err := src.NextBatch(buf[:min(len(buf), n-len(events))])
+		for _, b := range buf[:k] {
+			info, isCond := tr.Process(b)
+			if isCond {
+				events = append(events, Event{Info: info, Taken: b.Taken})
+			}
 		}
-		info, isCond := tr.Process(b)
-		if isCond {
-			events = append(events, Event{Info: info, Taken: b.Taken})
+		if err != nil && len(events) < n {
+			return nil, fmt.Errorf("hotbench: %s ran dry after %d events: %w", bench, len(events), err)
 		}
 	}
 	return events, nil

@@ -5,15 +5,14 @@
 // disconnected tenant or a draining daemon stops paying for a
 // half-finished multi-million-branch run.
 //
-// The mechanism deliberately reuses the trace.ErrSource error contract
+// The mechanism deliberately reuses the trace.Source error contract
 // instead of touching the per-branch hot loop: the workload source is
-// wrapped in a view that reports end-of-stream once the context is done
-// and surfaces the cancellation as the source's terminal error, which
+// wrapped in a view whose NextBatch polls the context once per call and,
+// once it is done, fails the stream with a sticky terminal error, which
 // sim.Run already propagates ("a short stream must never masquerade as a
 // valid run" — the same plumbing corruption detection uses). The wrapper
-// passes NextBatch through, so batch-kernel eligibility is unchanged, and
-// it is skipped entirely for non-cancelable contexts (context.Background
-// has a nil Done channel), so existing callers pay nothing.
+// is skipped entirely for non-cancelable contexts (context.Background has
+// a nil Done channel), so existing callers pay nothing.
 package sim
 
 import (
@@ -30,90 +29,36 @@ import (
 // errors.Is(err, sim.ErrCanceled).
 var ErrCanceled = errors.New("sim: run canceled")
 
-// cancelStride is how many records a per-record reader advances between
-// context polls. A poll is one channel select; at 4096 records the
-// amortized cost is unmeasurable, and a cancel lands within ~4096
-// branches — microseconds of extra work.
-const cancelStride = 4096
-
-// cancelSource is the plain trace.Source view of a cancelable stream.
+// cancelSource is the cancelable view of a stream.
 type cancelSource struct {
 	src  trace.Source
 	done <-chan struct{}
-	n    int
 	err  error
 }
 
-// cancelBatchSource adds the trace.BatchSource pass-through; it is built
-// only when the wrapped source itself batches, so wrapping never
-// advertises a capability the source lacks.
-type cancelBatchSource struct {
-	cancelSource
-	batch trace.BatchSource
-}
-
-// sourceWithCancel wraps src so the stream ends, with a typed terminal
+// sourceWithCancel wraps src so the stream fails, with a typed terminal
 // error, once ctx is done. Contexts that can never be canceled return src
 // unchanged.
 func sourceWithCancel(ctx context.Context, src trace.Source) trace.Source {
 	if ctx == nil || ctx.Done() == nil {
 		return src
 	}
-	cs := cancelSource{src: src, done: ctx.Done(), n: cancelStride}
-	if bs, ok := src.(trace.BatchSource); ok {
-		return &cancelBatchSource{cancelSource: cs, batch: bs}
-	}
-	return &cs
+	return &cancelSource{src: src, done: ctx.Done()}
 }
 
-// canceled records and returns the terminal cancellation error.
-func (c *cancelSource) canceled() error {
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: context done", ErrCanceled)
-	}
-	return c.err
-}
-
-// Next implements trace.Source: every cancelStride records it polls the
-// context and, once done, ends the stream.
-func (c *cancelSource) Next() (trace.Branch, bool) {
-	if c.err != nil {
-		return trace.Branch{}, false
-	}
-	if c.n--; c.n <= 0 {
-		c.n = cancelStride
-		select {
-		case <-c.done:
-			c.canceled()
-			return trace.Branch{}, false
-		default:
-		}
-	}
-	return c.src.Next()
-}
-
-// Err implements trace.ErrSource: a cancellation outranks the inner
-// source's state (the inner stream was abandoned, not drained).
-func (c *cancelSource) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	return trace.SourceErr(c.src)
-}
-
-// NextBatch implements trace.BatchSource: one context poll per chunk
-// (1024 records downstream), surfacing cancellation as the sticky
-// terminal error the batch contract requires.
-func (c *cancelBatchSource) NextBatch(dst []trace.Branch) (int, error) {
+// NextBatch implements trace.Source: one context poll per call (a chunk
+// of up to 1024 records downstream).
+func (c *cancelSource) NextBatch(dst []trace.Branch) (int, error) {
 	if c.err != nil {
 		return 0, c.err
 	}
 	select {
 	case <-c.done:
-		return 0, c.canceled()
+		c.err = fmt.Errorf("%w: context done", ErrCanceled)
+		return 0, c.err
 	default:
 	}
-	return c.batch.NextBatch(dst)
+	return c.src.NextBatch(dst)
 }
 
 // runEnsembleBenchmarkCtx is RunEnsembleBenchmark with mid-stream

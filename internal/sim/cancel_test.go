@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"ev8pred/internal/predictor"
@@ -56,31 +57,39 @@ func TestRunCellsCanceledEnsemble(t *testing.T) {
 	}
 }
 
-// TestCancelSourcePassesBatchThrough pins that wrapping preserves the
-// trace.BatchSource capability (batch-kernel eligibility) exactly: a
-// batching source stays batching, a plain source does not grow NextBatch.
+// TestCancelSourcePassesBatchThrough pins that the wrapper hands each
+// NextBatch call to the wrapped source whole: the source sees the
+// caller's buffer, so fill sizes — and with them the MaxBranches stop
+// point — are those of an unwrapped run.
 func TestCancelSourcePassesBatchThrough(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-
-	g := workload.MustNew(workload.Benchmarks()[0], 100_000)
-	wrapped := sourceWithCancel(ctx, g)
-	if _, ok := wrapped.(trace.BatchSource); !ok {
-		t.Error("wrapping a BatchSource lost NextBatch")
+	inner := &sizeRecorder{src: workload.MustNew(workload.Benchmarks()[0], 100_000)}
+	wrapped := sourceWithCancel(ctx, inner)
+	if wrapped == trace.Source(inner) {
+		t.Fatal("cancelable context did not wrap the source")
 	}
-
-	plain := plainSource{}
-	if w := sourceWithCancel(ctx, plain); w == trace.Source(plain) {
-		t.Error("cancelable context did not wrap the source")
-	} else if _, ok := w.(trace.BatchSource); ok {
-		t.Error("wrapping a plain source fabricated NextBatch")
+	buf := make([]trace.Branch, 100)
+	for _, size := range []int{1, 7, 100} {
+		if n, err := wrapped.NextBatch(buf[:size]); n != size || err != nil {
+			t.Fatalf("NextBatch(%d) = (%d, %v)", size, n, err)
+		}
+	}
+	if want := []int{1, 7, 100}; !reflect.DeepEqual(inner.sizes, want) {
+		t.Errorf("wrapped source saw fills %v, want %v", inner.sizes, want)
 	}
 }
 
-// plainSource is a Source that deliberately does NOT batch.
-type plainSource struct{}
+// sizeRecorder records the buffer size of every NextBatch call.
+type sizeRecorder struct {
+	src   trace.Source
+	sizes []int
+}
 
-func (plainSource) Next() (trace.Branch, bool) { return trace.Branch{}, false }
+func (r *sizeRecorder) NextBatch(dst []trace.Branch) (int, error) {
+	r.sizes = append(r.sizes, len(dst))
+	return r.src.NextBatch(dst)
+}
 
 // TestCancelSourceBackgroundNoWrap pins the zero-cost path: a context
 // that can never be canceled must not wrap the source at all.
@@ -101,8 +110,14 @@ func TestCancelSourceIdenticalRecords(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	prof := workload.Benchmarks()[0]
-	bare := trace.Collect(workload.MustNew(prof, 50_000), 0)
-	wrapped := trace.Collect(sourceWithCancel(ctx, workload.MustNew(prof, 50_000)), 0)
+	bare, err := trace.Collect(workload.MustNew(prof, 50_000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := trace.Collect(sourceWithCancel(ctx, workload.MustNew(prof, 50_000)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(bare) != len(wrapped) {
 		t.Fatalf("wrapped stream has %d records, bare %d", len(wrapped), len(bare))
 	}

@@ -11,6 +11,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 
 	"ev8pred/internal/frontend"
@@ -179,18 +180,21 @@ func (ck *Checkpoint) restoreInto(e *engine) error {
 	return nil
 }
 
-// SkipRecords advances src by n records — the positioning step before
-// ResumeFrom when the caller rebuilt the source from scratch (a workload
-// generator or a reopened trace file) rather than keeping the checkpointed
-// run's source alive. It fails if the source runs dry or errors early: a
-// short source cannot be the one the checkpoint came from.
+// SkipRecords advances src by exactly n records — the positioning step
+// before ResumeFrom when the caller rebuilt the source from scratch (a
+// workload generator or a reopened trace file) rather than keeping the
+// checkpointed run's source alive. It fails if the source runs dry or
+// errors early: a short source cannot be the one the checkpoint came from.
 func SkipRecords(src trace.Source, n int64) error {
-	for i := int64(0); i < n; i++ {
-		if _, ok := src.Next(); !ok {
-			if err := trace.SourceErr(src); err != nil {
-				return fmt.Errorf("sim: skipping %d records: source failed at %d: %w", n, i, err)
-			}
-			return fmt.Errorf("sim: skipping %d records: source dry at %d", n, i)
+	buf := make([]trace.Branch, min(max(n, 0), batchChunk))
+	for done := int64(0); done < n; {
+		k, err := src.NextBatch(buf[:min(n-done, batchChunk)])
+		done += int64(k)
+		if err == io.EOF && done < n {
+			return fmt.Errorf("sim: skipping %d records: source dry at %d", n, done)
+		}
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("sim: skipping %d records: source failed at %d: %w", n, done, err)
 		}
 	}
 	return nil

@@ -306,14 +306,12 @@ func (e *engine) run(src trace.Source, results []Result, capture func() error) e
 	return nil
 }
 
-// walk is the one stream loop. Each fill is one NextBatch call when the
-// source batches, trace.ReadBatch's per-record normalization otherwise,
-// and is sized by fillWant, so under MaxBranches the source stops exactly
-// at the record that completes the budget. A record is measured iff at
-// least Warmup conditional branches retired before it, and the same
-// boundary gates every member's mispredictions, so numerator and
-// denominator cover one window. srcErr is a deferred source failure; err
-// an immediate abort.
+// walk is the one stream loop. Each fill is one NextBatch call sized by
+// fillWant, so under MaxBranches the source stops exactly at the record
+// that completes the budget. A record is measured iff at least Warmup
+// conditional branches retired before it, and the same boundary gates
+// every member's mispredictions, so numerator and denominator cover one
+// window. srcErr is a deferred source failure; err an immediate abort.
 //
 // Under commit delay every member keeps its own ring, but all rings hold
 // the same branches — the delay and the stream are shared — so the
@@ -339,7 +337,11 @@ func (e *engine) walk(src trace.Source) (srcErr, err error) {
 		if want == 0 {
 			break
 		}
-		n, ferr := trace.ReadBatch(src, s.buf[:want])
+		n, ferr := src.NextBatch(s.buf[:want])
+		if n == 0 && ferr == nil {
+			// A source breaking the contract would spin the walk.
+			ferr = io.ErrNoProgress
+		}
 		pre, lag := 0, 0
 		if ring0 != nil {
 			pre, lag = lagWindow(ring0.count, want, opts.UpdateDelay)
@@ -405,14 +407,6 @@ func (e *engine) walk(src trace.Source) (srcErr, err error) {
 			}
 			break
 		}
-		if n == 0 {
-			// A source returning no progress and no error would spin;
-			// treat it as end of stream.
-			break
-		}
-	}
-	if srcErr == nil {
-		srcErr = trace.SourceErr(src)
 	}
 	return srcErr, nil
 }

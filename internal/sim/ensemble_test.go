@@ -181,7 +181,7 @@ func referenceRun(t *testing.T, p predictor.Predictor, src trace.Source, opts Op
 	var info history.Info
 	var isCond bool
 	for {
-		b, ok := src.Next()
+		b, ok := next(src)
 		if !ok {
 			break
 		}
@@ -296,8 +296,8 @@ func TestEnsembleFillStopsAtBudget(t *testing.T) {
 		if _, err := RunEnsemble(gshareFactories(3), ens, opts); err != nil {
 			t.Fatal(err)
 		}
-		want, _ := solo.Next()
-		if got, _ := ens.Next(); got != want {
+		want, _ := next(solo)
+		if got, _ := next(ens); got != want {
 			t.Errorf("batch=%v delay=%d: ensemble left the generator at %+v, Run at %+v",
 				opts.Batch, opts.UpdateDelay, got, want)
 		}

@@ -3,9 +3,9 @@
 // nothing downstream of it, so a producer goroutine runs it ahead of the
 // simulation on a second CPU: it fills batchChunk-record chunks from the
 // cancel-wrapped generator into a small ring of reused buffers, and the
-// stream engine consumes them through the trace.BatchSource /
-// trace.ErrSource contracts. The per-branch cost drops from
-// generate+walk+predict to about the larger of generate and walk+predict.
+// stream engine consumes them through the trace.Source contract. The
+// per-branch cost drops from generate+walk+predict to about the larger of
+// generate and walk+predict.
 //
 // Records are never reordered and the stream is still consumed serially
 // by one goroutine; only generation runs ahead. The pipeline is exact:
@@ -131,7 +131,11 @@ func (p *pipeSource) produce(src trace.Source, maxBranches int64) {
 		case <-p.quit:
 			return
 		}
-		n, err := trace.ReadBatch(src, buf[:fillWant(maxBranches, branches)])
+		n, err := src.NextBatch(buf[:fillWant(maxBranches, branches)])
+		if n == 0 && err == nil {
+			// A source breaking the contract would spin both stages.
+			err = io.ErrNoProgress
+		}
 		if maxBranches > 0 {
 			for i := range n {
 				if buf[i].Kind == trace.Cond {
@@ -142,11 +146,6 @@ func (p *pipeSource) produce(src trace.Source, maxBranches int64) {
 				// The consumers stop here without asking again.
 				err = io.EOF
 			}
-		}
-		if n == 0 && err == nil {
-			// A source that makes no progress would spin both stages; the
-			// engine's walk ends on it too.
-			err = io.EOF
 		}
 		p.full <- pipeChunk{buf: buf, n: n, err: err}
 		if err != nil {
@@ -182,17 +181,7 @@ func (p *pipeSource) advance() bool {
 	return true
 }
 
-// Next implements trace.Source.
-func (p *pipeSource) Next() (trace.Branch, bool) {
-	if !p.advance() {
-		return trace.Branch{}, false
-	}
-	b := p.cur.buf[p.off]
-	p.off++
-	return b, true
-}
-
-// NextBatch implements trace.BatchSource, delivering at most the rest of
+// NextBatch implements trace.Source, delivering at most the rest of
 // the current chunk; the terminal error comes with the chunk's last
 // records, as from the underlying source.
 func (p *pipeSource) NextBatch(dst []trace.Branch) (int, error) {
@@ -205,13 +194,4 @@ func (p *pipeSource) NextBatch(dst []trace.Branch) (int, error) {
 		return n, p.cur.err
 	}
 	return n, nil
-}
-
-// Err implements trace.ErrSource: the producer's terminal failure (for
-// example the cancel wrapper's ErrCanceled), once the consumer reached it.
-func (p *pipeSource) Err() error {
-	if p.cur.err == io.EOF {
-		return nil
-	}
-	return p.cur.err
 }

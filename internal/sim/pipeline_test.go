@@ -102,8 +102,8 @@ func TestPipelineMatchesDirect(t *testing.T) {
 							t.Errorf("%s/%s batch=%v delay=%d budget=%d: pipelined %+v, direct %+v",
 								c.name, prof.Name, batch, delay, budget, piped, direct)
 						}
-						db, dok := dg.Next()
-						pb, pok := pg.Next()
+						db, dok := next(dg)
+						pb, pok := next(pg)
 						if db != pb || dok != pok {
 							t.Errorf("%s/%s batch=%v delay=%d budget=%d: generator left at %+v/%v, direct at %+v/%v",
 								c.name, prof.Name, batch, delay, budget, pb, pok, db, dok)
@@ -163,8 +163,6 @@ func TestPipelineCancelMidStream(t *testing.T) {
 
 // panicSource is a batch source whose second fill panics.
 type panicSource struct{ fills int }
-
-func (s *panicSource) Next() (trace.Branch, bool) { panic("panicSource: Next") }
 
 func (s *panicSource) NextBatch(dst []trace.Branch) (int, error) {
 	if s.fills++; s.fills > 1 {

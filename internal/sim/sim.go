@@ -272,9 +272,10 @@ func (t *trackerTable) create(id int, opts Options) (*frontend.Tracker, error) {
 // once, including through the commit-delay queue, and plain predictors
 // use Predict/Update.
 //
-// Run returns an error when the source fails mid-stream (it implements
-// trace.ErrSource and reports a decode error — a truncated or corrupted
-// trace file must not be mistaken for a short-but-valid run) or when the
+// Run returns an error when the source fails mid-stream (its NextBatch
+// returns an error other than io.EOF, such as a decode error — a
+// truncated or corrupted trace file must not be mistaken for a
+// short-but-valid run) or when the
 // accumulated Result fails its sanity check. The Result reflects the
 // branches processed before the failure.
 func Run(p predictor.Predictor, src trace.Source, opts Options) (Result, error) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -23,12 +24,16 @@ type constSource struct {
 	taken bool
 }
 
-func (c *constSource) Next() (trace.Branch, bool) {
+func (c *constSource) NextBatch(dst []trace.Branch) (int, error) {
 	if c.n == 0 {
-		return trace.Branch{}, false
+		return 0, io.EOF
 	}
-	c.n--
-	return trace.Branch{PC: c.pc, Target: c.pc - 9*trace.InstrBytes, Taken: c.taken, Gap: 9}, true
+	n := min(len(dst), c.n)
+	for i := range dst[:n] {
+		dst[i] = trace.Branch{PC: c.pc, Target: c.pc - 9*trace.InstrBytes, Taken: c.taken, Gap: 9}
+	}
+	c.n -= n
+	return n, nil
 }
 
 // mustRun is the test-side adapter for Run's (Result, error) contract.

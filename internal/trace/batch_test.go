@@ -9,7 +9,7 @@ import (
 
 // drainBatched pulls a source dry through NextBatch with the given
 // buffer size, returning the records and the terminal error.
-func drainBatched(bs BatchSource, bufLen int) ([]Branch, error) {
+func drainBatched(bs Source, bufLen int) ([]Branch, error) {
 	buf := make([]Branch, bufLen)
 	var out []Branch
 	for {
@@ -45,86 +45,7 @@ func TestSliceNextBatch(t *testing.T) {
 	}
 }
 
-func TestSliceNextBatchInterleavesWithNext(t *testing.T) {
-	recs := sampleBranches(10, 12)
-	s := NewSlice(recs)
-	if b, ok := s.Next(); !ok || b != recs[0] {
-		t.Fatal("Next did not yield record 0")
-	}
-	buf := make([]Branch, 4)
-	n, err := s.NextBatch(buf)
-	if err != nil || n != 4 || buf[0] != recs[1] {
-		t.Fatalf("NextBatch after Next = (%d, %v), buf[0] = %+v", n, err, buf[0])
-	}
-	if b, ok := s.Next(); !ok || b != recs[5] {
-		t.Fatal("Next after NextBatch lost the shared cursor")
-	}
-}
-
-// nextOnly hides NextBatch, so batch consumers must fall back to Next.
-type nextOnly struct{ src Source }
-
-func (n *nextOnly) Next() (Branch, bool) { return n.src.Next() }
-
-// failingSource yields the wrapped records, then fails as an ErrSource.
-type failingSource struct {
-	src  Source
-	err  error
-	done bool
-}
-
-func (f *failingSource) Next() (Branch, bool) {
-	b, ok := f.src.Next()
-	if !ok {
-		f.done = true
-	}
-	return b, ok
-}
-
-func (f *failingSource) Err() error {
-	if f.done {
-		return f.err
-	}
-	return nil
-}
-
-func TestReadBatchFallback(t *testing.T) {
-	recs := sampleBranches(10, 21)
-	src := &nextOnly{NewSlice(recs)}
-	buf := make([]Branch, 4)
-	// Mid-stream fills are full.
-	if n, err := ReadBatch(src, buf); n != 4 || err != nil {
-		t.Fatalf("fill 1 = (%d, %v)", n, err)
-	}
-	if buf[0] != recs[0] || buf[3] != recs[3] {
-		t.Fatal("fill 1 returned wrong records")
-	}
-	if n, err := ReadBatch(src, buf); n != 4 || err != nil {
-		t.Fatalf("fill 2 = (%d, %v)", n, err)
-	}
-	// The stream ends mid-buffer: short read with a nil error...
-	if n, err := ReadBatch(src, buf); n != 2 || err != nil || buf[0] != recs[8] {
-		t.Fatalf("short fill = (%d, %v)", n, err)
-	}
-	// ...then a clean EOF.
-	if n, err := ReadBatch(src, buf); n != 0 || err != io.EOF {
-		t.Fatalf("post-end fill = (%d, %v), want (0, io.EOF)", n, err)
-	}
-}
-
-func TestReadBatchFallbackSurfacesSourceError(t *testing.T) {
-	recs := sampleBranches(3, 22)
-	wantErr := errors.New("decode failed")
-	src := &failingSource{src: &nextOnly{NewSlice(recs)}, err: wantErr}
-	buf := make([]Branch, 8)
-	n, err := ReadBatch(src, buf)
-	if n != 3 || err != wantErr {
-		t.Fatalf("ReadBatch = (%d, %v), want (3, %v)", n, err, wantErr)
-	}
-}
-
 func TestForceThreadNextBatch(t *testing.T) {
-	var _ BatchSource = (*ForceThread)(nil)
 	recs := sampleBranches(50, 23)
 	for i := range recs {
 		recs[i].Thread = i % 3 // scatter thread ids so the rewrite is visible
@@ -146,55 +67,6 @@ func TestForceThreadNextBatch(t *testing.T) {
 		if b != want {
 			t.Fatalf("record %d: %+v, want %+v", i, b, want)
 		}
-	}
-	// Wrapping a Next-only source still batches (through ReadBatch).
-	f = &ForceThread{Src: &nextOnly{NewSlice(recs)}, Thread: 9}
-	got, err = drainBatched(f, 16)
-	if err != io.EOF || len(got) != len(recs) {
-		t.Fatalf("next-only wrap: %d records, err %v", len(got), err)
-	}
-	for i, b := range got {
-		if b.Thread != 9 {
-			t.Fatalf("next-only wrap record %d: thread %d", i, b.Thread)
-		}
-	}
-}
-
-func TestLimitNextBatch(t *testing.T) {
-	var _ BatchSource = (*Limit)(nil)
-	recs := sampleBranches(10, 24)
-	inner := NewSlice(recs)
-	l := &Limit{Src: inner, N: 6}
-	buf := make([]Branch, 4)
-	if n, err := l.NextBatch(buf); n != 4 || err != nil {
-		t.Fatalf("fill 1 = (%d, %v)", n, err)
-	}
-	// The second fill is clamped to the remaining quota.
-	if n, err := l.NextBatch(buf); n != 2 || err != nil || buf[0] != recs[4] || buf[1] != recs[5] {
-		t.Fatalf("clamped fill = (%d, %v)", n, err)
-	}
-	if n, err := l.NextBatch(buf); n != 0 || err != io.EOF {
-		t.Fatalf("exhausted fill = (%d, %v), want (0, io.EOF)", n, err)
-	}
-	// The wrapped source was never advanced past the limit: record 6 is
-	// still there.
-	if b, ok := inner.Next(); !ok || b != recs[6] {
-		t.Fatalf("inner source advanced past the limit: %+v ok=%v", b, ok)
-	}
-}
-
-func TestLimitNextBatchInterleavesWithNext(t *testing.T) {
-	recs := sampleBranches(10, 25)
-	l := &Limit{Src: NewSlice(recs), N: 5}
-	if b, ok := l.Next(); !ok || b != recs[0] {
-		t.Fatal("Next did not yield record 0")
-	}
-	buf := make([]Branch, 8)
-	if n, err := l.NextBatch(buf); n != 4 || err != nil || buf[0] != recs[1] {
-		t.Fatalf("NextBatch after Next = (%d, %v)", n, err)
-	}
-	if _, ok := l.Next(); ok {
-		t.Fatal("Next past the limit returned a record")
 	}
 }
 
@@ -220,15 +92,14 @@ func TestReaderNextBatch(t *testing.T) {
 			t.Fatalf("record %d: got %+v want %+v", i, got[i], recs[i])
 		}
 	}
-	if r.Err() != nil {
-		t.Fatalf("Err after clean EOF = %v", r.Err())
+	if n, err := r.NextBatch(make([]Branch, 8)); n != 0 || err != io.EOF {
+		t.Errorf("post-EOF NextBatch = (%d, %v), want (0, io.EOF)", n, err)
 	}
 }
 
 // TestReaderNextBatchCorruption: a batch read that hits corruption must
-// return the intact prefix with the error, report the same error from
-// Err, and stay sticky on every later call — so sim's batched loop
-// surfaces exactly what the per-record loop would. The trace spans
+// return the intact prefix with the error and stay sticky on every later
+// call. The trace spans
 // several v2 chunks and the flipped bit lands mid-stream, so the chunks
 // before it decode and the rest are refused.
 func TestReaderNextBatchCorruption(t *testing.T) {
@@ -255,13 +126,7 @@ func TestReaderNextBatchCorruption(t *testing.T) {
 			t.Fatalf("prefix record %d: got %+v want %+v", i, got[i], recs[i])
 		}
 	}
-	if !errors.Is(r.Err(), ErrBadFormat) {
-		t.Errorf("Err = %v, want the batch error", r.Err())
-	}
-	if n, err2 := r.NextBatch(make([]Branch, 8)); n != 0 || !errors.Is(err2, ErrBadFormat) {
-		t.Errorf("post-error NextBatch = (%d, %v), want (0, sticky error)", n, err2)
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("Next after batch error returned a record")
+	if n, err2 := r.NextBatch(make([]Branch, 8)); n != 0 || err2 != err {
+		t.Errorf("post-error NextBatch = (%d, %v), want (0, %v)", n, err2, err)
 	}
 }

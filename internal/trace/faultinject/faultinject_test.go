@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -79,17 +78,7 @@ func decode(data []byte) ([]trace.Branch, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []trace.Branch
-	for {
-		b, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, b)
-	}
+	return trace.Collect(r, 0)
 }
 
 // simRun drives a serialized trace through the Reader-as-Source into

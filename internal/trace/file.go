@@ -274,35 +274,38 @@ func (w *Writer) Flush() error {
 }
 
 // WriteAll streams an entire source to w and returns the record count.
+// A source failure is returned as is, before the stream is finalized.
 func WriteAll(w io.Writer, src Source) (int64, error) {
 	tw, err := NewWriter(w)
 	if err != nil {
 		return 0, err
 	}
+	buf := make([]Branch, collectChunk)
 	for {
-		b, ok := src.Next()
-		if !ok {
-			break
+		n, err := src.NextBatch(buf)
+		for _, b := range buf[:n] {
+			if err := tw.Write(b); err != nil {
+				return tw.Count(), err
+			}
 		}
-		if err := tw.Write(b); err != nil {
+		if err == io.EOF {
+			return tw.Count(), tw.Flush()
+		}
+		if err != nil {
 			return tw.Count(), err
 		}
 	}
-	if err := SourceErr(src); err != nil {
-		return tw.Count(), err
-	}
-	return tw.Count(), tw.Flush()
 }
 
 // Reader decodes branches from an input stream produced by Writer. It
 // accepts both format versions; for version 2 every chunk CRC is checked
 // as it is read and the footer counts are verified at end of stream, so
-// Read returns io.EOF only for a stream proven complete and intact.
+// NextBatch returns io.EOF only for a stream proven complete and intact.
 type Reader struct {
 	r       *bufio.Reader
 	version byte
 	prevPC  uint64
-	err     error // sticky first decode error, via Next
+	err     error // sticky first decode error
 	// Version-2 state.
 	chunk  []byte // current verified chunk payload
 	pos    int    // decode offset into chunk
@@ -332,9 +335,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Version returns the format version of the stream being read.
 func (r *Reader) Version() int { return int(r.version) }
 
-// Read decodes the next record. It returns io.EOF at a clean end of
+// read decodes the next record. It returns io.EOF at a clean end of
 // stream — for version 2, only after the footer has been verified.
-func (r *Reader) Read() (Branch, error) {
+func (r *Reader) read() (Branch, error) {
 	if r.done {
 		return Branch{}, io.EOF
 	}
@@ -590,42 +593,22 @@ func (r *Reader) truncated(err error) error {
 	return err
 }
 
-// Next implements Source over the reader; decode errors terminate the
-// stream and are retrievable via Err.
-func (r *Reader) Next() (Branch, bool) {
+// NextBatch implements Source over the decoder. Decode errors are
+// sticky: a read that hits corruption returns the intact prefix with the
+// error, and every later call returns the error again.
+func (r *Reader) NextBatch(dst []Branch) (int, error) {
 	if r.err != nil {
-		return Branch{}, false
+		return 0, r.err
 	}
-	b, err := r.Read()
-	if err != nil {
-		if err != io.EOF {
-			r.err = err
-		}
-		return Branch{}, false
-	}
-	return b, true
-}
-
-// Err returns the first non-EOF decode error encountered by Next. It
-// implements ErrSource, so sim.Run surfaces trace corruption instead of
-// reporting a short-but-successful Result.
-func (r *Reader) Err() error { return r.err }
-
-// ReadAll decodes an entire trace stream into memory.
-func ReadAll(rd io.Reader) ([]Branch, error) {
-	r, err := NewReader(rd)
-	if err != nil {
-		return nil, err
-	}
-	var out []Branch
-	for {
-		b, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
+	for i := range dst {
+		b, err := r.read()
 		if err != nil {
-			return out, err
+			if err != io.EOF {
+				r.err = err
+			}
+			return i, err
 		}
-		out = append(out, b)
+		dst[i] = b
 	}
+	return len(dst), nil
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 )
 
@@ -37,7 +36,7 @@ func TestWriterRejectsNegativeGap(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	got, err := readAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,16 +151,9 @@ func TestV1CompatRoundTrip(t *testing.T) {
 	if r.Version() != 1 {
 		t.Fatalf("reader version = %d", r.Version())
 	}
-	var got []Branch
-	for {
-		b, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, b)
+	got, err := Collect(r, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("v1 round trip: %d records, want %d", len(got), len(recs))
@@ -198,7 +190,7 @@ func TestV2DetectsPayloadCorruption(t *testing.T) {
 	data := encodeV2Tiny(t, sampleBranches(100, 3))
 	mutant := append([]byte(nil), data...)
 	mutant[len(mutant)/2] ^= 0x40 // somewhere inside a chunk payload
-	_, err := ReadAll(bytes.NewReader(mutant))
+	_, err := readAll(bytes.NewReader(mutant))
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("corrupted payload err = %v, want ErrBadFormat", err)
 	}
@@ -223,7 +215,7 @@ func TestV2DetectsCleanTruncation(t *testing.T) {
 		}
 		off += n + 4 + int(length)
 	}
-	_, err := ReadAll(bytes.NewReader(data[:off]))
+	_, err := readAll(bytes.NewReader(data[:off]))
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("footer-less stream err = %v, want ErrBadFormat", err)
 	}
@@ -232,7 +224,7 @@ func TestV2DetectsCleanTruncation(t *testing.T) {
 func TestV2DetectsTrailingData(t *testing.T) {
 	data := encodeV2Tiny(t, sampleBranches(20, 3))
 	mutant := append(append([]byte(nil), data...), 0x00)
-	_, err := ReadAll(bytes.NewReader(mutant))
+	_, err := readAll(bytes.NewReader(mutant))
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("trailing data err = %v, want ErrBadFormat", err)
 	}
@@ -281,7 +273,7 @@ func TestWriterCounts(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	got, err := readAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

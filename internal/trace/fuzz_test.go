@@ -68,8 +68,9 @@ func FuzzReader(f *testing.F) {
 			}
 			return
 		}
+		one := make([]Branch, 1)
 		for i := 0; i < 1_000_000; i++ {
-			if _, err := r.Read(); err != nil {
+			if _, err := r.NextBatch(one); err != nil {
 				if err != io.EOF && !errors.Is(err, ErrBadFormat) {
 					t.Fatalf("decode error not ErrBadFormat: %v", err)
 				}
@@ -108,7 +109,7 @@ func FuzzRoundTrip(f *testing.F) {
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+			got, err := readAll(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("v%d: %v", version, err)
 			}

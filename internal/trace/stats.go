@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"io"
 	"sort"
 )
 
@@ -85,18 +86,28 @@ func (s *Stats) String() string {
 		100*s.TakenRate(), s.BranchesPerKI())
 }
 
-// Measure drains a source (up to maxBranches records; <= 0 means all) and
-// returns its statistics.
-func Measure(src Source, maxBranches int64) *Stats {
+// Measure drains a source, up to maxBranches conditional branches (<= 0
+// means all), and returns its statistics with the stream's failure, or
+// nil for a clean end. It never reads past the maxBranches-th branch.
+func Measure(src Source, maxBranches int64) (*Stats, error) {
 	s := NewStats()
-	for {
-		if maxBranches > 0 && s.DynamicBranches >= maxBranches {
-			return s
+	buf := make([]Branch, collectChunk)
+	for maxBranches <= 0 || s.DynamicBranches < maxBranches {
+		want := len(buf)
+		if maxBranches > 0 {
+			// Each record is at most one branch.
+			want = int(min(int64(want), maxBranches-s.DynamicBranches))
 		}
-		b, ok := src.Next()
-		if !ok {
-			return s
+		n, err := src.NextBatch(buf[:want])
+		for _, b := range buf[:n] {
+			s.Add(b)
 		}
-		s.Add(b)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return s, err
+		}
 	}
+	return s, nil
 }

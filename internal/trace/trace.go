@@ -9,6 +9,11 @@
 // to the on-disk format of this package (see Writer/Reader in file.go).
 package trace
 
+import (
+	"io"
+	"slices"
+)
+
 // Kind classifies a control-transfer record. Only Cond records are
 // predicted by the conditional branch predictors; the other kinds exist
 // because fetch blocks end on ANY taken control-flow instruction (§2 of the
@@ -81,81 +86,68 @@ func (b Branch) NextPC() uint64 {
 // groups of 8 instructions.
 const InstrBytes = 4
 
-// Source is a stream of dynamic branches. Next returns the next branch and
-// true, or a zero Branch and false at end of stream.
+// Source is a stream of dynamic branches, read in batches the way an
+// io.Reader is read in bytes. NextBatch fills dst from the front and
+// returns the number of records written (0 <= n <= len(dst)):
+//
+//   - When len(dst) > 0, a call returns n > 0 or an error, never 0 and
+//     nil; n may be short of len(dst) mid-stream.
+//   - io.EOF means the stream ended cleanly; records returned with it
+//     are valid and final.
+//   - Any other error means the stream failed (a corrupt trace, a
+//     canceled run): the records returned with it precede the failure
+//     and are valid, and every later call returns the same error with
+//     n == 0. Consumers must report it: a failed stream must never
+//     pass for a short but valid one.
 type Source interface {
-	Next() (Branch, bool)
+	NextBatch(dst []Branch) (int, error)
 }
 
-// ErrSource is a Source that can fail mid-stream. Next's false return is
-// deliberately ambiguous between "clean end of stream" and "decode error";
-// ErrSource resolves the ambiguity: after Next returns false, Err reports
-// the terminal error, or nil for a clean end. File-backed sources (Reader)
-// and every wrapper in this package implement it, and sim.Run checks it
-// after draining any source, so a corrupted trace can never masquerade as
-// a short-but-valid run.
-type ErrSource interface {
-	Source
-	Err() error
-}
-
-// SourceErr returns the deferred stream error of src if it exposes one
-// (implements ErrSource), and nil otherwise. Drain-to-exhaustion loops
-// must call it after the final Next: dropping it silently converts data
-// corruption into a short stream.
-func SourceErr(src Source) error {
-	if es, ok := src.(ErrSource); ok {
-		return es.Err()
-	}
-	return nil
-}
-
-// Resetter is implemented by sources that can restart from the beginning.
-// All synthetic workloads and in-memory traces implement it.
-type Resetter interface {
-	Reset()
-}
-
-// Slice is an in-memory trace implementing Source and Resetter.
+// Slice is an in-memory trace.
 type Slice struct {
 	Records []Branch
 	pos     int
 }
 
-// NewSlice wraps records in a replayable source.
+// NewSlice wraps records in a source.
 func NewSlice(records []Branch) *Slice { return &Slice{Records: records} }
 
-// Next implements Source.
-func (s *Slice) Next() (Branch, bool) {
+// NextBatch implements Source by block-copying from the record slice.
+func (s *Slice) NextBatch(dst []Branch) (int, error) {
 	if s.pos >= len(s.Records) {
-		return Branch{}, false
+		return 0, io.EOF
 	}
-	b := s.Records[s.pos]
-	s.pos++
-	return b, true
+	n := copy(dst, s.Records[s.pos:])
+	s.pos += n
+	return n, nil
 }
 
-// Reset implements Resetter.
-func (s *Slice) Reset() { s.pos = 0 }
-
-// Err implements ErrSource; an in-memory trace cannot fail.
-func (s *Slice) Err() error { return nil }
-
-// Collect drains a source into memory (up to max records; max <= 0 means
-// no limit). Useful for tests and for persisting synthetic traces.
-func Collect(src Source, max int) []Branch {
+// Collect drains a source into memory, up to max records (max <= 0
+// means no limit), and returns the records with the stream's failure, or
+// nil for a clean end. It never reads past the max-th record, so src
+// stays positioned right after it.
+func Collect(src Source, max int) ([]Branch, error) {
 	var out []Branch
-	for {
-		if max > 0 && len(out) >= max {
-			return out
+	for max <= 0 || len(out) < max {
+		want := collectChunk
+		if max > 0 {
+			want = min(want, max-len(out))
 		}
-		b, ok := src.Next()
-		if !ok {
-			return out
+		out = slices.Grow(out, want)
+		n, err := src.NextBatch(out[len(out) : len(out)+want])
+		out = out[:len(out)+n]
+		if err == io.EOF {
+			break
 		}
-		out = append(out, b)
+		if err != nil {
+			return out, err
+		}
 	}
+	return out, nil
 }
+
+// collectChunk is the most records Collect asks a source for at once.
+const collectChunk = 1024
 
 // ForceThread wraps a source, rewriting every record's thread id — the
 // "shared history" SMT model of §3: all threads update one history
@@ -166,51 +158,12 @@ type ForceThread struct {
 	Thread int
 }
 
-// Next implements Source.
-func (f *ForceThread) Next() (Branch, bool) {
-	b, ok := f.Src.Next()
-	b.Thread = f.Thread
-	return b, ok
-}
-
-// Reset implements Resetter when the wrapped source does.
-func (f *ForceThread) Reset() {
-	if r, ok := f.Src.(Resetter); ok {
-		r.Reset()
+// NextBatch implements Source, rewriting the thread id of the records
+// the wrapped source returns.
+func (f *ForceThread) NextBatch(dst []Branch) (int, error) {
+	n, err := f.Src.NextBatch(dst)
+	for i := range dst[:n] {
+		dst[i].Thread = f.Thread
 	}
+	return n, err
 }
-
-// Err implements ErrSource, forwarding the wrapped source's error.
-func (f *ForceThread) Err() error { return SourceErr(f.Src) }
-
-// Limit wraps a source, truncating it after n records.
-type Limit struct {
-	Src Source
-	N   int
-	pos int
-}
-
-// Next implements Source.
-func (l *Limit) Next() (Branch, bool) {
-	if l.pos >= l.N {
-		return Branch{}, false
-	}
-	b, ok := l.Src.Next()
-	if ok {
-		l.pos++
-	}
-	return b, ok
-}
-
-// Reset implements Resetter when the wrapped source does.
-func (l *Limit) Reset() {
-	l.pos = 0
-	if r, ok := l.Src.(Resetter); ok {
-		r.Reset()
-	}
-}
-
-// Err implements ErrSource, forwarding the wrapped source's error. A
-// source truncated by Limit before its failure point reports nil, like
-// any reader that never reaches the corrupt region.
-func (l *Limit) Err() error { return SourceErr(l.Src) }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"io"
 	"os"
 	"strings"
@@ -57,52 +58,66 @@ func TestFallThroughAndNextPC(t *testing.T) {
 	}
 }
 
+// readAll decodes an entire trace stream into memory.
+func readAll(rd io.Reader) ([]Branch, error) {
+	r, err := NewReader(rd)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(r, 0)
+}
+
 func TestSliceSource(t *testing.T) {
 	recs := sampleBranches(10, 1)
-	s := NewSlice(recs)
-	for i := 0; i < 10; i++ {
-		b, ok := s.Next()
-		if !ok || b != recs[i] {
+	got, err := drainBatched(NewSlice(recs), 1)
+	if err != io.EOF {
+		t.Fatalf("terminal err = %v, want io.EOF", err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("read %d records, want %d", len(got), len(recs))
+	}
+	for i := range recs {
+		if got[i] != recs[i] {
 			t.Fatalf("record %d mismatch", i)
 		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("Next past end returned ok")
-	}
-	s.Reset()
-	if b, ok := s.Next(); !ok || b != recs[0] {
-		t.Fatal("Reset did not restart")
 	}
 }
 
 func TestCollect(t *testing.T) {
 	recs := sampleBranches(20, 2)
-	got := Collect(NewSlice(recs), 0)
-	if len(got) != 20 {
-		t.Fatalf("Collect all: %d", len(got))
+	got, err := Collect(NewSlice(recs), 0)
+	if err != nil || len(got) != 20 {
+		t.Fatalf("Collect all: %d records, err %v", len(got), err)
 	}
-	got = Collect(NewSlice(recs), 5)
-	if len(got) != 5 {
-		t.Fatalf("Collect limited: %d", len(got))
+	s := NewSlice(recs)
+	got, err = Collect(s, 5)
+	if err != nil || len(got) != 5 {
+		t.Fatalf("Collect limited: %d records, err %v", len(got), err)
+	}
+	// The limit is not over-read: record 5 is still the source's next.
+	next := make([]Branch, 1)
+	if n, err := s.NextBatch(next); n != 1 || err != nil || next[0] != recs[5] {
+		t.Fatalf("after Collect(5): NextBatch = (%d, %v), %+v", n, err, next[0])
 	}
 }
 
-func TestLimit(t *testing.T) {
-	recs := sampleBranches(20, 3)
-	l := &Limit{Src: NewSlice(recs), N: 7}
-	n := 0
-	for {
-		if _, ok := l.Next(); !ok {
-			break
+func TestCollectReturnsStreamFailure(t *testing.T) {
+	recs := sampleBranches(12_000, 3)
+	var buf bytes.Buffer
+	if _, err := WriteAll(&buf, NewSlice(recs)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readAll(bytes.NewReader(buf.Bytes()[:buf.Len()/2]))
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("Collect over a truncated trace: err = %v, want ErrBadFormat", err)
+	}
+	if len(got) == 0 || len(got) >= len(recs) {
+		t.Fatalf("prefix of %d records before the failure, want 0 < n < %d", len(got), len(recs))
+	}
+	for i := range got {
+		if got[i] != recs[i] {
+			t.Fatalf("prefix record %d altered", i)
 		}
-		n++
-	}
-	if n != 7 {
-		t.Fatalf("Limit yielded %d", n)
-	}
-	l.Reset()
-	if b, ok := l.Next(); !ok || b != recs[0] {
-		t.Fatal("Limit.Reset did not restart the inner source")
 	}
 }
 
@@ -173,16 +188,25 @@ func TestMeasure(t *testing.T) {
 			wantCond++
 		}
 	}
-	s := Measure(NewSlice(recs), 0)
+	s, err := Measure(NewSlice(recs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.DynamicBranches != wantCond {
 		t.Fatalf("measured %d, want %d", s.DynamicBranches, wantCond)
 	}
 	if s.DynamicBranches+s.Transfers != 100 {
 		t.Fatalf("cond+transfers = %d", s.DynamicBranches+s.Transfers)
 	}
-	s = Measure(NewSlice(recs), 10)
-	if s.DynamicBranches != 10 {
-		t.Fatalf("limited measure %d", s.DynamicBranches)
+	src := NewSlice(recs)
+	s, err = Measure(src, 10)
+	if err != nil || s.DynamicBranches != 10 {
+		t.Fatalf("limited measure %d, err %v", s.DynamicBranches, err)
+	}
+	// The limit is not over-read: the source resumes right after the
+	// tenth conditional branch.
+	if src.pos != int(s.DynamicBranches+s.Transfers) {
+		t.Fatalf("limited measure read %d records, counted %d", src.pos, s.DynamicBranches+s.Transfers)
 	}
 }
 
@@ -196,7 +220,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if n != 5000 {
 		t.Fatalf("wrote %d", n)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +256,12 @@ func TestReaderAsSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Collect(r, 0)
+	got, err := Collect(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 50 {
 		t.Fatalf("source read %d", len(got))
-	}
-	if r.Err() != nil {
-		t.Fatalf("Err = %v", r.Err())
 	}
 }
 
@@ -261,7 +285,7 @@ func TestReaderTruncatedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-1]
-	_, err := ReadAll(bytes.NewReader(cut))
+	_, err := readAll(bytes.NewReader(cut))
 	if err == nil {
 		t.Error("truncated trace decoded without error")
 	}
@@ -276,8 +300,8 @@ func TestReaderCleanEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Read(); err != io.EOF {
-		t.Errorf("empty trace Read err = %v, want io.EOF", err)
+	if n, err := r.NextBatch(make([]Branch, 1)); n != 0 || err != io.EOF {
+		t.Errorf("empty trace NextBatch = (%d, %v), want (0, io.EOF)", n, err)
 	}
 }
 
@@ -301,7 +325,7 @@ func TestRoundTripQuick(t *testing.T) {
 		if _, err := WriteAll(&buf, NewSlice(recs)); err != nil {
 			return false
 		}
-		got, err := ReadAll(&buf)
+		got, err := readAll(&buf)
 		if err != nil || len(got) != len(recs) {
 			return false
 		}
@@ -337,7 +361,7 @@ func BenchmarkReader(b *testing.B) {
 	data := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadAll(bytes.NewReader(data)); err != nil {
+		if _, err := readAll(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -376,7 +400,10 @@ func TestOpenPlainAndGzip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		got := Collect(r, 0)
+		got, err := Collect(r, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
 		if err := closer.Close(); err != nil {
 			t.Fatalf("%s: close: %v", path, err)
 		}
@@ -406,24 +433,17 @@ func TestOpenErrors(t *testing.T) {
 
 func TestForceThread(t *testing.T) {
 	recs := sampleBranches(20, 12)
-	ft := &ForceThread{Src: NewSlice(recs), Thread: 5}
-	n := 0
-	for {
-		b, ok := ft.Next()
-		if !ok {
-			break
-		}
+	got, err := drainBatched(&ForceThread{Src: NewSlice(recs), Thread: 5}, 1)
+	if err != io.EOF {
+		t.Fatalf("terminal err = %v, want io.EOF", err)
+	}
+	for i, b := range got {
 		if b.Thread != 5 {
-			t.Fatalf("record %d thread = %d", n, b.Thread)
+			t.Fatalf("record %d thread = %d", i, b.Thread)
 		}
-		n++
 	}
-	if n != len(recs) {
-		t.Fatalf("yielded %d records", n)
-	}
-	ft.Reset()
-	if b, ok := ft.Next(); !ok || b.Thread != 5 {
-		t.Fatal("Reset did not restart")
+	if len(got) != len(recs) {
+		t.Fatalf("yielded %d records", len(got))
 	}
 }
 
@@ -438,16 +458,12 @@ func TestReaderNextStopsOnDecodeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
+	_, err = drainBatched(r, 1)
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("truncated stream ended with %v, want a decode error", err)
 	}
-	if r.Err() == nil {
-		t.Error("truncated stream should surface a decode error via Err")
-	}
-	// Next after the error keeps returning false.
-	if _, ok := r.Next(); ok {
-		t.Error("Next after error returned a record")
+	// The error is sticky.
+	if n, err2 := r.NextBatch(make([]Branch, 1)); n != 0 || err2 != err {
+		t.Errorf("NextBatch after error = (%d, %v), want (0, %v)", n, err2, err)
 	}
 }

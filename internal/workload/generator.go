@@ -10,16 +10,16 @@ import (
 )
 
 // Generator interprets a synthetic program, emitting trace records until an
-// instruction budget is exhausted. It implements trace.Source and
-// trace.Resetter and is fully deterministic given the profile seed.
+// instruction budget is exhausted. It implements trace.Source and is fully
+// deterministic given the profile seed.
 type Generator struct {
 	prof   Profile
 	prog   *program
 	budget int64
 
-	// execution state (reset by Reset). Switch-case selection draws from
-	// its own stream so dispatch density does not perturb the calibrated
-	// site-model draws.
+	// execution state. Switch-case selection draws from its own stream
+	// so dispatch density does not perturb the calibrated site-model
+	// draws.
 	r          *rng.PCG32
 	rswitch    *rng.PCG32
 	ghist      history.Register
@@ -61,13 +61,16 @@ func New(prof Profile, instrBudget int64) (*Generator, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{
-		prof:   prof,
-		prog:   buildProgram(prof),
-		budget: instrBudget,
-	}
-	g.Reset()
-	return g, nil
+	prog := buildProgram(prof)
+	return &Generator{
+		prof:       prof,
+		prog:       prog,
+		budget:     instrBudget,
+		r:          rng.New(prof.Seed, streamExec),
+		rswitch:    rng.New(prof.Seed, streamExec+1),
+		patPos:     make([]int, prog.numSites),
+		lastNextPC: prog.driverStart,
+	}, nil
 }
 
 // MustNew is New but panics on error; for the fixed built-in profiles.
@@ -85,41 +88,10 @@ func (g *Generator) Profile() Profile { return g.prof }
 // StaticSites returns the number of conditional branch sites in the program.
 func (g *Generator) StaticSites() int { return g.prog.numSites }
 
-// Reset restarts execution from the beginning; the emitted stream is
-// bit-identical to the previous run.
-func (g *Generator) Reset() {
-	g.r = rng.New(g.prof.Seed, streamExec)
-	g.rswitch = rng.New(g.prof.Seed, streamExec+1)
-	g.ghist.Reset()
-	g.stack = g.stack[:0]
-	g.seqPos = 0
-	if g.patPos == nil {
-		g.patPos = make([]int, g.prog.numSites)
-	}
-	for i := range g.patPos {
-		g.patPos[i] = 0
-	}
-	g.instr = 0
-	g.lastNextPC = g.prog.driverStart
-	g.done = false
-}
-
-// Next implements trace.Source.
-func (g *Generator) Next() (trace.Branch, bool) {
-	if g.done {
-		return trace.Branch{}, false
-	}
-	var b trace.Branch
-	g.step(&b)
-	return b, true
-}
-
-// NextBatch implements trace.BatchSource: it interprets records directly
-// into the caller's buffer, field by field, so batch consumers
-// (sim.RunEnsemble) pay one call per batch instead of one interface
-// dispatch per record, and no record is copied. A synthetic stream cannot
-// fail, so the only terminal condition is the budget running out
-// (io.EOF).
+// NextBatch implements trace.Source: it interprets records directly into
+// the caller's buffer, field by field, so no record is copied. A
+// synthetic stream cannot fail, so the only terminal condition is the
+// budget running out (io.EOF).
 func (g *Generator) NextBatch(dst []trace.Branch) (int, error) {
 	if g.done {
 		return 0, io.EOF

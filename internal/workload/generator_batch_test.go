@@ -7,16 +7,57 @@ import (
 	"ev8pred/internal/trace"
 )
 
-// TestGeneratorNextBatchMatchesNext: the batched leg must emit the exact
-// record sequence of the per-record leg, across batch boundaries and at
-// the budget edge, ending in a clean io.EOF.
+// next reads one record from src with a size-1 NextBatch into a zeroed
+// slot: the record-at-a-time reference the batched reads are held to.
+// false means the stream ended; generator streams cannot fail.
+func next(src trace.Source) (trace.Branch, bool) {
+	var one [1]trace.Branch
+	n, _ := src.NextBatch(one[:])
+	return one[0], n == 1
+}
+
+// oneByOne drains src through next.
+func oneByOne(src trace.Source) []trace.Branch {
+	var out []trace.Branch
+	for {
+		b, ok := next(src)
+		if !ok {
+			return out
+		}
+		out = append(out, b)
+	}
+}
+
+// collect is trace.Collect for streams that must not fail.
+func collect(t *testing.T, src trace.Source, max int) []trace.Branch {
+	t.Helper()
+	recs, err := trace.Collect(src, max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// measure is trace.Measure over a whole stream that must not fail.
+func measure(t *testing.T, src trace.Source) *trace.Stats {
+	t.Helper()
+	s, err := trace.Measure(src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestGeneratorNextBatchMatchesNext: batched reads must emit the exact
+// record sequence of size-1 reads, across batch boundaries and at the
+// budget edge, ending in a clean io.EOF.
 func TestGeneratorNextBatchMatchesNext(t *testing.T) {
 	prof, err := ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const budget = 50_000
-	want := trace.Collect(MustNew(prof, budget), 0)
+	want := oneByOne(MustNew(prof, budget))
 	if len(want) == 0 {
 		t.Fatal("reference stream is empty")
 	}
@@ -35,33 +76,22 @@ func TestGeneratorNextBatchMatchesNext(t *testing.T) {
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("batched stream has %d records, per-record has %d", len(got), len(want))
+		t.Fatalf("batched stream has %d records, size-1 reads give %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("record %d: batched %+v != per-record %+v", i, got[i], want[i])
+			t.Fatalf("record %d: batched %+v != size-1 %+v", i, got[i], want[i])
 		}
 	}
 	// Exhausted generator keeps reporting clean EOF.
 	if n, err := g.NextBatch(buf); n != 0 || err != io.EOF {
 		t.Errorf("post-EOF NextBatch = (%d, %v), want (0, io.EOF)", n, err)
 	}
-
-	// Interleaving Next and NextBatch advances one shared cursor.
-	g2 := MustNew(prof, budget)
-	b, ok := g2.Next()
-	if !ok || b != want[0] {
-		t.Fatal("Next did not yield record 0")
-	}
-	n, err := g2.NextBatch(buf[:4])
-	if err != nil || n != 4 || buf[0] != want[1] {
-		t.Fatalf("NextBatch after Next = (%d, %v), buf[0] = %+v", n, err, buf[0])
-	}
 }
 
 // TestGeneratorNextBatchMatchesNextEverywhere holds NextBatch, which writes
-// records in place, to Next on every profile, two seeds and three
-// budgets, through odd buffer sizes. The buffers start full of garbage
+// records in place, to size-1 reads into a zeroed slot on every profile,
+// two seeds and three budgets, through odd buffer sizes. The buffers start full of garbage
 // records (every field set, Thread too), so a field NextBatch fails to
 // write shows; budgets stop mid-batch, and NextBatch must leave the slots
 // past the stop untouched.
@@ -73,7 +103,7 @@ func TestGeneratorNextBatchMatchesNextEverywhere(t *testing.T) {
 			prof := base
 			prof.Seed = seed
 			for _, budget := range []int64{1, 3001, 40_009} {
-				want := trace.Collect(MustNew(prof, budget), 0)
+				want := oneByOne(MustNew(prof, budget))
 				for _, size := range []int{1, 7, 257, 1023} {
 					g := MustNew(prof, budget)
 					buf := make([]trace.Branch, size)
@@ -101,12 +131,12 @@ func TestGeneratorNextBatchMatchesNextEverywhere(t *testing.T) {
 						}
 					}
 					if len(got) != len(want) {
-						t.Fatalf("%s seed %#x budget %d size %d: %d records, Next gives %d",
+						t.Fatalf("%s seed %#x budget %d size %d: %d records, size-1 reads give %d",
 							prof.Name, seed, budget, size, len(got), len(want))
 					}
 					for i := range want {
 						if got[i] != want[i] {
-							t.Fatalf("%s seed %#x budget %d size %d: record %d is %+v, Next gives %+v",
+							t.Fatalf("%s seed %#x budget %d size %d: record %d is %+v, size-1 reads give %+v",
 								prof.Name, seed, budget, size, i, got[i], want[i])
 						}
 					}

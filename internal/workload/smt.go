@@ -1,6 +1,10 @@
 package workload
 
-import "ev8pred/internal/trace"
+import (
+	"io"
+
+	"ev8pred/internal/trace"
+)
 
 // Interleaved merges several branch sources into one stream the way an SMT
 // front end would observe it: round-robin over the threads with a quantum
@@ -19,6 +23,7 @@ type Interleaved struct {
 	used    int64
 	dead    []bool
 	alive   int
+	err     error // terminal: io.EOF or a thread's failure
 }
 
 // NewInterleaved builds an SMT interleaver. quantum must be >= 1.
@@ -34,25 +39,35 @@ func NewInterleaved(srcs []trace.Source, quantum int64) *Interleaved {
 	}
 }
 
-// Next implements trace.Source.
-func (iv *Interleaved) Next() (trace.Branch, bool) {
-	for iv.alive > 0 {
+// NextBatch implements trace.Source. Each record is read alone from the
+// current thread's source (dst[i:i+1]), so no thread is read past the
+// record that ends its quantum. A thread whose source ends cleanly drops
+// out; a thread's failure ends the stream with that error.
+func (iv *Interleaved) NextBatch(dst []trace.Branch) (int, error) {
+	n := 0
+	for n < len(dst) && iv.err == nil {
+		if iv.alive == 0 {
+			iv.err = io.EOF
+			break
+		}
 		if iv.dead[iv.cur] || iv.used >= iv.quantum {
 			iv.rotate()
 			continue
 		}
-		b, ok := iv.srcs[iv.cur].Next()
-		if !ok {
+		k, err := iv.srcs[iv.cur].NextBatch(dst[n : n+1])
+		if k == 1 {
+			iv.used += int64(dst[n].Gap) + 1
+			dst[n].Thread = iv.cur
+			n++
+		}
+		if err == io.EOF {
 			iv.dead[iv.cur] = true
 			iv.alive--
-			iv.rotate()
-			continue
+		} else if err != nil {
+			iv.err = err
 		}
-		iv.used += int64(b.Gap) + 1
-		b.Thread = iv.cur
-		return b, true
 	}
-	return trace.Branch{}, false
+	return n, iv.err
 }
 
 func (iv *Interleaved) rotate() {
@@ -63,35 +78,4 @@ func (iv *Interleaved) rotate() {
 			return
 		}
 	}
-}
-
-// Reset implements trace.Resetter; it resets every thread source that
-// supports it and revives all threads.
-func (iv *Interleaved) Reset() {
-	for i, s := range iv.srcs {
-		if r, ok := s.(trace.Resetter); ok {
-			r.Reset()
-			iv.dead[i] = false
-		}
-	}
-	iv.alive = 0
-	for _, d := range iv.dead {
-		if !d {
-			iv.alive++
-		}
-	}
-	iv.cur = 0
-	iv.used = 0
-}
-
-// Err implements trace.ErrSource: the interleaved stream fails if any
-// thread's source failed. A thread dropping out on a decode error would
-// otherwise be indistinguishable from one that simply ran dry.
-func (iv *Interleaved) Err() error {
-	for _, s := range iv.srcs {
-		if err := trace.SourceErr(s); err != nil {
-			return err
-		}
-	}
-	return nil
 }

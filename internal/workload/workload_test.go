@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 
 	"ev8pred/internal/trace"
@@ -80,8 +81,8 @@ func TestGeneratorDeterministic(t *testing.T) {
 	a := MustNew(prof, 50000)
 	b := MustNew(prof, 50000)
 	for {
-		ra, oka := a.Next()
-		rb, okb := b.Next()
+		ra, oka := next(a)
+		rb, okb := next(b)
 		if oka != okb {
 			t.Fatal("streams have different lengths")
 		}
@@ -94,26 +95,10 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 }
 
-func TestGeneratorResetReplays(t *testing.T) {
-	prof, _ := ByName("compress")
-	g := MustNew(prof, 20000)
-	first := trace.Collect(g, 0)
-	g.Reset()
-	second := trace.Collect(g, 0)
-	if len(first) != len(second) {
-		t.Fatalf("lengths differ: %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("record %d differs after Reset", i)
-		}
-	}
-}
-
 func TestGeneratorBudget(t *testing.T) {
 	prof, _ := ByName("m88ksim")
 	g := MustNew(prof, 10000)
-	s := trace.Measure(g, 0)
+	s := measure(t, g)
 	if s.Instructions < 10000 {
 		t.Errorf("stopped early: %d instructions", s.Instructions)
 	}
@@ -133,7 +118,7 @@ func TestFlowConsistency(t *testing.T) {
 		var flow uint64
 		n := 0
 		for {
-			b, ok := g.Next()
+			b, ok := next(g)
 			if !ok {
 				break
 			}
@@ -171,7 +156,7 @@ func TestObservedStaticFootprint(t *testing.T) {
 	// benchmarks (hot+cold mix is allowed to leave some cold).
 	prof, _ := ByName("li")
 	g := MustNew(prof, 2_000_000)
-	s := trace.Measure(g, 0)
+	s := measure(t, g)
 	if s.StaticBranches < 150 {
 		t.Errorf("observed only %d static branches of 251", s.StaticBranches)
 	}
@@ -185,7 +170,7 @@ func TestDynamicDensityReasonable(t *testing.T) {
 	// profile lands in a plausible band.
 	for _, prof := range Benchmarks() {
 		g := MustNew(prof, 500_000)
-		s := trace.Measure(g, 0)
+		s := measure(t, g)
 		brKI := s.BranchesPerKI()
 		if brKI < 50 || brKI > 250 {
 			t.Errorf("%s: %.1f cond branches/KI out of plausible range", prof.Name, brKI)
@@ -196,7 +181,7 @@ func TestDynamicDensityReasonable(t *testing.T) {
 func TestTakenRateBand(t *testing.T) {
 	for _, prof := range Benchmarks() {
 		g := MustNew(prof, 300_000)
-		s := trace.Measure(g, 0)
+		s := measure(t, g)
 		if r := s.TakenRate(); r < 0.2 || r > 0.8 {
 			t.Errorf("%s: taken rate %.2f out of band", prof.Name, r)
 		}
@@ -208,7 +193,7 @@ func TestUnconditionalRecordsPresent(t *testing.T) {
 	g := MustNew(prof, 100_000)
 	kinds := map[trace.Kind]int{}
 	for {
-		b, ok := g.Next()
+		b, ok := next(g)
 		if !ok {
 			break
 		}
@@ -230,8 +215,8 @@ func TestSeedChangesStream(t *testing.T) {
 	prof2 := prof
 	prof2.Seed++
 	b := MustNew(prof2, 50_000)
-	ra := trace.Collect(a, 1000)
-	rb := trace.Collect(b, 1000)
+	ra := collect(t, a, 1000)
+	rb := collect(t, b, 1000)
 	same := 0
 	n := len(ra)
 	if len(rb) < n {
@@ -255,7 +240,7 @@ func TestInterleavedTagsThreads(t *testing.T) {
 	}, 1000)
 	seen := map[int]int{}
 	for {
-		b, ok := iv.Next()
+		b, ok := next(iv)
 		if !ok {
 			break
 		}
@@ -272,13 +257,13 @@ func TestInterleavedDrainsAll(t *testing.T) {
 	g2 := MustNew(p, 60_000)
 	want := int64(0)
 	for _, g := range []*Generator{MustNew(p, 30_000), MustNew(p, 60_000)} {
-		s := trace.Measure(g, 0)
+		s := measure(t, g)
 		want += s.DynamicBranches + s.Transfers
 	}
 	iv := NewInterleaved([]trace.Source{g1, g2}, 500)
 	got := int64(0)
 	for {
-		if _, ok := iv.Next(); !ok {
+		if _, ok := next(iv); !ok {
 			break
 		}
 		got++
@@ -288,15 +273,51 @@ func TestInterleavedDrainsAll(t *testing.T) {
 	}
 }
 
-func TestInterleavedReset(t *testing.T) {
+// TestInterleavedThreadFailureEndsStream: a thread whose source fails
+// ends the interleaved stream with that error, sticky, after the records
+// read before it; the other threads are not drained past that point.
+func TestInterleavedThreadFailureEndsStream(t *testing.T) {
 	p, _ := ByName("li")
-	iv := NewInterleaved([]trace.Source{MustNew(p, 10_000)}, 100)
-	first := trace.Collect(iv, 0)
-	iv.Reset()
-	second := trace.Collect(iv, 0)
-	if len(first) == 0 || len(first) != len(second) {
-		t.Fatalf("reset replay: %d vs %d", len(first), len(second))
+	const fail = 250
+	bad := &failAfter{src: MustNew(p, 0), n: fail, err: errors.New("thread 1 failed")}
+	other := MustNew(p, 0)
+	iv := NewInterleaved([]trace.Source{other, bad}, 100)
+	got, err := trace.Collect(iv, 0)
+	if err != bad.err {
+		t.Fatalf("interleaved stream ended with %v, want %v", err, bad.err)
 	}
+	perThread := map[int]int{}
+	for _, b := range got {
+		perThread[b.Thread]++
+	}
+	if perThread[1] != fail {
+		t.Errorf("thread 1 delivered %d records before failing, want %d", perThread[1], fail)
+	}
+	if n, err2 := iv.NextBatch(make([]trace.Branch, 8)); n != 0 || err2 != err {
+		t.Errorf("NextBatch after failure = (%d, %v), want (0, %v)", n, err2, err)
+	}
+	// Thread 0 was read one record at a time, never ahead of its turn.
+	rest, _ := trace.Collect(other, 1)
+	ref, _ := trace.Collect(MustNew(p, 0), perThread[0]+1)
+	if len(rest) != 1 || rest[0] != ref[perThread[0]] {
+		t.Error("thread 0 was read past the records the stream delivered")
+	}
+}
+
+// failAfter delivers n records of src, then fails with err.
+type failAfter struct {
+	src trace.Source
+	n   int
+	err error
+}
+
+func (f *failAfter) NextBatch(dst []trace.Branch) (int, error) {
+	if f.n == 0 {
+		return 0, f.err
+	}
+	k, err := f.src.NextBatch(dst[:min(len(dst), f.n)])
+	f.n -= k
+	return k, err
 }
 
 func TestCorrelatedSitesArePredictableFromGhist(t *testing.T) {
@@ -317,7 +338,7 @@ func TestCorrelatedSitesArePredictableFromGhist(t *testing.T) {
 	}
 	seen := map[key]int8{}
 	for {
-		b, ok := g.Next()
+		b, ok := next(g)
 		if !ok {
 			break
 		}
@@ -350,12 +371,14 @@ func TestCorrelatedSitesArePredictableFromGhist(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerator reads one record per NextBatch call, the way
+// Interleaved reads each thread.
 func BenchmarkGenerator(b *testing.B) {
 	prof, _ := ByName("gcc")
 	g := MustNew(prof, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := g.Next(); !ok {
+		if _, ok := next(g); !ok {
 			b.Fatal("unbounded generator ended")
 		}
 	}
@@ -387,7 +410,7 @@ func TestSwitchDispatchStructure(t *testing.T) {
 	var flow uint64
 	first := true
 	for {
-		b, ok := g.Next()
+		b, ok := next(g)
 		if !ok {
 			break
 		}
@@ -424,7 +447,7 @@ func TestSwitchFracZeroMeansNoPolymorphicJumps(t *testing.T) {
 	g := MustNew(prof, 200_000)
 	targetsByPC := map[uint64]map[uint64]bool{}
 	for {
-		b, ok := g.Next()
+		b, ok := next(g)
 		if !ok {
 			break
 		}

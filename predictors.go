@@ -90,9 +90,10 @@ func NewInterleaved(threads []Source, quantum int64) Source {
 	return workload.NewInterleaved(threads, quantum)
 }
 
-// CollectTrace drains a source into memory (max <= 0 collects everything);
-// wrap the result with NewSliceSource to replay it.
-func CollectTrace(src Source, max int) []Branch { return trace.Collect(src, max) }
+// CollectTrace drains a source into memory (max <= 0 collects everything)
+// and returns the records with the stream's failure, or nil for a clean
+// end; wrap the records with NewSliceSource to replay them.
+func CollectTrace(src Source, max int) ([]Branch, error) { return trace.Collect(src, max) }
 
-// NewSliceSource wraps records in a replayable source.
+// NewSliceSource wraps records in a source.
 func NewSliceSource(records []Branch) Source { return trace.NewSlice(records) }
