@@ -189,6 +189,5 @@ func TestFacadeAllConstructors(t *testing.T) {
 		if r.Branches == 0 || r.Accuracy() < 0.5 {
 			t.Errorf("%s: degenerate result %+v", name, r)
 		}
-		p.Reset()
 	}
 }

@@ -4,7 +4,7 @@
 // The toy scheme here is a "gshare-agree": a gshare-indexed agreement
 // table over a per-PC bias bit — enough to show the full surface a custom
 // predictor implements (Predict/Update over the information vector, plus
-// the Name/SizeBits/Reset plumbing the reporting uses).
+// the Name/SizeBits plumbing the reporting uses).
 package main
 
 import (
@@ -33,7 +33,10 @@ func newGshareAgree(entries, histLen int) *gshareAgree {
 		idxBits: bits.TrailingZeros64(uint64(entries)),
 		mask:    uint64(entries - 1),
 	}
-	g.Reset()
+	for i := range g.bias {
+		g.bias[i] = -1
+		g.agree[i] = 2 // weakly agree
+	}
 	return g
 }
 
@@ -78,12 +81,6 @@ func (g *gshareAgree) Update(info *ev8pred.Info, taken bool) {
 func (g *gshareAgree) Name() string { return "custom-gshare-agree" }
 func (g *gshareAgree) SizeBits() int {
 	return len(g.bias)*2 + len(g.agree)*2
-}
-func (g *gshareAgree) Reset() {
-	for i := range g.bias {
-		g.bias[i] = -1
-		g.agree[i] = 2 // weakly agree
-	}
 }
 
 func main() {

@@ -25,7 +25,6 @@ func (u *unfused) Predict(info *ev8pred.Info) bool       { return u.p.Predict(in
 func (u *unfused) Update(info *ev8pred.Info, taken bool) { u.p.Update(info, taken) }
 func (u *unfused) Name() string                          { return u.p.Name() }
 func (u *unfused) SizeBits() int                         { return u.p.SizeBits() }
-func (u *unfused) Reset()                                { u.p.Reset() }
 
 // unfusedObserver additionally forwards the fetch-block stream; without it
 // a wrapped EV8 would never advance its bank sequencer.

@@ -32,7 +32,6 @@ func (r reference) UpdateWith(s predictor.Snapshot, taken bool) {
 }
 func (r reference) Name() string          { return r.c.Name() }
 func (r reference) SizeBits() int         { return r.c.SizeBits() }
-func (r reference) Reset()                { r.c.Reset() }
 func (r reference) EnableStats(on bool)   { r.c.EnableStats(on) }
 func (r reference) Stats() stats.Counters { return r.c.Stats() }
 

@@ -148,14 +148,13 @@ func TestBatchMatchesScalar(t *testing.T) {
 	for _, cfg := range batchConfigs() {
 		for _, collect := range []bool{false, true} {
 			ps := MustNew(cfg)
-			pb := MustNew(cfg)
 			ps.EnableStats(collect)
-			pb.EnableStats(collect)
 			infos, outcomes := batchEvents(n, 11)
 			want := runScalar(ps, infos, outcomes)
+			var pb *Predictor
 			for _, chunk := range []int{1000, 64, 17} {
-				pb.Reset()
-				pb.EnableStats(collect) // Reset clears the counters, not collection
+				pb = MustNew(cfg)
+				pb.EnableStats(collect)
 				got := runBatch(t, pb, infos, outcomes, chunk)
 				for i := range want {
 					if got[i] != want[i] {

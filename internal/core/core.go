@@ -471,17 +471,5 @@ func (p *Predictor) Traffic() (predWrites, hystWrites, hystReads int64) {
 // Config returns the predictor's configuration (with defaults resolved).
 func (p *Predictor) Config() Config { return p.cfg }
 
-// Reset implements predictor.Predictor. Attribution counters are zeroed
-// too, but collection stays enabled if it was (a reused predictor keeps
-// reporting).
-func (p *Predictor) Reset() {
-	for b := BIM; b < NumBanks; b++ {
-		p.banks[b].Reset()
-	}
-	if p.st != nil {
-		*p.st = coreStats{}
-	}
-}
-
 var _ predictor.Predictor = (*Predictor)(nil)
 var _ predictor.FusedPredictor = (*Predictor)(nil)

@@ -211,21 +211,6 @@ func TestTotalUpdateDiffers(t *testing.T) {
 	}
 }
 
-func TestResetRestoresColdState(t *testing.T) {
-	p := MustNew(Config256K())
-	in := info(0x3333, 0x4444)
-	for i := 0; i < 8; i++ {
-		p.Update(in, true)
-	}
-	if !p.Predict(in) {
-		t.Fatal("training failed")
-	}
-	p.Reset()
-	if p.Predict(in) {
-		t.Error("Reset did not clear the predictor")
-	}
-}
-
 func TestDistinctHistoriesUseDistinctEntries(t *testing.T) {
 	// Two very different histories at the same PC must not fight over a
 	// single entry in every bank (the skewing/dispersion property at the

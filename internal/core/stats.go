@@ -62,9 +62,7 @@ type coreStats struct {
 }
 
 // EnableStats implements stats.Instrumented. Enabling allocates the
-// counter block once; disabling drops it (and its counts). Reset zeroes
-// the counters but keeps collection enabled, so a reused predictor keeps
-// reporting.
+// counter block once; disabling drops it (and its counts).
 func (p *Predictor) EnableStats(on bool) {
 	switch {
 	case on && p.st == nil:

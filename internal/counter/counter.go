@@ -38,7 +38,6 @@ type Array struct {
 	words   []uint64
 	entries uint64
 	mask    uint64 // see indexMask
-	initVal uint8
 }
 
 // fillUnit has bit 0 of every 2-bit counter lane set; multiplying by a
@@ -51,7 +50,7 @@ func NewArray(n int, init uint8) *Array {
 	if n <= 0 {
 		panic(fmt.Sprintf("counter: NewArray with n=%d", n))
 	}
-	a := &Array{words: make([]uint64, (n+31)/32), entries: uint64(n), mask: indexMask(uint64(n)), initVal: init & 3}
+	a := &Array{words: make([]uint64, (n+31)/32), entries: uint64(n), mask: indexMask(uint64(n))}
 	if init != 0 {
 		a.Fill(init)
 	}
@@ -68,11 +67,6 @@ func (a *Array) Fill(v uint8) {
 		a.words[i] = w
 	}
 }
-
-// Reset restores every counter to the value the array was constructed
-// with, mirroring Split.Reset, so baseline predictors can be reused
-// without reallocating their tables.
-func (a *Array) Reset() { a.Fill(a.initVal) }
 
 // Get returns counter i (0..3).
 func (a *Array) Get(i uint64) uint8 {
@@ -388,7 +382,7 @@ func (s *Split) Update(i uint64, taken bool) {
 	s.pred.Set(i, !p)
 }
 
-// Traffic reports the array traffic since construction or Reset:
+// Traffic reports the array traffic since construction:
 // prediction-array writes, hysteresis-array writes, and hysteresis-array
 // reads (a hysteresis read happens only on the misprediction path, §4.3).
 func (s *Split) Traffic() (predWrites, hystWrites, hystReads int64) {
@@ -406,16 +400,4 @@ func (s *Split) HystArray() *BitArray { return s.hyst }
 // them), so a restored bank keeps reporting seamlessly.
 func (s *Split) LoadTraffic(predWrites, hystWrites, hystReads int64) {
 	s.predWrites, s.hystWrites, s.hystReads = predWrites, hystWrites, hystReads
-}
-
-// Reset clears the bank to the initial weakly-not-taken state and zeroes
-// the traffic counters.
-func (s *Split) Reset() {
-	for k := range s.pred.words {
-		s.pred.words[k] = 0
-	}
-	for k := range s.hyst.words {
-		s.hyst.words[k] = 0
-	}
-	s.predWrites, s.hystWrites, s.hystReads = 0, 0, 0
 }

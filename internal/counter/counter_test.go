@@ -323,20 +323,6 @@ func TestSplitPredOnlyReadOnCorrectPath(t *testing.T) {
 	}
 }
 
-func TestSplitReset(t *testing.T) {
-	s := MustSplit(32, 16)
-	for i := uint64(0); i < 32; i++ {
-		s.Update(i, true)
-		s.Update(i, true)
-	}
-	s.Reset()
-	for i := uint64(0); i < 32; i++ {
-		if s.State(i) != WeakNotTaken {
-			t.Fatalf("entry %d = %d after Reset", i, s.State(i))
-		}
-	}
-}
-
 func TestSplitQuickEquivalence(t *testing.T) {
 	// Property: with full-size hysteresis, any bounded op sequence keeps
 	// Split and the classic array in lockstep.
@@ -529,10 +515,6 @@ func TestSplitTrafficCounters(t *testing.T) {
 	pw2, hw2, hr2 := s.Traffic()
 	if pw2 != pw || hw2 != hw+1 || hr2 != hr+1 {
 		t.Errorf("after strong weaken: traffic = %d/%d/%d", pw2, hw2, hr2)
-	}
-	s.Reset()
-	if pw, hw, hr := s.Traffic(); pw != 0 || hw != 0 || hr != 0 {
-		t.Error("Reset kept traffic counters")
 	}
 }
 

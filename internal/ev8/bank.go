@@ -73,8 +73,3 @@ func (s *bankSequencer) bankFor(addr uint64) uint8 {
 	}
 	return uint8(bitutil.Field(addr, 5, 2))
 }
-
-// reset restores the power-on state.
-func (s *bankSequencer) reset() {
-	*s = bankSequencer{}
-}

@@ -271,19 +271,6 @@ func (p *Predictor) PredictionBits() int { return p.core.PredictionBits() }
 // HysteresisBits returns the 144 Kbit hysteresis-array budget.
 func (p *Predictor) HysteresisBits() int { return p.core.HysteresisBits() }
 
-// Reset implements predictor.Predictor.
-func (p *Predictor) Reset() {
-	p.core.Reset()
-	p.seq.reset()
-	p.pending.reset()
-	p.blocksSeen, p.bankConflicts = 0, 0
-	p.lastBank = -1
-	p.lastAddr = 0
-	p.bankUse = [NumPredictorBanks]int64{}
-	p.cycles, p.cycleSlot, p.cycleConds = 0, 0, 0
-	p.condsPerCycle = [17]int64{}
-}
-
 var _ predictor.Predictor = (*Predictor)(nil)
 var _ predictor.FusedPredictor = (*Predictor)(nil)
 var _ stats.Instrumented = (*Predictor)(nil)
@@ -334,9 +321,4 @@ func (r *snapRing) take(info *history.Info) (predictor.Snapshot, bool) {
 		}
 	}
 	return predictor.Snapshot{}, false
-}
-
-// reset empties the ring.
-func (r *snapRing) reset() {
-	r.tail, r.n = 0, 0
 }

@@ -307,22 +307,6 @@ func TestEV8AccuracyCloseToUnconstrained(t *testing.T) {
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
-	p := MustNew(DefaultConfig())
-	info := &history.Info{PC: 0x8000, BlockPC: 0x8000}
-	for i := 0; i < 6; i++ {
-		p.Update(info, true)
-	}
-	p.ObserveBlock(frontend.Block{Addr: 0x8000, Next: 0x9000})
-	p.Reset()
-	if p.Predict(info) {
-		t.Error("Reset left trained state")
-	}
-	if p.BlocksObserved() != 0 || p.BankConflicts() != 0 {
-		t.Error("Reset left statistics")
-	}
-}
-
 func popcount(x uint64) int {
 	n := 0
 	for ; x != 0; x &= x - 1 {

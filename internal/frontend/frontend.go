@@ -206,21 +206,6 @@ func (t *Tracker) LghistBits() int64 { return t.lgBits }
 // CondBranches returns the number of conditional branches processed.
 func (t *Tracker) CondBranches() int64 { return t.condSeen }
 
-// Reset restores the power-on state: a reset tracker serializes to the
-// same bytes as a fresh one. Configuration (mode, lenient flag, thread
-// tag, block observer) is kept.
-func (t *Tracker) Reset() {
-	t.ghist.Reset()
-	t.lg.Reset()
-	t.lgDelay.Reset()
-	t.path.Reset()
-	t.flowPC, t.blockStart, t.started = 0, 0, false
-	t.blockHasCond = false
-	t.blockCondCount = 0
-	t.blockLastPC, t.blockLastTaken = 0, false
-	t.blocks, t.lgBits, t.condSeen, t.resyncs = 0, 0, 0, 0
-}
-
 // Process advances the front end over one record: it is Walk over that
 // record alone, with the record's blocks handed to the OnBlock observer.
 // For conditional records it returns the information vector the predictor

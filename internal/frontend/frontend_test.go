@@ -1,7 +1,6 @@
 package frontend
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -248,52 +247,6 @@ func TestInfoExcludesOwnOutcome(t *testing.T) {
 	}
 }
 
-func TestTrackerReset(t *testing.T) {
-	tr := NewTracker(ModeLghist())
-	tr.Process(rec(0x1000, 0x2000, true, 0, trace.Cond))
-	tr.Process(rec(0x2000, 0x3000, true, 0, trace.Cond))
-	tr.Reset()
-	if tr.Blocks() != 0 || tr.LghistBits() != 0 || tr.CondBranches() != 0 {
-		t.Error("Reset left statistics behind")
-	}
-	info, _ := tr.Process(rec(0x1000, 0x2000, false, 0, trace.Cond))
-	if info.Hist != 0 || info.Path != [3]uint64{} {
-		t.Error("Reset left history behind")
-	}
-}
-
-// TestTrackerResetRestoresPowerOnState checks that a tracker that ran a
-// stream and was Reset serializes to exactly the bytes of a fresh one, in
-// every information-vector mode — the flow point and the in-progress
-// block's last conditional branch included.
-func TestTrackerResetRestoresPowerOnState(t *testing.T) {
-	prof, err := workload.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	modes := map[string]Mode{
-		"ghist":         ModeGhist(),
-		"lghist-nopath": ModeLghistNoPath(),
-		"lghist":        ModeLghist(),
-		"old-lghist":    ModeOldLghist(),
-		"ev8":           ModeEV8(),
-	}
-	for name, mode := range modes {
-		tr := NewTracker(mode)
-		recs, err := trace.Collect(workload.MustNew(prof, 0), 5000)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, b := range recs {
-			tr.Process(b)
-		}
-		tr.Reset()
-		if got, want := tr.SnapshotState(), NewTracker(mode).SnapshotState(); !bytes.Equal(got, want) {
-			t.Errorf("%s: reset tracker's snapshot differs from a fresh tracker's", name)
-		}
-	}
-}
-
 func TestThreadTag(t *testing.T) {
 	tr := NewTracker(ModeGhist())
 	tr.SetThread(3)
@@ -387,9 +340,11 @@ func TestLinePredictorValidation(t *testing.T) {
 		t.Error("empty accuracy should be 0")
 	}
 	lp.Observe(Block{Addr: 0x40, Next: 0x80})
-	lp.Reset()
-	if lp.Lookups() != 0 {
-		t.Error("Reset kept lookups")
+	if lp.Lookups() != 1 {
+		t.Errorf("lookups = %d after one transition, want 1", lp.Lookups())
+	}
+	if MustNewLinePredictor(64).Lookups() != 0 {
+		t.Error("fresh line predictor has lookups")
 	}
 }
 
@@ -424,9 +379,8 @@ func TestLenientModeAbsorbsDiscontinuities(t *testing.T) {
 	if tr.Blocks() > blocksBefore+2 {
 		t.Errorf("forward discontinuity formed %d phantom blocks", tr.Blocks()-blocksBefore)
 	}
-	tr.Reset()
-	if tr.Resyncs() != 0 {
-		t.Error("Reset kept resync count")
+	if NewTracker(ModeLghist()).Resyncs() != 0 {
+		t.Error("fresh tracker has a resync count")
 	}
 }
 

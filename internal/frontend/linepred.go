@@ -79,12 +79,3 @@ func (lp *LinePredictor) Lookups() int64 { return lp.lookups }
 
 // Misses returns the number of mispredicted transitions.
 func (lp *LinePredictor) Misses() int64 { return lp.lookups - lp.hits }
-
-// Reset clears the table and statistics.
-func (lp *LinePredictor) Reset() {
-	for i := range lp.next {
-		lp.next[i] = 0
-		lp.valid[i] = false
-	}
-	lp.lookups, lp.hits = 0, 0
-}

@@ -77,11 +77,6 @@ func (r *RAS) Accuracy() float64 {
 	return float64(r.correct) / float64(r.pops)
 }
 
-// Reset clears the stack and statistics.
-func (r *RAS) Reset() {
-	r.top, r.used, r.pops, r.correct = 0, 0, 0, 0
-}
-
 // JumpPredictor is a direct-mapped, tagged last-target predictor for
 // calls and (possibly computed) jumps — the EV8's "jump predictor" (§2).
 type JumpPredictor struct {
@@ -148,14 +143,6 @@ func (j *JumpPredictor) Accuracy() float64 {
 		return 0
 	}
 	return float64(j.correct) / float64(j.lookups)
-}
-
-// Reset clears the predictor.
-func (j *JumpPredictor) Reset() {
-	for i := range j.valid {
-		j.valid[i] = false
-	}
-	j.lookups, j.correct = 0, 0
 }
 
 // PCGenStats counts PC-address-generation outcomes per record kind.
@@ -257,10 +244,3 @@ func (p *PCGen) RASAccuracy() float64 { return p.ras.Accuracy() }
 
 // JumpAccuracy returns the jump-predictor hit rate.
 func (p *PCGen) JumpAccuracy() float64 { return p.jumps.Accuracy() }
-
-// Reset clears all state and statistics.
-func (p *PCGen) Reset() {
-	p.jumps.Reset()
-	p.ras.Reset()
-	p.stats = PCGenStats{}
-}

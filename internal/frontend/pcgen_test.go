@@ -60,19 +60,6 @@ func TestRASOverflowWraps(t *testing.T) {
 	}
 }
 
-func TestRASReset(t *testing.T) {
-	r := MustNewRAS(4)
-	r.Push(0x104)
-	r.Pop(0x104)
-	r.Reset()
-	if r.Accuracy() != 0 {
-		t.Error("Reset kept stats")
-	}
-	if _, hit := r.Pop(0x104); hit {
-		t.Error("Reset kept stack contents")
-	}
-}
-
 func TestJumpPredictorValidation(t *testing.T) {
 	if _, err := NewJumpPredictor(100); err == nil {
 		t.Error("non-power-of-two accepted")
@@ -162,15 +149,6 @@ func TestPCGenCondRedirects(t *testing.T) {
 	s := pg.Stats()
 	if s.CondBranches != 2 || s.CondMispredicts != 1 || s.Mispredicts() != 1 {
 		t.Errorf("stats = %+v", s)
-	}
-}
-
-func TestPCGenReset(t *testing.T) {
-	pg := MustNewPCGen(64, 8)
-	pg.Process(trace.Branch{PC: 0x100, Target: 0x200, Taken: true, Kind: trace.Call}, false)
-	pg.Reset()
-	if pg.Stats() != (PCGenStats{}) {
-		t.Error("Reset kept stats")
 	}
 }
 

@@ -61,9 +61,6 @@ func (r *Register) Value() uint64 { return r.bits }
 // Set forces the register contents (used by checkpoint/restore and tests).
 func (r *Register) Set(v uint64) { r.bits = v }
 
-// Reset clears the history.
-func (r *Register) Reset() { r.bits = 0 }
-
 // PathBit is the PC bit XORed into the lghist insertion (§5.1: "bit 4 in
 // the PC address of this last branch").
 const PathBit = 4
@@ -106,9 +103,6 @@ func (q *PathQueue) Y() uint64 { return q.addrs[1] }
 
 // X returns the third most recent previous block address.
 func (q *PathQueue) X() uint64 { return q.addrs[2] }
-
-// Reset clears the queue.
-func (q *PathQueue) Reset() { q.addrs = [3]uint64{} }
 
 // Restore forces the queue contents, most recent first (the layout
 // Snapshot returns). Used by checkpoint/restore.
@@ -189,12 +183,4 @@ func (d *DelayLine) Restore(buf []uint64, head int) error {
 	copy(d.buf, buf)
 	d.head = head
 	return nil
-}
-
-// Reset clears the line to zero values.
-func (d *DelayLine) Reset() {
-	for i := range d.buf {
-		d.buf[i] = 0
-	}
-	d.head = 0
 }

@@ -23,10 +23,6 @@ func TestRegisterSetReset(t *testing.T) {
 	if r.Value() != 0xdead {
 		t.Error("Set/Value mismatch")
 	}
-	r.Reset()
-	if r.Value() != 0 {
-		t.Error("Reset did not clear")
-	}
 }
 
 func TestRegisterOldBitsAge(t *testing.T) {
@@ -104,10 +100,6 @@ func TestPathQueue(t *testing.T) {
 	snap = q.Snapshot()
 	if snap != [3]uint64{0x400, 0x300, 0x200} {
 		t.Errorf("after 4th push Snapshot = %#x", snap)
-	}
-	q.Reset()
-	if q.Snapshot() != [3]uint64{} {
-		t.Error("Reset did not clear")
 	}
 }
 
@@ -187,26 +179,6 @@ func TestDelayLinePushNMatchesPushes(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDelayLineReset(t *testing.T) {
-	d := NewDelayLine(2)
-	d.Push(1)
-	d.Push(2)
-	d.Push(3)
-	d.Reset()
-	if d.Old() != 0 {
-		t.Error("Reset did not clear")
-	}
-	d.Push(10)
-	d.Push(11)
-	if d.Old() != 0 {
-		t.Error("post-reset cold behavior wrong")
-	}
-	d.Push(12)
-	if d.Old() != 10 {
-		t.Errorf("post-reset Old = %d, want 10", d.Old())
 	}
 }
 

@@ -103,13 +103,4 @@ func (a *Agree) SizeBits() int {
 	return 2*a.bias.Len() + 2*a.agreeTbl.Len()
 }
 
-// Reset implements predictor.Predictor.
-func (a *Agree) Reset() {
-	for i := uint64(0); i < uint64(a.bias.Len()); i++ {
-		a.bias.Set(i, false)
-		a.biasSet.Set(i, false)
-	}
-	a.agreeTbl.Fill(counter.WeakTaken)
-}
-
 var _ predictor.Predictor = (*Agree)(nil)

@@ -59,7 +59,4 @@ func (b *Bimodal) Name() string { return b.name }
 // SizeBits implements predictor.Predictor.
 func (b *Bimodal) SizeBits() int { return 2 * b.table.Len() }
 
-// Reset implements predictor.Predictor.
-func (b *Bimodal) Reset() { b.table.Fill(counter.WeakNotTaken) }
-
 var _ predictor.Predictor = (*Bimodal)(nil)

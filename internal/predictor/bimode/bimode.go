@@ -111,11 +111,4 @@ func (b *Bimode) SizeBits() int {
 	return 2 * (b.choice.Len() + b.taken.Len() + b.notTaken.Len())
 }
 
-// Reset implements predictor.Predictor.
-func (b *Bimode) Reset() {
-	b.choice.Fill(counter.WeakNotTaken)
-	b.taken.Fill(counter.WeakTaken)
-	b.notTaken.Fill(counter.WeakNotTaken)
-}
-
 var _ predictor.Predictor = (*Bimode)(nil)

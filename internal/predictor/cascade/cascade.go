@@ -185,12 +185,4 @@ func (c *Cascade) SizeBits() int {
 	return c.primary.SizeBits() + c.backup.SizeBits() + 2*c.override.Len()
 }
 
-// Reset implements predictor.Predictor.
-func (c *Cascade) Reset() {
-	c.primary.Reset()
-	c.backup.Reset()
-	c.override.Fill(counter.WeakTaken)
-	c.overrides, c.usefulOver = 0, 0
-}
-
 var _ predictor.Predictor = (*Cascade)(nil)

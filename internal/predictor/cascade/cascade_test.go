@@ -171,15 +171,4 @@ func TestSizeAndReset(t *testing.T) {
 	if c.SizeBits() != want {
 		t.Errorf("SizeBits = %d, want %d", c.SizeBits(), want)
 	}
-	in := &history.Info{PC: 0x10}
-	for i := 0; i < 8; i++ {
-		c.Update(in, true)
-	}
-	c.Reset()
-	if c.Predict(in) {
-		t.Error("Reset left trained state")
-	}
-	if total, _ := c.Overrides(); total != 0 {
-		t.Error("Reset left statistics")
-	}
 }

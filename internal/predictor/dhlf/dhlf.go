@@ -159,14 +159,4 @@ func (d *DHLF) Name() string { return d.name }
 // handful of registers; only the table is charged).
 func (d *DHLF) SizeBits() int { return 2 * d.table.Len() }
 
-// Reset implements predictor.Predictor.
-func (d *DHLF) Reset() {
-	d.table.Fill(counter.WeakNotTaken)
-	d.count, d.misses = 0, 0
-	for i := range d.rates {
-		d.rates[i] = 0
-	}
-	d.startProfiling()
-}
-
 var _ predictor.Predictor = (*DHLF)(nil)

@@ -95,18 +95,3 @@ func TestBeatsBimodalOnRealWorkload(t *testing.T) {
 		t.Errorf("DHLF %.3f should beat bimodal %.3f on li", dr.MispKI(), br.MispKI())
 	}
 }
-
-func TestResetRestartsProfiling(t *testing.T) {
-	d := MustNew(1024, 12, 64)
-	var ghist history.Register
-	for i := 0; i < 5000; i++ {
-		in := &history.Info{PC: 0x80, Hist: ghist.Value()}
-		d.Update(in, i%2 == 0)
-		ghist.Shift(i%2 == 0)
-	}
-	d.Reset()
-	if !d.Profiling() || d.HistLen() != 0 {
-		t.Errorf("after Reset: profiling=%v len=%d, want profiling at ladder start",
-			d.Profiling(), d.HistLen())
-	}
-}

@@ -280,17 +280,6 @@ func (e *EGskew) SizeBits() int {
 	return 2 * (e.bim.Len() + e.g0.Len() + e.g1.Len())
 }
 
-// Reset implements predictor.Predictor. Attribution counters are zeroed;
-// collection stays enabled if it was.
-func (e *EGskew) Reset() {
-	e.bim.Reset()
-	e.g0.Reset()
-	e.g1.Reset()
-	if e.st != nil {
-		*e.st = egskewStats{}
-	}
-}
-
 // LookupBatch implements predictor.BatchPredictor: the pure index stage
 // over the chunk, through the scalar path's evaluator (indices). No
 // counter state is touched; the unused fourth index is zeroed, as Lookup

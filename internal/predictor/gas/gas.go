@@ -70,7 +70,4 @@ func (g *GAs) Name() string { return g.name }
 // SizeBits implements predictor.Predictor.
 func (g *GAs) SizeBits() int { return 2 * g.table.Len() }
 
-// Reset implements predictor.Predictor.
-func (g *GAs) Reset() { g.table.Fill(counter.WeakNotTaken) }
-
 var _ predictor.Predictor = (*GAs)(nil)

@@ -222,15 +222,6 @@ func (g *Gshare) SizeBits() int { return 2 * g.table.Len() }
 // HistLen returns the configured history length.
 func (g *Gshare) HistLen() int { return g.histLen }
 
-// Reset implements predictor.Predictor. Attribution counters are zeroed;
-// collection stays enabled if it was.
-func (g *Gshare) Reset() {
-	g.table.Reset()
-	if g.st != nil {
-		*g.st = gshareStats{}
-	}
-}
-
 var _ predictor.Predictor = (*Gshare)(nil)
 var _ predictor.FusedPredictor = (*Gshare)(nil)
 var _ predictor.BatchPredictor = (*Gshare)(nil)

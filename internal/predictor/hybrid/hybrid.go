@@ -103,11 +103,4 @@ func (h *Hybrid) SizeBits() int {
 	return h.a.SizeBits() + h.b.SizeBits() + 2*h.chooser.Len()
 }
 
-// Reset implements predictor.Predictor.
-func (h *Hybrid) Reset() {
-	h.a.Reset()
-	h.b.Reset()
-	h.chooser.Fill(counter.WeakTaken)
-}
-
 var _ predictor.Predictor = (*Hybrid)(nil)

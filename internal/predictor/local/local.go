@@ -87,12 +87,4 @@ func (l *Local) SizeBits() int {
 	return len(l.hists)*l.histBits + 2*l.pattern.Len()
 }
 
-// Reset implements predictor.Predictor.
-func (l *Local) Reset() {
-	for i := range l.hists {
-		l.hists[i] = 0
-	}
-	l.pattern.Fill(counter.WeakNotTaken)
-}
-
 var _ predictor.Predictor = (*Local)(nil)

@@ -128,13 +128,4 @@ func (p *Perceptron) SizeBits() int {
 	return len(p.weights) * (p.histLen + 1) * WeightBits
 }
 
-// Reset implements predictor.Predictor.
-func (p *Perceptron) Reset() {
-	for _, w := range p.weights {
-		for i := range w {
-			w[i] = 0
-		}
-	}
-}
-
 var _ predictor.Predictor = (*Perceptron)(nil)

@@ -29,8 +29,6 @@ type Predictor interface {
 	Name() string
 	// SizeBits returns the predictor's total storage budget in bits.
 	SizeBits() int
-	// Reset restores the power-on state (all counters weakly not-taken).
-	Reset()
 }
 
 // Snapshotter is the optional checkpoint/resume contract: a predictor that

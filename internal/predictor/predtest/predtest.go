@@ -1,6 +1,6 @@
 // Package predtest provides a conformance suite that every predictor
 // implementation in the library must pass: interface hygiene, determinism,
-// cold-start convention, basic learnability, and Reset semantics. Each
+// cold-start convention, and basic learnability. Each
 // predictor subpackage invokes Conformance from its own tests.
 package predtest
 
@@ -21,7 +21,6 @@ func Conformance(t *testing.T, mk Factory) {
 	t.Run("Hygiene", func(t *testing.T) { hygiene(t, mk()) })
 	t.Run("LearnsBias", func(t *testing.T) { learnsBias(t, mk()) })
 	t.Run("Deterministic", func(t *testing.T) { deterministic(t, mk, mk) })
-	t.Run("Reset", func(t *testing.T) { resets(t, mk()) })
 }
 
 func info(pc, hist uint64) *history.Info {
@@ -104,31 +103,5 @@ func deterministic(t *testing.T, mkA, mkB Factory) {
 		a.Update(in, taken)
 		b.Update(in, taken)
 		ghist.Shift(taken)
-	}
-}
-
-func resets(t *testing.T, p predictor.Predictor) {
-	t.Helper()
-	// Record cold predictions, train hard, Reset, and require the cold
-	// predictions back.
-	probes := make([]*history.Info, 50)
-	r := rng.New(3, 9)
-	for i := range probes {
-		probes[i] = info(uint64(r.Intn(1<<16))*4, r.Uint64())
-	}
-	cold := make([]bool, len(probes))
-	for i, in := range probes {
-		cold[i] = p.Predict(in)
-	}
-	for round := 0; round < 8; round++ {
-		for _, in := range probes {
-			p.Update(in, true)
-		}
-	}
-	p.Reset()
-	for i, in := range probes {
-		if p.Predict(in) != cold[i] {
-			t.Fatalf("probe %d: prediction differs after Reset", i)
-		}
 	}
 }

@@ -36,18 +36,15 @@ type cache struct {
 	tags []uint8
 }
 
-func newCache(entries int) *cache {
-	return &cache{
-		ctr:  counter.NewArray(entries, counter.WeakNotTaken),
+func newCache(entries int, init uint8) *cache {
+	c := &cache{
+		ctr:  counter.NewArray(entries, init),
 		tags: make([]uint8, entries),
 	}
-}
-
-func (c *cache) reset(init uint8) {
-	c.ctr.Fill(init)
 	for i := range c.tags {
-		c.tags[i] = 0xff // no tag matches after reset (tags are 6-bit)
+		c.tags[i] = 0xff // no tag matches when cold (tags are 6-bit)
 	}
+	return c
 }
 
 // New returns a YAGS predictor with choiceEntries bimodal counters and
@@ -64,15 +61,14 @@ func New(choiceEntries, cacheEntries, histLen int) (*YAGS, error) {
 	}
 	y := &YAGS{
 		choice:     counter.NewArray(choiceEntries, counter.WeakNotTaken),
-		dirT:       newCache(cacheEntries),
-		dirNT:      newCache(cacheEntries),
+		dirT:       newCache(cacheEntries, counter.WeakTaken),
+		dirNT:      newCache(cacheEntries, counter.WeakNotTaken),
 		choiceBits: bitutil.Log2(uint64(choiceEntries)),
 		cacheBits:  bitutil.Log2(uint64(cacheEntries)),
 		histLen:    histLen,
 		name: fmt.Sprintf("yags-%dK+2x%dK-h%d",
 			choiceEntries/1024, cacheEntries/1024, histLen),
 	}
-	y.Reset()
 	return y, nil
 }
 
@@ -154,13 +150,6 @@ func (y *YAGS) Name() string { return y.name }
 func (y *YAGS) SizeBits() int {
 	cache := y.dirT.ctr.Len() * (2 + TagBits)
 	return 2*y.choice.Len() + 2*cache
-}
-
-// Reset implements predictor.Predictor.
-func (y *YAGS) Reset() {
-	y.choice.Fill(counter.WeakNotTaken)
-	y.dirT.reset(counter.WeakTaken)
-	y.dirNT.reset(counter.WeakNotTaken)
 }
 
 var _ predictor.Predictor = (*YAGS)(nil)

@@ -332,7 +332,8 @@ func RunBenchmark(p predictor.Predictor, prof workload.Profile, instrBudget int6
 }
 
 // Factory builds a fresh predictor instance for one benchmark run.
-// Experiments use factories so that every benchmark starts cold. Every
+// Experiments use factories so that every benchmark starts cold: a fresh
+// build is the only reset, and predictors have no Reset method. Every
 // call must build the same configuration: the result store keys a cell
 // by one call's predictor.ConfigKey and runs another, and the cells of
 // one SuiteCells call share the key of a single call.

@@ -329,4 +329,3 @@ func (p *probePredictor) Predict(info *history.Info) bool { p.xor ^= info.Hist +
 func (p *probePredictor) Update(*history.Info, bool)      {}
 func (p *probePredictor) Name() string                    { return "probe" }
 func (p *probePredictor) SizeBits() int                   { return 0 }
-func (p *probePredictor) Reset()                          { p.xor = 0 }

@@ -33,12 +33,27 @@ func fuzzSeedV2(f *testing.F) []byte {
 // produce no real I/O error — every failure must be a typed format
 // error (errors.Is(err, ErrBadFormat)), never a bare short read.
 func FuzzReader(f *testing.F) {
-	// Seed with valid traces of both versions.
+	// Seed with valid traces of both versions, and with WriteAll's
+	// default-version stream of the version-1 seed's records.
 	var v1 bytes.Buffer
-	if _, err := WriteAll(&v1, NewSlice(sampleBranches(50, 99))); err != nil {
+	w, err := NewWriterVersion(&v1, version1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range sampleBranches(50, 99) {
+		if err := w.Write(b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v1.Bytes())
+	var whole bytes.Buffer
+	if _, err := WriteAll(&whole, NewSlice(sampleBranches(50, 99))); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole.Bytes())
 	v2 := fuzzSeedV2(f)
 	f.Add(v2)
 	f.Add([]byte(magic + "\x01"))

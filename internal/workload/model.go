@@ -62,7 +62,7 @@ type siteModel struct {
 
 // eval computes the site's next outcome. ghist is the true global outcome
 // history (bit 0 = most recent); patPos is the site's mutable pattern
-// cursor (owned by the Generator so that Reset restores determinism).
+// cursor (owned by the Generator, so the model itself stays immutable).
 func (m *siteModel) eval(r *rng.PCG32, ghist uint64, patPos *int) bool {
 	switch m.kind {
 	case modelBias, modelRandom:

@@ -43,7 +43,7 @@ type function struct {
 	retPC uint64
 }
 
-// program is the immutable static structure shared by generator resets.
+// program is the immutable static structure a generator interprets.
 type program struct {
 	funcs []function
 
