@@ -50,8 +50,9 @@ check:
 	$(GO) test -run 'TestFault' -count=1 ./internal/trace/faultinject/
 	$(GO) test -run 'TestSourceContract' -count=1 ./internal/sim/
 	$(GO) test -fuzz FuzzReader -fuzztime 30s -run '^$$' ./internal/trace/
-	$(GO) test -run 'TestResume' -count=1 .
+	$(GO) test -run 'TestResume|TestSnapshotWireGolden|TestCheckpointWireGolden' -count=1 .
 	$(GO) test -run 'TestCache|TestSweepWarmCacheZeroWork|TestUncacheable|TestSnapshotMutants|TestCheckpointMutants' -count=1 .
+	$(GO) test -run 'TestRestoreFailureLeavesTrackerUnchanged|TestRestoreRefusesHugeSequencerHead|TestPairCodec' -count=1 ./internal/frontend/ ./internal/ev8/ ./internal/predictor/
 	$(GO) test -count=1 ./internal/cache/ ./internal/snapshot/
 	$(MAKE) shard-gate
 	$(MAKE) serve-gate
@@ -113,8 +114,9 @@ fuzz:
 # bit-for-bit against straight-through runs, plus the result-cache
 # hit/near-miss/corruption/zero-work suites.
 resume:
-	$(GO) test -run 'TestResume|TestSnapshotMutants|TestCheckpointMutants' -count=1 -v .
+	$(GO) test -run 'TestResume|TestSnapshotMutants|TestCheckpointMutants|TestSnapshotWireGolden|TestCheckpointWireGolden' -count=1 -v .
 	$(GO) test -run 'TestCache|TestSweepWarmCacheZeroWork|TestUncacheable' -count=1 -v .
+	$(GO) test -run 'TestRestoreFailureLeavesTrackerUnchanged|TestRestoreRefusesHugeSequencerHead|TestPairCodec' -count=1 -v ./internal/frontend/ ./internal/ev8/ ./internal/predictor/
 	$(GO) test -count=1 ./internal/cache/ ./internal/snapshot/
 
 # Sharded-sweep determinism gate (docs/SHARDING.md): a small sweep split

@@ -310,10 +310,7 @@ func decodeEntry(data []byte) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	payload, err := d.Bytes()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
+	payload := d.Bytes()
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

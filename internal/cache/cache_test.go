@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -406,5 +408,19 @@ func TestTwoStoresOneDirHammer(t *testing.T) {
 	}
 	if entryFiles != 1 {
 		t.Errorf("%d entry files after duplicate puts of one key, want 1", entryFiles)
+	}
+}
+
+// TestEntryWireGolden pins encodeEntry's bytes for a fixed entry, so a
+// store prewarmed by an older build keeps hitting.
+func TestEntryWireGolden(t *testing.T) {
+	const want = "7d7058efd33dc227d39467c034a4584f5b0ac21b035611a0ebbdbd27acd908a9"
+	data, err := encodeEntry(testEntry(testKey("gcc")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("entry sha256 %s, want %s", got, want)
 	}
 }

@@ -73,47 +73,29 @@ func (p *Predictor) RestoreState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	fp, err := d.String()
-	if err != nil {
-		return err
-	}
-	if fp != p.fingerprint() {
-		return fmt.Errorf("%w: snapshot of {%s} cannot restore into {%s}",
-			snapshot.ErrBadSnapshot, fp, p.fingerprint())
-	}
+	fp := d.String()
 	var (
 		pred, hyst [NumBanks][]uint64
 		traffic    [NumBanks][3]int64
 	)
 	for b := BIM; b < NumBanks; b++ {
-		s := p.banks[b]
-		if pred[b], err = d.WordsExact(s.PredArray().WordCount()); err != nil {
-			return err
-		}
-		if hyst[b], err = d.WordsExact(s.HystArray().WordCount()); err != nil {
-			return err
-		}
-		for k := 0; k < 3; k++ {
-			if traffic[b][k], err = d.Int64(); err != nil {
-				return err
-			}
-		}
-	}
-	hasStats, err := d.Bool()
-	if err != nil {
-		return err
+		pred[b] = d.WordsExact(p.banks[b].PredArray().WordCount())
+		hyst[b] = d.WordsExact(p.banks[b].HystArray().WordCount())
+		traffic[b] = [3]int64{d.Int64(), d.Int64(), d.Int64()}
 	}
 	var st *coreStats
-	if hasStats {
+	if d.Bool() {
 		st = &coreStats{}
 		for _, v := range st.fields() {
-			if *v, err = d.Int64(); err != nil {
-				return err
-			}
+			*v = d.Int64()
 		}
 	}
 	if err := d.Finish(); err != nil {
 		return err
+	}
+	if fp != p.fingerprint() {
+		return fmt.Errorf("%w: snapshot of {%s} cannot restore into {%s}",
+			snapshot.ErrBadSnapshot, fp, p.fingerprint())
 	}
 	for b := BIM; b < NumBanks; b++ {
 		s := p.banks[b]

@@ -48,19 +48,7 @@ func (p *Predictor) SnapshotState() []byte {
 	e.Uint64(uint64(p.pending.n))
 	for i := 0; i < p.pending.n; i++ {
 		ent := &p.pending.buf[(p.pending.tail+i)%snapRingDepth]
-		e.Uint64(ent.info.PC)
-		e.Uint64(ent.info.BlockPC)
-		e.Uint64(ent.info.Hist)
-		e.Uint64(ent.info.Path[0])
-		e.Uint64(ent.info.Path[1])
-		e.Uint64(ent.info.Path[2])
-		e.Int64(int64(ent.info.Thread))
-		for k := 0; k < predictor.MaxSnapshotBanks; k++ {
-			e.Uint64(ent.snap.Idx[k])
-		}
-		e.Byte(ent.snap.Preds)
-		e.Bool(ent.snap.Final)
-		e.Bool(ent.snap.Aux)
+		predictor.EncodePair(e, ent.info, ent.snap)
 	}
 
 	// Scheduling and fetch-cycle observations.
@@ -88,136 +76,57 @@ func (p *Predictor) RestoreState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	key, err := d.String()
-	if err != nil {
+	key := d.String()
+	coreBytes := d.Bytes()
+
+	var seq bankSequencer
+	for i := range seq.recent {
+		seq.recent[i] = blockBank{addr: d.Uint64(), bank: d.Byte()}
+	}
+	head := d.Uint64()
+	seq.curAddr = d.Uint64()
+	seq.curBank = d.Byte()
+	seq.prevAddr = d.Uint64()
+	seq.lastIssued = d.Byte()
+	seq.started = d.Bool()
+
+	nPending := d.Uint64()
+	if nPending > snapRingDepth {
+		return fmt.Errorf("%w: %d pending snapshots exceed ring depth %d",
+			snapshot.ErrBadSnapshot, nPending, snapRingDepth)
+	}
+	ring := snapRing{n: int(nPending)}
+	for i := 0; i < ring.n; i++ {
+		ring.buf[i].info, ring.buf[i].snap = predictor.DecodePair(d)
+	}
+
+	blocksSeen := d.Int64()
+	bankConflicts := d.Int64()
+	lastBank := d.Int64()
+	lastAddr := d.Uint64()
+	var bankUse [NumPredictorBanks]int64
+	for k := range bankUse {
+		bankUse[k] = d.Int64()
+	}
+	cycles := d.Int64()
+	cycleSlot := d.Uint64()
+	cycleConds := d.Uint64()
+	var condsPerCycle [17]int64
+	for k := range condsPerCycle {
+		condsPerCycle[k] = d.Int64()
+	}
+	if err := d.Finish(); err != nil {
 		return err
 	}
 	if key != p.ConfigKey() {
 		return fmt.Errorf("%w: snapshot of %q cannot restore into %q",
 			snapshot.ErrBadSnapshot, key, p.ConfigKey())
 	}
-	coreBytes, err := d.Bytes()
-	if err != nil {
-		return err
-	}
-
-	var seq bankSequencer
-	for i := range seq.recent {
-		if seq.recent[i].addr, err = d.Uint64(); err != nil {
-			return err
-		}
-		if seq.recent[i].bank, err = d.Byte(); err != nil {
-			return err
-		}
-	}
-	head, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	if int(head) >= len(seq.recent) {
+	if head >= uint64(len(seq.recent)) {
 		return fmt.Errorf("%w: sequencer head %d out of range [0,%d)",
 			snapshot.ErrBadSnapshot, head, len(seq.recent))
 	}
 	seq.head = int(head)
-	if seq.curAddr, err = d.Uint64(); err != nil {
-		return err
-	}
-	if seq.curBank, err = d.Byte(); err != nil {
-		return err
-	}
-	if seq.prevAddr, err = d.Uint64(); err != nil {
-		return err
-	}
-	if seq.lastIssued, err = d.Byte(); err != nil {
-		return err
-	}
-	if seq.started, err = d.Bool(); err != nil {
-		return err
-	}
-
-	nPending, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	if nPending > snapRingDepth {
-		return fmt.Errorf("%w: %d pending snapshots exceed ring depth %d",
-			snapshot.ErrBadSnapshot, nPending, snapRingDepth)
-	}
-	var ring snapRing
-	ring.n = int(nPending)
-	for i := 0; i < ring.n; i++ {
-		ent := &ring.buf[i]
-		for _, v := range []*uint64{
-			&ent.info.PC, &ent.info.BlockPC, &ent.info.Hist,
-			&ent.info.Path[0], &ent.info.Path[1], &ent.info.Path[2],
-		} {
-			if *v, err = d.Uint64(); err != nil {
-				return err
-			}
-		}
-		thread, err := d.Int64()
-		if err != nil {
-			return err
-		}
-		ent.info.Thread = int(thread)
-		for k := 0; k < predictor.MaxSnapshotBanks; k++ {
-			if ent.snap.Idx[k], err = d.Uint64(); err != nil {
-				return err
-			}
-		}
-		if ent.snap.Preds, err = d.Byte(); err != nil {
-			return err
-		}
-		if ent.snap.Final, err = d.Bool(); err != nil {
-			return err
-		}
-		if ent.snap.Aux, err = d.Bool(); err != nil {
-			return err
-		}
-	}
-
-	var (
-		blocksSeen, bankConflicts, lastBank int64
-		lastAddr                            uint64
-		bankUse                             [NumPredictorBanks]int64
-		cycles                              int64
-		cycleSlot, cycleConds               uint64
-		condsPerCycle                       [17]int64
-	)
-	if blocksSeen, err = d.Int64(); err != nil {
-		return err
-	}
-	if bankConflicts, err = d.Int64(); err != nil {
-		return err
-	}
-	if lastBank, err = d.Int64(); err != nil {
-		return err
-	}
-	if lastAddr, err = d.Uint64(); err != nil {
-		return err
-	}
-	for k := range bankUse {
-		if bankUse[k], err = d.Int64(); err != nil {
-			return err
-		}
-	}
-	if cycles, err = d.Int64(); err != nil {
-		return err
-	}
-	if cycleSlot, err = d.Uint64(); err != nil {
-		return err
-	}
-	if cycleConds, err = d.Uint64(); err != nil {
-		return err
-	}
-	for k := range condsPerCycle {
-		if condsPerCycle[k], err = d.Int64(); err != nil {
-			return err
-		}
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
 	if lastBank < -1 || lastBank >= NumPredictorBanks {
 		return fmt.Errorf("%w: last bank %d out of range [-1,%d)",
 			snapshot.ErrBadSnapshot, lastBank, NumPredictorBanks)

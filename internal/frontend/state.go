@@ -54,73 +54,48 @@ func (t *Tracker) RestoreState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	var (
-		compressed, pathBit      bool
-		delayBlocks              uint64
-		ghist, lg                uint64
-		delayBuf                 []uint64
-		delayHead                uint64
-		path                     [3]uint64
-		flowPC, blockStart       uint64
-		started, blockHasCond    bool
-		blockCondCount           uint64
-		blockLastPC              uint64
-		blockLastTaken           bool
-		blocks, lgBits, condSeen int64
-		resyncs                  int64
-	)
-	fields := []func() error{
-		func() (err error) { compressed, err = d.Bool(); return },
-		func() (err error) { pathBit, err = d.Bool(); return },
-		func() (err error) { delayBlocks, err = d.Uint64(); return },
-		func() (err error) { ghist, err = d.Uint64(); return },
-		func() (err error) { lg, err = d.Uint64(); return },
-		func() (err error) { delayBuf, err = d.WordsExact(t.lgDelay.Depth() + 1); return },
-		func() (err error) { delayHead, err = d.Uint64(); return },
-		func() (err error) { path[0], err = d.Uint64(); return },
-		func() (err error) { path[1], err = d.Uint64(); return },
-		func() (err error) { path[2], err = d.Uint64(); return },
-		func() (err error) { flowPC, err = d.Uint64(); return },
-		func() (err error) { blockStart, err = d.Uint64(); return },
-		func() (err error) { started, err = d.Bool(); return },
-		func() (err error) { blockHasCond, err = d.Bool(); return },
-		func() (err error) { blockCondCount, err = d.Uint64(); return },
-		func() (err error) { blockLastPC, err = d.Uint64(); return },
-		func() (err error) { blockLastTaken, err = d.Bool(); return },
-		func() (err error) { blocks, err = d.Int64(); return },
-		func() (err error) { lgBits, err = d.Int64(); return },
-		func() (err error) { condSeen, err = d.Int64(); return },
-		func() (err error) { resyncs, err = d.Int64(); return },
-	}
-	for _, f := range fields {
-		if err := f(); err != nil {
-			return err
-		}
-	}
+	compressed := d.Bool()
+	pathBit := d.Bool()
+	delayBlocks := d.Uint64()
+	ghist := d.Uint64()
+	lg := d.Uint64()
+	delayBuf := d.WordsExact(t.lgDelay.Depth() + 1)
+	delayHead := d.Uint64()
+	path := [3]uint64{d.Uint64(), d.Uint64(), d.Uint64()}
+	flowPC := d.Uint64()
+	blockStart := d.Uint64()
+	started := d.Bool()
+	blockHasCond := d.Bool()
+	blockCondCount := d.Uint64()
+	blockLastPC := d.Uint64()
+	blockLastTaken := d.Bool()
+	blocks := d.Int64()
+	lgBits := d.Int64()
+	condSeen := d.Int64()
+	resyncs := d.Int64()
 	if err := d.Finish(); err != nil {
 		return err
 	}
 	if compressed != t.mode.Compressed || pathBit != t.mode.PathBit ||
-		int(delayBlocks) != t.mode.DelayBlocks {
+		delayBlocks != uint64(t.mode.DelayBlocks) {
 		return fmt.Errorf("%w: tracker snapshot mode {compressed=%v path=%v delay=%d} does not match %v",
 			snapshot.ErrBadSnapshot, compressed, pathBit, delayBlocks, t.mode)
 	}
-	if int(delayHead) >= len(delayBuf) {
+	if delayHead >= uint64(len(delayBuf)) {
 		return fmt.Errorf("%w: tracker delay head %d out of range [0,%d)",
 			snapshot.ErrBadSnapshot, delayHead, len(delayBuf))
 	}
-	if int(blockCondCount) < 0 || blockCondCount > 8 {
+	if blockCondCount > 8 {
 		return fmt.Errorf("%w: tracker block cond count %d outside [0,8]",
 			snapshot.ErrBadSnapshot, blockCondCount)
 	}
 
-	t.ghist.Set(ghist)
-	t.lg.Set(lg)
+	// The delay line is the one fallible write, so it goes first.
 	if err := t.lgDelay.Restore(delayBuf, int(delayHead)); err != nil {
-		// Unreachable after the WordsExact/head validation above, but a
-		// restore must never half-apply.
 		return fmt.Errorf("%w: %v", snapshot.ErrBadSnapshot, err)
 	}
+	t.ghist.Set(ghist)
+	t.lg.Set(lg)
 	t.path.Restore(path)
 	t.flowPC = flowPC
 	t.blockStart = blockStart

@@ -29,20 +29,8 @@ func (e *EGskew) SnapshotState() []byte {
 	enc.Words(e.g1.StateWords())
 	enc.Bool(e.st != nil)
 	if e.st != nil {
-		st := e.st
-		enc.Int64(st.updates)
-		enc.Int64(st.mispredicts)
-		for k := 0; k < 3; k++ {
-			enc.Int64(st.bankWrongOnMisp[k])
-		}
-		for k := 0; k < 3; k++ {
-			enc.Int64(st.bankWrongAbsorbed[k])
-		}
-		enc.Int64(st.correctStrengthen)
-		enc.Int64(st.mispFull)
-		enc.Int64(st.totalPolicy)
-		for k := 0; k < 3; k++ {
-			enc.Int64(st.predFlips[k])
+		for _, v := range e.st.fields() {
+			enc.Int64(*v)
 		}
 	}
 	return enc.Finish()
@@ -55,41 +43,24 @@ func (e *EGskew) RestoreState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	key, err := d.String()
-	if err != nil {
+	key := d.String()
+	var banks [3][]uint64
+	for k, arr := range [3]interface{ WordCount() int }{e.bim, e.g0, e.g1} {
+		banks[k] = d.WordsExact(arr.WordCount())
+	}
+	var st *egskewStats
+	if d.Bool() {
+		st = &egskewStats{}
+		for _, v := range st.fields() {
+			*v = d.Int64()
+		}
+	}
+	if err := d.Finish(); err != nil {
 		return err
 	}
 	if key != e.ConfigKey() {
 		return fmt.Errorf("%w: snapshot of %q cannot restore into %q",
 			snapshot.ErrBadSnapshot, key, e.ConfigKey())
-	}
-	var banks [3][]uint64
-	for k, arr := range [3]interface{ WordCount() int }{e.bim, e.g0, e.g1} {
-		if banks[k], err = d.WordsExact(arr.WordCount()); err != nil {
-			return err
-		}
-	}
-	hasStats, err := d.Bool()
-	if err != nil {
-		return err
-	}
-	var st *egskewStats
-	if hasStats {
-		st = &egskewStats{}
-		for _, p := range []*int64{
-			&st.updates, &st.mispredicts,
-			&st.bankWrongOnMisp[0], &st.bankWrongOnMisp[1], &st.bankWrongOnMisp[2],
-			&st.bankWrongAbsorbed[0], &st.bankWrongAbsorbed[1], &st.bankWrongAbsorbed[2],
-			&st.correctStrengthen, &st.mispFull, &st.totalPolicy,
-			&st.predFlips[0], &st.predFlips[1], &st.predFlips[2],
-		} {
-			if *p, err = d.Int64(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := d.Finish(); err != nil {
-		return err
 	}
 	for k, arr := range [3]interface{ LoadWords([]uint64) error }{e.bim, e.g0, e.g1} {
 		if err := arr.LoadWords(banks[k]); err != nil {
@@ -98,4 +69,16 @@ func (e *EGskew) RestoreState(data []byte) error {
 	}
 	e.st = st
 	return nil
+}
+
+// fields enumerates every attribution counter in a fixed serialization
+// order, shared by encode and decode so they can never drift apart.
+func (st *egskewStats) fields() []*int64 {
+	return []*int64{
+		&st.updates, &st.mispredicts,
+		&st.bankWrongOnMisp[0], &st.bankWrongOnMisp[1], &st.bankWrongOnMisp[2],
+		&st.bankWrongAbsorbed[0], &st.bankWrongAbsorbed[1], &st.bankWrongAbsorbed[2],
+		&st.correctStrengthen, &st.mispFull, &st.totalPolicy,
+		&st.predFlips[0], &st.predFlips[1], &st.predFlips[2],
+	}
 }

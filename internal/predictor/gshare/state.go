@@ -26,13 +26,9 @@ func (g *Gshare) SnapshotState() []byte {
 	e.Words(g.table.StateWords())
 	e.Bool(g.st != nil)
 	if g.st != nil {
-		st := g.st
-		e.Int64(st.updates)
-		e.Int64(st.mispredicts)
-		e.Int64(st.mispWeak)
-		e.Int64(st.mispStrong)
-		e.Int64(st.strengthens)
-		e.Int64(st.predFlips)
+		for _, v := range g.st.fields() {
+			e.Int64(*v)
+		}
 	}
 	return e.Finish()
 }
@@ -44,40 +40,34 @@ func (g *Gshare) RestoreState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	key, err := d.String()
-	if err != nil {
+	key := d.String()
+	words := d.WordsExact(g.table.WordCount())
+	var st *gshareStats
+	if d.Bool() {
+		st = &gshareStats{}
+		for _, v := range st.fields() {
+			*v = d.Int64()
+		}
+	}
+	if err := d.Finish(); err != nil {
 		return err
 	}
 	if key != g.ConfigKey() {
 		return fmt.Errorf("%w: snapshot of %q cannot restore into %q",
 			snapshot.ErrBadSnapshot, key, g.ConfigKey())
 	}
-	words, err := d.WordsExact(g.table.WordCount())
-	if err != nil {
-		return err
-	}
-	hasStats, err := d.Bool()
-	if err != nil {
-		return err
-	}
-	var st *gshareStats
-	if hasStats {
-		st = &gshareStats{}
-		for _, p := range []*int64{
-			&st.updates, &st.mispredicts, &st.mispWeak,
-			&st.mispStrong, &st.strengthens, &st.predFlips,
-		} {
-			if *p, err = d.Int64(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
 	if err := g.table.LoadWords(words); err != nil {
 		return fmt.Errorf("%w: %v", snapshot.ErrBadSnapshot, err)
 	}
 	g.st = st
 	return nil
+}
+
+// fields enumerates every attribution counter in a fixed serialization
+// order, shared by encode and decode so they can never drift apart.
+func (st *gshareStats) fields() []*int64 {
+	return []*int64{
+		&st.updates, &st.mispredicts, &st.mispWeak,
+		&st.mispStrong, &st.strengthens, &st.predFlips,
+	}
 }

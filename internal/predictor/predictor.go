@@ -14,6 +14,7 @@ import (
 	"ev8pred/internal/bitutil"
 	"ev8pred/internal/frontend"
 	"ev8pred/internal/history"
+	"ev8pred/internal/snapshot"
 )
 
 // Predictor is a conditional branch predictor under trace-driven
@@ -106,6 +107,48 @@ func PackPreds(bits ...bool) uint8 {
 		}
 	}
 	return p
+}
+
+// PairBytes is the wire size of one EncodePair record.
+const PairBytes = 7*8 + MaxSnapshotBanks*8 + 3
+
+// EncodePair appends one in-flight branch's carried state — the
+// information vector it was predicted with and the Snapshot computed at
+// fetch (§6) — in the layout the EV8 snapshot ring and sim.Checkpoint's
+// pending updates share.
+func EncodePair(e *snapshot.Encoder, info history.Info, s Snapshot) {
+	e.Uint64(info.PC)
+	e.Uint64(info.BlockPC)
+	e.Uint64(info.Hist)
+	for _, a := range info.Path {
+		e.Uint64(a)
+	}
+	e.Int64(int64(info.Thread))
+	for _, x := range s.Idx {
+		e.Uint64(x)
+	}
+	e.Byte(s.Preds)
+	e.Bool(s.Final)
+	e.Bool(s.Aux)
+}
+
+// DecodePair reads one EncodePair record. A failed read surfaces from the
+// decoder's Finish.
+func DecodePair(d *snapshot.Decoder) (info history.Info, s Snapshot) {
+	info.PC = d.Uint64()
+	info.BlockPC = d.Uint64()
+	info.Hist = d.Uint64()
+	for k := range info.Path {
+		info.Path[k] = d.Uint64()
+	}
+	info.Thread = int(d.Int64())
+	for k := range s.Idx {
+		s.Idx[k] = d.Uint64()
+	}
+	s.Preds = d.Byte()
+	s.Final = d.Bool()
+	s.Aux = d.Bool()
+	return info, s
 }
 
 // FusedPredictor is the optional fast-path contract: a predictor that can

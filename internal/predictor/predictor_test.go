@@ -3,6 +3,9 @@ package predictor
 import (
 	"testing"
 	"testing/quick"
+
+	"ev8pred/internal/history"
+	"ev8pred/internal/snapshot"
 )
 
 func TestPCBitsSkipsAlignment(t *testing.T) {
@@ -46,5 +49,33 @@ func TestHistMask(t *testing.T) {
 	}
 	if HistMask(0x1234, 0) != 0 {
 		t.Error("HistMask(…, 0) != 0")
+	}
+}
+
+// TestPairCodec pins the carried-state record: PairBytes is its exact wire
+// size, and DecodePair inverts EncodePair, including a negative thread id.
+func TestPairCodec(t *testing.T) {
+	info := history.Info{PC: 0x1234, BlockPC: 0x1200, Hist: 0xACE, Path: [3]uint64{1, 2, 3}, Thread: -2}
+	s := Snapshot{Idx: [MaxSnapshotBanks]uint64{9, 8, 7, 6}, Preds: 0b1010, Final: true}
+
+	e := snapshot.NewEncoder("pair/v1")
+	empty := len(e.Finish())
+	e = snapshot.NewEncoder("pair/v1")
+	EncodePair(e, info, s)
+	data := e.Finish()
+	if got := len(data) - empty; got != PairBytes {
+		t.Fatalf("EncodePair wrote %d bytes, PairBytes = %d", got, PairBytes)
+	}
+
+	d, err := snapshot.NewDecoder(data, "pair/v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotInfo, gotSnap := DecodePair(d)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if gotInfo != info || gotSnap != s {
+		t.Fatalf("round trip: got %+v %+v, want %+v %+v", gotInfo, gotSnap, info, s)
 	}
 }

@@ -254,23 +254,19 @@ func (ck *Checkpoint) MarshalBinary() ([]byte, error) {
 	e.Uint64(uint64(len(ck.Pending)))
 	for i := range ck.Pending {
 		pu := &ck.Pending[i]
-		e.Uint64(pu.Info.PC)
-		e.Uint64(pu.Info.BlockPC)
-		e.Uint64(pu.Info.Hist)
-		e.Uint64(pu.Info.Path[0])
-		e.Uint64(pu.Info.Path[1])
-		e.Uint64(pu.Info.Path[2])
-		e.Int64(int64(pu.Info.Thread))
-		for k := 0; k < predictor.MaxSnapshotBanks; k++ {
-			e.Uint64(pu.Snap.Idx[k])
-		}
-		e.Byte(pu.Snap.Preds)
-		e.Bool(pu.Snap.Final)
-		e.Bool(pu.Snap.Aux)
+		predictor.EncodePair(e, pu.Info, pu.Snap)
 		e.Bool(pu.Taken)
 	}
 	return e.Finish(), nil
 }
+
+// Minimum wire sizes of a tracker and a pending-update record. The decoder
+// does not stop a loop at a failed read, so each count is bounded by what
+// the remaining payload could hold before its loop runs.
+const (
+	trackerMinBytes = 8 + 4                   // thread id + state length prefix
+	pendingBytes    = predictor.PairBytes + 1 // pair + taken
+)
 
 // UnmarshalBinary loads a checkpoint serialized by MarshalBinary. Every
 // malformed input — truncation, bit flips, oversized length fields —
@@ -281,97 +277,39 @@ func (ck *Checkpoint) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	var out Checkpoint
-	if out.Predictor, err = d.String(); err != nil {
-		return err
+	// Read in wire order: Go evaluates the calls in a composite literal
+	// left to right.
+	out := Checkpoint{
+		Predictor: d.String(),
+		Mode: frontend.Mode{
+			Compressed:  d.Bool(),
+			PathBit:     d.Bool(),
+			DelayBlocks: int(d.Uint64()),
+		},
+		UpdateDelay:    int(d.Uint64()),
+		LenientFlow:    d.Bool(),
+		Warmup:         d.Int64(),
+		Records:        d.Int64(),
+		RawBranches:    d.Int64(),
+		Mispredicts:    d.Int64(),
+		Instructions:   d.Int64(),
+		PredictorState: d.Bytes(),
 	}
-	if out.Mode.Compressed, err = d.Bool(); err != nil {
-		return err
-	}
-	if out.Mode.PathBit, err = d.Bool(); err != nil {
-		return err
-	}
-	delayBlocks, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	out.Mode.DelayBlocks = int(delayBlocks)
-	updateDelay, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	out.UpdateDelay = int(updateDelay)
-	if out.LenientFlow, err = d.Bool(); err != nil {
-		return err
-	}
-	for _, v := range []*int64{&out.Warmup, &out.Records, &out.RawBranches, &out.Mispredicts, &out.Instructions} {
-		if *v, err = d.Int64(); err != nil {
-			return err
-		}
-	}
-	if out.PredictorState, err = d.Bytes(); err != nil {
-		return err
-	}
-	nTrackers, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	// Each tracker costs at least its length prefix; the decoder's own
-	// length guard bounds the payload, this bounds the count.
-	if nTrackers > uint64(d.Remaining()) {
+	nTrackers := d.Uint64()
+	if nTrackers > uint64(d.Remaining()/trackerMinBytes) {
 		return fmt.Errorf("%w: tracker count %d exceeds payload", snapshot.ErrBadSnapshot, nTrackers)
 	}
 	for i := uint64(0); i < nTrackers; i++ {
-		var ts TrackerCheckpoint
-		thread, err := d.Int64()
-		if err != nil {
-			return err
-		}
-		ts.Thread = int(thread)
-		if ts.State, err = d.Bytes(); err != nil {
-			return err
-		}
-		out.Trackers = append(out.Trackers, ts)
+		out.Trackers = append(out.Trackers, TrackerCheckpoint{Thread: int(d.Int64()), State: d.Bytes()})
 	}
-	nPending, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	if nPending > uint64(d.Remaining()) {
+	nPending := d.Uint64()
+	if nPending > uint64(d.Remaining()/pendingBytes) {
 		return fmt.Errorf("%w: pending count %d exceeds payload", snapshot.ErrBadSnapshot, nPending)
 	}
 	for i := uint64(0); i < nPending; i++ {
 		var pu PendingCheckpoint
-		for _, v := range []*uint64{
-			&pu.Info.PC, &pu.Info.BlockPC, &pu.Info.Hist,
-			&pu.Info.Path[0], &pu.Info.Path[1], &pu.Info.Path[2],
-		} {
-			if *v, err = d.Uint64(); err != nil {
-				return err
-			}
-		}
-		thread, err := d.Int64()
-		if err != nil {
-			return err
-		}
-		pu.Info.Thread = int(thread)
-		for k := 0; k < predictor.MaxSnapshotBanks; k++ {
-			if pu.Snap.Idx[k], err = d.Uint64(); err != nil {
-				return err
-			}
-		}
-		if pu.Snap.Preds, err = d.Byte(); err != nil {
-			return err
-		}
-		if pu.Snap.Final, err = d.Bool(); err != nil {
-			return err
-		}
-		if pu.Snap.Aux, err = d.Bool(); err != nil {
-			return err
-		}
-		if pu.Taken, err = d.Bool(); err != nil {
-			return err
-		}
+		pu.Info, pu.Snap = predictor.DecodePair(d)
+		pu.Taken = d.Bool()
 		out.Pending = append(out.Pending, pu)
 	}
 	if err := d.Finish(); err != nil {

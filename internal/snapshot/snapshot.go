@@ -18,12 +18,23 @@
 // silently-wrong value. The fault-injection suite and FuzzSnapshotDecode
 // enumerate exactly these mutations.
 //
+// Decoding follows io.Reader-style sticky errors: field reads return only
+// a value, the first failed read is recorded and makes every later read
+// return the zero value without advancing, and one Decoder.Finish call
+// reports that first error (or unread trailing bytes). A decoder reads
+// its fields straight through into locals, checks Finish once, validates
+// ranges, and only then commits — so a failed restore leaves its receiver
+// unchanged. A count that drives a loop or an allocation must still be
+// bounded against Remaining before the loop, since a failed read no longer
+// ends it.
+//
 // Fields are fixed-width (u64) rather than varint: snapshots are bulk
 // table state where varints save little, and fixed layout keeps the
 // fuzzer's job honest (no redundant encodings of the same value).
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -113,15 +124,17 @@ func (e *Encoder) Finish() []byte {
 	return e.buf
 }
 
-// Decoder reads a snapshot container. Construct with NewDecoder, which
-// verifies magic, version, label and checksum up front; subsequent field
-// reads can then only fail on structural mismatches (reading past the
-// payload), which still return typed errors rather than panicking.
+// Decoder reads a snapshot container under the sticky-error contract in
+// the package doc. A read fails on running past the payload, a length
+// prefix longer than what remains, a boolean byte other than 0 or 1, or a
+// word-count mismatch. Construct with NewDecoder, which verifies magic,
+// version, label and checksum up front.
 type Decoder struct {
 	buf   []byte
 	off   int
 	end   int // payload end (exclusive of the trailing CRC)
 	label string
+	err   error // first failed read; sticky
 }
 
 // NewDecoder validates the container framing and checksum of data and
@@ -144,9 +157,9 @@ func NewDecoder(data []byte, wantLabel string) (*Decoder, error) {
 		return nil, ErrChecksum
 	}
 	d := &Decoder{buf: data, off: 5, end: len(data) - 4}
-	label, err := d.String()
-	if err != nil {
-		return nil, err
+	label := d.String()
+	if d.err != nil {
+		return nil, d.err
 	}
 	if wantLabel != "" && label != wantLabel {
 		return nil, fmt.Errorf("%w: label %q, want %q", ErrBadSnapshot, label, wantLabel)
@@ -158,128 +171,121 @@ func NewDecoder(data []byte, wantLabel string) (*Decoder, error) {
 // Label returns the container's label.
 func (d *Decoder) Label() string { return d.label }
 
-// Remaining returns how many payload bytes are left to read.
+// Remaining returns how many payload bytes are left to read. It stops
+// moving once a read has failed.
 func (d *Decoder) Remaining() int { return d.end - d.off }
 
-// Finish asserts the payload was fully consumed — trailing garbage in an
+// Finish returns the first failed read's error, if any, and otherwise
+// asserts the payload was fully consumed — trailing garbage in an
 // otherwise CRC-valid container is a structural error, not padding.
 func (d *Decoder) Finish() error {
+	if d.err != nil {
+		return d.err
+	}
 	if d.off != d.end {
 		return fmt.Errorf("%w: %d unread payload bytes", ErrBadSnapshot, d.end-d.off)
 	}
 	return nil
 }
 
-// need checks n more bytes are available.
-func (d *Decoder) need(n int) error {
-	if d.end-d.off < n {
-		return fmt.Errorf("%w: truncated payload (need %d bytes, have %d)", ErrBadSnapshot, n, d.end-d.off)
+// fail records the first failure; later ones are consequences of it.
+func (d *Decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: "+format, append([]any{ErrBadSnapshot}, args...)...)
 	}
-	return nil
+}
+
+// take consumes the next n payload bytes, or returns nil — consuming
+// nothing — once the decoder has failed or fewer than n remain.
+func (d *Decoder) take(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if d.end-d.off < n {
+		d.fail("truncated payload (need %d bytes, have %d)", n, d.end-d.off)
+		return nil
+	}
+	b := d.buf[d.off : d.off+n]
+	d.off += n
+	return b
 }
 
 // Uint64 reads an 8-byte little-endian word.
-func (d *Decoder) Uint64() (uint64, error) {
-	if err := d.need(8); err != nil {
-		return 0, err
+func (d *Decoder) Uint64() uint64 {
+	b := d.take(8)
+	if b == nil {
+		return 0
 	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, nil
+	return binary.LittleEndian.Uint64(b)
 }
 
 // Int64 reads a two's-complement 8-byte integer.
-func (d *Decoder) Int64() (int64, error) {
-	v, err := d.Uint64()
-	return int64(v), err
-}
+func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
 
 // Bool reads one byte, requiring it to be exactly 0 or 1 (any other value
 // means corruption the CRC did not cover — impossible for bit flips, but
 // cheap to require).
-func (d *Decoder) Bool() (bool, error) {
-	if err := d.need(1); err != nil {
-		return false, err
-	}
-	b := d.buf[d.off]
-	d.off++
+func (d *Decoder) Bool() bool {
+	b := d.Byte()
 	if b > 1 {
-		return false, fmt.Errorf("%w: boolean byte %#x", ErrBadSnapshot, b)
+		d.fail("boolean byte %#x", b)
+		return false
 	}
-	return b == 1, nil
+	return b == 1
 }
 
 // Byte reads one raw byte.
-func (d *Decoder) Byte() (byte, error) {
-	if err := d.need(1); err != nil {
-		return 0, err
+func (d *Decoder) Byte() byte {
+	b := d.take(1)
+	if b == nil {
+		return 0
 	}
-	b := d.buf[d.off]
-	d.off++
-	return b, nil
+	return b[0]
 }
 
-// length reads a u32 length prefix and validates it against the remaining
-// payload scaled by elemSize, so a corrupted length can never drive a
-// huge allocation or a bogus slice.
-func (d *Decoder) length(elemSize int) (int, error) {
-	if err := d.need(4); err != nil {
-		return 0, err
+// prefixed reads a u32 count prefix and returns the count × elemSize
+// bytes it covers. The count is validated against the remaining payload
+// first, so a corrupted prefix can never drive a huge allocation or a
+// bogus slice. It returns nil on failure and a non-nil slice otherwise.
+func (d *Decoder) prefixed(elemSize int) []byte {
+	b := d.take(4)
+	if b == nil {
+		return nil
 	}
-	n := int(binary.LittleEndian.Uint32(d.buf[d.off:]))
-	d.off += 4
+	n := int(binary.LittleEndian.Uint32(b))
 	if n < 0 || n*elemSize > d.end-d.off {
-		return 0, fmt.Errorf("%w: length %d exceeds remaining payload %d", ErrBadSnapshot, n, d.end-d.off)
+		d.fail("length %d exceeds remaining payload %d", n, d.end-d.off)
+		return nil
 	}
-	return n, nil
+	return d.take(n * elemSize)
 }
 
 // Bytes reads a length-prefixed byte string (an owned copy).
-func (d *Decoder) Bytes() ([]byte, error) {
-	n, err := d.length(1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+n])
-	d.off += n
-	return out, nil
-}
+func (d *Decoder) Bytes() []byte { return bytes.Clone(d.prefixed(1)) }
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() (string, error) {
-	n, err := d.length(1)
-	if err != nil {
-		return "", err
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s, nil
-}
+func (d *Decoder) String() string { return string(d.prefixed(1)) }
 
 // Words reads a count-prefixed word slice.
-func (d *Decoder) Words() ([]uint64, error) {
-	n, err := d.length(8)
-	if err != nil {
-		return nil, err
+func (d *Decoder) Words() []uint64 {
+	b := d.prefixed(8)
+	if b == nil {
+		return nil
 	}
-	out := make([]uint64, n)
+	out := make([]uint64, len(b)/8)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(d.buf[d.off:])
-		d.off += 8
+		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
-	return out, nil
+	return out
 }
 
 // WordsExact reads a count-prefixed word slice, requiring exactly want
 // entries — the shape check every fixed-size table restore needs.
-func (d *Decoder) WordsExact(want int) ([]uint64, error) {
-	ws, err := d.Words()
-	if err != nil {
-		return nil, err
+func (d *Decoder) WordsExact(want int) []uint64 {
+	ws := d.Words()
+	if ws != nil && len(ws) != want {
+		d.fail("%d words, want %d", len(ws), want)
+		return nil
 	}
-	if len(ws) != want {
-		return nil, fmt.Errorf("%w: %d words, want %d", ErrBadSnapshot, len(ws), want)
-	}
-	return ws, nil
+	return ws
 }

@@ -187,26 +187,28 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw decoder walk: whatever the framing says, reading a rotating
 		// sequence of field types must end in a typed error or clean
-		// Finish, never a panic or a huge allocation.
+		// Finish, never a panic or a huge allocation. Every successful
+		// read consumes at least one byte, so a read that leaves
+		// Remaining unchanged is the decoder's first (sticky) failure.
 		if d, err := snapshot.NewDecoder(data, ""); err == nil {
 			for i := 0; ; i++ {
-				var ferr error
+				before := d.Remaining()
 				switch i % 6 {
 				case 0:
-					_, ferr = d.Uint64()
+					d.Uint64()
 				case 1:
-					_, ferr = d.Int64()
+					d.Int64()
 				case 2:
-					_, ferr = d.Bool()
+					d.Bool()
 				case 3:
-					_, ferr = d.Bytes()
+					d.Bytes()
 				case 4:
-					_, ferr = d.String()
+					_ = d.String()
 				case 5:
-					_, ferr = d.Words()
+					d.Words()
 				}
-				if ferr != nil {
-					if !errors.Is(ferr, snapshot.ErrBadSnapshot) {
+				if d.Remaining() == before {
+					if ferr := d.Finish(); !errors.Is(ferr, snapshot.ErrBadSnapshot) {
 						t.Fatalf("decoder error %v does not wrap ErrBadSnapshot", ferr)
 					}
 					break
