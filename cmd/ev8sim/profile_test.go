@@ -13,8 +13,8 @@ import (
 
 // TestRunProfiles: -cpuprofile and -memprofile write non-empty profiles,
 // an unwritable path fails before the run, and on a machine with a spare
-// CPU the CPU profile shows the generator running in the stream
-// pipeline's producer goroutine.
+// CPU the CPU profile shows the generator and the front-end walk running
+// in the stream pipeline's producer goroutine.
 func TestRunProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
@@ -51,7 +51,7 @@ func TestRunProfiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Contains(raw, []byte("(*pipeSource).produce")) {
+		if !bytes.Contains(raw, []byte("(*feed).produce")) {
 			t.Error("CPU profile shows no sample in the pipeline's producer goroutine")
 		}
 	}

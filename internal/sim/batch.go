@@ -39,10 +39,8 @@ package sim
 import (
 	"math/bits"
 
-	"ev8pred/internal/frontend"
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
-	"ev8pred/internal/trace"
 )
 
 // BatchMode selects whether the engine's eligible members resolve through
@@ -67,14 +65,12 @@ const (
 // prediction arrays — while amortizing the per-chunk overheads to noise.
 const batchChunk = 1024
 
-// batchScratch is the chunk-sized working set of one run, allocated once
-// so the steady state allocates nothing. snaps and taken span the resolve
-// window: up to min(UpdateDelay, batchChunk) pending entries ahead of the
-// chunk's branches (see lagWindow).
+// batchScratch is the resolve window of one run, allocated once so the
+// steady state allocates nothing: up to min(UpdateDelay, batchChunk)
+// pending entries ahead of a chunk's branches (see lagWindow). The
+// chunk's records, infos and block log live in its walked chunk
+// (pipeline.go).
 type batchScratch struct {
-	buf   []trace.Branch
-	infos []history.Info
-	log   frontend.BlockLog
 	snaps []predictor.Snapshot
 	taken []uint64
 }
@@ -82,9 +78,6 @@ type batchScratch struct {
 func newBatchScratch(delay int) *batchScratch {
 	win := min(delay, batchChunk) + batchChunk
 	return &batchScratch{
-		buf:   make([]trace.Branch, batchChunk),
-		infos: make([]history.Info, batchChunk),
-		log:   frontend.NewBlockLog(batchChunk),
 		snaps: make([]predictor.Snapshot, win),
 		taken: make([]uint64, predictor.BatchWords(win)),
 	}
@@ -140,12 +133,12 @@ func retireWindow(ring *delayRing, infos []history.Info, snaps []predictor.Snaps
 	}
 }
 
-// fillWant is the one fill-sizing rule of the engine's walk and of the
-// pipeline's producer: a full chunk, or under a branch budget no more
-// records than branches remain (0 once it is spent). A record holds at
-// most one conditional branch, so a fill never reads past the record that
-// completes the budget, and the stream stops where a record-at-a-time
-// loop stopping at the budget-th branch would.
+// fillWant is the one fill-sizing rule of the front end (walker.fill),
+// inline or in the pipeline's producer: a full chunk, or under a branch
+// budget no more records than branches remain (0 once it is spent). A
+// record holds at most one conditional branch, so a fill never reads past
+// the record that completes the budget, and the stream stops where a
+// record-at-a-time loop stopping at the budget-th branch would.
 func fillWant(maxBranches, branches int64) int {
 	if maxBranches <= 0 {
 		return batchChunk

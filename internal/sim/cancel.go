@@ -66,15 +66,14 @@ func (c *cancelSource) NextBatch(dst []trace.Branch) (int, error) {
 // the run with an error wrapping ErrCanceled. The pool runs every job
 // here, which is also what makes the pool's own first-error cancellation
 // take effect mid-job instead of only between jobs. Outside pool jobs the
-// generator runs ahead on a second CPU (see pipeline.go).
+// generator and the front-end walk run ahead on a second CPU (see
+// pipeline.go).
 func runEnsembleBenchmarkCtx(ctx context.Context, factories []Factory, prof workload.Profile, instrBudget int64, opts Options) ([]Result, error) {
 	g, err := workload.New(prof, instrBudget)
 	if err != nil {
 		return nil, err
 	}
-	src, stop := stream(ctx, g, opts.MaxBranches, pipelining())
-	defer stop()
-	rs, err := RunEnsemble(factories, src, opts)
+	rs, err := runEnsemble(factories, sourceWithCancel(ctx, g), opts, pipelining())
 	for i := range rs {
 		rs[i].Workload = prof.Name
 	}

@@ -104,13 +104,13 @@ func (e *engine) capture() (*Checkpoint, error) {
 		UpdateDelay:    e.opts.UpdateDelay,
 		LenientFlow:    e.opts.LenientFlow,
 		Warmup:         e.opts.Warmup,
-		Records:        e.records,
+		Records:        e.front.records,
 		RawBranches:    e.branches,
 		Mispredicts:    m.mispredicts,
 		Instructions:   e.instructions,
 		PredictorState: snapper.SnapshotState(),
 	}
-	e.trackers.each(func(id int, tr *frontend.Tracker) {
+	e.front.trackers.each(func(id int, tr *frontend.Tracker) {
 		ck.Trackers = append(ck.Trackers, TrackerCheckpoint{Thread: id, State: tr.SnapshotState()})
 	})
 	ck.Pending = make([]PendingCheckpoint, 0, m.ring.count)
@@ -149,7 +149,9 @@ func (ck *Checkpoint) validateResume(p predictor.Predictor, opts Options) error 
 }
 
 // restoreInto validates the checkpoint against a one-member engine and
-// seeds it: predictor and tracker state, counts, and the pending updates.
+// seeds it: tracker and predictor state, counts, and the pending updates.
+// The engine-private trackers are restored first, so a refused tracker
+// state fails the resume before the caller's predictor is overwritten.
 // The predictor restore happens before the caller enables attribution, so
 // a checkpointed collection window survives the round trip
 // (EnableStats(true) on an already-collecting predictor is a no-op by the
@@ -159,11 +161,8 @@ func (ck *Checkpoint) restoreInto(e *engine) error {
 	if err := ck.validateResume(m.p, e.opts); err != nil {
 		return err
 	}
-	if err := m.p.(predictor.Snapshotter).RestoreState(ck.PredictorState); err != nil {
-		return fmt.Errorf("sim: restoring predictor state: %w", err)
-	}
 	for _, ts := range ck.Trackers {
-		tr, err := e.trackers.create(ts.Thread, e.opts)
+		tr, err := e.front.trackers.create(ts.Thread, e.opts)
 		if err != nil {
 			return err
 		}
@@ -171,7 +170,11 @@ func (ck *Checkpoint) restoreInto(e *engine) error {
 			return fmt.Errorf("sim: restoring tracker for thread %d: %w", ts.Thread, err)
 		}
 	}
-	e.records, e.branches, e.instructions = ck.Records, ck.RawBranches, ck.Instructions
+	if err := m.p.(predictor.Snapshotter).RestoreState(ck.PredictorState); err != nil {
+		return fmt.Errorf("sim: restoring predictor state: %w", err)
+	}
+	e.front.records, e.front.branches = ck.Records, ck.RawBranches
+	e.branches, e.instructions = ck.RawBranches, ck.Instructions
 	m.mispredicts = ck.Mispredicts
 	for i := range ck.Pending {
 		pu := &ck.Pending[i]
@@ -208,7 +211,7 @@ func SkipRecords(src trace.Source, n int64) error {
 // checkpoint with the error. The predictor must implement
 // predictor.Snapshotter (ErrNotSnapshottable otherwise).
 func RunCheckpoint(p predictor.Predictor, src trace.Source, opts Options) (Result, *Checkpoint, error) {
-	return run(p, src, opts, nil, true)
+	return run(p, src, opts, false, nil, true)
 }
 
 // ResumeFrom continues a checkpointed run: src must be positioned exactly
@@ -221,7 +224,7 @@ func RunCheckpoint(p predictor.Predictor, src trace.Source, opts Options) (Resul
 // raw conditional branches from the stream start, so extending a stopped
 // run means raising it.
 func ResumeFrom(p predictor.Predictor, src trace.Source, opts Options, ck *Checkpoint) (Result, error) {
-	res, _, err := run(p, src, opts, ck, false)
+	res, _, err := run(p, src, opts, false, ck, false)
 	return res, err
 }
 

@@ -10,12 +10,13 @@
 // the same eight streams; this is the engine that makes those sweeps
 // cheap, in the trace-reuse tradition of the CBP championship kits.
 //
-// The engine pulls the stream in chunks (see fillWant) and walks each
-// chunk once through the per-thread front-end trackers (Tracker.Walk, one
-// call per run of one thread's records), which write the chunk's
-// information vectors and log its fetch blocks (frontend.BlockLog):
-// warmup gating, the MaxBranches stop and the split between immediate and
-// deferred errors live here and nowhere else. One per-member rule then
+// The engine takes the stream as walked chunks (pipeline.go): each fill
+// of fillWant records has been walked once through the per-thread
+// front-end trackers, which wrote the chunk's information vectors and
+// logged its fetch blocks (frontend.BlockLog), inline or ahead in a
+// producer goroutine. Warmup gating, the MaxBranches stop and the split
+// between immediate and deferred errors live in this loop and the fill,
+// and nowhere else. One per-member rule then
 // picks the schedule (see newMember): batch members resolve the whole
 // walked chunk through their LookupBatch/UpdateBatchLagged kernels
 // (batch.go), a block-observing one after replaying the log
@@ -120,22 +121,22 @@ func (m *member) step(info *history.Info, j int, taken bool) {
 	m.train(info, snap, taken)
 }
 
-// stepChunk runs a per-branch member over a walked chunk of m branches,
-// whose outcomes start at lane pre of s.taken. A block observer first
+// stepChunk runs a per-branch member over the m branches of walked chunk
+// c, whose outcomes start at lane pre of taken. A block observer first
 // sees the logged blocks up to each branch's mark, as a record-at-a-time
 // loop interleaves blocks and branches, and the chunk's remaining blocks
 // last.
-func (mem *member) stepChunk(s *batchScratch, pre, m int) {
+func (mem *member) stepChunk(c *chunk, taken []uint64, pre, m int) {
 	e := 0
 	for j := 0; j < m; j++ {
 		if mem.obs != nil {
-			e = observeLog(mem.obs, s.log.Entries, e, int(s.log.Marks[j]))
+			e = observeLog(mem.obs, c.log.Entries, e, int(c.log.Marks[j]))
 		}
 		w := pre + j
-		mem.step(&s.infos[j], j, s.taken[w>>6]>>(uint(w)&63)&1 == 1)
+		mem.step(&c.infos[j], j, taken[w>>6]>>(uint(w)&63)&1 == 1)
 	}
 	if mem.obs != nil {
-		observeLog(mem.obs, s.log.Entries, e, len(s.log.Entries))
+		observeLog(mem.obs, c.log.Entries, e, len(c.log.Entries))
 	}
 }
 
@@ -173,41 +174,39 @@ func (m *member) apply(u *pendingUpdate) {
 	}
 }
 
-// resolve runs a batch member over a walked chunk of m branches: the index
-// pass over the staged infos (or banks), then the in-order resolve over
+// resolve runs a batch member over the m branches of walked chunk c: the
+// index pass over its infos (or banks), then the in-order resolve over
 // the window of pre pending updates and the chunk, lagged by lag.
-func (mem *member) resolve(s *batchScratch, pre, lag, m int) {
+func (mem *member) resolve(c *chunk, s *batchScratch, pre, lag, m int) {
 	win := s.snaps[:pre+m]
 	stagePending(&mem.ring, win, pre)
 	if mem.bbo != nil {
-		mem.bbo.LookupBankedBatch(s.infos[:m], mem.banks[:m], win[pre:])
+		mem.bbo.LookupBankedBatch(c.infos[:m], mem.banks[:m], win[pre:])
 	} else {
-		mem.bp.LookupBatch(s.infos[:m], win[pre:])
+		mem.bp.LookupBatch(c.infos[:m], win[pre:])
 	}
 	mem.bp.UpdateBatchLagged(win, pre, lag, s.taken, mem.finals)
-	retireWindow(&mem.ring, s.infos, win, s.taken, pre, m)
+	retireWindow(&mem.ring, c.infos, win, s.taken, pre, m)
 }
 
-// engine is the state of one traversal: its members, the per-thread
-// trackers and the shared counts.
+// engine is the state of one traversal: its members, its front end and
+// the consumer's counts.
 type engine struct {
-	opts     Options
-	members  []member
-	trackers trackerTable
-	// newThread, if set, vets a first-seen thread id before its tracker is
-	// built; an error aborts the run.
-	newThread func(id int) error
+	opts    Options
+	members []member
+	front   walker
 	// afterChunk, if set, sees each walked chunk's records and block log
 	// once every member has resolved it.
 	afterChunk func(recs []trace.Branch, log *frontend.BlockLog)
-	// records is the stream position; branches the raw (pre-warmup-clamp)
-	// conditional branch count; instructions the measured window's.
-	records, branches, instructions int64
+	// branches is the raw (pre-warmup-clamp) conditional branch count the
+	// members have resolved; instructions the measured window's.
+	branches, instructions int64
 }
 
 // newEngine builds the engine for ps under opts.
 func newEngine(ps []predictor.Predictor, opts Options) *engine {
 	e := &engine{opts: opts, members: make([]member, len(ps))}
+	e.front.opts = &e.opts
 	for k, p := range ps {
 		e.members[k] = newMember(p, opts)
 	}
@@ -231,35 +230,8 @@ func (e *engine) collect() {
 	}
 }
 
-// tracker builds the tracker for a first-seen thread id.
-func (e *engine) tracker(id int) (*frontend.Tracker, error) {
-	if e.newThread != nil {
-		if err := e.newThread(id); err != nil {
-			return nil, err
-		}
-	}
-	return e.trackers.create(id, e.opts)
-}
-
-// walkRun walks recs[i:j], a run of one thread's records, through that
-// thread's tracker into the chunk's infos and block log. A record that
-// breaks its thread's flow is an immediate error naming its stream index.
-func (e *engine) walkRun(s *batchScratch, recs []trace.Branch, i, j int) error {
-	id := recs[i].Thread
-	tr := e.trackers.lookup(id)
-	if tr == nil {
-		var err error
-		if tr, err = e.tracker(id); err != nil {
-			return err
-		}
-	}
-	if k, err := tr.Walk(recs[i:j], s.infos, &s.log); err != nil {
-		return fmt.Errorf("sim: stream record %d: %w", e.records+int64(i+k), err)
-	}
-	return nil
-}
-
-// run simulates the stream and fills results: one per member, or one for
+// run simulates the stream, its front end walked ahead in a producer
+// goroutine when pipelined, and fills results: one per member, or one for
 // a member-less (oracle) run, which mispredicts nothing. capture, if set,
 // runs at a clean stop, before the commit-delay rings drain and before
 // the warmup clamp: the pending updates belong to a continuation, and a
@@ -267,8 +239,8 @@ func (e *engine) walkRun(s *batchScratch, recs []trace.Branch, i, j int) error {
 // bad thread id) aborts with the results unfilled; a mid-stream source
 // failure returns the filled results with an error, so a short stream
 // never passes for a whole one.
-func (e *engine) run(src trace.Source, results []Result, capture func() error) error {
-	srcErr, err := e.walk(src)
+func (e *engine) run(src trace.Source, pipelined bool, results []Result, capture func() error) error {
+	srcErr, err := e.walk(src, pipelined)
 	if err != nil {
 		return err
 	}
@@ -306,19 +278,23 @@ func (e *engine) run(src trace.Source, results []Result, capture func() error) e
 	return nil
 }
 
-// walk is the one stream loop. Each fill is one NextBatch call sized by
-// fillWant, so under MaxBranches the source stops exactly at the record
-// that completes the budget. A record is measured iff at least Warmup
-// conditional branches retired before it, and the same boundary gates
-// every member's mispredictions, so numerator and denominator cover one
-// window. srcErr is a deferred source failure; err an immediate abort.
+// walk is the one stream loop: it resolves each walked chunk of the feed
+// through every member. Under MaxBranches the front end stops exactly at
+// the record that completes the budget (see walker.fill). A record is
+// measured iff at least Warmup conditional branches retired before it,
+// and the same boundary gates every member's mispredictions, so
+// numerator and denominator cover one window. srcErr is a deferred source
+// failure; err an immediate abort. The feed is stopped, and a producer
+// joined, before walk returns.
 //
 // Under commit delay every member keeps its own ring, but all rings hold
 // the same branches — the delay and the stream are shared — so the
 // resolve window's plan and its outcome bits are staged once per chunk,
 // and only the pending snapshots are per member.
-func (e *engine) walk(src trace.Source) (srcErr, err error) {
+func (e *engine) walk(src trace.Source, pipelined bool) (srcErr, err error) {
 	opts := &e.opts
+	f := e.front.start(src, pipelined)
+	defer f.stop()
 	s := newBatchScratch(opts.UpdateDelay)
 	var batch, inline []*member
 	for k := range e.members {
@@ -333,36 +309,23 @@ func (e *engine) walk(src trace.Source) (srcErr, err error) {
 		ring0 = &e.members[0].ring
 	}
 	for {
-		want := fillWant(opts.MaxBranches, e.branches)
-		if want == 0 {
-			break
-		}
-		n, ferr := src.NextBatch(s.buf[:want])
-		if n == 0 && ferr == nil {
-			// A source breaking the contract would spin the walk.
-			ferr = io.ErrNoProgress
+		c := f.next()
+		if c.abort != nil {
+			return nil, c.abort
 		}
 		pre, lag := 0, 0
 		if ring0 != nil {
-			pre, lag = lagWindow(ring0.count, want, opts.UpdateDelay)
+			pre, lag = lagWindow(ring0.count, c.want, opts.UpdateDelay)
 			for i := 0; i < pre; i++ {
 				stageTaken(s.taken, i, ring0.at(i).taken)
 			}
 		}
-		// Stage the outcomes and count the measured instructions, and
-		// walk each run of one thread's records as the run ends.
-		recs := s.buf[:n]
-		s.log.Reset()
-		m, run := 0, 0
+		// Stage the outcomes and count the measured instructions.
+		recs := c.buf[:c.n]
+		m := 0
 		warmup, branches, instructions := opts.Warmup, e.branches, e.instructions
 		for i := range recs {
 			b := &recs[i]
-			if b.Thread != recs[run].Thread {
-				if err := e.walkRun(s, recs, run, i); err != nil {
-					return nil, err
-				}
-				run = i
-			}
 			if branches >= warmup {
 				instructions += int64(b.Gap) + 1
 			}
@@ -372,25 +335,19 @@ func (e *engine) walk(src trace.Source) (srcErr, err error) {
 				branches++
 			}
 		}
-		if n > 0 {
-			if err := e.walkRun(s, recs, run, n); err != nil {
-				return nil, err
-			}
-		}
 		e.instructions = instructions
-		e.records += int64(n)
 		for _, mem := range batch {
 			if mem.bbo != nil {
-				mem.bbo.ObserveBlockLog(&s.log, s.infos[:m], mem.banks[:m])
+				mem.bbo.ObserveBlockLog(&c.log, c.infos[:m], mem.banks[:m])
 			}
 		}
 		for _, mem := range inline {
-			mem.stepChunk(s, pre, m)
+			mem.stepChunk(c, s.taken, pre, m)
 		}
 		if m > 0 {
 			start := warmupStart(e.branches, opts.Warmup, m)
 			for _, mem := range batch {
-				mem.resolve(s, pre, lag, m)
+				mem.resolve(c, s, pre, lag, m)
 			}
 			for k := range e.members {
 				mem := &e.members[k]
@@ -399,11 +356,11 @@ func (e *engine) walk(src trace.Source) (srcErr, err error) {
 			e.branches += int64(m)
 		}
 		if e.afterChunk != nil {
-			e.afterChunk(recs, &s.log)
+			e.afterChunk(recs, &c.log)
 		}
-		if ferr != nil {
-			if ferr != io.EOF {
-				srcErr = ferr
+		if c.err != nil {
+			if c.err != io.EOF {
+				srcErr = c.err
 			}
 			break
 		}
@@ -434,6 +391,12 @@ func (e *engine) walk(src trace.Source) (srcErr, err error) {
 // Run. An empty factory list returns an empty, non-nil slice without
 // touching src.
 func RunEnsemble(factories []Factory, src trace.Source, opts Options) ([]Result, error) {
+	return runEnsemble(factories, src, opts, false)
+}
+
+// runEnsemble is RunEnsemble with the front end walked ahead in a
+// producer goroutine when pipelined.
+func runEnsemble(factories []Factory, src trace.Source, opts Options, pipelined bool) ([]Result, error) {
 	results := make([]Result, len(factories))
 	if len(factories) == 0 {
 		return results, nil
@@ -449,7 +412,7 @@ func RunEnsemble(factories []Factory, src trace.Source, opts Options) ([]Result,
 	}
 	e := newEngine(ps, opts)
 	e.collect()
-	return results, e.run(src, results, nil)
+	return results, e.run(src, pipelined, results, nil)
 }
 
 // RunEnsembleBenchmark builds the named synthetic benchmark once and runs

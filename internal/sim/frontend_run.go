@@ -86,7 +86,7 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 	lp := frontend.MustNewLinePredictor(fecfg.LineEntries)
 	e := newEngine(ps, opts)
 	first := -1
-	e.newThread = func(id int) error {
+	e.front.newThread = func(id int) error {
 		if first >= 0 {
 			return fmt.Errorf("%w: record from thread %d after thread %d (multi-thread source)", ErrFrontEndOption, id, first)
 		}
@@ -112,10 +112,10 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 	}
 	e.collect()
 	rs := []Result{res.Result}
-	err := e.run(src, rs, nil)
+	err := e.run(src, false, rs, nil)
 	res.Result = rs[0]
 	res.PCGen = pg.Stats()
-	e.trackers.each(func(_ int, tr *frontend.Tracker) { res.Blocks += tr.Blocks() })
+	e.front.trackers.each(func(_ int, tr *frontend.Tracker) { res.Blocks += tr.Blocks() })
 	res.RASAccuracy = pg.RASAccuracy()
 	res.JumpAccuracy = pg.JumpAccuracy()
 	res.LineAccuracy = lp.Accuracy()

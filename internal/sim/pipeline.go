@@ -1,27 +1,45 @@
-// Two-stage pipeline for the streams the simulator builds itself
-// (RunBenchmark, RunEnsembleBenchmark). Workload generation depends on
-// nothing downstream of it, so a producer goroutine runs it ahead of the
-// simulation on a second CPU: it fills batchChunk-record chunks from the
-// cancel-wrapped generator into a small ring of reused buffers, and the
-// stream engine consumes them through the trace.Source contract. The
+// The front-end stage of the stream engine (ensemble.go) and the pipeline
+// that runs it ahead of the predictors.
+//
+// The front end — fetch-block formation and the three-blocks-old
+// lghist/path state (§2, §5 of the paper) — reads only the architectural
+// stream and never a prediction, so it can run ahead of the predictors
+// exactly, as the EV8's own front end does. One function fills a walked
+// chunk (walker.fill): one NextBatch call sized by fillWant, then one
+// Tracker.Walk per run of one thread's records, which writes the chunk's
+// information vectors and logs its fetch blocks (frontend.BlockLog).
+// Everything that belongs to a predictor stays with the engine's members:
+// the §6.2 bank sequencer's ObserveBlockLog, the index and resolve passes,
+// the outcome staging against the commit-delay ring and the mispredict
+// count.
+//
+// On the direct path the engine calls fill inline on its one chunk. For
+// the streams the simulator builds itself (RunBenchmark,
+// RunEnsembleBenchmark) a producer goroutine runs generator and walk on a
+// second CPU instead, filling a ring of pipeDepth chunks that the engine
+// reads in place and hands back. The chunks of the ring are the engine's
+// only chunk storage, so nothing is copied between the stages. The
 // per-branch cost drops from generate+walk+predict to about the larger of
-// generate and walk+predict.
+// generate+walk and predict.
 //
-// Records are never reordered and the stream is still consumed serially
-// by one goroutine; only generation runs ahead. The pipeline is exact:
+// Records are never reordered and each stage runs serially in its own
+// goroutine. The pipeline is exact:
 //
-//   - Under MaxBranches the producer sizes every fill with the same rule
-//     as the consumers (fillWant), counting the conditional branches it
-//     has handed over, so it never reads past the record that completes
-//     the budget: Checkpoint.Records and the generator's final position
+//   - fill is the same function on both paths: under MaxBranches it sizes
+//     every fill with fillWant from the conditional branches it has
+//     walked, so it never reads past the record that completes the
+//     budget, and Checkpoint.Records and the generator's final position
 //     are those of a direct run.
 //   - Cancellation still ends the stream with the cancel wrapper's
-//     ErrCanceled error, which the consumer reads as the source's
-//     terminal error.
+//     ErrCanceled error, the terminal error of the chunk it ends.
+//   - A flow break or a refused thread id travels with its chunk, after
+//     every chunk before it, with the same text and stream-record index.
 //   - A producer panic is recovered and re-raised in the consumer's
 //     goroutine, so the pool's runJob still turns it into an error.
-//   - The producer never outlives the call that started it: stop ends it
-//     and waits for it to exit.
+//   - The producer owns the trackers for the whole run. The engine joins
+//     it before anything else reads them (a checkpoint capture,
+//     RunFrontEnd's block count), and it never outlives the call that
+//     started it.
 //
 // It engages only where a CPU is spare: GOMAXPROCS > 1 and no pool job
 // running in the process (a pool fan-out already fills every CPU with
@@ -38,16 +56,18 @@
 package sim
 
 import (
-	"context"
+	"fmt"
 	"io"
 	"runtime"
 	"sync/atomic"
 
+	"ev8pred/internal/frontend"
+	"ev8pred/internal/history"
 	"ev8pred/internal/trace"
 )
 
-// pipeDepth is the number of chunk buffers in the ring: one being filled,
-// one queued and one being drained keep both stages busy; more would only
+// pipeDepth is the number of chunks in the ring: one being filled, one
+// queued and one being drained keep both stages busy; more would only
 // add cache footprint.
 const pipeDepth = 3
 
@@ -59,139 +79,227 @@ const pipeDepth = 3
 // too, although a CPU may be idle then.
 var poolJobs atomic.Int64
 
-// pipelining reports whether a stream started now should run its
-// generator on a second CPU.
+// pipelining reports whether a stream started now should run its front
+// end on a second CPU.
 func pipelining() bool {
 	return runtime.GOMAXPROCS(0) > 1 && poolJobs.Load() == 0
 }
 
-// stream returns the source a simulator-built stream is consumed through:
-// src behind the cancel wrapper and, when pipelined, behind a producer
-// goroutine bounded by maxBranches. The caller must call stop before it
-// returns (a deferred call also covers panics); stop ends the producer
-// and waits for it to exit.
-func stream(ctx context.Context, src trace.Source, maxBranches int64, pipelined bool) (s trace.Source, stop func()) {
-	src = sourceWithCancel(ctx, src)
-	if !pipelined {
-		return src, func() {}
-	}
-	// Both channels hold every buffer of the ring, so neither side ever
-	// blocks on a send.
-	p := &pipeSource{
-		full: make(chan pipeChunk, pipeDepth),
-		free: make(chan []trace.Branch, pipeDepth),
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	for range pipeDepth {
-		p.free <- make([]trace.Branch, batchChunk)
-	}
-	go p.produce(src, maxBranches)
-	return p, p.stop
+// chunk is one walked chunk: the records of one fill, the information
+// vector of each conditional branch among them (infos[j] for the j-th)
+// and the log of the fetch blocks they completed, with one mark per
+// branch.
+type chunk struct {
+	buf   []trace.Branch
+	infos []history.Info
+	log   frontend.BlockLog
+	// want is the fill's size, n the records it delivered.
+	want, n int
+	// err is nil mid-stream, or the terminal io.EOF or source failure
+	// that follows the chunk's records. abort is an immediate error (a
+	// flow break, a refused thread id) that ends the run unfilled.
+	err, abort error
 }
 
-// pipeChunk is one hand-off from producer to consumer: buf[:n] are
-// records; err is nil mid-stream, or the terminal io.EOF or failure that
-// follows them; panicked carries a recovered producer panic.
-type pipeChunk struct {
-	buf      []trace.Branch
-	n        int
-	err      error
+// spare keeps the chunks of finished runs, at most one ring's worth, for
+// the next run to reuse: back-to-back runs share one ring instead of each
+// leaving ~0.7 MB to the collector. Unlike a sync.Pool it is not emptied
+// by a collection, so a run's allocations do not depend on GC timing.
+var spare = make(chan *chunk, pipeDepth)
+
+// getChunk returns a spare chunk, or a new one.
+func getChunk() *chunk {
+	select {
+	case c := <-spare:
+		return c
+	default:
+		return newChunk()
+	}
+}
+
+// putChunk keeps c for a later run if there is room.
+func putChunk(c *chunk) {
+	select {
+	case spare <- c:
+	default:
+	}
+}
+
+func newChunk() *chunk {
+	return &chunk{
+		buf:   make([]trace.Branch, batchChunk),
+		infos: make([]history.Info, batchChunk),
+		log:   frontend.NewBlockLog(batchChunk),
+	}
+}
+
+// walker is the front end of one traversal: the source, the per-thread
+// trackers and how far they have walked. On the pipelined path it
+// belongs to the producer goroutine until the engine joins it.
+type walker struct {
+	src      trace.Source
+	opts     *Options
+	trackers trackerTable
+	// newThread, if set, vets a first-seen thread id before its tracker is
+	// built; an error aborts the run.
+	newThread func(id int) error
+	// records and branches count the records and the conditional
+	// branches walked so far.
+	records, branches int64
+}
+
+// fill reads the next fillWant records into c and walks them. Once the
+// branch budget is spent the chunk ends the stream with io.EOF, without
+// asking the source again.
+func (w *walker) fill(c *chunk) {
+	c.log.Reset()
+	c.n, c.err, c.abort = 0, nil, nil
+	if c.want = fillWant(w.opts.MaxBranches, w.branches); c.want == 0 {
+		c.err = io.EOF
+		return
+	}
+	c.n, c.err = w.src.NextBatch(c.buf[:c.want])
+	if c.n == 0 && c.err == nil {
+		// A source breaking the contract would spin both stages.
+		c.err = io.ErrNoProgress
+	}
+	recs := c.buf[:c.n]
+	run := 0
+	for i := range recs {
+		if recs[i].Thread != recs[run].Thread {
+			if c.abort = w.walkRun(c, run, i); c.abort != nil {
+				return
+			}
+			run = i
+		}
+	}
+	if c.n > 0 {
+		if c.abort = w.walkRun(c, run, c.n); c.abort != nil {
+			return
+		}
+	}
+	w.records += int64(c.n)
+	w.branches += int64(len(c.log.Marks))
+	if c.err == nil && fillWant(w.opts.MaxBranches, w.branches) == 0 {
+		c.err = io.EOF
+	}
+}
+
+// walkRun walks c's records [i, j), a run of one thread's records, through
+// that thread's tracker. A record that breaks its thread's flow is an
+// immediate error naming its stream index.
+func (w *walker) walkRun(c *chunk, i, j int) error {
+	recs := c.buf[:j]
+	id := recs[i].Thread
+	tr := w.trackers.lookup(id)
+	if tr == nil {
+		var err error
+		if tr, err = w.tracker(id); err != nil {
+			return err
+		}
+	}
+	if k, err := tr.Walk(recs[i:j], c.infos, &c.log); err != nil {
+		return fmt.Errorf("sim: stream record %d: %w", w.records+int64(i+k), err)
+	}
+	return nil
+}
+
+// tracker builds the tracker for a first-seen thread id.
+func (w *walker) tracker(id int) (*frontend.Tracker, error) {
+	if w.newThread != nil {
+		if err := w.newThread(id); err != nil {
+			return nil, err
+		}
+	}
+	return w.trackers.create(id, *w.opts)
+}
+
+// feed hands the engine its walked chunks in stream order: filled inline
+// on the direct path, or taken from the producer's ring when pipelined.
+type feed struct {
+	w   *walker
+	cur *chunk
+	// The ring; nil on the direct path. Both channels hold every chunk,
+	// so neither side ever blocks on a send.
+	full, free chan *chunk
+	quit       chan struct{} // closed by stop
+	// panicked is a recovered producer panic, published by closing full.
 	panicked any
 }
 
-// pipeSource is the consumer's view of the pipeline. Everything but the
-// channels belongs to the consuming goroutine.
-type pipeSource struct {
-	full chan pipeChunk      // filled chunks, in stream order
-	free chan []trace.Branch // drained buffers, back to the producer
-	quit chan struct{}       // closed by stop
-	done chan struct{}       // closed when the producer exits
-	cur  pipeChunk           // the chunk being drained
-	off  int                 // records of cur already delivered
+// start returns the feed of a traversal of src. The caller must call
+// stop before it reads the trackers or returns (a deferred call also
+// covers panics), and must not touch a chunk after it.
+func (w *walker) start(src trace.Source, pipelined bool) *feed {
+	w.src = src
+	f := &feed{w: w}
+	if !pipelined {
+		f.cur = getChunk()
+		return f
+	}
+	f.full = make(chan *chunk, pipeDepth)
+	f.free = make(chan *chunk, pipeDepth)
+	f.quit = make(chan struct{})
+	for range pipeDepth {
+		f.free <- getChunk()
+	}
+	go f.produce()
+	return f
 }
 
-// produce is the producer goroutine: it fills free buffers from src until
-// the stream ends, the branch budget is spent, or stop is called.
-func (p *pipeSource) produce(src trace.Source, maxBranches int64) {
-	defer close(p.done)
+// produce is the producer goroutine: it fills free chunks until the
+// stream ends, the run aborts, or stop is called. Closing full on exit is
+// its join.
+func (f *feed) produce() {
 	defer func() {
-		if r := recover(); r != nil {
-			select {
-			case p.full <- pipeChunk{panicked: r}:
-			case <-p.quit:
-			}
-		}
+		f.panicked = recover()
+		close(f.full)
 	}()
-	var branches int64
 	for {
-		var buf []trace.Branch
+		var c *chunk
 		select {
-		case buf = <-p.free:
-		case <-p.quit:
+		case c = <-f.free:
+		case <-f.quit:
 			return
 		}
-		n, err := src.NextBatch(buf[:fillWant(maxBranches, branches)])
-		if n == 0 && err == nil {
-			// A source breaking the contract would spin both stages.
-			err = io.ErrNoProgress
-		}
-		if maxBranches > 0 {
-			for i := range n {
-				if buf[i].Kind == trace.Cond {
-					branches++
-				}
-			}
-			if err == nil && fillWant(maxBranches, branches) == 0 {
-				// The consumers stop here without asking again.
-				err = io.EOF
-			}
-		}
-		p.full <- pipeChunk{buf: buf, n: n, err: err}
-		if err != nil {
+		f.w.fill(c)
+		f.full <- c
+		if c.err != nil || c.abort != nil {
 			return
 		}
 	}
 }
 
-// stop ends the producer and waits until it has exited.
-func (p *pipeSource) stop() {
-	close(p.quit)
-	<-p.done
+// next returns the next walked chunk, handing the previous one back to
+// the producer. A producer panic is re-raised here.
+func (f *feed) next() *chunk {
+	if f.full == nil {
+		f.w.fill(f.cur)
+		return f.cur
+	}
+	if f.cur != nil {
+		f.free <- f.cur
+	}
+	var ok bool
+	if f.cur, ok = <-f.full; !ok {
+		panic(f.panicked)
+	}
+	return f.cur
 }
 
-// advance makes cur a chunk with records left to deliver, handing the
-// drained buffer back to the producer; false means the stream has ended
-// (cur.err says how). A producer panic is re-raised here.
-func (p *pipeSource) advance() bool {
-	for p.off == p.cur.n {
-		if p.cur.err != nil {
-			return false
+// stop ends the producer, waits until it has exited, and recycles the
+// chunks (but not one a panicking producer held).
+func (f *feed) stop() {
+	if f.full != nil {
+		close(f.quit)
+		for c := range f.full {
+			putChunk(c)
 		}
-		if p.cur.buf != nil {
-			p.free <- p.cur.buf // never blocks: the ring holds every buffer
-		}
-		p.cur, p.off = <-p.full, 0
-		if p.cur.panicked != nil {
-			v := p.cur.panicked
-			p.cur = pipeChunk{err: io.ErrClosedPipe}
-			panic(v)
+		for len(f.free) > 0 {
+			putChunk(<-f.free)
 		}
 	}
-	return true
-}
-
-// NextBatch implements trace.Source, delivering at most the rest of
-// the current chunk; the terminal error comes with the chunk's last
-// records, as from the underlying source.
-func (p *pipeSource) NextBatch(dst []trace.Branch) (int, error) {
-	if !p.advance() {
-		return 0, p.cur.err
+	if f.cur != nil {
+		putChunk(f.cur)
 	}
-	n := copy(dst, p.cur.buf[p.off:p.cur.n])
-	p.off += n
-	if p.off == p.cur.n {
-		return n, p.cur.err
-	}
-	return n, nil
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"strings"
@@ -29,31 +31,33 @@ const midChunkBudget = 2_500
 // runStream simulates factories over a fresh generator for prof, through
 // the pipeline or directly, and returns the results together with the
 // generator so the caller can check where the stream stopped. One factory
-// runs solo through Run, several as one RunEnsemble.
+// runs solo, several as one ensemble.
 func runStream(t *testing.T, factories []Factory, prof workload.Profile, opts Options, pipelined bool) ([]Result, *workload.Generator) {
 	t.Helper()
 	g, err := workload.New(prof, pipelineInstr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, stop := stream(context.Background(), g, opts.MaxBranches, pipelined)
-	defer stop()
+	rs, err := runFactories(factories, g, opts, pipelined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs, g
+}
+
+// runFactories simulates factories over src, through the pipeline or
+// directly: one factory solo through the engine of Run, several as one
+// ensemble.
+func runFactories(factories []Factory, src trace.Source, opts Options, pipelined bool) ([]Result, error) {
 	if len(factories) > 1 {
-		rs, err := RunEnsemble(factories, src, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rs, g
+		return runEnsemble(factories, src, opts, pipelined)
 	}
 	p, err := factories[0]()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	r, err := Run(p, src, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Result{r}, g
+	r, _, err := run(p, src, opts, pipelined, nil, false)
+	return []Result{r}, err
 }
 
 // waitGoroutines fails the test unless the goroutine count falls back to
@@ -143,15 +147,7 @@ func TestPipelineCancelMidStream(t *testing.T) {
 		for _, batch := range []BatchMode{BatchAuto, BatchOff} {
 			ctx, cancel := context.WithCancel(context.Background())
 			src := &cancelAfter{Generator: workload.MustNew(prof, 0), limit: 5000, cancel: cancel}
-			s, stop := stream(ctx, src, 0, true)
-			var err error
-			if len(factories) > 1 {
-				_, err = RunEnsemble(factories, s, Options{Batch: batch})
-			} else {
-				p, _ := factories[0]()
-				_, err = Run(p, s, Options{Batch: batch})
-			}
-			stop()
+			_, err := runFactories(factories, sourceWithCancel(ctx, src), Options{Batch: batch}, true)
 			cancel()
 			if !errors.Is(err, ErrCanceled) {
 				t.Errorf("%d members, batch=%v: err = %v, want ErrCanceled", len(factories), batch, err)
@@ -176,10 +172,9 @@ func (s *panicSource) NextBatch(dst []trace.Branch) (int, error) {
 
 // runPanicking runs gshare over a pipelined panicSource.
 func runPanicking() (Result, error) {
-	s, stop := stream(context.Background(), &panicSource{}, 0, true)
-	defer stop()
 	p, _ := gshareFactories(1)[0]()
-	return Run(p, s, Options{})
+	r, _, err := run(p, &panicSource{}, Options{}, true, nil, false)
+	return r, err
 }
 
 // TestPipelinePanicSurfacesInCaller: a panic in the producer goroutine is
@@ -227,10 +222,7 @@ func TestPipelineNoGoroutineLeak(t *testing.T) {
 	for i := range bad {
 		bad[i] = trace.Branch{PC: 0x1000, Target: 0x1000, Taken: true, Thread: -1}
 	}
-	s, stop := stream(context.Background(), trace.NewSlice(bad), 0, true)
-	p, _ := gshareFactories(1)[0]()
-	_, err := Run(p, s, Options{})
-	stop()
+	_, err := runFactories(gshareFactories(1), trace.NewSlice(bad), Options{}, true)
 	if err == nil {
 		t.Error("negative thread id accepted")
 	}
@@ -264,8 +256,8 @@ func TestPipelineEngagement(t *testing.T) {
 }
 
 // TestPipelineAllocsSteadyState: a pipelined run's allocations are the
-// fixed set-up (buffers, channels, the producer) and do not grow with the
-// branch budget.
+// fixed set-up (the ring's chunks, channels, the producer) and do not
+// grow with the branch budget.
 func TestPipelineAllocsSteadyState(t *testing.T) {
 	prof := benchProfiles(t, "gcc")[0]
 	p, err := core.New(core.ConfigEV8Size())
@@ -275,9 +267,7 @@ func TestPipelineAllocsSteadyState(t *testing.T) {
 	runAllocs := func(budget int64) float64 {
 		return testing.AllocsPerRun(5, func() {
 			g := workload.MustNew(prof, 0)
-			s, stop := stream(context.Background(), g, budget, true)
-			defer stop()
-			if _, err := Run(p, s, Options{MaxBranches: budget}); err != nil {
+			if _, _, err := run(p, g, Options{MaxBranches: budget}, true, nil, false); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -287,4 +277,191 @@ func TestPipelineAllocsSteadyState(t *testing.T) {
 		t.Errorf("pipelined run: %.1f allocs at %d branches, %.1f at %d, want no growth",
 			short, 2*batchChunk, long, 40*batchChunk)
 	}
+}
+
+// drainFeed walks src through a feed, pipelined or direct, and returns
+// the records of its chunks, the terminal error, and the walker, which
+// belongs to the caller again once the feed is stopped. It fails the test
+// on a chunk that holds neither records nor an error, or on an abort.
+func drainFeed(t *testing.T, src trace.Source, pipelined bool) ([]trace.Branch, error, *walker) {
+	t.Helper()
+	w := &walker{opts: &Options{}}
+	f := w.start(src, pipelined)
+	defer f.stop()
+	var out []trace.Branch
+	for {
+		c := f.next()
+		if c.abort != nil || (c.n == 0 && c.err == nil) {
+			t.Fatalf("pipelined=%v: chunk (%d, %v, abort %v) after %d records", pipelined, c.n, c.err, c.abort, len(out))
+		}
+		out = append(out, c.buf[:c.n]...)
+		if c.err != nil {
+			return out, c.err, w
+		}
+	}
+}
+
+// TestPipelineChunkContract holds the pipeline's walked chunks to the
+// source contract (TestSourceContract): pipelined and direct, the chunks
+// deliver the source's records; every chunk holds records or an error; a
+// clean stream ends in io.EOF, again on the next fill; and a canceled one
+// ends in ErrCanceled, again, with no records, on the next fill, after
+// records were delivered.
+func TestPipelineChunkContract(t *testing.T) {
+	const budget = 60_000
+	li := benchProfiles(t, "li")[0]
+	gen := func() *workload.Generator { return workload.MustNew(li, budget) }
+	records, err := trace.Collect(gen(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	t.Run("pipe", func(t *testing.T) {
+		for _, pipelined := range []bool{true, false} {
+			got, err, w := drainFeed(t, gen(), pipelined)
+			if err != io.EOF {
+				t.Fatalf("pipelined=%v: stream ended with %v, want io.EOF", pipelined, err)
+			}
+			c := newChunk()
+			if w.fill(c); c.n != 0 || c.err != io.EOF {
+				t.Errorf("pipelined=%v: fill after the end = (%d, %v), want (0, io.EOF)", pipelined, c.n, c.err)
+			}
+			if !reflect.DeepEqual(got, records) {
+				t.Fatalf("pipelined=%v: %d records differ from the source's %d", pipelined, len(got), len(records))
+			}
+		}
+	})
+	t.Run("canceled pipe", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		got, err, w := drainFeed(t, sourceWithCancel(ctx, &cancelAfter{Generator: gen(), limit: 5000, cancel: cancel}), true)
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("stream ended with %v, want ErrCanceled", err)
+		}
+		c := newChunk()
+		if w.fill(c); c.n != 0 || c.err != err {
+			t.Errorf("fill after the failure = (%d, %v), want (0, %v)", c.n, c.err, err)
+		}
+		if len(got) == 0 {
+			t.Error("no records before the failure")
+		}
+	})
+	waitGoroutines(t, baseline)
+}
+
+// TestPipelineFlowBreakMatchesDirect: a record that breaks its thread's
+// flow in the middle of the third chunk fails a pipelined run, solo and
+// ensemble, under both batch schedules, with the direct run's error: the
+// same text, naming the same stream record.
+func TestPipelineFlowBreakMatchesDirect(t *testing.T) {
+	recs, err := trace.Collect(workload.MustNew(benchProfiles(t, "gcc")[0], pipelineInstr), 3*batchChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 2*batchChunk + 300
+	recs[at].PC += 0x10_0000
+	baseline := runtime.NumGoroutine()
+	ev8f := func() (predictor.Predictor, error) { return ev8.New(ev8.DefaultConfig()) }
+	for _, factories := range [][]Factory{{ev8f}, {ev8f, ev8f}} {
+		for _, batch := range []BatchMode{BatchAuto, BatchOff} {
+			opts := Options{Mode: frontend.ModeEV8(), Batch: batch, UpdateDelay: 8}
+			_, direct := runFactories(factories, trace.NewSlice(recs), opts, false)
+			_, piped := runFactories(factories, trace.NewSlice(recs), opts, true)
+			if !errors.Is(direct, frontend.ErrFlow) || !strings.Contains(direct.Error(), fmt.Sprintf("stream record %d:", at)) {
+				t.Fatalf("%d members, batch=%v: direct err = %v, want a flow break at record %d", len(factories), batch, direct, at)
+			}
+			if piped == nil || piped.Error() != direct.Error() {
+				t.Errorf("%d members, batch=%v: pipelined err = %v, direct %v", len(factories), batch, piped, direct)
+			}
+		}
+	}
+	waitGoroutines(t, baseline)
+}
+
+// runWalkPanicking runs gshare pipelined over a stream whose second thread
+// first appears in its third chunk, where the walk's thread vetting
+// panics.
+func runWalkPanicking() (Result, error) {
+	recs := make([]trace.Branch, 3*batchChunk)
+	for i := range recs {
+		recs[i] = trace.Branch{PC: 0x1000, Target: 0x1000, Taken: true, Kind: trace.Cond}
+		if i >= 2*batchChunk+100 {
+			recs[i].Thread = 1
+		}
+	}
+	p, _ := gshareFactories(1)[0]()
+	rs := []Result{{Predictor: p.Name()}}
+	e := newEngine([]predictor.Predictor{p}, Options{})
+	e.front.newThread = func(id int) error {
+		if id == 1 {
+			panic("walk exploded")
+		}
+		return nil
+	}
+	err := e.run(trace.NewSlice(recs), true, rs, nil)
+	return rs[0], err
+}
+
+// TestPipelineWalkPanicSurfacesInCaller: a panic inside the producer's
+// walk stage, chunks into the stream, is re-raised in the goroutine that
+// consumes it — a direct call panics with the walk's value, a pool job
+// fails with "job panicked" — and the producer does not outlive the call.
+func TestPipelineWalkPanicSurfacesInCaller(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if r := recover(); r != "walk exploded" {
+				t.Errorf("recovered %v, want the walk's panic", r)
+			}
+		}()
+		runWalkPanicking()
+		t.Error("direct call returned instead of panicking")
+	}()
+	for _, workers := range []int{1, 2} {
+		jobs := []func(context.Context) (Result, error){
+			func(context.Context) (Result, error) { return runWalkPanicking() },
+			func(context.Context) (Result, error) { return runWalkPanicking() },
+		}
+		_, err := Parallel(context.Background(), workers, jobs)
+		if err == nil || !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "walk exploded") {
+			t.Errorf("workers=%d: err = %v, want a job panicked error", workers, err)
+		}
+	}
+	waitGoroutines(t, baseline)
+}
+
+// TestPipelineInterleavedMatchesDirect: over a two-thread SMT stream
+// (workload.Interleaved), whose chunks walk runs of both threads through
+// two trackers, the pipelined run returns the direct run's Results and
+// attribution counters, the EV8 solo and in an ensemble with 2Bc-gskew,
+// under both batch schedules and at update delays 0 and 8.
+func TestPipelineInterleavedMatchesDirect(t *testing.T) {
+	li, perl := benchProfiles(t, "li")[0], benchProfiles(t, "perl")[0]
+	ev8f := func() (predictor.Predictor, error) { return ev8.New(ev8.DefaultConfig()) }
+	bcgf := func() (predictor.Predictor, error) { return core.New(core.ConfigEV8Size()) }
+	smt := func() trace.Source {
+		return workload.NewInterleaved([]trace.Source{
+			workload.MustNew(li, pipelineInstr), workload.MustNew(perl, pipelineInstr),
+		}, 300)
+	}
+	baseline := runtime.NumGoroutine()
+	for _, factories := range [][]Factory{{ev8f}, {ev8f, bcgf}} {
+		for _, batch := range []BatchMode{BatchAuto, BatchOff} {
+			for _, delay := range []int{0, 8} {
+				opts := Options{Mode: frontend.ModeEV8(), Batch: batch, UpdateDelay: delay, Collect: true}
+				direct, err := runFactories(factories, smt(), opts, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				piped, err := runFactories(factories, smt(), opts, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(piped, direct) {
+					t.Errorf("%d members, batch=%v, delay=%d: pipelined %+v, direct %+v", len(factories), batch, delay, piped, direct)
+				}
+			}
+		}
+	}
+	waitGoroutines(t, baseline)
 }

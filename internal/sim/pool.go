@@ -8,8 +8,9 @@
 // share no mutable state; within a cell, instruction order is
 // architectural state, records are never reordered and the stream is
 // consumed serially (see DESIGN.md). Outside pool jobs a stream's
-// generator alone runs ahead on a second CPU (pipeline.go); pool jobs
-// keep it inline, because the fan-out already fills the CPUs. Every
+// generator and front-end walk run ahead on a second CPU (pipeline.go);
+// pool jobs keep them inline, because the fan-out already fills the
+// CPUs. Every
 // suite-level driver (the sweep harness, the experiment generators, the
 // daemon) routes through RunCells, whose PoolOptions are the one place a
 // fan-out's schedule is set; Workers == 1 forces the serial path for

@@ -13,7 +13,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"ev8pred/internal/frontend"
@@ -279,15 +278,16 @@ func (t *trackerTable) create(id int, opts Options) (*frontend.Tracker, error) {
 // accumulated Result fails its sanity check. The Result reflects the
 // branches processed before the failure.
 func Run(p predictor.Predictor, src trace.Source, opts Options) (Result, error) {
-	res, _, err := run(p, src, opts, nil, false)
+	res, _, err := run(p, src, opts, false, nil, false)
 	return res, err
 }
 
-// run is Run, RunCheckpoint and ResumeFrom: an engine of one member,
-// optionally seeded from a checkpoint (resume != nil) and optionally
-// capturing one at the stop point (doCapture). Resume seeding and capture
+// run is Run, RunCheckpoint, ResumeFrom and RunBenchmark: an engine of one
+// member, its front end walked ahead in a producer goroutine when
+// pipelined, optionally seeded from a checkpoint (resume != nil) and
+// optionally capturing one at the stop point (doCapture). Resume seeding and capture
 // both happen outside the walk, preserving its zero-allocation discipline.
-func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoint, doCapture bool) (Result, *Checkpoint, error) {
+func run(p predictor.Predictor, src trace.Source, opts Options, pipelined bool, resume *Checkpoint, doCapture bool) (Result, *Checkpoint, error) {
 	rs := []Result{{Predictor: p.Name(), SizeBits: p.SizeBits()}}
 	e := newEngine([]predictor.Predictor{p}, opts)
 	if resume != nil {
@@ -309,24 +309,23 @@ func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoi
 			return err
 		}
 	}
-	if err := e.run(src, rs, capture); err != nil {
+	if err := e.run(src, pipelined, rs, capture); err != nil {
 		return rs[0], nil, err
 	}
 	return rs[0], ck, nil
 }
 
 // RunBenchmark builds the named synthetic benchmark with instrBudget
-// instructions and runs p over it. Outside pool jobs the generator runs
-// ahead on a second CPU (see pipeline.go). For a cancelable variant see
-// the pool: RunCells threads its context into every cell's stream.
+// instructions and runs p over it. Outside pool jobs the generator and
+// the front-end walk run ahead on a second CPU (see pipeline.go). For a
+// cancelable variant see the pool: RunCells threads its context into
+// every cell's stream.
 func RunBenchmark(p predictor.Predictor, prof workload.Profile, instrBudget int64, opts Options) (Result, error) {
 	g, err := workload.New(prof, instrBudget)
 	if err != nil {
 		return Result{}, err
 	}
-	src, stop := stream(context.Background(), g, opts.MaxBranches, pipelining())
-	defer stop()
-	r, err := Run(p, src, opts)
+	r, _, err := run(p, g, opts, pipelining(), nil, false)
 	r.Workload = prof.Name
 	return r, err
 }

@@ -45,7 +45,8 @@ func drain(t *testing.T, src trace.Source, size int) ([]trace.Branch, error) {
 // call with a non-empty buffer returns records or an error; a clean
 // stream ends in io.EOF, again on the next call; and a failed stream (a
 // corrupt trace, a canceled context) returns its error again, with no
-// records, on the next call.
+// records, on the next call. The stream pipeline is no source: its walked
+// chunks are held to the same assertions by TestPipelineChunkContract.
 func TestSourceContract(t *testing.T) {
 	const budget = 60_000
 	li, perl := benchProfiles(t, "li")[0], benchProfiles(t, "perl")[0]
@@ -83,11 +84,6 @@ func TestSourceContract(t *testing.T) {
 		t.Cleanup(cancel)
 		return ctx, &cancelAfter{Generator: gen(), limit: limit, cancel: cancel}
 	}
-	pipe := func(t *testing.T, ctx context.Context, src trace.Source) trace.Source {
-		s, stop := stream(ctx, src, 0, true)
-		t.Cleanup(stop)
-		return s
-	}
 
 	clean := []struct {
 		name string
@@ -105,7 +101,6 @@ func TestSourceContract(t *testing.T) {
 			t.Cleanup(cancel)
 			return sourceWithCancel(ctx, gen())
 		}},
-		{"pipe", func(t *testing.T) trace.Source { return pipe(t, context.Background(), gen()) }},
 	}
 	for _, c := range clean {
 		t.Run(c.name, func(t *testing.T) {
@@ -147,10 +142,6 @@ func TestSourceContract(t *testing.T) {
 		{"canceled cancel", func(t *testing.T) trace.Source {
 			ctx, src := canceledAfter(t, 5000)
 			return sourceWithCancel(ctx, src)
-		}, ErrCanceled, false},
-		{"canceled pipe", func(t *testing.T) trace.Source {
-			ctx, src := canceledAfter(t, 5000)
-			return pipe(t, ctx, src)
 		}, ErrCanceled, false},
 	}
 	for _, c := range failing {

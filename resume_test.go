@@ -11,6 +11,7 @@ package ev8pred_test
 // fresh predictor, fresh source repositioned via SkipRecords).
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -249,5 +250,38 @@ func TestResumeValidation(t *testing.T) {
 	}
 	if _, err := sim.ResumeFrom(other, g, opts, ck); err == nil {
 		t.Error("ResumeFrom accepted a differently-configured predictor")
+	}
+}
+
+// TestResumeRefusedTrackerLeavesPredictor: a checkpoint whose tracker
+// state is refused fails the resume before the caller's predictor is
+// touched — the engine-private trackers restore first — so the predictor
+// still snapshots as it did before the attempt.
+func TestResumeRefusedTrackerLeavesPredictor(t *testing.T) {
+	prof, err := ev8pred.BenchmarkByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := workload.New(prof, 40_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sim.Options{Mode: ev8pred.ModeEV8(), MaxBranches: 2_000, UpdateDelay: 8}
+	_, ck, err := sim.RunCheckpoint(ev8pred.NewEV8(), g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Trackers) == 0 || len(ck.Pending) == 0 {
+		t.Fatalf("checkpoint carries %d trackers and %d pending updates, want both", len(ck.Trackers), len(ck.Pending))
+	}
+	ck.Trackers[0].State = []byte("junk")
+
+	p := ev8pred.NewEV8()
+	before := p.SnapshotState()
+	if _, err := sim.ResumeFrom(p, g, opts, ck); err == nil {
+		t.Fatal("ResumeFrom accepted a junk tracker state")
+	}
+	if after := p.SnapshotState(); !bytes.Equal(after, before) {
+		t.Error("a refused tracker state overwrote the caller's predictor")
 	}
 }

@@ -5,7 +5,8 @@ package ev8pred_test
 // must be refused with a typed error, leaving the target predictor
 // bit-identically unchanged) and FuzzSnapshotDecode, which drives
 // arbitrary bytes through the decoder, every Snapshotter family's
-// RestoreState, and sim.Checkpoint.UnmarshalBinary. The invariants under
+// RestoreState, the front-end tracker's RestoreState, and
+// sim.Checkpoint.UnmarshalBinary. The invariants under
 // fuzz: no panic, every failure wraps snapshot.ErrBadSnapshot, and a
 // restore that reports success must reproduce the exact bytes it decoded
 // (no silently-wrong restore).
@@ -17,6 +18,9 @@ import (
 	"testing"
 
 	"ev8pred"
+	"ev8pred/internal/core"
+	"ev8pred/internal/ev8"
+	"ev8pred/internal/frontend"
 	"ev8pred/internal/sim"
 	"ev8pred/internal/snapshot"
 	"ev8pred/internal/trace/faultinject"
@@ -150,9 +154,22 @@ func TestCheckpointMutantsNeverResume(t *testing.T) {
 	}
 }
 
+// smallCoreConfig is a 2Bc-gskew with 1K-entry banks, cheap to build once
+// per fuzz input.
+func smallCoreConfig() core.Config {
+	cfg := core.Config256K()
+	for b := range cfg.Banks {
+		cfg.Banks[b].Entries = core.K
+	}
+	cfg.Name = "2Bc-gskew-fuzz"
+	return cfg
+}
+
 // FuzzSnapshotDecode feeds arbitrary bytes to every decode surface of the
 // snapshot format. Seeds: one trained snapshot per family, a composed
-// checkpoint, and a fault-injection sample of each.
+// checkpoint, and a fault-injection sample of each; then the trained
+// snapshots of the small 2Bc-gskew and the EV8 restore targets and an
+// EV8-mode tracker state.
 func FuzzSnapshotDecode(f *testing.F) {
 	var seeds [][]byte
 	for _, c := range resumeRoster() {
@@ -179,6 +196,38 @@ func FuzzSnapshotDecode(f *testing.F) {
 	} else {
 		seeds = append(seeds, blob)
 		seeds = append(seeds, faultinject.Corpus(blob, len(blob)/8+1)...)
+	}
+	// The tracker, 2Bc-gskew and EV8 restore targets below, each with its
+	// own trained snapshot (appended last, so the earlier seeds keep
+	// their numbers).
+	bcg, err := core.New(smallCoreConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	ev, err := ev8.New(ev8.DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	trained := map[string]snapshotter{"2bcg": bcg, "ev8": ev}
+	for _, name := range []string{"2bcg", "ev8"} {
+		mode := ev8pred.ModeGhist()
+		if name == "ev8" {
+			mode = ev8pred.ModeEV8()
+		}
+		opts := sim.Options{Mode: mode, MaxBranches: 2_000, Collect: true}
+		if _, err := ev8pred.RunBenchmark(trained[name].(ev8pred.Predictor), prof, 40_000, opts); err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, trained[name].SnapshotState())
+	}
+	g, err = workload.New(prof, 20_000)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, ck, err := sim.RunCheckpoint(ev8pred.NewEV8(), g, sim.Options{Mode: ev8pred.ModeEV8(), MaxBranches: 500}); err != nil {
+		f.Fatal(err)
+	} else {
+		seeds = append(seeds, ck.Trackers[0].State)
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -224,8 +273,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("NewDecoder error %v does not wrap ErrBadSnapshot", err)
 		}
 
-		// Restore surfaces: a fresh small predictor per family shape that
-		// is cheap to build, plus the checkpoint container. Success is
+		// Restore surfaces: a fresh predictor per Snapshotter family (small
+		// where the family has a size), an EV8-mode front-end tracker, and
+		// the checkpoint container. Success is
 		// only legal if the bytes re-snapshot identically.
 		gp, err := ev8pred.NewGshare(1<<10, 10)
 		if err != nil {
@@ -235,7 +285,16 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, target := range []snapshotter{gp.(snapshotter), eg.(snapshotter)} {
+		bcg, err := core.New(smallCoreConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := ev8.New(ev8.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets := []snapshotter{gp.(snapshotter), eg.(snapshotter), bcg, ev, frontend.NewTracker(ev8pred.ModeEV8())}
+		for _, target := range targets {
 			if err := target.RestoreState(data); err != nil {
 				if !errors.Is(err, snapshot.ErrBadSnapshot) {
 					t.Fatalf("RestoreState error %v does not wrap ErrBadSnapshot", err)
