@@ -46,7 +46,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -54,18 +53,15 @@ import (
 	"sync"
 	"time"
 
-	"ev8pred/internal/cache"
 	"ev8pred/internal/cliflag"
 	"ev8pred/internal/ev8"
 	"ev8pred/internal/experiments"
 	"ev8pred/internal/frontend"
 	"ev8pred/internal/predictor"
-	"ev8pred/internal/profiling"
 	"ev8pred/internal/report"
 	"ev8pred/internal/shard"
 	"ev8pred/internal/sim"
 	"ev8pred/internal/stats/live"
-	"ev8pred/internal/workload"
 )
 
 func main() {
@@ -111,80 +107,43 @@ func (pc *progressCounter) observe(ev sim.CellDone) {
 // run executes the tool; out receives the report unless -o redirects it,
 // and errw receives the -v progress stream.
 func run(args []string, out, errw io.Writer) error {
-	fs := flag.NewFlagSet("ev8bench", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // a bad flag is one error line, not the whole usage
+	cmd := cliflag.New("ev8bench", out, errw)
 	var (
-		experiment   = fs.String("experiment", "all", "experiment id, 'all', or 'none' (skip the tables); one of "+strings.Join(experiments.IDs(), ","))
-		instructions = fs.Int64("instructions", 10_000_000, "synthetic instructions per benchmark")
-		benchmarks   = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all eight)")
-		outPath      = fs.String("o", "", "write the report to this file instead of stdout")
-		workers      = fs.Int("j", 0, "parallel simulation cells (0 = one per CPU, 1 = serial)")
-		verbose      = fs.Bool("v", false, "print a progress/throughput counter to stderr")
-		statsSuite   = fs.Bool("stats", false, "run the EV8 component-attribution suite and emit it as JSON")
-		jsonPath     = fs.String("json", "", "write the -stats JSON to this file instead of the report stream")
-		csvPath      = fs.String("csv", "", "also write the -stats records as CSV to this file")
-		cacheDir     = fs.String("cache", "", "content-addressed result cache directory (e.g. "+cache.DefaultDir+"; empty = no caching)")
-		shardSpec    = fs.String("shard", "", "sharded precompute: simulate only shard k/N of each experiment's cell grid into the shared -cache store (docs/SHARDING.md)")
-		expvarAddr   = fs.String("expvar", "", "serve live expvar progress counters on this address (e.g. localhost:8080)")
+		experiment   = cmd.String("experiment", "all", "experiment id, 'all', or 'none' (skip the tables); one of "+strings.Join(experiments.IDs(), ","))
+		instructions = cmd.PositiveInt64("instructions", 10_000_000, "synthetic instructions per benchmark")
+		benchmarks   = cmd.String("benchmarks", "all", "comma-separated benchmarks or 'all'")
+		outPath      = cmd.String("o", "", "write the report to this file instead of stdout")
+		workers      = cmd.Workers("parallel simulation cells (0 = one per CPU, 1 = serial)")
+		statsSuite   = cmd.Bool("stats", false, "run the EV8 component-attribution suite and emit it as JSON")
+		jsonPath     = cmd.String("json", "", "write the -stats JSON to this file instead of the report stream")
+		csvPath      = cmd.String("csv", "", "also write the -stats records as CSV to this file")
+		shardSpec    = cmd.String("shard", "", "sharded precompute: simulate only shard k/N of each experiment's cell grid into the shared -cache store (docs/SHARDING.md)")
+		expvarAddr   = cmd.String("expvar", "", "serve live expvar progress counters on this address (e.g. localhost:8080)")
 	)
-	profiles := profiling.Register(fs)
-	if err := fs.Parse(args); err == flag.ErrHelp {
-		fs.SetOutput(out)
-		fs.Usage()
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("%v (run with -h for usage)", err)
-	}
-	if err := cliflag.Workers("j", *workers); err != nil {
+	verbose := cmd.Cache("print a progress/throughput counter and harness diagnostics to stderr")
+	cmd.Profiles()
+	if ok, err := cmd.Parse(args); !ok {
 		return err
 	}
+	defer cmd.Close()
 	if *expvarAddr != "" {
 		if err := cliflag.HostPort("expvar", *expvarAddr); err != nil {
 			return err
 		}
 	}
 
-	stopProfiles, err := profiles.Start("ev8bench", errw)
+	profs, err := cliflag.Benchmarks(*benchmarks)
 	if err != nil {
 		return err
 	}
-	defer stopProfiles()
-
-	cfg := experiments.Config{Instructions: *instructions, Pool: sim.PoolOptions{Workers: *workers}}
-	if *benchmarks == "" {
-		cfg.Benchmarks = workload.Benchmarks()
-	} else {
-		for _, name := range strings.Split(*benchmarks, ",") {
-			p, err := workload.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			cfg.Benchmarks = append(cfg.Benchmarks, p)
-		}
-	}
+	cfg := experiments.Config{Instructions: *instructions, Benchmarks: profs,
+		Pool: sim.PoolOptions{Workers: *workers, Cache: cmd.Store(), Log: cmd.Log()}}
 	progress := live.NewProgress()
 	cfg.Pool.Progress = progress.Observe
 	var counter *progressCounter
 	if *verbose {
 		counter = &progressCounter{w: errw, p: progress}
 		cfg.Pool.Progress = counter.observe
-		cfg.Pool.Log = func(format string, args ...interface{}) {
-			fmt.Fprintf(errw, "ev8bench: "+format+"\n", args...)
-		}
-	}
-	if *cacheDir != "" {
-		store, err := cache.Open(*cacheDir)
-		if err != nil {
-			return err
-		}
-		cfg.Pool.Cache = store
-		defer func() {
-			if *verbose {
-				hits, misses, readErrs, puts := store.Counts()
-				fmt.Fprintf(errw, "cache: %d hits, %d misses, %d read errors, %d stored (%s)\n",
-					hits, misses, readErrs, puts, store.Dir())
-			}
-		}()
 	}
 	if *shardSpec != "" {
 		spec, err := shard.ParseSpec(*shardSpec)
@@ -270,33 +229,17 @@ func run(args []string, out, errw io.Writer) error {
 		if err != nil {
 			return err
 		}
-		jw := w
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer func() {
-				if cerr := f.Close(); cerr != nil {
-					fmt.Fprintln(os.Stderr, "ev8bench: closing json:", cerr)
-				}
-			}()
-			jw = f
+		if *jsonPath == "" {
+			err = report.WriteJSON(w, runs)
+		} else {
+			err = cliflag.WriteFile(*jsonPath, func(f io.Writer) error { return report.WriteJSON(f, runs) })
 		}
-		if err := report.WriteJSON(jw, runs); err != nil {
+		if err != nil {
 			return err
 		}
 		if *csvPath != "" {
-			f, err := os.Create(*csvPath)
-			if err != nil {
+			if err := cliflag.WriteFile(*csvPath, func(f io.Writer) error { return report.WriteCSV(f, runs) }); err != nil {
 				return err
-			}
-			werr := report.WriteCSV(f, runs)
-			if cerr := f.Close(); werr == nil && cerr != nil {
-				werr = fmt.Errorf("closing csv: %w", cerr)
-			}
-			if werr != nil {
-				return werr
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ev8pred/internal/cliflag"
 	"ev8pred/internal/experiments"
@@ -35,19 +36,31 @@ func TestRunSingleExperiment(t *testing.T) {
 }
 
 func TestRunBenchmarkSubset(t *testing.T) {
-	var sb, eb strings.Builder
-	err := run([]string{
-		"-experiment", "table2", "-benchmarks", "li,perl", "-instructions", "100000",
-	}, &sb, &eb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "li") || !strings.Contains(out, "perl") {
-		t.Errorf("subset missing:\n%s", out)
-	}
-	if strings.Contains(out, "vortex") {
-		t.Error("unrequested benchmark in output")
+	for _, tc := range []struct {
+		benchmarks    string
+		want, notWant []string
+	}{
+		{"li,perl", []string{"li", "perl"}, []string{"vortex"}},
+		{"all", workload.Names(), nil},
+	} {
+		var sb, eb strings.Builder
+		err := run([]string{
+			"-experiment", "table2", "-benchmarks", tc.benchmarks, "-instructions", "100000",
+		}, &sb, &eb)
+		if err != nil {
+			t.Fatalf("-benchmarks %s: %v", tc.benchmarks, err)
+		}
+		out := sb.String()
+		for _, name := range tc.want {
+			if !strings.Contains(out, name) {
+				t.Errorf("-benchmarks %s: %s missing:\n%s", tc.benchmarks, name, out)
+			}
+		}
+		for _, name := range tc.notWant {
+			if strings.Contains(out, name) {
+				t.Errorf("-benchmarks %s: unrequested %s in output", tc.benchmarks, name)
+			}
+		}
 	}
 }
 
@@ -101,11 +114,12 @@ func TestRunFlagValidation(t *testing.T) {
 		{"expvar no port", []string{"-expvar", "localhost"}, isCliflagError},
 		{"expvar bad port", []string{"-expvar", "localhost:notaport"}, isCliflagError},
 		{"expvar empty", []string{"-expvar", " "}, isCliflagError},
+		{"zero instructions", []string{"-experiment", "fig10", "-benchmarks", "gcc", "-j", "1", "-instructions", "0"}, isCliflagError},
+		{"negative instructions", []string{"-experiment", "fig10", "-benchmarks", "gcc", "-instructions", "-1"}, isCliflagError},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var sb, eb strings.Builder
-			err := run(append(append([]string{}, base...), tc.args...), &sb, &eb)
+			err := runWithin(t, append(append([]string{}, base...), tc.args...)...)
 			if err == nil {
 				t.Fatalf("args %v accepted", tc.args)
 			}
@@ -263,5 +277,20 @@ func TestRunBadFlag(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "-experiment") {
 		t.Errorf("-h output lacks -experiment:\n%s", out.String())
+	}
+}
+
+// runWithin runs the tool and fails the test unless it returns within a
+// minute: a budget the tool should reject would otherwise run forever.
+func runWithin(t *testing.T, args ...string) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- run(args, io.Discard, io.Discard) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Minute):
+		t.Fatalf("%v: still running after a minute", args)
+		return nil
 	}
 }

@@ -34,7 +34,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -44,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"ev8pred/internal/cache"
 	"ev8pred/internal/cliflag"
 	"ev8pred/internal/serve"
 )
@@ -63,69 +61,34 @@ func main() {
 // non-nil, receives the bound address once the listener is up (tests use
 // it to dial "-addr 127.0.0.1:0" without parsing output).
 func run(args []string, out, errw io.Writer, sig <-chan os.Signal, ready func(net.Addr)) error {
-	fs := flag.NewFlagSet("ev8serve", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // a bad flag is one error line, not the whole usage
+	cmd := cliflag.New("ev8serve", out, errw)
 	var (
-		addr         = fs.String("addr", "localhost:8311", "HTTP listen address")
-		workers      = fs.Int("j", 0, "parallel simulation cells per job (0 = one per CPU, 1 = serial)")
-		cacheDir     = fs.String("cache", "", "content-addressed result cache directory shared with the CLIs (e.g. "+cache.DefaultDir+"; empty = no caching)")
-		maxJobs      = fs.Int("max-jobs", 2, "jobs simulating concurrently")
-		queueDepth   = fs.Int("queue", 8, "admitted jobs waiting beyond -max-jobs before submissions get 429")
-		tenantQuota  = fs.Int("tenant-quota", 4, "admitted jobs one tenant may hold")
-		maxCells     = fs.Int("max-cells", 4096, "largest cell fan-out one spec may request")
-		drainTimeout = fs.Duration("drain-timeout", time.Minute, "how long a drain waits for in-flight jobs before giving up")
-		verbose      = fs.Bool("v", false, "print harness diagnostics to stderr")
+		addr         = cmd.String("addr", "localhost:8311", "HTTP listen address")
+		workers      = cmd.Workers("parallel simulation cells per job (0 = one per CPU, 1 = serial)")
+		maxJobs      = cmd.PositiveInt("max-jobs", 2, "jobs simulating concurrently")
+		queueDepth   = cmd.PositiveInt("queue", 8, "admitted jobs waiting beyond -max-jobs before submissions get 429")
+		tenantQuota  = cmd.PositiveInt("tenant-quota", 4, "admitted jobs one tenant may hold")
+		maxCells     = cmd.PositiveInt("max-cells", 4096, "largest cell fan-out one spec may request")
+		drainTimeout = cmd.Duration("drain-timeout", time.Minute, "how long a drain waits for in-flight jobs before giving up")
 	)
-	if err := fs.Parse(args); err == flag.ErrHelp {
-		fs.SetOutput(out)
-		fs.Usage()
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("%v (run with -h for usage)", err)
+	cmd.Cache("print harness diagnostics to stderr")
+	if ok, err := cmd.Parse(args); !ok {
+		return err
 	}
+	defer cmd.Close()
 	if err := cliflag.HostPort("addr", *addr); err != nil {
 		return err
 	}
-	if err := cliflag.Workers("j", *workers); err != nil {
-		return err
-	}
-	for _, lim := range []struct {
-		flag string
-		v    int
-	}{{"max-jobs", *maxJobs}, {"queue", *queueDepth}, {"tenant-quota", *tenantQuota}, {"max-cells", *maxCells}} {
-		if err := cliflag.Positive(lim.flag, int64(lim.v)); err != nil {
-			return err
-		}
-	}
 
-	cfg := serve.Config{
+	srv := serve.New(serve.Config{
 		Workers:     *workers,
 		MaxJobs:     *maxJobs,
 		QueueDepth:  *queueDepth,
 		TenantQuota: *tenantQuota,
 		MaxCells:    *maxCells,
-	}
-	if *verbose {
-		cfg.Log = func(format string, args ...interface{}) {
-			fmt.Fprintf(errw, "ev8serve: "+format+"\n", args...)
-		}
-	}
-	if *cacheDir != "" {
-		store, err := cache.Open(*cacheDir)
-		if err != nil {
-			return err
-		}
-		cfg.Cache = store
-		defer func() {
-			if *verbose {
-				hits, misses, readErrs, puts := store.Counts()
-				fmt.Fprintf(errw, "ev8serve: cache: %d hits, %d misses, %d read errors, %d stored (%s)\n",
-					hits, misses, readErrs, puts, store.Dir())
-			}
-		}()
-	}
-
-	srv := serve.New(cfg)
+		Cache:       cmd.Store(),
+		Log:         cmd.Log(),
+	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)

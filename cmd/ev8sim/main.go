@@ -29,13 +29,13 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strings"
 
+	"ev8pred/internal/cliflag"
 	"ev8pred/internal/core"
 	"ev8pred/internal/ev8"
 	"ev8pred/internal/frontend"
@@ -50,7 +50,6 @@ import (
 	"ev8pred/internal/predictor/local"
 	"ev8pred/internal/predictor/perceptron"
 	"ev8pred/internal/predictor/yags"
-	"ev8pred/internal/profiling"
 	"ev8pred/internal/report"
 	"ev8pred/internal/sim"
 	"ev8pred/internal/trace"
@@ -97,35 +96,26 @@ func main() {
 // run executes the tool against the given arguments, writing the result
 // table to out.
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("ev8sim", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // a bad flag is one error line, not the whole usage
+	cmd := cliflag.New("ev8sim", out, os.Stderr)
 	var (
-		predictors   = fs.String("predictors", "ev8", "comma-separated predictor list: "+strings.Join(predictorNames(), ","))
-		benchmarks   = fs.String("benchmarks", "gcc", "comma-separated benchmarks or 'all'")
-		traceFile    = fs.String("trace", "", "run over a recorded trace file instead of synthetic benchmarks")
-		instructions = fs.Int64("instructions", 10_000_000, "synthetic instructions per benchmark")
-		modeName     = fs.String("mode", "ev8", "information vector: ev8|ghist|lghist|lghist-nopath|old-lghist")
-		threads      = fs.Int("threads", 1, "SMT: interleave N copies of each benchmark")
-		quantum      = fs.Int64("quantum", 1000, "SMT: instructions per thread switch")
-		collect      = fs.Bool("stats", false, "collect component-attribution counters (predictors that support them)")
-		saveCk       = fs.String("save-checkpoint", "", "stop after -checkpoint-branches conditional branches and write a resumable checkpoint to this file (single predictor, single workload)")
-		ckBranches   = fs.Int64("checkpoint-branches", 0, "conditional-branch cut point for -save-checkpoint")
-		resumePath   = fs.String("resume", "", "resume from a checkpoint written by -save-checkpoint and run the source dry (same -mode and predictor required)")
-		jsonPath     = fs.String("json", "", "emit results as JSON to this file ('-' = stdout, replacing the table)")
+		predictors   = cmd.String("predictors", "ev8", "comma-separated predictor list: "+strings.Join(predictorNames(), ","))
+		benchmarks   = cmd.String("benchmarks", "gcc", "comma-separated benchmarks or 'all'")
+		traceFile    = cmd.String("trace", "", "run over a recorded trace file instead of synthetic benchmarks")
+		instructions = cmd.PositiveInt64("instructions", 10_000_000, "synthetic instructions per benchmark")
+		modeName     = cmd.String("mode", "ev8", "information vector: ev8|ghist|lghist|lghist-nopath|old-lghist")
+		threads      = cmd.PositiveInt("threads", 1, "SMT: interleave N copies of each benchmark")
+		quantum      = cmd.PositiveInt64("quantum", 1000, "SMT: instructions per thread switch")
+		collect      = cmd.Bool("stats", false, "collect component-attribution counters (predictors that support them)")
+		saveCk       = cmd.String("save-checkpoint", "", "stop after -checkpoint-branches conditional branches and write a resumable checkpoint to this file (single predictor, single workload)")
+		ckBranches   = cmd.Int64("checkpoint-branches", 0, "conditional-branch cut point for -save-checkpoint")
+		resumePath   = cmd.String("resume", "", "resume from a checkpoint written by -save-checkpoint and run the source dry (same -mode and predictor required)")
 	)
-	profiles := profiling.Register(fs)
-	if err := fs.Parse(args); err == flag.ErrHelp {
-		fs.SetOutput(out)
-		fs.Usage()
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("%v (run with -h for usage)", err)
-	}
-	stopProfiles, err := profiles.Start("ev8sim", os.Stderr)
-	if err != nil {
+	cmd.JSON()
+	cmd.Profiles()
+	if ok, err := cmd.Parse(args); !ok {
 		return err
 	}
-	defer stopProfiles()
+	defer cmd.Close()
 
 	mode, err := frontend.ModeByName(*modeName)
 	if err != nil {
@@ -147,6 +137,11 @@ func run(args []string, out io.Writer) error {
 	tbl := report.New("ev8sim results",
 		"workload", "predictor", "size Kbits", "misp/KI", "accuracy%", "branches")
 	var results []sim.Result
+	add := func(r sim.Result) {
+		results = append(results, r)
+		tbl.AddRowf(r.Workload, r.Predictor, r.SizeBits/1024,
+			r.MispKI(), 100*r.Accuracy(), r.Branches)
+	}
 
 	if *saveCk != "" || *resumePath != "" {
 		r, err := runCheckpointed(names, *benchmarks, *traceFile, *instructions,
@@ -154,23 +149,14 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		addRow(tbl, r)
-		return emit(tbl, []sim.Result{r}, *jsonPath, out)
+		add(r)
+		return cmd.Emit(tbl, report.FromResults(results))
 	}
 
 	if *traceFile != "" {
 		// Decode once (gzip-transparent), replay per predictor.
-		rd, closer, err := trace.Open(*traceFile)
+		records, err := readTrace(*traceFile)
 		if err != nil {
-			return err
-		}
-		records, err := trace.Collect(rd, 0)
-		// A decode error mid-stream (truncation, CRC mismatch) must fail
-		// the run, not silently simulate the valid prefix.
-		if err != nil {
-			return fmt.Errorf("%s: %w", *traceFile, err)
-		}
-		if err := closer.Close(); err != nil {
 			return err
 		}
 		for _, n := range names {
@@ -183,23 +169,14 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			r.Workload = *traceFile
-			results = append(results, r)
-			addRow(tbl, r)
+			add(r)
 		}
-		return emit(tbl, results, *jsonPath, out)
+		return cmd.Emit(tbl, report.FromResults(results))
 	}
 
-	var profs []workload.Profile
-	if *benchmarks == "all" {
-		profs = workload.Benchmarks()
-	} else {
-		for _, n := range strings.Split(*benchmarks, ",") {
-			prof, err := workload.ByName(strings.TrimSpace(n))
-			if err != nil {
-				return err
-			}
-			profs = append(profs, prof)
-		}
+	profs, err := cliflag.Benchmarks(*benchmarks)
+	if err != nil {
+		return err
 	}
 	for _, prof := range profs {
 		for _, n := range names {
@@ -208,7 +185,7 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			var r sim.Result
-			if *threads <= 1 {
+			if *threads == 1 {
 				r, err = sim.RunBenchmark(p, prof, *instructions, opts)
 				if err != nil {
 					return err
@@ -231,11 +208,26 @@ func run(args []string, out io.Writer) error {
 			if r.Workload == "" {
 				r.Workload = prof.Name
 			}
-			results = append(results, r)
-			addRow(tbl, r)
+			add(r)
 		}
 	}
-	return emit(tbl, results, *jsonPath, out)
+	return cmd.Emit(tbl, report.FromResults(results))
+}
+
+// readTrace decodes a whole trace file (gzip-transparent). A decode
+// error mid-stream (truncation, CRC mismatch) fails the run, not
+// silently simulating the valid prefix.
+func readTrace(path string) ([]trace.Branch, error) {
+	rd, closer, err := trace.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	records, err := trace.Collect(rd, 0)
+	if err != nil {
+		closer.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return records, closer.Close()
 }
 
 // runCheckpointed handles the -save-checkpoint / -resume modes: one
@@ -260,26 +252,20 @@ func runCheckpointed(names []string, benchmarks, traceFile string, instructions 
 		wname string
 	)
 	if traceFile != "" {
-		rd, closer, err := trace.Open(traceFile)
+		records, err := readTrace(traceFile)
 		if err != nil {
-			return sim.Result{}, err
-		}
-		records, err := trace.Collect(rd, 0)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("%s: %w", traceFile, err)
-		}
-		if err := closer.Close(); err != nil {
 			return sim.Result{}, err
 		}
 		src, wname = trace.NewSlice(records), traceFile
 	} else {
-		if strings.Contains(benchmarks, ",") || benchmarks == "all" {
-			return sim.Result{}, fmt.Errorf("checkpointing runs exactly one benchmark (got %q)", benchmarks)
-		}
-		prof, err := workload.ByName(benchmarks)
+		profs, err := cliflag.Benchmarks(benchmarks)
 		if err != nil {
 			return sim.Result{}, err
 		}
+		if len(profs) != 1 {
+			return sim.Result{}, fmt.Errorf("checkpointing runs exactly one benchmark (got %q)", benchmarks)
+		}
+		prof := profs[0]
 		g, err := workload.New(prof, instructions)
 		if err != nil {
 			return sim.Result{}, err
@@ -332,36 +318,6 @@ func runCheckpointed(names []string, benchmarks, traceFile string, instructions 
 		ck.RawBranches, ck.Records, saveCk, len(blob))
 	r.Workload = wname
 	return r, nil
-}
-
-// emit prints the table and, when -json was given, the machine-readable
-// records: "-" replaces the table on stdout, any other path gets the JSON
-// alongside the printed table.
-func emit(tbl *report.Table, results []sim.Result, jsonPath string, out io.Writer) error {
-	runs := report.FromResults(results)
-	if jsonPath == "-" {
-		return report.WriteJSON(out, runs)
-	}
-	if err := tbl.Fprint(out); err != nil {
-		return err
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	werr := report.WriteJSON(f, runs)
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = fmt.Errorf("closing json: %w", cerr)
-	}
-	return werr
-}
-
-func addRow(tbl *report.Table, r sim.Result) {
-	tbl.AddRowf(r.Workload, r.Predictor, r.SizeBits/1024,
-		r.MispKI(), 100*r.Accuracy(), r.Branches)
 }
 
 func predictorNames() []string {

@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"ev8pred/internal/cliflag"
 	"ev8pred/internal/trace"
 	"ev8pred/internal/workload"
 )
@@ -136,6 +139,31 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-trace", filepath.Join(t.TempDir(), "missing")}, &sb); err == nil {
 		t.Error("missing trace accepted")
+	}
+	for _, bad := range [][]string{
+		{"-instructions", "-5"}, {"-instructions", "0"},
+		{"-threads", "0"}, {"-threads", "-1"},
+		{"-quantum", "0"}, {"-quantum", "-1000", "-threads", "2"},
+	} {
+		var ce *cliflag.Error
+		if err := runWithin(t, append([]string{"-benchmarks", "gcc"}, bad...)...); !errors.As(err, &ce) {
+			t.Errorf("%v: error %v (%T) is not *cliflag.Error", bad, err, err)
+		}
+	}
+}
+
+// runWithin runs the tool and fails the test unless it returns within a
+// minute: a budget the tool should reject would otherwise run forever.
+func runWithin(t *testing.T, args ...string) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- run(args, io.Discard) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Minute):
+		t.Fatalf("%v: still running after a minute", args)
+		return nil
 	}
 }
 

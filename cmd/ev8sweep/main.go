@@ -12,7 +12,9 @@
 //	ev8sweep -scheme perceptron -param history -values 8,16,24,32
 //
 // Flags -benchmarks and -instructions scope the run; -mode selects the
-// information vector. Every (value × benchmark) cell runs in parallel
+// information vector. The sweep flags compile through sweep.Spec, the
+// spec the ev8serve daemon takes, so a served spec with the same values
+// runs exactly these cells. Every (value × benchmark) cell runs in parallel
 // across the CPUs (-j 1 forces the serial path); the table is
 // byte-identical for every -j. A K-value sweep visits each benchmark K
 // times with identical streams, so the pool schedules one single-pass
@@ -53,22 +55,17 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
 
-	"ev8pred/internal/cache"
 	"ev8pred/internal/cliflag"
-	"ev8pred/internal/frontend"
-	"ev8pred/internal/profiling"
 	"ev8pred/internal/report"
 	"ev8pred/internal/shard"
 	"ev8pred/internal/sim"
 	"ev8pred/internal/sweep"
-	"ev8pred/internal/workload"
 )
 
 func main() {
@@ -80,37 +77,27 @@ func main() {
 
 // run executes the sweep against the given arguments.
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("ev8sweep", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // a bad flag is one error line, not the whole usage
+	cmd := cliflag.New("ev8sweep", out, os.Stderr)
 	var (
-		scheme       = fs.String("scheme", "gshare", "predictor family: gshare|2bcg|perceptron")
-		param        = fs.String("param", "history", "swept parameter: history|size")
-		values       = fs.String("values", "8,12,16,20,24", "comma-separated parameter values")
-		benchmarks   = fs.String("benchmarks", "all", "comma-separated benchmarks or 'all'")
-		instructions = fs.Int64("instructions", 5_000_000, "instructions per benchmark")
-		modeName     = fs.String("mode", "ghist", "information vector: ghist|lghist|lghist-nopath|old-lghist|ev8")
-		workers      = fs.Int("j", 0, "parallel simulation cells (0 = one per CPU, 1 = serial)")
-		collect      = fs.Bool("stats", false, "collect component-attribution counters (predictors that support them)")
-		cacheDir     = fs.String("cache", "", "content-addressed result cache directory (e.g. "+cache.DefaultDir+"; empty = no caching)")
-		verbose      = fs.Bool("v", false, "print harness diagnostics (cache hit/miss summary, refused entries) to stderr")
-		jsonPath     = fs.String("json", "", "emit per-cell results as JSON to this file ('-' = stdout, replacing the table)")
-		shardSpec    = fs.String("shard", "", "worker mode: simulate only shard k/N of the sweep's cells (requires -cache and -manifest; docs/SHARDING.md)")
-		manifestDir  = fs.String("manifest", "", "directory for shard completion manifests (worker mode, with -shard)")
-		mergeDir     = fs.String("merge", "", "coordinator mode: merge a completed sharded sweep from this manifest directory (requires -cache and the same sweep flags the workers ran)")
+		scheme       = cmd.String("scheme", "gshare", "predictor family: gshare|2bcg|perceptron")
+		param        = cmd.String("param", "history", "swept parameter: history|size")
+		values       = cmd.String("values", "8,12,16,20,24", "comma-separated parameter values")
+		benchmarks   = cmd.String("benchmarks", "all", "comma-separated benchmarks or 'all'")
+		instructions = cmd.PositiveInt64("instructions", 5_000_000, "instructions per benchmark")
+		modeName     = cmd.String("mode", "ghist", "information vector: ghist|lghist|lghist-nopath|old-lghist|ev8")
+		workers      = cmd.Workers("parallel simulation cells (0 = one per CPU, 1 = serial)")
+		collect      = cmd.Bool("stats", false, "collect component-attribution counters (predictors that support them)")
+		shardSpec    = cmd.String("shard", "", "worker mode: simulate only shard k/N of the sweep's cells (requires -cache and -manifest; docs/SHARDING.md)")
+		manifestDir  = cmd.String("manifest", "", "directory for shard completion manifests (worker mode, with -shard)")
+		mergeDir     = cmd.String("merge", "", "coordinator mode: merge a completed sharded sweep from this manifest directory (requires -cache and the same sweep flags the workers ran)")
 	)
-	profiles := profiling.Register(fs)
-	if err := fs.Parse(args); err == flag.ErrHelp {
-		fs.SetOutput(out)
-		fs.Usage()
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("%v (run with -h for usage)", err)
-	}
-	stopProfiles, err := profiles.Start("ev8sweep", os.Stderr)
-	if err != nil {
+	cmd.Cache("print harness diagnostics (cache hit/miss summary, refused entries) to stderr")
+	cmd.JSON()
+	cmd.Profiles()
+	if ok, err := cmd.Parse(args); !ok {
 		return err
 	}
-	defer stopProfiles()
+	defer cmd.Close()
 
 	var xs []int
 	for _, s := range strings.Split(*values, ",") {
@@ -120,58 +107,16 @@ func run(args []string, out io.Writer) error {
 		}
 		xs = append(xs, v)
 	}
-
-	var profsList []workload.Profile
-	if *benchmarks == "all" {
-		profsList = workload.Benchmarks()
-	} else {
-		for _, n := range strings.Split(*benchmarks, ",") {
-			p, err := workload.ByName(strings.TrimSpace(n))
-			if err != nil {
-				return err
-			}
-			profsList = append(profsList, p)
-		}
-	}
-
-	mode, err := frontend.ModeByName(*modeName)
+	// The flags compile through the daemon's spec compiler, so a served
+	// spec runs exactly these cells (docs/SERVING.md).
+	sp := sweep.Spec{Scheme: *scheme, Param: *param, Values: xs,
+		Benchmarks: strings.Split(*benchmarks, ","), Instructions: *instructions,
+		Mode: *modeName, Stats: *collect}
+	sw, err := sp.Compile(0)
 	if err != nil {
 		return err
 	}
-
-	// The family roster lives in the sweep package so the ev8serve daemon
-	// compiles specs through the exact same constructors — identical cache
-	// keys, identical results (docs/SERVING.md).
-	factory, err := sweep.FamilyFactory(*scheme, *param)
-	if err != nil {
-		return err
-	}
-
-	if err := cliflag.Workers("j", *workers); err != nil {
-		return err
-	}
-
-	pool := sim.PoolOptions{Workers: *workers}
-	if *verbose {
-		pool.Log = func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, "ev8sweep: "+format+"\n", args...)
-		}
-	}
-	if *cacheDir != "" {
-		store, err := cache.Open(*cacheDir)
-		if err != nil {
-			return err
-		}
-		pool.Cache = store
-		defer func() {
-			if *verbose {
-				hits, misses, readErrs, puts := store.Counts()
-				fmt.Fprintf(os.Stderr, "ev8sweep: cache: %d hits, %d misses, %d read errors, %d stored (%s)\n",
-					hits, misses, readErrs, puts, store.Dir())
-			}
-		}()
-	}
-	opts := sim.Options{Mode: mode, Collect: *collect}
+	pool := sim.PoolOptions{Workers: *workers, Cache: cmd.Store(), Log: cmd.Log()}
 
 	var pts []sweep.Point
 	switch {
@@ -191,11 +136,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		plan, err := shard.NewPlan(factory, xs, profsList, *instructions, opts)
+		plan, err := shard.NewPlan(sw.Factory, sw.Values, sw.Profiles, sw.Instructions, sw.Options)
 		if err != nil {
 			return err
 		}
-		owned, err := shard.RunShard(context.Background(), plan, spec, *instructions, pool, *manifestDir)
+		owned, err := shard.RunShard(context.Background(), plan, spec, sw.Instructions, pool, *manifestDir)
 		if err != nil {
 			return err
 		}
@@ -210,7 +155,7 @@ func run(args []string, out io.Writer) error {
 		if pool.Cache == nil {
 			return fmt.Errorf("-merge requires -cache: the store holds the shards' results")
 		}
-		plan, err := shard.NewPlan(factory, xs, profsList, *instructions, opts)
+		plan, err := shard.NewPlan(sw.Factory, sw.Values, sw.Profiles, sw.Instructions, sw.Options)
 		if err != nil {
 			return err
 		}
@@ -218,41 +163,19 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if pts, err = sweep.Points(xs, profsList, rs); err != nil {
+		if pts, err = sweep.Points(sw.Values, sw.Profiles, rs); err != nil {
 			return err
 		}
 	default:
-		var err error
-		if pts, err = sweep.RunPool(factory, xs, profsList, *instructions, opts, pool); err != nil {
+		if pts, err = sw.Run(context.Background(), pool); err != nil {
 			return err
 		}
 	}
 	title := fmt.Sprintf("%s sweep: %s (%s info vector, %d instr/bench)",
 		*scheme, *param, *modeName, *instructions)
-	tbl := sweep.Table(title, *param, pts)
-
 	var runs []report.Run
-	if *jsonPath != "" {
-		for _, p := range pts {
-			runs = append(runs, report.FromResults(p.Results)...)
-		}
+	for _, p := range pts {
+		runs = append(runs, report.FromResults(p.Results)...)
 	}
-	if *jsonPath == "-" {
-		return report.WriteJSON(out, runs)
-	}
-	if err := tbl.Fprint(out); err != nil {
-		return err
-	}
-	if *jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(*jsonPath)
-	if err != nil {
-		return err
-	}
-	werr := report.WriteJSON(f, runs)
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = fmt.Errorf("closing json: %w", cerr)
-	}
-	return werr
+	return cmd.Emit(sweep.Table(title, *param, pts), runs)
 }

@@ -3,9 +3,11 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ev8pred/internal/cliflag"
 	"ev8pred/internal/frontend"
@@ -75,6 +77,15 @@ func TestRunFlagValidation(t *testing.T) {
 			t.Fatalf("-j -1: error %v (%T) is not *cliflag.Error", err, err)
 		}
 	})
+	for _, budget := range []string{"0", "-1"} {
+		t.Run("instructions "+budget, func(t *testing.T) {
+			err := runWithin(t, "-values", "8", "-benchmarks", "gcc", "-j", "1", "-instructions", budget)
+			var ce *cliflag.Error
+			if !errors.As(err, &ce) {
+				t.Fatalf("-instructions %s: error %v (%T) is not *cliflag.Error", budget, err, err)
+			}
+		})
+	}
 	for _, bad := range []string{"3/3", "5/3", "0/0", "x/3", "0/3x", "0.5/3"} {
 		t.Run("shard "+bad, func(t *testing.T) {
 			var sb strings.Builder
@@ -253,5 +264,20 @@ func TestRunBadFlag(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "-scheme") {
 		t.Errorf("-h output lacks -scheme:\n%s", out.String())
+	}
+}
+
+// runWithin runs the tool and fails the test unless it returns within a
+// minute: a budget the tool should reject would otherwise run forever.
+func runWithin(t *testing.T, args ...string) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- run(args, io.Discard) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Minute):
+		t.Fatalf("%v: still running after a minute", args)
+		return nil
 	}
 }

@@ -9,13 +9,12 @@ package main
 
 import (
 	"compress/gzip"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
+	"ev8pred/internal/cliflag"
 	"ev8pred/internal/report"
 	"ev8pred/internal/trace"
 	"ev8pred/internal/workload"
@@ -30,35 +29,23 @@ func main() {
 
 // run executes the tool against the given arguments.
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // a bad flag is one error line, not the whole usage
+	cmd := cliflag.New("tracegen", out, os.Stderr)
 	var (
-		benchmarks   = fs.String("benchmarks", "all", "comma-separated benchmarks or 'all'")
-		instructions = fs.Int64("instructions", 10_000_000, "instructions per benchmark")
-		dir          = fs.String("dir", ".", "output directory")
-		useGzip      = fs.Bool("gzip", false, "gzip-compress the trace files")
-		format       = fs.Int("format", trace.DefaultVersion,
+		benchmarks   = cmd.String("benchmarks", "all", "comma-separated benchmarks or 'all'")
+		instructions = cmd.PositiveInt64("instructions", 10_000_000, "instructions per benchmark")
+		dir          = cmd.String("dir", ".", "output directory")
+		useGzip      = cmd.Bool("gzip", false, "gzip-compress the trace files")
+		format       = cmd.Int("format", trace.DefaultVersion,
 			"trace format version: 2 adds per-chunk CRCs and a counted footer, 1 is the legacy bare stream")
 	)
-	if err := fs.Parse(args); err == flag.ErrHelp {
-		fs.SetOutput(out)
-		fs.Usage()
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("%v (run with -h for usage)", err)
+	if ok, err := cmd.Parse(args); !ok {
+		return err
 	}
+	defer cmd.Close()
 
-	var profs []workload.Profile
-	if *benchmarks == "all" {
-		profs = workload.Benchmarks()
-	} else {
-		for _, n := range strings.Split(*benchmarks, ",") {
-			p, err := workload.ByName(strings.TrimSpace(n))
-			if err != nil {
-				return err
-			}
-			profs = append(profs, p)
-		}
+	profs, err := cliflag.Benchmarks(*benchmarks)
+	if err != nil {
+		return err
 	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"ev8pred/internal/cliflag"
 	"ev8pred/internal/trace"
 )
 
@@ -104,6 +108,27 @@ func TestRunErrors(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-benchmarks", "nonesuch"}, &sb); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+	for _, budget := range []string{"0", "-1"} {
+		var ce *cliflag.Error
+		if err := runWithin(t, "-benchmarks", "gcc", "-dir", t.TempDir(), "-instructions", budget); !errors.As(err, &ce) {
+			t.Errorf("-instructions %s: error %v (%T) is not *cliflag.Error", budget, err, err)
+		}
+	}
+}
+
+// runWithin runs the tool and fails the test unless it returns within a
+// minute: a budget the tool should reject would otherwise run forever.
+func runWithin(t *testing.T, args ...string) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- run(args, io.Discard) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Minute):
+		t.Fatalf("%v: still running after a minute", args)
+		return nil
 	}
 }
 

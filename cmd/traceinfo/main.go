@@ -7,28 +7,38 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 
+	"ev8pred/internal/cliflag"
 	"ev8pred/internal/frontend"
 	"ev8pred/internal/report"
 	"ev8pred/internal/trace"
 )
 
+const usage = "usage: traceinfo <file.ev8t> [...]"
+
 func main() {
-	flag.Parse()
-	if err := run(flag.Args(), os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "traceinfo:", err)
 		os.Exit(1)
 	}
 }
 
-// run inspects each trace file and writes the summary table to out.
-func run(paths []string, out io.Writer) error {
+// run inspects each trace file named in args and writes the summary
+// table to out.
+func run(args []string, out io.Writer) error {
+	cmd := cliflag.New("traceinfo", out, os.Stderr)
+	cmd.Usage = func() { fmt.Fprintln(cmd.Output(), usage) }
+	if ok, err := cmd.Parse(args); !ok {
+		return err
+	}
+	defer cmd.Close()
+	paths := cmd.Args()
 	if len(paths) == 0 {
-		return fmt.Errorf("usage: traceinfo <file.ev8t> [...]")
+		return errors.New(usage)
 	}
 	tbl := report.New("trace characteristics",
 		"file", "instr", "cond branches", "transfers", "static",

@@ -57,3 +57,22 @@ func TestRunErrors(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestRunBadFlag: a mistyped flag is one error line with a hint to use
+// -h, and -h prints the usage to the output writer.
+func TestRunBadFlag(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-no-such-flag"}, &out)
+	if err == nil || strings.Contains(err.Error(), "\n") || !strings.Contains(err.Error(), "-h") {
+		t.Errorf("bad flag: err = %q, want one line naming -h", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("bad flag wrote %q to the output", out.String())
+	}
+	if err := run([]string{"-h"}, &out); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	if !strings.Contains(out.String(), "traceinfo <file.ev8t>") {
+		t.Errorf("-h output lacks the usage line:\n%s", out.String())
+	}
+}

@@ -71,7 +71,7 @@ func ExampleRunFrontEnd() {
 		log.Fatal(err)
 	}
 	r, err := ev8pred.RunFrontEnd(ev8pred.NewEV8(), src,
-		ev8pred.Options{Mode: ev8pred.ModeEV8()}, ev8pred.FrontEndConfig{})
+		ev8pred.Options{Mode: ev8pred.ModeEV8()})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func main() {
 	model := ev8pred.PerfEV8Typical() // 20-cycle redirect penalty
 
 	run := func(name string, p ev8pred.Predictor) {
-		r, err := ev8pred.RunFrontEndBenchmark(p, prof, instructions, opts, ev8pred.FrontEndConfig{})
+		r, err := ev8pred.RunFrontEndBenchmark(p, prof, instructions, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,8 +14,6 @@ import (
 type (
 	// FrontEndResult extends Result with PC-generation statistics.
 	FrontEndResult = sim.FrontEndResult
-	// FrontEndConfig sizes the jump predictor, RAS and line predictor.
-	FrontEndConfig = sim.FrontEndConfig
 	// PerfModel holds the microarchitectural cost parameters.
 	PerfModel = perf.Model
 	// PerfReport is a performance estimate (cycles, IPC).
@@ -41,13 +39,13 @@ var ErrFrontEndOption = sim.ErrFrontEndOption
 // multi-thread source (ErrFrontEndOption), a source that failed
 // mid-stream (e.g. a corrupted trace file), or a result that failed its
 // sanity check.
-func RunFrontEnd(p Predictor, src Source, opts Options, fecfg FrontEndConfig) (FrontEndResult, error) {
-	return sim.RunFrontEnd(p, src, opts, fecfg)
+func RunFrontEnd(p Predictor, src Source, opts Options) (FrontEndResult, error) {
+	return sim.RunFrontEnd(p, src, opts)
 }
 
 // RunFrontEndBenchmark is RunFrontEnd over a named synthetic benchmark.
-func RunFrontEndBenchmark(p Predictor, prof Profile, instructions int64, opts Options, fecfg FrontEndConfig) (FrontEndResult, error) {
-	return sim.RunFrontEndBenchmark(p, prof, instructions, opts, fecfg)
+func RunFrontEndBenchmark(p Predictor, prof Profile, instructions int64, opts Options) (FrontEndResult, error) {
+	return sim.RunFrontEndBenchmark(p, prof, instructions, opts)
 }
 
 // EstimatePerf applies a performance model to a front-end run. It returns

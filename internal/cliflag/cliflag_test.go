@@ -2,8 +2,14 @@ package cliflag
 
 import (
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"ev8pred/internal/report"
+	"ev8pred/internal/workload"
 )
 
 // TestWorkers pins the -j contract: 0 and positive accepted, every
@@ -79,5 +85,124 @@ func TestHostPort(t *testing.T) {
 		if fe.Flag != "expvar" || fe.Value != bad.in {
 			t.Errorf("HostPort(%q) error carries flag=%q value=%q", bad.in, fe.Flag, fe.Value)
 		}
+	}
+}
+
+// TestBenchmarks pins the -benchmarks spellings every tool and a served
+// spec accept: "all", or a list of names with spaces allowed.
+func TestBenchmarks(t *testing.T) {
+	all, err := Benchmarks("all")
+	if err != nil || len(all) != len(workload.Benchmarks()) {
+		t.Fatalf(`Benchmarks("all") = %d profiles, %v; want the full suite`, len(all), err)
+	}
+	two, err := Benchmarks("li, gcc")
+	if err != nil || len(two) != 2 || two[0].Name != "li" || two[1].Name != "gcc" {
+		t.Errorf(`Benchmarks("li, gcc") = %v, %v`, two, err)
+	}
+	for _, bad := range []string{"", "nonesuch", "all,gcc", "gcc,"} {
+		if _, err := Benchmarks(bad); err == nil {
+			t.Errorf("Benchmarks(%q) accepted", bad)
+		}
+	}
+}
+
+// TestCommandParse: a bad flag is one line naming -h, -h prints the
+// usage to out and stops the tool, and a value out of range is the
+// typed *Error naming its flag.
+func TestCommandParse(t *testing.T) {
+	newCmd := func(out io.Writer) *Command {
+		cmd := New("tool", out, io.Discard)
+		cmd.PositiveInt64("instructions", 1000, "budget")
+		cmd.PositiveInt("threads", 1, "threads")
+		cmd.Workers("workers")
+		return cmd
+	}
+	if ok, err := newCmd(io.Discard).Parse(nil); !ok || err != nil {
+		t.Fatalf("defaults: ok=%v err=%v", ok, err)
+	}
+	var out strings.Builder
+	ok, err := newCmd(&out).Parse([]string{"-no-such-flag"})
+	if ok || err == nil || strings.Contains(err.Error(), "\n") || !strings.Contains(err.Error(), "-h") || out.Len() != 0 {
+		t.Errorf("bad flag: ok=%v err=%q out=%q", ok, err, out.String())
+	}
+	if ok, err := newCmd(&out).Parse([]string{"-h"}); ok || err != nil || !strings.Contains(out.String(), "-instructions") {
+		t.Errorf("-h: ok=%v err=%v usage=%q", ok, err, out.String())
+	}
+	for _, tc := range []struct{ flag, value string }{
+		{"instructions", "0"}, {"instructions", "-5"}, {"threads", "0"}, {"j", "-1"},
+	} {
+		ok, err := newCmd(io.Discard).Parse([]string{"-" + tc.flag, tc.value})
+		var fe *Error
+		if ok || !errors.As(err, &fe) || fe.Flag != tc.flag || fe.Value != tc.value {
+			t.Errorf("-%s %s: ok=%v err=%v, want *Error for that flag", tc.flag, tc.value, ok, err)
+		}
+	}
+}
+
+// TestCacheSummary: -cache opens the store, Log is nil without -v, and
+// under -v Close prints the summary under the tool's name.
+func TestCacheSummary(t *testing.T) {
+	dir := t.TempDir()
+	for _, verbose := range []bool{false, true} {
+		var errw strings.Builder
+		cmd := New("tool", io.Discard, &errw)
+		cmd.Cache("verbose")
+		args := []string{"-cache", dir}
+		if verbose {
+			args = append(args, "-v")
+		}
+		if ok, err := cmd.Parse(args); !ok {
+			t.Fatal(err)
+		}
+		if cmd.Store() == nil || cmd.Store().Dir() != dir {
+			t.Fatalf("store not opened at %s", dir)
+		}
+		if (cmd.Log() != nil) != verbose {
+			t.Errorf("-v=%v: Log() nil = %v", verbose, cmd.Log() == nil)
+		}
+		cmd.Close()
+		if got := strings.HasPrefix(errw.String(), "tool: cache: 0 hits"); got != verbose {
+			t.Errorf("-v=%v: stderr %q", verbose, errw.String())
+		}
+	}
+}
+
+// TestEmit: "-json -" replaces the table with the JSON, a path gets the
+// JSON beside the printed table, and no -json prints the table alone.
+func TestEmit(t *testing.T) {
+	tbl := report.New("title", "col")
+	tbl.AddRowf("row")
+	runs := []report.Run{{Predictor: "p", Workload: "w"}}
+	var want strings.Builder
+	if err := report.WriteJSON(&want, runs); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "runs.json")
+	for _, tc := range []struct {
+		args           []string
+		table, jsonOut bool
+	}{
+		{nil, true, false},
+		{[]string{"-json", "-"}, false, true},
+		{[]string{"-json", path}, true, false},
+	} {
+		var out strings.Builder
+		cmd := New("tool", &out, io.Discard)
+		cmd.JSON()
+		if ok, err := cmd.Parse(tc.args); !ok {
+			t.Fatal(err)
+		}
+		if err := cmd.Emit(tbl, runs); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(out.String(), "title"); got != tc.table {
+			t.Errorf("%v: table printed = %v", tc.args, got)
+		}
+		if got := out.String() == want.String(); got != tc.jsonOut {
+			t.Errorf("%v: JSON on stdout = %v:\n%s", tc.args, got, out.String())
+		}
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != want.String() {
+		t.Errorf("-json %s wrote %q, %v", path, data, err)
 	}
 }

@@ -51,7 +51,7 @@ func runPerf(cfg Config) (*report.Table, error) {
 					return perf.Report{}, err
 				}
 				r, err := sim.RunFrontEndBenchmark(p, prof, cfg.Instructions,
-					sim.Options{Mode: frontend.ModeEV8()}, sim.FrontEndConfig{})
+					sim.Options{Mode: frontend.ModeEV8()})
 				if err != nil {
 					return perf.Report{}, err
 				}

@@ -89,12 +89,12 @@ func TestServeOptionsContract(t *testing.T) {
 			if row.spec != nil {
 				row.spec(&sp)
 			}
-			cs, err := sp.compile(srv.cfg.MaxCells)
+			cs, err := sp.Compile(srv.cfg.MaxCells)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(cs.opts, row.want) {
-				t.Errorf("spec compiles to %+v, want %+v", cs.opts, row.want)
+			if !reflect.DeepEqual(cs.Options, row.want) {
+				t.Errorf("spec compiles to %+v, want %+v", cs.Options, row.want)
 			}
 			if got := srv.jobPool(); !reflect.DeepEqual(got, row.pool) {
 				t.Errorf("job runs under pool %+v, want %+v", got, row.pool)
@@ -104,7 +104,7 @@ func TestServeOptionsContract(t *testing.T) {
 			if last.Event != "result" {
 				t.Fatalf("job failed: %+v", last)
 			}
-			pts, err := sweep.RunPool(cs.factory, cs.xs, cs.profs, cs.instr, row.want, row.pool)
+			pts, err := sweep.RunPool(cs.Factory, cs.Values, cs.Profiles, cs.Instructions, row.want, row.pool)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,6 +13,7 @@ import (
 	"ev8pred/internal/report"
 	"ev8pred/internal/sim"
 	"ev8pred/internal/stats/live"
+	"ev8pred/internal/sweep"
 )
 
 // APIError is the JSON error body (and NDJSON error-event payload).
@@ -119,9 +120,9 @@ func apiErrorFor(err error) (int, *APIError) {
 	if errors.As(err, &ae) {
 		return ae.Status, &APIError{Code: ae.Code, Message: ae.Message, RetryAfterSec: ae.RetryAfter}
 	}
-	var se *SpecError
+	var se *sweep.SpecError
 	if errors.As(err, &se) {
-		return http.StatusBadRequest, &APIError{Code: "bad_spec", Message: se.Error()}
+		return http.StatusBadRequest, &APIError{Code: "bad_spec", Message: "serve: " + se.Error()}
 	}
 	if errors.Is(err, sim.ErrCanceled) {
 		// The tenant went away; status is moot (the stream is broken),
@@ -180,13 +181,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, &APIError{Code: "bad_spec", Message: "decoding spec: " + err.Error()})
 		return
 	}
-	cs, err := sp.compile(s.cfg.MaxCells)
+	cs, err := sp.Compile(s.cfg.MaxCells)
 	if err != nil {
 		status, api := apiErrorFor(err)
 		writeError(w, status, api)
 		return
 	}
-	job, err := s.admit(tenant, cs.cells)
+	cells := cs.NumCells()
+	job, err := s.admit(tenant, cells)
 	if err != nil {
 		status, api := apiErrorFor(err)
 		writeError(w, status, api)
@@ -205,11 +207,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	emit(Event{Event: "accepted", Job: job.ID, Tenant: tenant, Total: cs.cells})
+	emit(Event{Event: "accepted", Job: job.ID, Tenant: tenant, Total: cells})
 
 	// The event channel is sized to the whole fan-out so the pool's
 	// progress callback never blocks on a slow tenant connection.
-	evCh := make(chan sim.CellDone, cs.cells)
+	evCh := make(chan sim.CellDone, cells)
 	outCh := make(chan jobOutcome, 1)
 	go func() {
 		runs, pts, err := s.runJob(r.Context(), job, cs, func(e sim.CellDone) { evCh <- e })

@@ -100,13 +100,13 @@ func TestDrainRunsJobWithFreeSlot(t *testing.T) {
 	srv := New(Config{Workers: 1, MaxJobs: 1, QueueDepth: jobs, TenantQuota: jobs})
 	sp := Spec{Scheme: "gshare", Param: "history", Values: []int{4},
 		Benchmarks: []string{"li"}, Instructions: 10_000}
-	cs, err := sp.compile(0)
+	cs, err := sp.Compile(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	admitted := make([]*Job, jobs)
 	for i := range admitted {
-		if admitted[i], err = srv.admit("alice", cs.cells); err != nil {
+		if admitted[i], err = srv.admit("alice", cs.NumCells()); err != nil {
 			t.Fatal(err)
 		}
 	}

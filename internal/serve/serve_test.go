@@ -56,10 +56,10 @@ func TestSpecCompileErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := testSpec()
 			tc.mut(&sp)
-			_, err := sp.compile(4)
-			var se *SpecError
+			_, err := sp.Compile(4)
+			var se *sweep.SpecError
 			if !errors.As(err, &se) {
-				t.Fatalf("error %v (%T) is not *SpecError", err, err)
+				t.Fatalf("error %v (%T) is not *sweep.SpecError", err, err)
 			}
 			if se.Field != tc.field {
 				t.Errorf("error field %q, want %q (%v)", se.Field, tc.field, err)
@@ -72,18 +72,18 @@ func TestSpecCompileErrors(t *testing.T) {
 // benchmarks mean ghist and the full suite — the CLI defaults.
 func TestSpecCompileDefaults(t *testing.T) {
 	sp := Spec{Scheme: "gshare", Param: "history", Values: []int{4}, Instructions: 1000}
-	cs, err := sp.compile(0)
+	cs, err := sp.Compile(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.opts.Mode != frontend.ModeGhist() {
-		t.Errorf("default mode = %v, want ghist", cs.opts.Mode)
+	if cs.Options.Mode != frontend.ModeGhist() {
+		t.Errorf("default mode = %v, want ghist", cs.Options.Mode)
 	}
-	if got, want := len(cs.profs), len(workload.Benchmarks()); got != want {
+	if got, want := len(cs.Profiles), len(workload.Benchmarks()); got != want {
 		t.Errorf("default benchmarks = %d profiles, want the full suite of %d", got, want)
 	}
-	if cs.cells != len(workload.Benchmarks()) {
-		t.Errorf("cells = %d", cs.cells)
+	if cs.NumCells() != len(workload.Benchmarks()) {
+		t.Errorf("cells = %d", cs.NumCells())
 	}
 }
 
@@ -225,11 +225,11 @@ func TestSubmitStreamsInOrderAndMatchesEngine(t *testing.T) {
 	}
 
 	// Byte-identical to the engine run the CLI would do.
-	cs, err := sp.compile(srv.cfg.MaxCells)
+	cs, err := sp.Compile(srv.cfg.MaxCells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := sweep.RunPool(cs.factory, cs.xs, cs.profs, cs.instr, cs.opts, sim.PoolOptions{Workers: 1})
+	pts, err := sweep.RunPool(cs.Factory, cs.Values, cs.Profiles, cs.Instructions, cs.Options, sim.PoolOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,12 @@ import (
 	"ev8pred/internal/sweep"
 )
 
+// Spec is one experiment request. The spec compiler lives with the
+// sweep engine (sweep.Spec.Compile), where cmd/ev8sweep compiles its
+// flags too, so a served spec runs exactly the cells of the equivalent
+// ev8sweep call.
+type Spec = sweep.Spec
+
 // Config sizes one Server. Zero values take the documented defaults.
 type Config struct {
 	// Workers bounds each job's simulation fan-out (sim.PoolOptions.
@@ -342,7 +348,7 @@ func (s *Server) jobPool() sim.PoolOptions {
 // compiled spec through the shared engine, and reports per-cell progress
 // through events. It owns the queued→running transition; the caller owns
 // the terminal one.
-func (s *Server) runJob(ctx context.Context, job *Job, cs *compiledSpec, events func(sim.CellDone)) ([]report.Run, []PointSummary, error) {
+func (s *Server) runJob(ctx context.Context, job *Job, cs *sweep.Compiled, events func(sim.CellDone)) ([]report.Run, []PointSummary, error) {
 	// A free slot is taken before the drain is looked at: select picks at
 	// random among ready cases, so a job admitted before the drain could
 	// otherwise be rejected with a slot to spare. Only a job that has to
@@ -367,7 +373,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, cs *compiledSpec, events 
 		progress.Observe(e)
 		events(e)
 	}
-	pts, err := sweep.RunPoolCtx(ctx, cs.factory, cs.xs, cs.profs, cs.instr, cs.opts, pool)
+	pts, err := cs.Run(ctx, pool)
 	if err != nil {
 		return nil, nil, err
 	}

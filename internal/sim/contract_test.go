@@ -122,7 +122,7 @@ func runResumed(t *testing.T, prof workload.Profile, opts Options) ([]Result, er
 }
 
 func runFrontEndEntry(t *testing.T, prof workload.Profile, opts Options) ([]Result, error) {
-	r, err := RunFrontEnd(mustPredictors(t, 1)[0], workload.MustNew(prof, contractInstr), opts, FrontEndConfig{})
+	r, err := RunFrontEnd(mustPredictors(t, 1)[0], workload.MustNew(prof, contractInstr), opts)
 	return []Result{r.Result}, err
 }
 

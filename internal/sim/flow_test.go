@@ -70,9 +70,9 @@ func TestFlowBreakIsError(t *testing.T) {
 			checkFlowErr(t, name+" Run", err)
 			_, err = RunEnsemble([]Factory{ev8f, ev8f}, src(), opts)
 			checkFlowErr(t, name+" RunEnsemble", err)
-			_, err = RunFrontEnd(ev8.MustNew(ev8.DefaultConfig()), src(), opts, FrontEndConfig{})
+			_, err = RunFrontEnd(ev8.MustNew(ev8.DefaultConfig()), src(), opts)
 			checkFlowErr(t, name+" RunFrontEnd", err)
-			_, err = RunFrontEnd(nil, src(), opts, FrontEndConfig{})
+			_, err = RunFrontEnd(nil, src(), opts)
 			checkFlowErr(t, name+" oracle RunFrontEnd", err)
 		}
 	}

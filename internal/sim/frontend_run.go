@@ -10,30 +10,14 @@ import (
 	"ev8pred/internal/workload"
 )
 
-// FrontEndConfig sizes the non-conditional PC-generation structures for a
-// full front-end run.
-type FrontEndConfig struct {
-	// JumpEntries sizes the jump predictor (default 4096).
-	JumpEntries int
-	// RASDepth sizes the return-address stack (default 32).
-	RASDepth int
-	// LineEntries sizes the line predictor (default 8192).
-	LineEntries int
-}
-
-// withDefaults fills zero fields.
-func (c FrontEndConfig) withDefaults() FrontEndConfig {
-	if c.JumpEntries == 0 {
-		c.JumpEntries = 4096
-	}
-	if c.RASDepth == 0 {
-		c.RASDepth = 32
-	}
-	if c.LineEntries == 0 {
-		c.LineEntries = 8192
-	}
-	return c
-}
+// The non-conditional PC-generation structures of a full front-end run
+// (§2): the jump predictor, the return-address stack and the line
+// predictor.
+const (
+	jumpEntries = 4096
+	rasDepth    = 32
+	lineEntries = 8192
+)
 
 // FrontEndResult extends Result with whole-front-end statistics.
 type FrontEndResult struct {
@@ -70,8 +54,7 @@ var ErrFrontEndOption = errors.New("sim: option not supported by RunFrontEnd")
 // Like Run, it returns an error when the source fails mid-stream rather
 // than reporting a short-but-successful result, and checks the result
 // with Result.Validate.
-func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg FrontEndConfig) (FrontEndResult, error) {
-	fecfg = fecfg.withDefaults()
+func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options) (FrontEndResult, error) {
 	var res FrontEndResult
 	if opts.Warmup != 0 {
 		return res, fmt.Errorf("%w: Warmup", ErrFrontEndOption)
@@ -82,8 +65,8 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 		ps = append(ps, p)
 		res.Predictor, res.SizeBits = p.Name(), p.SizeBits()
 	}
-	pg := frontend.MustNewPCGen(fecfg.JumpEntries, fecfg.RASDepth)
-	lp := frontend.MustNewLinePredictor(fecfg.LineEntries)
+	pg := frontend.MustNewPCGen(jumpEntries, rasDepth)
+	lp := frontend.MustNewLinePredictor(lineEntries)
 	e := newEngine(ps, opts)
 	first := -1
 	e.front.newThread = func(id int) error {
@@ -124,12 +107,12 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 }
 
 // RunFrontEndBenchmark is RunFrontEnd over a named synthetic benchmark.
-func RunFrontEndBenchmark(p predictor.Predictor, prof workload.Profile, instrBudget int64, opts Options, fecfg FrontEndConfig) (FrontEndResult, error) {
+func RunFrontEndBenchmark(p predictor.Predictor, prof workload.Profile, instrBudget int64, opts Options) (FrontEndResult, error) {
 	g, err := workload.New(prof, instrBudget)
 	if err != nil {
 		return FrontEndResult{}, err
 	}
-	r, err := RunFrontEnd(p, g, opts, fecfg)
+	r, err := RunFrontEnd(p, g, opts)
 	r.Workload = prof.Name
 	return r, err
 }

@@ -19,7 +19,7 @@ func TestRunFrontEndOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := RunFrontEndBenchmark(nil, prof, 300_000,
-		Options{Mode: frontend.ModeEV8()}, FrontEndConfig{})
+		Options{Mode: frontend.ModeEV8()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRunFrontEndRealPredictorConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Mode: frontend.ModeEV8()}
-	fe, err := RunFrontEndBenchmark(bimodal.MustNew(8192), prof, 200_000, opts, FrontEndConfig{})
+	fe, err := RunFrontEndBenchmark(bimodal.MustNew(8192), prof, 200_000, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRunFrontEndWiresEV8BlockObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ev8.MustNew(ev8.DefaultConfig())
-	r, err := RunFrontEndBenchmark(p, prof, 100_000, Options{Mode: frontend.ModeEV8()}, FrontEndConfig{})
+	r, err := RunFrontEndBenchmark(p, prof, 100_000, Options{Mode: frontend.ModeEV8()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRunFrontEndRejectsMultiThread(t *testing.T) {
 			}
 			srcs = append(srcs, workload.MustNew(prof, 100_000))
 		}
-		_, err := RunFrontEnd(p, workload.NewInterleaved(srcs, 800), Options{Mode: frontend.ModeEV8()}, FrontEndConfig{})
+		_, err := RunFrontEnd(p, workload.NewInterleaved(srcs, 800), Options{Mode: frontend.ModeEV8()})
 		if !errors.Is(err, ErrFrontEndOption) || !strings.Contains(err.Error(), "thread") {
 			t.Errorf("predictor %v: got %v, want ErrFrontEndOption naming the thread", p, err)
 		}

@@ -1,10 +1,9 @@
-// Predictor-family roster: the (scheme, param) → Factory mapping behind
-// both cmd/ev8sweep's -scheme/-param flags and the serving layer's
-// experiment specs (internal/serve, docs/SERVING.md). Both surfaces MUST
-// build their factories here: identical factories mean identical
-// predictor configurations, identical cache keys, and therefore results
-// byte-identical between a spec submitted over HTTP and the equivalent
-// CLI invocation.
+// Predictor-family roster: the (scheme, param) → Factory mapping that
+// Spec.Compile resolves for cmd/ev8sweep's -scheme/-param flags and the
+// serving layer's experiment specs alike (docs/SERVING.md): one factory
+// means identical predictor configurations, identical cache keys, and
+// therefore results byte-identical between a spec submitted over HTTP
+// and the equivalent CLI invocation.
 package sweep
 
 import (
