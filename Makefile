@@ -4,65 +4,111 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build vet staticcheck test race bench check report fuzz faultinject resume shard-gate serve-gate pipeline-gate perf-harness-test examples clean
+.PHONY: all build vet staticcheck test race bench check report fuzz faultinject hotpath-gate ensemble-gate batch-gate trace-gate resume-gate bench-smoke shard-gate serve-gate pipeline-gate perf-harness-test examples clean
 
 all: build vet test
 
-# The full gate CI runs: static checks, build, the test suite under the
-# race detector, the hot-path zero-allocation gates (attribution off and
-# on, without -race, where allocation accounting is exact), the trace
-# fault-injection suite, a short decoder fuzz smoke, the ensemble
-# differential suite (single-pass
-# ensemble results must be byte-identical to per-cell runs, members on
-# the batch and per-branch schedules side by side, and every entry point
-# must honour each Options field or reject it with a typed error; the
-# pool's TestRunCells* suite rides along), the
-# RunFrontEnd multi-thread rejection, the
-# resume-equivalence and cache-correctness suites (checkpointed-and-
-# resumed runs and cache hits must be byte-identical to straight
-# recomputation), the sharded-sweep gate (split/merge byte-identical to
-# single-process, see shard-gate), the batch-kernel differential suite
-# (runs routed through LookupBatch/UpdateBatch — including the EV8 model
-# via the batched block contract, and commit-delayed runs via the lagged
-# resolve — must be byte-identical to the scalar fused path, the closed-
-# form skewing index must equal the primitive H/Hinv steps, the read-
-# once instrumented update must count as the reference update does, with
-# an EV8 block-boundary fuzz smoke at random delays and a skew-index fuzz
-# smoke, and the chunked-walk, block-log replay, linear-index and
-# flow-break differentials), a snapshot-decode
-# fuzz smoke, the benchmark harness's own tests (see perf-harness-test),
-# and benchmark smokes so neither the testing.B harness, the
-# per-predictor microbenchmarks, the ensemble sweep benchmarks, the
-# tracker walk benchmarks nor the warm cached-job benchmark can rot. The stream-pipeline tests run
-# under -race in the blanket run; pipeline-gate reruns them by name for
-# CI.
+# The full gate: static checks, build, the test suite under the race
+# detector, then every named gate below and the benchmark smokes. CI
+# runs the same targets, one step each, so that a regression fails
+# loudly by name; each gate's test list is spelled out only here. The
+# stream-pipeline tests run under -race in the blanket run;
+# pipeline-gate reruns them by name in CI.
 check:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestDelayedBatchZeroAllocsSteadyState' -count=1 .
-	$(GO) test -run 'TestEnsemble|TestEV8Ensemble|TestOptionsContract|TestRunFrontEndRejectsUnsupportedOptions|TestRunCells' -count=1 . ./internal/sim/
-	$(GO) test -run 'TestRunFrontEndRejectsMultiThread' -count=1 ./internal/sim/
-	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestLinear|TestCompiled|TestFoldXOR|TestInstrumentedUpdate|TestCollect|TestStoredMask|TestSplitBits|TestChunkedWalk|TestWalkHugeGap|TestWalkFlowBreak|TestReplayMatchesReferenceSequencer|TestFlowBreakIsError' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/frontend/ ./internal/sim/ ./internal/predictor/... ./internal/predictor/egskew/ ./internal/trace/ ./internal/skew/ ./internal/bitutil/ ./internal/counter/
-	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
-	$(GO) test -fuzz FuzzSkewBound -fuzztime 20s -run '^$$' ./internal/skew/
-	$(GO) test -run 'TestFault' -count=1 ./internal/trace/faultinject/
-	$(GO) test -run 'TestSourceContract' -count=1 ./internal/sim/
-	$(GO) test -fuzz FuzzReader -fuzztime 30s -run '^$$' ./internal/trace/
-	$(GO) test -run 'TestResume|TestSnapshotWireGolden|TestCheckpointWireGolden' -count=1 .
-	$(GO) test -run 'TestCache|TestSweepWarmCacheZeroWork|TestUncacheable|TestSnapshotMutants|TestCheckpointMutants' -count=1 .
-	$(GO) test -run 'TestRestoreFailureLeavesTrackerUnchanged|TestRestoreRefusesHugeSequencerHead|TestPairCodec' -count=1 ./internal/frontend/ ./internal/ev8/ ./internal/predictor/
-	$(GO) test -count=1 ./internal/cache/ ./internal/snapshot/
+	$(MAKE) hotpath-gate
+	$(MAKE) ensemble-gate
+	$(MAKE) batch-gate
+	$(MAKE) trace-gate
+	$(MAKE) resume-gate
 	$(MAKE) shard-gate
 	$(MAKE) serve-gate
 	$(MAKE) perf-harness-test
-	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' .
-	$(GO) test -bench=Table1 -benchtime=1x -run '^$$' .
+	$(MAKE) bench-smoke
+
+# Hot-path gate: the zero-allocation gates, without -race, where
+# allocation accounting is exact — scalar and commit-delayed updates,
+# ensembles, the batch kernels and every batch sim loop, delayed or
+# not, with attribution off and on — and a smoke of the scalar and
+# batch per-predictor microbenchmarks.
+hotpath-gate:
+	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestDelayedBatchZeroAllocsSteadyState' -count=1 -v .
 	$(GO) test -bench=PredictUpdate -benchtime=100x -run '^$$' .
-	$(GO) test -bench=Sweep -benchtime=1x -run '^$$' .
+
+# Ensemble-equivalence gate: single-pass ensemble execution must be
+# byte-identical to per-cell runs for every predictor family, benchmark
+# and update delay, batch and per-branch members side by side. The
+# options contract table rides along (every entry point honours each
+# Options field or rejects it with a typed error, RunFrontEnd rejects
+# multi-thread streams), and so does TestEnsembleSweepModesAgree: a
+# pool sweep returns the same results under both schedules.
+# TestRunCells* pins the pool itself: grouped and ungrouped jobs,
+# progress, factory errors and cancellation.
+ensemble-gate:
+	$(GO) test -run 'TestEnsemble|TestEV8Ensemble|TestOptionsContract|TestRunFrontEndRejectsUnsupportedOptions|TestRunFrontEndRejectsMultiThread|TestRunCells' -count=1 -v . ./internal/sim/
+
+# Batch-kernel gate: runs routed through the LookupBatch/UpdateBatch
+# kernels must be byte-identical to the scalar fused path for every
+# BatchPredictor family — including the EV8 model, whose §6.2 bank
+# sequencer is staged through the batched block contract — for every
+# benchmark, warmup and branch budget. Commit-delayed runs are batched
+# too (the lagged resolve, UpdateBatchLagged), so the TestDelayed*
+# differentials cross delays longer than a chunk, solo and ensemble,
+# with byte-identical delayed checkpoints. The closed-form skewing index
+# (and each family's one index evaluator) must equal the primitive
+# H/Hinv steps. The read-once instrumented update must count every
+# attribution counter as the reference update does (every 2Bc-gskew
+# preset and the EV8, both policies, delays 0/8/64, batch and scalar),
+# and the counter arrays' stored index masks must address the same
+# bits. The chunked front-end walk must match the record-at-a-time
+# reference tracker, the EV8 block-log replay the reference sequencer,
+# the EV8 linear index tables the xor trees, and a record that breaks
+# its thread's flow must be a typed error at every entry point. The
+# fuzz smokes drive random thread-interleaved streams at random delays
+# through both schedules of the EV8 run, and random widths, banks and
+# vectors through the skewing index; the walk's microbenchmarks must
+# run.
+batch-gate:
+	$(GO) test -run 'TestBatch|TestEnsembleBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestLinear|TestCompiled|TestFoldXOR|TestInstrumentedUpdate|TestCollect|TestStoredMask|TestSplitBits|TestChunkedWalk|TestWalkHugeGap|TestWalkFlowBreak|TestReplayMatchesReferenceSequencer|TestFlowBreakIsError' -count=1 -v . ./internal/core/ ./internal/ev8/ ./internal/frontend/ ./internal/sim/ ./internal/predictor/... ./internal/predictor/egskew/ ./internal/trace/ ./internal/skew/ ./internal/bitutil/ ./internal/counter/
+	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
+	$(GO) test -fuzz FuzzSkewBound -fuzztime 20s -run '^$$' ./internal/skew/
 	$(GO) test -bench=Tracker -benchtime=100x -run '^$$' ./internal/frontend/
+
+# Trace-integrity gate (docs/RELIABILITY.md): the exhaustive
+# fault-injection suite (every truncation, every single-bit flip), the
+# decoder's version-1 and version-2 truncation, corruption and I/O-error
+# contracts, the source contract every trace.Source implementation is
+# held to, and a short decoder fuzz smoke.
+trace-gate:
+	$(MAKE) faultinject
+	$(GO) test -run 'TestV1|TestV2Detects|TestReaderPassesIOErrors|TestReaderTruncatedRecord|TestReaderNextStopsOnDecodeError' -count=1 -v ./internal/trace/
+	$(GO) test -run 'TestSourceContract' -count=1 -v ./internal/sim/
+	$(GO) test -fuzz FuzzReader -fuzztime 30s -run '^$$' ./internal/trace/
+
+# Resume-and-cache gate: every Snapshotter family checkpointed,
+# serialized, resumed and compared bit-for-bit against straight-through
+# runs; cache hits byte-identical to recomputation, near-miss keys
+# missing, corrupted entries and snapshots failing with typed errors
+# (never a silently wrong restore), a warm suite building one predictor
+# per configuration to key its cells; the restore bounds and the EV8's
+# in-flight snapshots past the old ring depth; plus a short
+# snapshot-decode fuzz smoke and a smoke of the warm-job benchmark.
+resume-gate:
+	$(GO) test -run 'TestResume|TestSnapshotMutants|TestCheckpointMutants|TestSnapshotWireGolden|TestCheckpointWireGolden' -count=1 -v .
+	$(GO) test -run 'TestCache|TestSweepWarmCacheZeroWork|TestUncacheable' -count=1 -v .
+	$(GO) test -run 'TestRestoreFailureLeavesTrackerUnchanged|TestRestoreRefuses|TestSnapRing|TestPairCodec' -count=1 -v ./internal/frontend/ ./internal/ev8/ ./internal/predictor/
+	$(GO) test -count=1 ./internal/cache/ ./internal/snapshot/
+	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' .
 	$(GO) test -bench=RunCellsWarm -benchtime=1x -run '^$$' ./internal/sim/
+
+# Benchmark smokes the gates above do not run, so neither the
+# testing.B paper-table harness nor the ensemble sweep benchmarks rot.
+bench-smoke:
+	$(GO) test -bench=Table1 -benchtime=1x -run '^$$' .
+	$(GO) test -bench=Sweep -benchtime=1x -run '^$$' .
 
 build:
 	$(GO) build ./...
@@ -108,16 +154,6 @@ fuzz:
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzMutatedTrace -fuzztime 30s ./internal/trace/faultinject/
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' .
-
-# Resume-equivalence and cache-correctness differentials: every
-# Snapshotter family checkpointed, serialized, resumed and compared
-# bit-for-bit against straight-through runs, plus the result-cache
-# hit/near-miss/corruption/zero-work suites.
-resume:
-	$(GO) test -run 'TestResume|TestSnapshotMutants|TestCheckpointMutants|TestSnapshotWireGolden|TestCheckpointWireGolden' -count=1 -v .
-	$(GO) test -run 'TestCache|TestSweepWarmCacheZeroWork|TestUncacheable' -count=1 -v .
-	$(GO) test -run 'TestRestoreFailureLeavesTrackerUnchanged|TestRestoreRefusesHugeSequencerHead|TestPairCodec' -count=1 -v ./internal/frontend/ ./internal/ev8/ ./internal/predictor/
-	$(GO) test -count=1 ./internal/cache/ ./internal/snapshot/
 
 # Sharded-sweep determinism gate (docs/SHARDING.md): a small sweep split
 # three ways across sequential worker invocations and merged must be

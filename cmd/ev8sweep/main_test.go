@@ -86,6 +86,13 @@ func TestRunFlagValidation(t *testing.T) {
 			}
 		})
 	}
+	t.Run("repeated value", func(t *testing.T) {
+		err := runWithin(t, "-values", "8,8", "-benchmarks", "gcc", "-j", "1", "-instructions", "100000")
+		var se *sweep.SpecError
+		if !errors.As(err, &se) || se.Field != "values" {
+			t.Fatalf("-values 8,8: error %v (%T), want a *sweep.SpecError on field values", err, err)
+		}
+	})
 	for _, bad := range []string{"3/3", "5/3", "0/0", "x/3", "0/3x", "0.5/3"} {
 		t.Run("shard "+bad, func(t *testing.T) {
 			var sb strings.Builder

@@ -128,17 +128,18 @@ func TestFusedUnfusedEquivalent(t *testing.T) {
 
 // TestFusedUnfusedEquivalentDelayed repeats the comparison under a commit
 // delay: the snapshot is carried through sim.Run's pending-update queue for
-// 8 branches before training, and the Results must still match exactly.
-// For the EV8 this additionally exercises the predictor's internal
+// up to 1500 branches before training, and the Results must still match
+// exactly. For the EV8 this additionally exercises the predictor's internal
 // prediction-time snapshot pairing — the bank sequencer has advanced by the
 // time the update arrives, so recomputing indices at update time would
-// diverge.
+// diverge — including delays at and past the 64 snapshots its ring once
+// held.
 func TestFusedUnfusedEquivalentDelayed(t *testing.T) {
 	benches := []string{"gcc", "go", "li"}
 	for _, tc := range fusedRoster() {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, bench := range benches {
-				for _, delay := range []int{1, 8} {
+				for _, delay := range []int{1, 8, 64, 1500} {
 					raw, hidden := runBoth(t, tc, bench, 100_000, delay)
 					if raw != hidden {
 						t.Errorf("%s/%s delay=%d: fused %+v != unfused %+v",

@@ -275,11 +275,13 @@ var _ predictor.Predictor = (*Predictor)(nil)
 var _ predictor.FusedPredictor = (*Predictor)(nil)
 var _ stats.Instrumented = (*Predictor)(nil)
 
-// snapRingDepth bounds how many prediction-time snapshots can be in
-// flight between Predict and its matching unfused Update. 64 comfortably
-// covers the commit-delay windows the experiments use (8 and 64 branches);
-// overflow degrades gracefully to update-time re-evaluation.
-const snapRingDepth = 64
+// snapRingCap bounds how many prediction-time snapshots can be in
+// flight between Predict and its matching unfused Update. The ring grows
+// to the depth its caller keeps in flight: the commit delay, or twice it
+// for a wrapper that predicts again at update time. The cap only stops a
+// caller that never updates from growing it without bound; past it the
+// oldest entry is evicted, and its update re-evaluates the indices.
+const snapRingCap = 1 << 14
 
 // snapEntry pairs a prediction-time snapshot with the information vector
 // it was computed for.
@@ -293,31 +295,41 @@ type snapEntry struct {
 // take scans from the oldest entry; entries older than a match belong to
 // predictions that will never be updated and are discarded with it.
 type snapRing struct {
-	buf  [snapRingDepth]snapEntry
-	tail int // oldest entry
-	n    int // live entries
+	buf  []snapEntry // power-of-two length
+	tail int         // oldest entry
+	n    int         // live entries
 }
 
-// push records a prediction-time snapshot, evicting the oldest in-flight
-// entry when full.
+// at returns the i-th oldest live entry.
+func (r *snapRing) at(i int) *snapEntry { return &r.buf[(r.tail+i)&(len(r.buf)-1)] }
+
+// push records a prediction-time snapshot. A full ring doubles, moving
+// its entries to the front of the new buffer; at the cap it evicts the
+// oldest entry instead.
 func (r *snapRing) push(info *history.Info, s predictor.Snapshot) {
-	if r.n == snapRingDepth {
-		r.tail = (r.tail + 1) % snapRingDepth
-		r.n--
+	if r.n == len(r.buf) {
+		if r.n == snapRingCap {
+			r.tail = (r.tail + 1) & (len(r.buf) - 1)
+			r.n--
+		} else {
+			buf := make([]snapEntry, max(2*len(r.buf), 64))
+			for i := range r.n {
+				buf[i] = *r.at(i)
+			}
+			r.buf, r.tail = buf, 0
+		}
 	}
-	r.buf[(r.tail+r.n)%snapRingDepth] = snapEntry{info: *info, snap: s}
+	*r.at(r.n) = snapEntry{info: *info, snap: s}
 	r.n++
 }
 
 // take finds and consumes the oldest pending snapshot for info.
 func (r *snapRing) take(info *history.Info) (predictor.Snapshot, bool) {
 	for i := 0; i < r.n; i++ {
-		e := &r.buf[(r.tail+i)%snapRingDepth]
-		if e.info == *info {
-			s := e.snap
-			r.tail = (r.tail + i + 1) % snapRingDepth
+		if e := r.at(i); e.info == *info {
+			r.tail = (r.tail + i + 1) & (len(r.buf) - 1)
 			r.n -= i + 1
-			return s, true
+			return e.snap, true
 		}
 	}
 	return predictor.Snapshot{}, false

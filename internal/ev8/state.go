@@ -46,8 +46,8 @@ func (p *Predictor) SnapshotState() []byte {
 
 	// In-flight prediction snapshots, oldest first.
 	e.Uint64(uint64(p.pending.n))
-	for i := 0; i < p.pending.n; i++ {
-		ent := &p.pending.buf[(p.pending.tail+i)%snapRingDepth]
+	for i := range p.pending.n {
+		ent := p.pending.at(i)
 		predictor.EncodePair(e, ent.info, ent.snap)
 	}
 
@@ -91,13 +91,13 @@ func (p *Predictor) RestoreState(data []byte) error {
 	seq.started = d.Bool()
 
 	nPending := d.Uint64()
-	if nPending > snapRingDepth {
-		return fmt.Errorf("%w: %d pending snapshots exceed ring depth %d",
-			snapshot.ErrBadSnapshot, nPending, snapRingDepth)
+	if nPending > min(snapRingCap, uint64(d.Remaining()/predictor.PairBytes)) {
+		return fmt.Errorf("%w: pending count %d exceeds payload", snapshot.ErrBadSnapshot, nPending)
 	}
-	ring := snapRing{n: int(nPending)}
-	for i := 0; i < ring.n; i++ {
-		ring.buf[i].info, ring.buf[i].snap = predictor.DecodePair(d)
+	var ring snapRing
+	for range nPending {
+		info, s := predictor.DecodePair(d)
+		ring.push(&info, s)
 	}
 
 	blocksSeen := d.Int64()

@@ -310,6 +310,11 @@ func TestSubmitRejections(t *testing.T) {
 		t.Errorf("bad scheme: status %d code %q", resp.StatusCode, api.Code)
 	}
 
+	resp = post(`{"scheme":"gshare","param":"history","values":[8,8],"instructions":1000}`)
+	if api := decodeErr(resp); api.Code != "bad_spec" || resp.StatusCode != 400 {
+		t.Errorf("repeated value: status %d code %q", resp.StatusCode, api.Code)
+	}
+
 	// Draining: typed 503.
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)

@@ -80,6 +80,13 @@ func (sp *Spec) Compile(maxCells int) (*Compiled, error) {
 	if len(sp.Values) == 0 {
 		return nil, &SpecError{Field: "values", Reason: "at least one parameter value required"}
 	}
+	seen := make(map[int]bool, len(sp.Values))
+	for _, v := range sp.Values {
+		if seen[v] {
+			return nil, &SpecError{Field: "values", Reason: fmt.Sprintf("value %d repeated", v)}
+		}
+		seen[v] = true
+	}
 	if sp.Instructions <= 0 {
 		return nil, &SpecError{Field: "instructions", Reason: fmt.Sprintf("budget %d must be positive", sp.Instructions)}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Binary trace format ("EV8T"), designed for compactness and streaming:
@@ -305,15 +306,23 @@ type Reader struct {
 	r       *bufio.Reader
 	version byte
 	prevPC  uint64
+	n       int64 // records decoded so far
+	instrs  int64 // instructions decoded so far
 	err     error // sticky first decode error
 	// Version-2 state.
-	chunk  []byte // current verified chunk payload
-	pos    int    // decode offset into chunk
-	n      int64  // records decoded so far
-	instrs int64  // instructions decoded so far
-	done   bool   // footer verified; stream is complete
-	crcBuf [4]byte
+	chunk []byte // current verified chunk payload
+	pos   int    // decode offset into chunk
+	done  bool   // footer verified; stream is complete
 }
+
+// Peek sizes: the longest record and the longest version-2 frame head
+// (a footer's marker, CRC word and counts), each plus one byte so that
+// ten continuation bytes read as overflow. A varint that runs off a
+// peek therefore always means the peek was cut short.
+const (
+	recordPeek = 1 + 4*binary.MaxVarintLen64 + 1
+	framePeek  = 3*binary.MaxVarintLen64 + 4 + 1
+)
 
 // NewReader validates the header and returns a Reader.
 func NewReader(r io.Reader) (*Reader, error) {
@@ -342,100 +351,64 @@ func (r *Reader) read() (Branch, error) {
 		return Branch{}, io.EOF
 	}
 	if r.version == version1 {
-		return r.readV1()
+		buf, err := r.r.Peek(recordPeek)
+		if len(buf) == 0 {
+			return Branch{}, err // io.EOF at a record boundary, or an I/O error
+		}
+		b, n, err := r.decode(buf, err)
+		if err == nil {
+			_, _ = r.r.Discard(n) // peeked bytes are buffered: cannot fail
+		}
+		return b, err
 	}
 	for r.pos >= len(r.chunk) {
 		if err := r.nextChunk(); err != nil {
 			return Branch{}, err
 		}
 	}
-	return r.readChunked()
+	// A record that runs off the end of its chunk is corruption: the
+	// writer never splits a record across chunks.
+	b, n, err := r.decode(r.chunk[r.pos:], nil)
+	r.pos += n
+	return b, err
 }
 
-// readV1 decodes one record from the bare version-1 stream.
-func (r *Reader) readV1() (Branch, error) {
-	flags, err := r.r.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			return Branch{}, io.EOF
+// decode decodes the record at the start of buf and returns it with the
+// number of bytes it used. Both versions feed it: version 2 a verified
+// chunk with a nil cut, version 1 a peek of at most one record with cut,
+// the error that cut the peek short. Open-ended fields are bounded, so
+// corrupt values surface as errors instead of wrapping into negative
+// ints.
+func (r *Reader) decode(buf []byte, cut error) (Branch, int, error) {
+	n := 1
+	var err error
+	field := func(what string) uint64 {
+		if err != nil {
+			return 0
 		}
-		return Branch{}, err
+		x, k, ferr := uvarint(buf[n:], cut, what)
+		n, err = n+k, ferr
+		return x
 	}
-	dpc, err := r.varint()
-	if err != nil {
-		return Branch{}, err
-	}
-	gap, err := r.uvarint()
-	if err != nil {
-		return Branch{}, err
-	}
-	var dt int64
-	hasTarget := flags&flagHasTarget != 0
-	if hasTarget {
-		if dt, err = r.varint(); err != nil {
-			return Branch{}, err
-		}
-	}
-	var th uint64
-	if flags&flagThread != 0 {
-		if th, err = r.uvarint(); err != nil {
-			return Branch{}, err
-		}
-	}
-	return r.assemble(flags, dpc, gap, hasTarget, dt, th)
-}
-
-// readChunked decodes one record from the current verified chunk. A
-// record that runs off the end of its chunk is corruption: the writer
-// never splits a record across chunks.
-func (r *Reader) readChunked() (Branch, error) {
-	buf := r.chunk[r.pos:]
 	flags := buf[0]
-	i := 1
-	dpc, n := binary.Varint(buf[i:])
-	if n <= 0 {
-		return Branch{}, fmt.Errorf("%w: corrupt record delta-PC", ErrBadFormat)
-	}
-	i += n
-	gap, n := binary.Uvarint(buf[i:])
-	if n <= 0 {
-		return Branch{}, fmt.Errorf("%w: corrupt record gap", ErrBadFormat)
-	}
-	i += n
-	var dt int64
+	dpc := unzigzag(field("corrupt record delta-PC"))
+	gap := field("corrupt record gap")
 	hasTarget := flags&flagHasTarget != 0
+	var dt int64
 	if hasTarget {
-		dt, n = binary.Varint(buf[i:])
-		if n <= 0 {
-			return Branch{}, fmt.Errorf("%w: corrupt record target", ErrBadFormat)
-		}
-		i += n
+		dt = unzigzag(field("corrupt record target"))
 	}
 	var th uint64
 	if flags&flagThread != 0 {
-		th, n = binary.Uvarint(buf[i:])
-		if n <= 0 {
-			return Branch{}, fmt.Errorf("%w: corrupt record thread", ErrBadFormat)
-		}
-		i += n
+		th = field("corrupt record thread")
 	}
-	b, err := r.assemble(flags, dpc, gap, hasTarget, dt, th)
-	if err != nil {
-		return Branch{}, err
-	}
-	r.pos += i
-	return b, nil
-}
-
-// assemble builds a Branch from decoded fields, bounding the open-ended
-// ones so corrupt values surface as errors instead of wrapping into
-// negative ints.
-func (r *Reader) assemble(flags byte, dpc int64, gap uint64, hasTarget bool, dt int64, th uint64) (Branch, error) {
-	if gap > maxGap {
-		return Branch{}, fmt.Errorf("%w: gap %d out of range", ErrBadFormat, gap)
-	}
-	if th > maxThread {
-		return Branch{}, fmt.Errorf("%w: thread %d out of range", ErrBadFormat, th)
+	switch {
+	case err != nil:
+		return Branch{}, 0, err
+	case gap > maxGap:
+		return Branch{}, 0, fmt.Errorf("%w: gap %d out of range", ErrBadFormat, gap)
+	case th > maxThread:
+		return Branch{}, 0, fmt.Errorf("%w: thread %d out of range", ErrBadFormat, th)
 	}
 	b := Branch{
 		PC:     uint64(int64(r.prevPC) + dpc),
@@ -452,40 +425,54 @@ func (r *Reader) assemble(flags byte, dpc int64, gap uint64, hasTarget bool, dt 
 	r.prevPC = b.PC
 	r.n++
 	r.instrs += int64(b.Gap) + 1
-	return b, nil
+	return b, n, nil
+}
+
+// unzigzag undoes the signed mapping of binary.AppendVarint.
+func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
+
+// uvarint parses the unsigned varint at the start of buf, the one varint
+// reader of the decoder. A varint that runs off buf is truncation if
+// cut, the error that cut buf short, is set; otherwise it is corruption,
+// like an overflow, and the error says what.
+func uvarint(buf []byte, cut error, what string) (uint64, int, error) {
+	x, n := binary.Uvarint(buf)
+	switch {
+	case n == 0 && cut != nil:
+		return 0, 0, truncated(cut)
+	case n <= 0:
+		return 0, 0, fmt.Errorf("%w: %s", ErrBadFormat, what)
+	}
+	return x, n, nil
 }
 
 // nextChunk reads and verifies the next chunk frame. It returns io.EOF
 // only after a valid footer; raw EOF at a chunk boundary means the footer
 // (and possibly more) was truncated away.
 func (r *Reader) nextChunk() error {
-	if _, err := r.r.Peek(1); err != nil {
+	head, err := r.r.Peek(framePeek)
+	if len(head) == 0 {
 		if err == io.EOF {
 			return fmt.Errorf("%w: missing footer (stream truncated)", ErrBadFormat)
 		}
 		return err
 	}
-	length, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if length == 0 {
-		return r.readFooter()
-	}
-	if length > maxChunkLen {
+	length, n, verr := uvarint(head, err, "varint overflow")
+	switch {
+	case verr != nil:
+		return verr
+	case length == 0:
+		return r.footer(head[n:], err)
+	case length > maxChunkLen:
 		return fmt.Errorf("%w: chunk length %d exceeds limit", ErrBadFormat, length)
+	case len(head) < n+4:
+		return truncated(err)
 	}
-	if _, err := io.ReadFull(r.r, r.crcBuf[:]); err != nil {
-		return r.truncated(err)
-	}
-	want := binary.LittleEndian.Uint32(r.crcBuf[:])
-	if cap(r.chunk) < int(length) {
-		r.chunk = make([]byte, length)
-	} else {
-		r.chunk = r.chunk[:length]
-	}
+	want := binary.LittleEndian.Uint32(head[n:])
+	_, _ = r.r.Discard(n + 4) // peeked bytes are buffered: cannot fail
+	r.chunk = slices.Grow(r.chunk[:0], int(length))[:length]
 	if _, err := io.ReadFull(r.r, r.chunk); err != nil {
-		return r.truncated(err)
+		return truncated(err)
 	}
 	if got := crc32.ChecksumIEEE(r.chunk); got != want {
 		return fmt.Errorf("%w: chunk CRC mismatch (got %08x, want %08x)", ErrBadFormat, got, want)
@@ -494,99 +481,43 @@ func (r *Reader) nextChunk() error {
 	return nil
 }
 
-// readFooter verifies the footer counts against the decoded stream and
-// requires EOF immediately after. On success it returns io.EOF.
-func (r *Reader) readFooter() error {
-	if _, err := io.ReadFull(r.r, r.crcBuf[:]); err != nil {
-		return r.truncated(err)
+// footer verifies the footer that follows the marker in head, a peek cut
+// short by err, against the decoded stream. EOF must follow it at once.
+// On success it returns io.EOF.
+func (r *Reader) footer(head []byte, err error) error {
+	if len(head) < 4 {
+		return truncated(err)
 	}
-	want := binary.LittleEndian.Uint32(r.crcBuf[:]) ^ footerCRCMask
-	var counts [2 * binary.MaxVarintLen64]byte
-	cn := 0
-	read := func() (uint64, error) {
-		var x uint64
-		var s uint
-		for i := 0; i < binary.MaxVarintLen64; i++ {
-			c, err := r.r.ReadByte()
-			if err != nil {
-				return 0, r.truncated(err)
-			}
-			counts[cn] = c
-			cn++
-			if c < 0x80 {
-				if i == binary.MaxVarintLen64-1 && c > 1 {
-					return 0, fmt.Errorf("%w: footer varint overflow", ErrBadFormat)
-				}
-				return x | uint64(c)<<s, nil
-			}
-			x |= uint64(c&0x7f) << s
-			s += 7
-		}
-		return 0, fmt.Errorf("%w: footer varint overflow", ErrBadFormat)
+	want := binary.LittleEndian.Uint32(head) ^ footerCRCMask
+	nrec, n1, verr := uvarint(head[4:], err, "footer varint overflow")
+	if verr != nil {
+		return verr
 	}
-	nrec, err := read()
-	if err != nil {
-		return err
+	ninstr, n2, verr := uvarint(head[4+n1:], err, "footer varint overflow")
+	if verr != nil {
+		return verr
 	}
-	ninstr, err := read()
-	if err != nil {
-		return err
-	}
-	if got := crc32.ChecksumIEEE(counts[:cn]); got != want {
+	end := 4 + n1 + n2
+	if got := crc32.ChecksumIEEE(head[4:end]); got != want {
 		return fmt.Errorf("%w: footer CRC mismatch (got %08x, want %08x)", ErrBadFormat, got, want)
 	}
 	if int64(nrec) != r.n || int64(ninstr) != r.instrs {
 		return fmt.Errorf("%w: footer counts (%d records, %d instructions) do not match stream (%d, %d)",
 			ErrBadFormat, nrec, ninstr, r.n, r.instrs)
 	}
-	if _, err := r.r.ReadByte(); err != io.EOF {
-		if err != nil {
-			return err
-		}
+	if len(head) > end {
 		return fmt.Errorf("%w: trailing data after footer", ErrBadFormat)
+	}
+	if err != io.EOF {
+		return err
 	}
 	r.done = true
 	return io.EOF
 }
 
-// uvarint reads a bounded unsigned varint from the stream. Overflow and
-// truncation both surface as ErrBadFormat; real I/O errors pass through.
-func (r *Reader) uvarint() (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		c, err := r.r.ReadByte()
-		if err != nil {
-			return 0, r.truncated(err)
-		}
-		if c < 0x80 {
-			if i == binary.MaxVarintLen64-1 && c > 1 {
-				return 0, fmt.Errorf("%w: varint overflow", ErrBadFormat)
-			}
-			return x | uint64(c)<<s, nil
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-	}
-	return 0, fmt.Errorf("%w: varint overflow", ErrBadFormat)
-}
-
-// varint reads a bounded zigzag-encoded signed varint.
-func (r *Reader) varint() (int64, error) {
-	ux, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x, nil
-}
-
 // truncated converts an end-of-stream condition inside a structure into a
 // typed format error; other errors (real I/O failures) pass through.
-func (r *Reader) truncated(err error) error {
+func truncated(err error) error {
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return fmt.Errorf("%w: truncated stream", ErrBadFormat)
 	}

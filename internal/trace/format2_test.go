@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // Regression tests for the format-2 container and the hardened Writer
@@ -279,5 +281,96 @@ func TestWriterCounts(t *testing.T) {
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
+	}
+}
+
+// encodeV1Bounded serializes records as a version-1 stream and returns
+// the byte offset at which each record ends.
+func encodeV1Bounded(t *testing.T, recs []Branch) (data []byte, ends []int) {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriterVersion(&buf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range recs {
+		if err := w.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, buf.Len())
+	}
+	return buf.Bytes(), ends
+}
+
+// checkPrefix fails unless got is a prefix of want.
+func checkPrefix(t *testing.T, label string, got, want []Branch) {
+	t.Helper()
+	if len(got) > len(want) {
+		t.Fatalf("%s: %d records from a stream of %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %d = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestV1Truncation pins the version-1 truncation semantics: a cut at a
+// record boundary is indistinguishable from a clean end, so it yields
+// exactly that prefix and then io.EOF; a cut inside a record is a
+// truncated-stream format error after the records before it.
+func TestV1Truncation(t *testing.T) {
+	recs := sampleBranches(60, 21)
+	data, ends := encodeV1Bounded(t, recs)
+	whole := 0 // records wholly inside the prefix
+	for n := len(magic) + 1; n <= len(data); n++ {
+		for whole < len(ends) && ends[whole] <= n {
+			whole++
+		}
+		r, err := NewReader(bytes.NewReader(data[:n]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := drainBatched(r, 7)
+		boundary := n == len(magic)+1 || (whole > 0 && ends[whole-1] == n)
+		switch {
+		case boundary && err != io.EOF:
+			t.Fatalf("cut %d at a record boundary: err = %v, want io.EOF", n, err)
+		case !boundary && (err == nil || err.Error() != "trace: bad file format: truncated stream"):
+			t.Fatalf("cut %d inside a record: err = %v, want the truncated-stream format error", n, err)
+		}
+		if len(got) != whole {
+			t.Fatalf("cut %d: %d records, want %d", n, len(got), whole)
+		}
+		checkPrefix(t, "v1 cut", got, recs)
+	}
+}
+
+// TestReaderPassesIOErrors: for both versions, a reader that fails with
+// a non-EOF error at any offset after the header surfaces exactly that
+// error, unwrapped and after an intact prefix, never a format error.
+func TestReaderPassesIOErrors(t *testing.T) {
+	errIO := errors.New("disk on fire")
+	recs := sampleBranches(60, 22)
+	v1, _ := encodeV1Bounded(t, recs)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{{"v1", v1}, {"v2", encodeV2Tiny(t, recs)}} {
+		for at := len(magic) + 1; at <= len(tc.data); at++ {
+			rd := io.MultiReader(bytes.NewReader(tc.data[:at]), iotest.ErrReader(errIO))
+			r, err := NewReader(rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := drainBatched(r, 5)
+			if err != errIO {
+				t.Fatalf("%s: failure at byte %d: err = %v, want %v unwrapped", tc.name, at, err, errIO)
+			}
+			checkPrefix(t, tc.name, got, recs)
+		}
 	}
 }
