@@ -69,11 +69,12 @@ ensemble-gate:
 # its thread's flow must be a typed error at every entry point. The
 # fuzz smokes drive random thread-interleaved streams at random delays
 # through both schedules of the EV8 run, and random widths, banks and
-# vectors through the skewing index; the walk's microbenchmarks must
-# run.
+# vectors through the skewing index (the EV8 smoke bounds minimising a
+# new input to 5 s, which would otherwise take most of its 30 s); the
+# walk's microbenchmarks must run.
 batch-gate:
 	$(GO) test -run 'TestBatch|TestEnsembleBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestLinear|TestCompiled|TestFoldXOR|TestInstrumentedUpdate|TestCollect|TestStoredMask|TestSplitBits|TestChunkedWalk|TestWalkHugeGap|TestWalkFlowBreak|TestReplayMatchesReferenceSequencer|TestFlowBreakIsError' -count=1 -v . ./internal/core/ ./internal/ev8/ ./internal/frontend/ ./internal/sim/ ./internal/predictor/... ./internal/predictor/egskew/ ./internal/trace/ ./internal/skew/ ./internal/bitutil/ ./internal/counter/
-	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
+	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -fuzzminimizetime 5s -run '^$$' .
 	$(GO) test -fuzz FuzzSkewBound -fuzztime 20s -run '^$$' ./internal/skew/
 	$(GO) test -bench=Tracker -benchtime=100x -run '^$$' ./internal/frontend/
 

@@ -1,6 +1,10 @@
 // Command ev8sim runs one or more branch predictors over a synthetic
 // benchmark or a recorded trace file and reports accuracy.
 //
+// Each workload is one streaming pass that feeds every branch to all the
+// -predictors, so memory does not grow with the trace. -threads,
+// -quantum, -instructions and -benchmarks are refused beside -trace.
+//
 // Usage:
 //
 //	ev8sim [-predictors ev8,2bcg512,gshare,...] [-benchmarks gcc,go|-trace file]
@@ -29,6 +33,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -116,6 +121,21 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	defer cmd.Close()
+	// A trace file fixes its own stream: refuse the synthetic-workload
+	// flags beside it rather than ignore them.
+	var unused error
+	cmd.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "threads", "quantum", "instructions", "benchmarks":
+			if *traceFile != "" {
+				unused = &cliflag.Error{Flag: f.Name, Value: f.Value.String(),
+					Reason: "describes a synthetic workload; -trace takes its stream from the file"}
+			}
+		}
+	})
+	if unused != nil {
+		return unused
+	}
 
 	mode, err := frontend.ModeByName(*modeName)
 	if err != nil {
@@ -123,111 +143,93 @@ func run(args []string, out io.Writer) error {
 	}
 	opts := sim.Options{Mode: mode, Collect: *collect}
 
-	var names []string
+	var factories []sim.Factory
 	for _, n := range strings.Split(*predictors, ",") {
-		names = append(names, strings.TrimSpace(n))
-	}
-	// Validate predictor names up front.
-	for _, n := range names {
-		if _, ok := predictorFactories[n]; !ok {
+		n = strings.TrimSpace(n)
+		mk, ok := predictorFactories[n]
+		if !ok {
 			return fmt.Errorf("unknown predictor %q (have %s)", n, strings.Join(predictorNames(), ","))
 		}
+		factories = append(factories, mk)
 	}
 
 	tbl := report.New("ev8sim results",
 		"workload", "predictor", "size Kbits", "misp/KI", "accuracy%", "branches")
 	var results []sim.Result
-	add := func(r sim.Result) {
-		results = append(results, r)
-		tbl.AddRowf(r.Workload, r.Predictor, r.SizeBits/1024,
-			r.MispKI(), 100*r.Accuracy(), r.Branches)
+	// add labels one workload's results and appends them as rows.
+	add := func(workload string, rs []sim.Result) {
+		for _, r := range rs {
+			r.Workload = workload
+			results = append(results, r)
+			tbl.AddRowf(r.Workload, r.Predictor, r.SizeBits/1024,
+				r.MispKI(), 100*r.Accuracy(), r.Branches)
+		}
 	}
 
-	if *saveCk != "" || *resumePath != "" {
-		r, err := runCheckpointed(names, *benchmarks, *traceFile, *instructions,
+	switch {
+	case *saveCk != "" || *resumePath != "":
+		r, err := runCheckpointed(factories, *benchmarks, *traceFile, *instructions,
 			*threads, opts, *saveCk, *ckBranches, *resumePath)
 		if err != nil {
 			return err
 		}
-		add(r)
-		return cmd.Emit(tbl, report.FromResults(results))
-	}
-
-	if *traceFile != "" {
-		// Decode once (gzip-transparent), replay per predictor.
-		records, err := readTrace(*traceFile)
+		add(r.Workload, []sim.Result{r})
+	case *traceFile != "":
+		rd, closer, err := trace.Open(*traceFile)
 		if err != nil {
 			return err
 		}
-		for _, n := range names {
-			p, err := predictorFactories[n]()
-			if err != nil {
-				return err
-			}
-			r, err := sim.Run(p, trace.NewSlice(records), opts)
-			if err != nil {
-				return err
-			}
-			r.Workload = *traceFile
-			add(r)
+		defer closer.Close()
+		rs, err := sim.RunEnsemble(factories, namedSource{rd, *traceFile}, opts)
+		if err != nil {
+			return err
 		}
-		return cmd.Emit(tbl, report.FromResults(results))
-	}
-
-	profs, err := cliflag.Benchmarks(*benchmarks)
-	if err != nil {
-		return err
-	}
-	for _, prof := range profs {
-		for _, n := range names {
-			p, err := predictorFactories[n]()
+		add(*traceFile, rs)
+	default:
+		profs, err := cliflag.Benchmarks(*benchmarks)
+		if err != nil {
+			return err
+		}
+		for _, prof := range profs {
+			if *threads == 1 {
+				rs, err := sim.RunEnsembleBenchmark(factories, prof, *instructions, opts)
+				if err != nil {
+					return err
+				}
+				add(prof.Name, rs)
+				continue
+			}
+			srcs := make([]trace.Source, *threads)
+			for i := range srcs {
+				if srcs[i], err = workload.New(prof, *instructions); err != nil {
+					return err
+				}
+			}
+			rs, err := sim.RunEnsemble(factories, workload.NewInterleaved(srcs, *quantum), opts)
 			if err != nil {
 				return err
 			}
-			var r sim.Result
-			if *threads == 1 {
-				r, err = sim.RunBenchmark(p, prof, *instructions, opts)
-				if err != nil {
-					return err
-				}
-			} else {
-				srcs := make([]trace.Source, *threads)
-				for i := range srcs {
-					g, err := workload.New(prof, *instructions)
-					if err != nil {
-						return err
-					}
-					srcs[i] = g
-				}
-				r, err = sim.Run(p, workload.NewInterleaved(srcs, *quantum), opts)
-				if err != nil {
-					return err
-				}
-				r.Workload = fmt.Sprintf("%s x%d", prof.Name, *threads)
-			}
-			if r.Workload == "" {
-				r.Workload = prof.Name
-			}
-			add(r)
+			add(fmt.Sprintf("%s x%d", prof.Name, *threads), rs)
 		}
 	}
 	return cmd.Emit(tbl, report.FromResults(results))
 }
 
-// readTrace decodes a whole trace file (gzip-transparent). A decode
-// error mid-stream (truncation, CRC mismatch) fails the run, not
-// silently simulating the valid prefix.
-func readTrace(path string) ([]trace.Branch, error) {
-	rd, closer, err := trace.Open(path)
-	if err != nil {
-		return nil, err
+// namedSource reads a trace file (trace.Open, gzip-transparent) and
+// names the file in its decode errors. A decode error mid-stream
+// (truncation, CRC mismatch) fails the run rather than letting the valid
+// prefix pass for the whole trace.
+type namedSource struct {
+	trace.Source
+	path string
+}
+
+func (s namedSource) NextBatch(buf []trace.Branch) (int, error) {
+	n, err := s.Source.NextBatch(buf)
+	if err != nil && err != io.EOF {
+		err = fmt.Errorf("%s: %w", s.path, err)
 	}
-	records, err := trace.Collect(rd, 0)
-	if err != nil {
-		closer.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return records, closer.Close()
+	return n, err
 }
 
 // runCheckpointed handles the -save-checkpoint / -resume modes: one
@@ -236,13 +238,13 @@ func readTrace(path string) ([]trace.Branch, error) {
 // commit-delay updates) serialized to disk, or continued from such a file
 // — bit-identically, as if the run had never stopped (see the repo-level
 // resume-equivalence suite).
-func runCheckpointed(names []string, benchmarks, traceFile string, instructions int64,
+func runCheckpointed(factories []sim.Factory, benchmarks, traceFile string, instructions int64,
 	threads int, opts sim.Options, saveCk string, ckBranches int64, resumePath string) (sim.Result, error) {
 	switch {
 	case saveCk != "" && resumePath != "":
 		return sim.Result{}, fmt.Errorf("-save-checkpoint and -resume are mutually exclusive")
-	case len(names) != 1:
-		return sim.Result{}, fmt.Errorf("checkpointing runs exactly one predictor (got %d)", len(names))
+	case len(factories) != 1:
+		return sim.Result{}, fmt.Errorf("checkpointing runs exactly one predictor (got %d)", len(factories))
 	case threads != 1:
 		return sim.Result{}, fmt.Errorf("checkpointing does not support SMT interleaving")
 	}
@@ -252,11 +254,12 @@ func runCheckpointed(names []string, benchmarks, traceFile string, instructions 
 		wname string
 	)
 	if traceFile != "" {
-		records, err := readTrace(traceFile)
+		rd, closer, err := trace.Open(traceFile)
 		if err != nil {
 			return sim.Result{}, err
 		}
-		src, wname = trace.NewSlice(records), traceFile
+		defer closer.Close()
+		src, wname = namedSource{rd, traceFile}, traceFile
 	} else {
 		profs, err := cliflag.Benchmarks(benchmarks)
 		if err != nil {
@@ -273,7 +276,7 @@ func runCheckpointed(names []string, benchmarks, traceFile string, instructions 
 		src, wname = g, prof.Name
 	}
 
-	p, err := predictorFactories[names[0]]()
+	p, err := factories[0]()
 	if err != nil {
 		return sim.Result{}, err
 	}

@@ -14,6 +14,7 @@ import (
 
 	"ev8pred/internal/cliflag"
 	"ev8pred/internal/frontend"
+	"ev8pred/internal/history"
 	"ev8pred/internal/report"
 	"ev8pred/internal/trace"
 )
@@ -51,6 +52,10 @@ func run(args []string, out io.Writer) error {
 	return tbl.Fprint(out)
 }
 
+// inspect adds one row for the trace file at path. Each thread's records
+// walk their own front end, as the simulator's do, and the row sums the
+// threads' fetch blocks, lghist bits and conditional branches. A record
+// that does not continue its thread's flow is an error.
 func inspect(tbl *report.Table, path string) error {
 	r, closer, err := trace.Open(path)
 	if err != nil {
@@ -58,13 +63,32 @@ func inspect(tbl *report.Table, path string) error {
 	}
 	defer closer.Close()
 	stats := trace.NewStats()
-	tr := frontend.NewTracker(frontend.ModeEV8())
+	trackers := map[int]*frontend.Tracker{}
 	buf := make([]trace.Branch, 1024)
+	infos := make([]history.Info, len(buf))
+	log := frontend.NewBlockLog(len(buf))
 	for {
 		n, err := r.NextBatch(buf)
-		for _, b := range buf[:n] {
-			stats.Add(b)
-			tr.Process(b)
+		for i := 0; i < n; {
+			// Walk the run of consecutive records from one thread.
+			j, id := i+1, buf[i].Thread
+			for j < n && buf[j].Thread == id {
+				j++
+			}
+			tr := trackers[id]
+			if tr == nil {
+				tr = frontend.NewTracker(frontend.ModeEV8())
+				tr.SetThread(id)
+				trackers[id] = tr
+			}
+			log.Reset()
+			if _, err := tr.Walk(buf[i:j], infos, &log); err != nil {
+				return err
+			}
+			for _, b := range buf[i:j] {
+				stats.Add(b)
+			}
+			i = j
 		}
 		if err == io.EOF {
 			break
@@ -73,12 +97,18 @@ func inspect(tbl *report.Table, path string) error {
 			return err
 		}
 	}
+	var blocks, lgBits, conds int64
+	for _, tr := range trackers {
+		blocks += tr.Blocks()
+		lgBits += tr.LghistBits()
+		conds += tr.CondBranches()
+	}
 	perBit := 0.0
-	if tr.LghistBits() > 0 {
-		perBit = float64(tr.CondBranches()) / float64(tr.LghistBits())
+	if lgBits > 0 {
+		perBit = float64(conds) / float64(lgBits)
 	}
 	tbl.AddRowf(path, stats.Instructions, stats.DynamicBranches,
 		stats.Transfers, stats.StaticBranches, 100*stats.TakenRate(),
-		stats.BranchesPerKI(), tr.Blocks(), perBit)
+		stats.BranchesPerKI(), blocks, perBit)
 	return nil
 }

@@ -119,27 +119,26 @@ func addTrafficNote(t *report.Table, cfg Config) error {
 		return nil
 	}
 	prof := cfg.Benchmarks[0]
-	measure := func(partial bool) (int64, error) {
-		c := core.Config512K()
-		c.PartialUpdate = partial
-		p, err := core.New(c)
-		if err != nil {
-			return 0, err
+	// Both update policies see the same stream: one ensemble pass, its
+	// factories keeping the built predictors for their write counts.
+	var ps [2]*core.Predictor // partial, total
+	factories := make([]sim.Factory, len(ps))
+	for i := range ps {
+		factories[i] = func() (predictor.Predictor, error) {
+			c := core.Config512K()
+			c.PartialUpdate = i == 0
+			ps[i] = core.MustNew(c)
+			return ps[i], nil
 		}
-		if _, err := sim.RunBenchmark(p, prof, cfg.Instructions, sim.Options{Mode: frontend.ModeGhist()}); err != nil {
-			return 0, err
-		}
-		pw, hw, _ := p.Traffic()
-		return pw + hw, nil
 	}
-	writes, err := jobs(cfg, []func() (int64, error){
-		func() (int64, error) { return measure(true) },
-		func() (int64, error) { return measure(false) },
-	})
-	if err != nil {
+	if _, err := sim.RunEnsembleBenchmark(factories, prof, cfg.Instructions, sim.Options{Mode: frontend.ModeGhist()}); err != nil {
 		return err
 	}
-	partial, total := writes[0], writes[1]
+	writes := func(p *core.Predictor) int64 {
+		pw, hw, _ := p.Traffic()
+		return pw + hw
+	}
+	partial, total := writes(ps[0]), writes(ps[1])
 	t.AddNote("§4.3 array-write traffic on %s: partial update %d writes vs total update %d (%.0f%% saved)",
 		prof.Name, partial, total, 100*(1-float64(partial)/float64(total)))
 	return nil

@@ -4,6 +4,7 @@ import (
 	"ev8pred/internal/core"
 	"ev8pred/internal/ev8"
 	"ev8pred/internal/frontend"
+	"ev8pred/internal/predictor"
 	"ev8pred/internal/predictor/cascade"
 	"ev8pred/internal/predictor/perceptron"
 	"ev8pred/internal/report"
@@ -31,36 +32,37 @@ func runBackup(cfg Config) (*report.Table, error) {
 		"benchmark", "EV8 352Kb", "EV8+perceptron 616Kb", "2Bc-gskew 4x1M (8Mb)",
 		"overrides/KI")
 	opts := sim.Options{Mode: frontend.ModeEV8()}
-	// Three independent jobs per benchmark; the cascade job also carries
-	// its override count out of the run.
+	// Two jobs per benchmark: the EV8 and the cascade as one ensemble
+	// (its factory keeps the cascade for the override count), and the
+	// 4x1M predictor, which reads another information vector.
 	type res struct {
-		r         sim.Result
+		rs        []sim.Result
 		overrides int64
 	}
-	const nvar = 3
-	fns := make([]func() (res, error), 0, len(cfg.Benchmarks)*nvar)
+	const njob = 2
+	fns := make([]func() (res, error), 0, len(cfg.Benchmarks)*njob)
 	for _, prof := range cfg.Benchmarks {
 		fns = append(fns,
 			func() (res, error) {
-				r, err := sim.RunBenchmark(ev8.MustNew(ev8.DefaultConfig()), prof, cfg.Instructions, opts)
-				return res{r: r}, err
-			},
-			func() (res, error) {
-				casc := cascade.MustNew(
-					ev8.MustNew(ev8.DefaultConfig()),
-					perceptron.MustNew(1024, 27),
-					cascade.Config{MinConfidence: 14, Name: "EV8+perceptron"})
-				r, err := sim.RunBenchmark(casc, prof, cfg.Instructions, opts)
+				var casc *cascade.Cascade
+				rs, err := sim.RunEnsembleBenchmark([]sim.Factory{
+					func() (predictor.Predictor, error) { return ev8.New(ev8.DefaultConfig()) },
+					func() (predictor.Predictor, error) {
+						casc = cascade.MustNew(ev8.MustNew(ev8.DefaultConfig()), perceptron.MustNew(1024, 27),
+							cascade.Config{MinConfidence: 14, Name: "EV8+perceptron"})
+						return casc, nil
+					},
+				}, prof, cfg.Instructions, opts)
 				if err != nil {
 					return res{}, err
 				}
 				overrides, _ := casc.Overrides()
-				return res{r: r, overrides: overrides}, nil
+				return res{rs: rs, overrides: overrides}, nil
 			},
 			func() (res, error) {
 				r, err := sim.RunBenchmark(core.MustNew(core.Config4M()), prof, cfg.Instructions,
 					sim.Options{Mode: frontend.ModeGhist()})
-				return res{r: r}, err
+				return res{rs: []sim.Result{r}}, err
 			})
 	}
 	rs, err := jobs(cfg, fns)
@@ -68,10 +70,11 @@ func runBackup(cfg Config) (*report.Table, error) {
 		return nil, err
 	}
 	for bi, prof := range cfg.Benchmarks {
-		alone, withBackup, brute := rs[bi*nvar].r, rs[bi*nvar+1].r, rs[bi*nvar+2].r
+		pair, brute := rs[bi*njob], rs[bi*njob+1].rs[0]
+		alone, withBackup := pair.rs[0], pair.rs[1]
 		overKI := 0.0
 		if withBackup.Instructions > 0 {
-			overKI = 1000 * float64(rs[bi*nvar+1].overrides) / float64(withBackup.Instructions)
+			overKI = 1000 * float64(pair.overrides) / float64(withBackup.Instructions)
 		}
 		t.AddRowf(prof.Name, alone.MispKI(), withBackup.MispKI(), brute.MispKI(), overKI)
 	}

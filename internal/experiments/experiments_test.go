@@ -126,6 +126,44 @@ func TestTable3RatiosAboveOne(t *testing.T) {
 	}
 }
 
+// TestTable2DynamicCountsShape holds Table 2's printed shape: measured
+// dynamic densities are within 1.25x of the paper's on every benchmark
+// but perl, which runs about 1.8x fewer branches per KI.
+func TestTable2DynamicCountsShape(t *testing.T) {
+	e, _ := ByID("table2")
+	tbl, err := e.Run(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < tbl.Rows(); r++ {
+		meas, paper := cell(t, tbl, r, 1), cell(t, tbl, r, 2)
+		ratio := max(meas, paper) / min(meas, paper)
+		if name := tbl.Cell(r, 0); name == "perl" {
+			if ratio < 1.5 {
+				t.Errorf("perl: density %.2f vs paper %.2f is within %.2fx; the shape names it the exception", meas, paper, ratio)
+			}
+		} else if ratio > 1.25 {
+			t.Errorf("%s: density %.2f vs paper %.2f differs by %.2fx, above 1.25x", name, meas, paper, ratio)
+		}
+	}
+}
+
+// TestTable3RatiosBelowPaper holds Table 3's printed shape: every
+// measured ratio is at least one and below the paper's.
+func TestTable3RatiosBelowPaper(t *testing.T) {
+	e, _ := ByID("table3")
+	tbl, err := e.Run(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < tbl.Rows(); r++ {
+		meas, paper := cell(t, tbl, r, 1), cell(t, tbl, r, 2)
+		if meas < 1 || meas >= paper {
+			t.Errorf("%s: ratio %.2f, want in [1, paper %.2f)", tbl.Cell(r, 0), meas, paper)
+		}
+	}
+}
+
 func TestFig5Shape(t *testing.T) {
 	e, _ := ByID("fig5")
 	tbl, err := e.Run(testConfig("li", "m88ksim", "go"))

@@ -63,57 +63,45 @@ func runSMT(cfg Config) (*report.Table, error) {
 		"benchmark", "EV8 1T", "EV8 4T per-thread", "EV8 4T shared-hist",
 		"local 1T", "local 4T")
 	mode := sim.Options{Mode: frontend.ModeEV8()}
-	mkLocal := func() predictor.Predictor { return local.MustNew(4*1024, 16) }
-	// Five independent variants per benchmark, each a self-contained job
-	// (own predictor, own interleaved sources) fanned through the pool.
-	const nvar = 5
-	fns := make([]func() (sim.Result, error), 0, len(cfg.Benchmarks)*nvar)
+	// Three passes per benchmark, each a job fanned through the pool: the
+	// EV8 and the local predictor share the single-thread stream and the
+	// per-thread interleaving; the shared-history EV8 runs alone.
+	pair := []sim.Factory{
+		func() (predictor.Predictor, error) { return ev8.New(ev8.DefaultConfig()) },
+		func() (predictor.Predictor, error) { return local.New(4*1024, 16) },
+	}
+	const npass = 3
+	fns := make([]func() ([]sim.Result, error), 0, len(cfg.Benchmarks)*npass)
 	for _, prof := range cfg.Benchmarks {
-		variants := []func() (sim.Result, error){
-			// EV8 single thread.
-			func() (sim.Result, error) {
-				return sim.RunBenchmark(ev8.MustNew(ev8.DefaultConfig()), prof, perThreadInstr, mode)
+		fns = append(fns,
+			func() ([]sim.Result, error) {
+				return sim.RunEnsembleBenchmark(pair, prof, perThreadInstr, mode)
 			},
-			// EV8 SMT with per-thread histories (the design).
-			func() (sim.Result, error) {
+			func() ([]sim.Result, error) {
 				src, err := mkSMT(prof, false)
 				if err != nil {
-					return sim.Result{}, err
+					return nil, err
 				}
-				return sim.Run(ev8.MustNew(ev8.DefaultConfig()), src, mode)
+				return sim.RunEnsemble(pair, src, mode)
 			},
-			// EV8 SMT with one shared history context.
-			func() (sim.Result, error) {
+			func() ([]sim.Result, error) {
 				src, err := mkSMT(prof, true)
 				if err != nil {
-					return sim.Result{}, err
+					return nil, err
 				}
-				return sim.Run(ev8.MustNew(ev8.DefaultConfig()), src,
+				r, err := sim.Run(ev8.MustNew(ev8.DefaultConfig()), src,
 					sim.Options{Mode: frontend.ModeEV8(), LenientFlow: true})
-			},
-			// Local predictor, single thread and SMT (its tables are
-			// shared either way; SMT pollutes both levels).
-			func() (sim.Result, error) {
-				return sim.RunBenchmark(mkLocal(), prof, perThreadInstr, mode)
-			},
-			func() (sim.Result, error) {
-				src, err := mkSMT(prof, false)
-				if err != nil {
-					return sim.Result{}, err
-				}
-				return sim.Run(mkLocal(), src, mode)
-			},
-		}
-		fns = append(fns, variants...)
+				return []sim.Result{r}, err
+			})
 	}
 	rs, err := jobs(cfg, fns)
 	if err != nil {
 		return nil, err
 	}
 	for bi, prof := range cfg.Benchmarks {
-		row := rs[bi*nvar : (bi+1)*nvar]
-		t.AddRowf(prof.Name, row[0].MispKI(), row[1].MispKI(),
-			row[2].MispKI(), row[3].MispKI(), row[4].MispKI())
+		single, perThread, shared := rs[bi*npass], rs[bi*npass+1], rs[bi*npass+2]
+		t.AddRowf(prof.Name, single[0].MispKI(), perThread[0].MispKI(),
+			shared[0].MispKI(), single[1].MispKI(), perThread[1].MispKI())
 	}
 	t.AddNote("4 threads run independent same-character programs (distinct seeds, overlapping address spaces)")
 	return t, nil
