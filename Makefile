@@ -51,7 +51,8 @@ ensemble-gate:
 	$(GO) test -run 'TestEnsemble|TestEV8Ensemble|TestOptionsContract|TestRunFrontEndRejectsUnsupportedOptions|TestRunFrontEndRejectsMultiThread|TestRunCells' -count=1 -v . ./internal/sim/
 
 # Batch-kernel gate: runs routed through the LookupBatch/UpdateBatch
-# kernels must be byte-identical to the scalar fused path for every
+# kernels must be byte-identical to the per-branch BatchOff reference
+# (the scalar fused path, which default runs no longer take) for every
 # BatchPredictor family — including the EV8 model, whose §6.2 bank
 # sequencer is staged through the batched block contract — for every
 # benchmark, warmup and branch budget. Commit-delayed runs are batched
@@ -64,16 +65,19 @@ ensemble-gate:
 # preset and the EV8, both policies, delays 0/8/64, batch and scalar),
 # and the counter arrays' stored index masks must address the same
 # bits. The chunked front-end walk must match the record-at-a-time
-# reference tracker, the EV8 block-log replay the reference sequencer,
-# the EV8 linear index tables the xor trees, and a record that breaks
-# its thread's flow must be a typed error at every entry point. The
+# reference tracker, the per-thread walk (frontend.Threads) a map of
+# reference trackers and each thread walked alone, with thread ids past
+# the dense table in its sparse map, the EV8 block-log replay the
+# reference sequencer, the EV8 linear index tables the xor trees, and a
+# record that breaks its thread's flow must be a typed error at every
+# entry point. The
 # fuzz smokes drive random thread-interleaved streams at random delays
 # through both schedules of the EV8 run, and random widths, banks and
 # vectors through the skewing index (the EV8 smoke bounds minimising a
 # new input to 5 s, which would otherwise take most of its 30 s); the
 # walk's microbenchmarks must run.
 batch-gate:
-	$(GO) test -run 'TestBatch|TestEnsembleBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestLinear|TestCompiled|TestFoldXOR|TestInstrumentedUpdate|TestCollect|TestStoredMask|TestSplitBits|TestChunkedWalk|TestWalkHugeGap|TestWalkFlowBreak|TestReplayMatchesReferenceSequencer|TestFlowBreakIsError' -count=1 -v . ./internal/core/ ./internal/ev8/ ./internal/frontend/ ./internal/sim/ ./internal/predictor/... ./internal/predictor/egskew/ ./internal/trace/ ./internal/skew/ ./internal/bitutil/ ./internal/counter/
+	$(GO) test -run 'TestBatch|TestEnsembleBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch|TestDelayedBatch|TestDelayedEnsembleBatch|TestIndexEvaluator|TestLinear|TestCompiled|TestFoldXOR|TestInstrumentedUpdate|TestCollect|TestStoredMask|TestSplitBits|TestChunkedWalk|TestThreads|TestWalkHugeGap|TestWalkFlowBreak|TestReplayMatchesReferenceSequencer|TestFlowBreakIsError' -count=1 -v . ./internal/core/ ./internal/ev8/ ./internal/frontend/ ./internal/sim/ ./internal/predictor/... ./internal/predictor/egskew/ ./internal/trace/ ./internal/skew/ ./internal/bitutil/ ./internal/counter/
 	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -fuzzminimizetime 5s -run '^$$' .
 	$(GO) test -fuzz FuzzSkewBound -fuzztime 20s -run '^$$' ./internal/skew/
 	$(GO) test -bench=Tracker -benchtime=100x -run '^$$' ./internal/frontend/

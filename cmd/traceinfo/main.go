@@ -63,32 +63,18 @@ func inspect(tbl *report.Table, path string) error {
 	}
 	defer closer.Close()
 	stats := trace.NewStats()
-	trackers := map[int]*frontend.Tracker{}
+	threads := frontend.Threads{Mode: frontend.ModeEV8()}
 	buf := make([]trace.Branch, 1024)
 	infos := make([]history.Info, len(buf))
 	log := frontend.NewBlockLog(len(buf))
 	for {
 		n, err := r.NextBatch(buf)
-		for i := 0; i < n; {
-			// Walk the run of consecutive records from one thread.
-			j, id := i+1, buf[i].Thread
-			for j < n && buf[j].Thread == id {
-				j++
-			}
-			tr := trackers[id]
-			if tr == nil {
-				tr = frontend.NewTracker(frontend.ModeEV8())
-				tr.SetThread(id)
-				trackers[id] = tr
-			}
-			log.Reset()
-			if _, err := tr.Walk(buf[i:j], infos, &log); err != nil {
-				return err
-			}
-			for _, b := range buf[i:j] {
-				stats.Add(b)
-			}
-			i = j
+		log.Reset()
+		if _, err := threads.Walk(buf[:n], infos, &log); err != nil {
+			return err
+		}
+		for _, b := range buf[:n] {
+			stats.Add(b)
 		}
 		if err == io.EOF {
 			break
@@ -97,12 +83,7 @@ func inspect(tbl *report.Table, path string) error {
 			return err
 		}
 	}
-	var blocks, lgBits, conds int64
-	for _, tr := range trackers {
-		blocks += tr.Blocks()
-		lgBits += tr.LghistBits()
-		conds += tr.CondBranches()
-	}
+	blocks, lgBits, conds := threads.Totals()
 	perBit := 0.0
 	if lgBits > 0 {
 		perBit = float64(conds) / float64(lgBits)

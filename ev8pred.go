@@ -68,7 +68,9 @@ type (
 	// 2Bc-gskew, e-gskew and gshare implement it.
 	BatchPredictor = predictor.BatchPredictor
 	// FusedPredictor is a Predictor with the single-lookup fast path
-	// (Lookup/UpdateWith) the simulator prefers when available.
+	// (Lookup/UpdateWith) the simulator's BatchOff schedule resolves
+	// through; default runs of batch-capable predictors take the batch
+	// kernel instead.
 	FusedPredictor = predictor.FusedPredictor
 	// BatchMode selects whether eligible runs use the batch kernel.
 	BatchMode = sim.BatchMode

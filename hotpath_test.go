@@ -171,8 +171,10 @@ func TestBatchKernelZeroAllocs(t *testing.T) {
 
 // BenchmarkPredictUpdate measures raw per-branch predictor cost: one
 // sub-benchmark per roster entry, replaying prerecorded gcc events through
-// the same code path sim.Run uses (fused when available). ns/op is per
-// branch; docs/PERFORMANCE.md's History table has earlier figures.
+// the scalar per-branch path (fused when available) that sim.Run takes
+// under BatchOff; BenchmarkPredictUpdateBatch measures the batch kernel
+// default runs take. ns/op is per branch; docs/PERFORMANCE.md's History
+// table has earlier figures.
 func BenchmarkPredictUpdate(b *testing.B) {
 	for _, c := range hotbench.Cases() {
 		events, err := hotbench.Collect(c.Mode, "gcc", hotEvents)

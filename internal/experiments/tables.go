@@ -6,6 +6,7 @@ import (
 
 	"ev8pred/internal/core"
 	"ev8pred/internal/frontend"
+	"ev8pred/internal/history"
 	"ev8pred/internal/report"
 	"ev8pred/internal/trace"
 	"ev8pred/internal/workload"
@@ -117,12 +118,15 @@ func runTable3(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			tr := frontend.NewTracker(frontend.ModeEV8())
+			threads := frontend.Threads{Mode: frontend.ModeEV8()}
 			buf := make([]trace.Branch, 1024)
+			infos := make([]history.Info, len(buf))
+			log := frontend.NewBlockLog(len(buf))
 			for {
 				n, err := g.NextBatch(buf)
-				for _, b := range buf[:n] {
-					tr.Process(b)
+				log.Reset()
+				if _, err := threads.Walk(buf[:n], infos, &log); err != nil {
+					return 0, err
 				}
 				if err == io.EOF {
 					break
@@ -131,10 +135,11 @@ func runTable3(cfg Config) (*report.Table, error) {
 					return 0, err
 				}
 			}
-			if tr.LghistBits() == 0 {
+			_, lgBits, conds := threads.Totals()
+			if lgBits == 0 {
 				return 0, nil
 			}
-			return float64(tr.CondBranches()) / float64(tr.LghistBits()), nil
+			return float64(conds) / float64(lgBits), nil
 		}
 	}
 	ratios, err := jobs(cfg, fns)

@@ -13,10 +13,11 @@
 //     fetch blocks old (three on the EV8, §5.1);
 //   - the path queue: addresses of the three previous fetch blocks (§5.2).
 //
-// Tracker turns a trace.Branch stream into per-conditional-branch
-// history.Info vectors under a configurable Mode, a chunk of records at a
-// time (Walk) or one record at a time (Process), and logs the fetch blocks
-// it completes (BlockLog). The five information
+// Tracker turns one thread's trace.Branch stream into
+// per-conditional-branch history.Info vectors under a configurable Mode,
+// a chunk of records at a time (Walk) or one record at a time (Process),
+// and logs the fetch blocks it completes (BlockLog). Threads walks an SMT
+// stream, each thread on its own Tracker (§3). The five information
 // vectors compared in Figure 7 are all Mode values (see the Mode*
 // constructors).
 package frontend
@@ -176,16 +177,6 @@ func NewTracker(mode Mode) *Tracker {
 	}
 }
 
-// SetThread tags emitted Info vectors with a thread id.
-func (t *Tracker) SetThread(id int) { t.threadTag = id }
-
-// SetLenient makes the tracker tolerate backwards flow discontinuities by
-// resynchronizing (completing the in-progress block and restarting the
-// flow) instead of failing with ErrFlow. This models a front end whose
-// single history context is shared by interleaved threads — the §3
-// "shared history" SMT configuration. Resyncs counts the discontinuities.
-func (t *Tracker) SetLenient(v bool) { t.lenient = v }
-
 // Resyncs returns the number of flow discontinuities absorbed in lenient
 // mode.
 func (t *Tracker) Resyncs() int64 { return t.resyncs }
@@ -194,17 +185,8 @@ func (t *Tracker) Resyncs() int64 { return t.resyncs }
 // to, in order, once the record is walked. Walk logs blocks instead.
 func (t *Tracker) OnBlock(fn func(Block)) { t.onBlock = fn }
 
-// Mode returns the tracker's information-vector mode.
-func (t *Tracker) Mode() Mode { return t.mode }
-
 // Blocks returns the number of completed fetch blocks.
 func (t *Tracker) Blocks() int64 { return t.blocks }
-
-// LghistBits returns the number of bits inserted into lghist so far.
-func (t *Tracker) LghistBits() int64 { return t.lgBits }
-
-// CondBranches returns the number of conditional branches processed.
-func (t *Tracker) CondBranches() int64 { return t.condSeen }
 
 // Process advances the front end over one record: it is Walk over that
 // record alone, with the record's blocks handed to the OnBlock observer.
@@ -242,10 +224,7 @@ func (t *Tracker) Process(b trace.Branch) (history.Info, bool) {
 // lenient mode, the index of the first record that does not continue the
 // flow, with an error wrapping ErrFlow; the records before it are walked.
 func (t *Tracker) Walk(recs []trace.Branch, infos []history.Info, log *BlockLog) (int, error) {
-	if cap(log.Entries)-len(log.Entries) < RunsPerRecord*len(recs) ||
-		cap(log.Marks)-len(log.Marks) < len(recs) || len(infos) < len(log.Marks)+len(recs) {
-		panic(fmt.Sprintf("frontend: Walk of %d records overruns the block log or the info buffer", len(recs)))
-	}
+	checkRoom(len(recs), infos, log)
 	for i := range recs {
 		b := &recs[i]
 		start := b.PC - uint64(b.Gap)*trace.InstrBytes
@@ -310,6 +289,15 @@ func (t *Tracker) Walk(recs []trace.Branch, infos []history.Info, log *BlockLog)
 		}
 	}
 	return len(recs), nil
+}
+
+// checkRoom panics unless log and infos have room for a walk of n more
+// records (Walk's capacity rule).
+func checkRoom(n int, infos []history.Info, log *BlockLog) {
+	if cap(log.Entries)-len(log.Entries) < RunsPerRecord*n ||
+		cap(log.Marks)-len(log.Marks) < n || len(infos) < len(log.Marks)+n {
+		panic(fmt.Sprintf("frontend: Walk of %d records overruns the block log or the info buffer", n))
+	}
 }
 
 // selectHist materializes the mode's history variant.

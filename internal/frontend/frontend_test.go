@@ -165,8 +165,8 @@ func TestLghistOneBitPerBlock(t *testing.T) {
 	tr.Process(rec(0x1004, 0x3000, false, 0, trace.Cond))
 	tr.Process(rec(0x1008, 0x3000, false, 0, trace.Cond))
 	tr.Process(rec(0x100c, 0x3000, true, 0, trace.Cond))
-	if tr.LghistBits() != 1 {
-		t.Fatalf("lghist bits = %d, want 1", tr.LghistBits())
+	if tr.lgBits != 1 {
+		t.Fatalf("lghist bits = %d, want 1", tr.lgBits)
 	}
 	// Next branch (new block): its immediate lghist must be 1 (last
 	// cond in previous block was taken, no path bit).
@@ -191,8 +191,8 @@ func TestBlocksWithoutCondInsertNothing(t *testing.T) {
 	tr := NewTracker(ModeLghist())
 	// A taken jump alone in a block: completes the block, no lghist bit.
 	tr.Process(rec(0x1000, 0x9000, true, 0, trace.Jump))
-	if tr.Blocks() != 1 || tr.LghistBits() != 0 {
-		t.Errorf("blocks=%d lgbits=%d, want 1/0", tr.Blocks(), tr.LghistBits())
+	if tr.Blocks() != 1 || tr.lgBits != 0 {
+		t.Errorf("blocks=%d lgbits=%d, want 1/0", tr.Blocks(), tr.lgBits)
 	}
 }
 
@@ -248,8 +248,8 @@ func TestInfoExcludesOwnOutcome(t *testing.T) {
 }
 
 func TestThreadTag(t *testing.T) {
-	tr := NewTracker(ModeGhist())
-	tr.SetThread(3)
+	ts := Threads{Mode: ModeGhist()}
+	tr, _ := ts.Tracker(3)
 	info, _ := tr.Process(rec(0x1000, 0x2000, false, 0, trace.Cond))
 	if info.Thread != 3 {
 		t.Errorf("Thread = %d", info.Thread)
@@ -300,7 +300,7 @@ func TestBlockGeometryOnRealWorkload(t *testing.T) {
 	}
 	// Table 3's premise: one lghist bit summarizes more than one branch
 	// on average (lghist/ghist ratio > 1).
-	ratio := float64(tr.CondBranches()) / float64(tr.LghistBits())
+	ratio := float64(tr.condSeen) / float64(tr.lgBits)
 	if ratio <= 1.0 {
 		t.Errorf("branches per lghist bit = %.2f, want > 1", ratio)
 	}
@@ -361,8 +361,8 @@ func BenchmarkTrackerProcess(b *testing.B) {
 }
 
 func TestLenientModeAbsorbsDiscontinuities(t *testing.T) {
-	tr := NewTracker(ModeLghist())
-	tr.SetLenient(true)
+	ts := Threads{Mode: ModeLghist(), Lenient: true}
+	tr, _ := ts.Tracker(0)
 	// Thread A runs at 0x1000, then the stream jumps backwards to
 	// 0x200 (a different thread's flow) — strict mode would panic.
 	tr.Process(rec(0x1000, 0x1004, false, 0, trace.Cond))

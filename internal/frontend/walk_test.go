@@ -114,9 +114,11 @@ func TestChunkedWalkMatchesReference(t *testing.T) {
 
 func checkWalk(t *testing.T, s walkStream, mode frontend.Mode, chunk int) {
 	t.Helper()
-	ref, got := frontend.NewTracker(mode), frontend.NewTracker(mode)
-	ref.SetLenient(s.lenient)
-	got.SetLenient(s.lenient)
+	// Two tables, so both trackers are thread 0's.
+	refs := frontend.Threads{Mode: mode, Lenient: s.lenient}
+	gots := frontend.Threads{Mode: mode, Lenient: s.lenient}
+	ref, _ := refs.Tracker(0)
+	got, _ := gots.Tracker(0)
 	refEV8, gotEV8 := ev8.MustNew(ev8.DefaultConfig()), ev8.MustNew(ev8.DefaultConfig())
 	log := frontend.NewBlockLog(chunk)
 	infos := make([]history.Info, chunk)
@@ -236,8 +238,8 @@ func TestWalkFlowBreak(t *testing.T) {
 	}
 	log := frontend.NewBlockLog(len(recs))
 	infos := make([]history.Info, len(recs))
-	tr := frontend.NewTracker(frontend.ModeEV8())
-	tr.SetThread(3)
+	ts := frontend.Threads{Mode: frontend.ModeEV8()}
+	tr, _ := ts.Tracker(3)
 	n, err := tr.Walk(recs, infos, &log)
 	if n != 2 || !errors.Is(err, frontend.ErrFlow) {
 		t.Fatalf("Walk = %d, %v; want 2, ErrFlow", n, err)
@@ -246,8 +248,8 @@ func TestWalkFlowBreak(t *testing.T) {
 		t.Errorf("%d branches walked before the break, want 2", len(log.Marks))
 	}
 
-	lenient := frontend.NewTracker(frontend.ModeEV8())
-	lenient.SetLenient(true)
+	lts := frontend.Threads{Mode: frontend.ModeEV8(), Lenient: true}
+	lenient, _ := lts.Tracker(0)
 	log.Reset()
 	if n, err := lenient.Walk(recs, infos, &log); n != len(recs) || err != nil {
 		t.Fatalf("lenient Walk = %d, %v", n, err)

@@ -81,15 +81,22 @@ func Collect(mode frontend.Mode, bench string, n int) ([]Event, error) {
 		return nil, err
 	}
 	events := make([]Event, 0, n)
-	tr := frontend.NewTracker(mode)
+	threads := frontend.Threads{Mode: mode}
 	buf := make([]trace.Branch, 1024)
+	infos := make([]history.Info, len(buf))
+	log := frontend.NewBlockLog(len(buf))
 	for len(events) < n {
 		// A record is at most one event, so no read passes the n-th.
 		k, err := src.NextBatch(buf[:min(len(buf), n-len(events))])
+		log.Reset()
+		if _, err := threads.Walk(buf[:k], infos, &log); err != nil {
+			return nil, err
+		}
+		j := 0
 		for _, b := range buf[:k] {
-			info, isCond := tr.Process(b)
-			if isCond {
-				events = append(events, Event{Info: info, Taken: b.Taken})
+			if b.Kind == trace.Cond {
+				events = append(events, Event{Info: infos[j], Taken: b.Taken})
+				j++
 			}
 		}
 		if err != nil && len(events) < n {
@@ -115,8 +122,8 @@ func ReplayUnfused(p predictor.Predictor, events []Event) {
 	}
 }
 
-// Replay routes through the fused pair when p supports it, mirroring what
-// sim.Run does in the hot loop.
+// Replay routes through the fused pair when p supports it, as sim.Run
+// does under BatchOff; default runs take the batch kernel (BatchRun).
 func Replay(p predictor.Predictor, events []Event) {
 	if fp, ok := p.(predictor.FusedPredictor); ok {
 		ReplayFused(fp, events)

@@ -154,9 +154,11 @@ func DecodePair(d *snapshot.Decoder) (info history.Info, s Snapshot) {
 // FusedPredictor is the optional fast-path contract: a predictor that can
 // compute a branch's full index set once (Lookup) and train later from the
 // carried Snapshot (UpdateWith) without re-deriving anything from the
-// information vector. The simulator (sim.Run) detects this interface and
-// routes the hot loop through it — including through the commit-delay
-// queue — falling back to the plain Predict/Update pair otherwise.
+// information vector. The simulator's per-branch schedule (sim.BatchOff)
+// detects this interface and resolves through it — including through the
+// commit-delay queue — falling back to the plain Predict/Update pair
+// otherwise. Every in-tree FusedPredictor is also a BatchPredictor, so a
+// default run (sim.BatchAuto) takes the batch kernel instead.
 //
 // Contract: for every branch, UpdateWith(s, taken) with s = Lookup(info)
 // must train exactly the entries Lookup read, and Predict(info) must equal

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"ev8pred/internal/frontend"
 	"ev8pred/internal/history"
@@ -70,26 +69,6 @@ type Checkpoint struct {
 	Pending []PendingCheckpoint
 }
 
-// each visits every tracker in deterministic order: dense ids ascending,
-// then sparse ids ascending.
-func (t *trackerTable) each(fn func(id int, tr *frontend.Tracker)) {
-	for id, tr := range t.dense {
-		if tr != nil {
-			fn(id, tr)
-		}
-	}
-	if len(t.sparse) > 0 {
-		ids := make([]int, 0, len(t.sparse))
-		for id := range t.sparse {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			fn(id, t.sparse[id])
-		}
-	}
-}
-
 // capture builds a Checkpoint from a one-member engine's state at a clean
 // stop, before the commit-delay ring drains and before the warmup clamp.
 func (e *engine) capture() (*Checkpoint, error) {
@@ -110,7 +89,7 @@ func (e *engine) capture() (*Checkpoint, error) {
 		Instructions:   e.instructions,
 		PredictorState: snapper.SnapshotState(),
 	}
-	e.front.trackers.each(func(id int, tr *frontend.Tracker) {
+	e.front.threads.Each(func(id int, tr *frontend.Tracker) {
 		ck.Trackers = append(ck.Trackers, TrackerCheckpoint{Thread: id, State: tr.SnapshotState()})
 	})
 	ck.Pending = make([]PendingCheckpoint, 0, m.ring.count)
@@ -162,7 +141,7 @@ func (ck *Checkpoint) restoreInto(e *engine) error {
 		return err
 	}
 	for _, ts := range ck.Trackers {
-		tr, err := e.front.trackers.create(ts.Thread, e.opts)
+		tr, err := e.front.threads.Tracker(ts.Thread)
 		if err != nil {
 			return err
 		}

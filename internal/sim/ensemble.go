@@ -207,6 +207,7 @@ type engine struct {
 func newEngine(ps []predictor.Predictor, opts Options) *engine {
 	e := &engine{opts: opts, members: make([]member, len(ps))}
 	e.front.opts = &e.opts
+	e.front.threads = frontend.Threads{Mode: opts.Mode, Lenient: opts.LenientFlow}
 	for k, p := range ps {
 		e.members[k] = newMember(p, opts)
 	}

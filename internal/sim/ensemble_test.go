@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"ev8pred/internal/frontend"
-	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
 	"ev8pred/internal/predictor/bimodal"
 	"ev8pred/internal/predictor/gshare"
@@ -169,93 +167,6 @@ func TestRunCellsEnsembleFactoryError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "li") {
 		t.Errorf("error %v should name the failing benchmark", err)
-	}
-}
-
-// referenceRun is the pre-PR tracker bookkeeping: a per-branch map
-// lookup. The dense trackerTable must reproduce its results exactly.
-func referenceRun(t *testing.T, p predictor.Predictor, src trace.Source, opts Options) Result {
-	t.Helper()
-	res := Result{Predictor: p.Name(), SizeBits: p.SizeBits()}
-	trackers := map[int]*frontend.Tracker{}
-	var info history.Info
-	var isCond bool
-	for {
-		b, ok := next(src)
-		if !ok {
-			break
-		}
-		tr := trackers[b.Thread]
-		if tr == nil {
-			tr = frontend.NewTracker(opts.Mode)
-			tr.SetThread(b.Thread)
-			tr.SetLenient(opts.LenientFlow)
-			trackers[b.Thread] = tr
-		}
-		info, isCond = tr.Process(b)
-		res.Instructions += int64(b.Gap) + 1
-		if !isCond {
-			continue
-		}
-		if p.Predict(&info) != b.Taken {
-			res.Mispredicts++
-		}
-		res.Branches++
-		p.Update(&info, b.Taken)
-	}
-	return res
-}
-
-// TestTrackerTableMatchesMapReference runs an interleaved multi-thread
-// stream through Run (dense trackerTable) and through the old map-based
-// bookkeeping and asserts identical results — the regression gate for
-// the dense-slice satellite.
-func TestTrackerTableMatchesMapReference(t *testing.T) {
-	profs := benchProfiles(t, "perl", "li", "go")
-	mkSrc := func() trace.Source {
-		srcs := make([]trace.Source, len(profs))
-		for i, p := range profs {
-			srcs[i] = workload.MustNew(p, 100_000)
-		}
-		return workload.NewInterleaved(srcs, 700)
-	}
-	got := mustRun(t, gshare.MustNew(1<<13, 11), mkSrc(), Options{})
-	want := referenceRun(t, gshare.MustNew(1<<13, 11), mkSrc(), Options{})
-	if got != want {
-		t.Errorf("dense tracker table diverged from map reference:\ngot  %+v\nwant %+v", got, want)
-	}
-	if got.Branches == 0 {
-		t.Error("degenerate run (0 branches)")
-	}
-}
-
-// TestTrackerTableSparseIDs pins the dense/sparse split: a thread id past
-// maxDenseThread lands in the sparse map and simulates identically to the
-// same stream under a small id (no predictor consumes the thread number).
-func TestTrackerTableSparseIDs(t *testing.T) {
-	prof := benchProfiles(t, "li")[0]
-	run := func(id int) Result {
-		src := &trace.ForceThread{Src: workload.MustNew(prof, 50_000), Thread: id}
-		return mustRun(t, bimodal.MustNew(1<<12), src, Options{LenientFlow: true})
-	}
-	dense, sparse := run(1), run(maxDenseThread+99_000)
-	if dense != sparse {
-		t.Errorf("sparse thread id diverged: dense %+v, sparse %+v", dense, sparse)
-	}
-
-	var tbl trackerTable
-	tr, err := tbl.create(maxDenseThread+1, Options{Mode: frontend.ModeGhist()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.lookup(maxDenseThread+1) != tr {
-		t.Error("sparse create/lookup roundtrip failed")
-	}
-	if len(tbl.dense) != 0 {
-		t.Errorf("sparse id grew the dense table to %d", len(tbl.dense))
-	}
-	if tbl.lookup(3) != nil {
-		t.Error("lookup invented a tracker")
 	}
 }
 

@@ -49,8 +49,9 @@ var ErrFrontEndOption = errors.New("sim: option not supported by RunFrontEnd")
 // a single-threaded source. It runs the stream engine with p as its only
 // member (none for the oracle): the line predictor reads each walked
 // chunk's block log, and the PC generator replays the chunk's records
-// against p's predictions. The Result therefore equals Run's under the same Options;
-// Warmup, and a record from a second thread, fail with ErrFrontEndOption.
+// against p's predictions. The Result therefore equals Run's under the
+// same Options. Warmup fails with ErrFrontEndOption, and a record from a
+// second thread ends the stream, unwalked, with an error wrapping it.
 // Like Run, it returns an error when the source fails mid-stream rather
 // than reporting a short-but-successful result, and checks the result
 // with Result.Validate.
@@ -68,14 +69,6 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options) (FrontEn
 	pg := frontend.MustNewPCGen(jumpEntries, rasDepth)
 	lp := frontend.MustNewLinePredictor(lineEntries)
 	e := newEngine(ps, opts)
-	first := -1
-	e.front.newThread = func(id int) error {
-		if first >= 0 {
-			return fmt.Errorf("%w: record from thread %d after thread %d (multi-thread source)", ErrFrontEndOption, id, first)
-		}
-		first = id
-		return nil
-	}
 	e.afterChunk = func(recs []trace.Branch, log *frontend.BlockLog) {
 		for i := range log.Entries {
 			log.Entries[i].EachBlock(lp.Observe)
@@ -95,15 +88,42 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options) (FrontEn
 	}
 	e.collect()
 	rs := []Result{res.Result}
-	err := e.run(src, false, rs, nil)
+	err := e.run(&oneThreadSource{src: src}, false, rs, nil)
 	res.Result = rs[0]
 	res.PCGen = pg.Stats()
-	e.front.trackers.each(func(_ int, tr *frontend.Tracker) { res.Blocks += tr.Blocks() })
+	res.Blocks, _, _ = e.front.threads.Totals()
 	res.RASAccuracy = pg.RASAccuracy()
 	res.JumpAccuracy = pg.JumpAccuracy()
 	res.LineAccuracy = lp.Accuracy()
 	res.LineMisses = lp.Misses()
 	return res, err
+}
+
+// oneThreadSource is RunFrontEnd's view of src: at the first record from
+// a second thread it ends the stream, before that record, with a sticky
+// error wrapping ErrFrontEndOption.
+type oneThreadSource struct {
+	src     trace.Source
+	first   int // the first record's thread, once started
+	started bool
+	err     error
+}
+
+// NextBatch implements trace.Source.
+func (s *oneThreadSource) NextBatch(dst []trace.Branch) (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	n, err := s.src.NextBatch(dst)
+	for i, b := range dst[:n] {
+		if !s.started {
+			s.first, s.started = b.Thread, true
+		} else if b.Thread != s.first {
+			s.err = fmt.Errorf("%w: record from thread %d after thread %d (multi-thread source)", ErrFrontEndOption, b.Thread, s.first)
+			return i, s.err
+		}
+	}
+	return n, err
 }
 
 // RunFrontEndBenchmark is RunFrontEnd over a named synthetic benchmark.

@@ -6,8 +6,9 @@
 // stream and never a prediction, so it can run ahead of the predictors
 // exactly, as the EV8's own front end does. One function fills a walked
 // chunk (walker.fill): one NextBatch call sized by fillWant, then one
-// Tracker.Walk per run of one thread's records, which writes the chunk's
-// information vectors and logs its fetch blocks (frontend.BlockLog).
+// frontend.Threads.Walk over the chunk, which walks each thread's records
+// on that thread's tracker, writes the chunk's information vectors and
+// logs its fetch blocks (frontend.BlockLog).
 // Everything that belongs to a predictor stays with the engine's members:
 // the §6.2 bank sequencer's ObserveBlockLog, the index and resolve passes,
 // the outcome staging against the commit-delay ring and the mispredict
@@ -32,7 +33,7 @@
 //     are those of a direct run.
 //   - Cancellation still ends the stream with the cancel wrapper's
 //     ErrCanceled error, the terminal error of the chunk it ends.
-//   - A flow break or a refused thread id travels with its chunk, after
+//   - A flow break or a negative thread id travels with its chunk, after
 //     every chunk before it, with the same text and stream-record index.
 //   - A producer panic is recovered and re-raised in the consumer's
 //     goroutine, so the pool's runJob still turns it into an error.
@@ -97,7 +98,7 @@ type chunk struct {
 	want, n int
 	// err is nil mid-stream, or the terminal io.EOF or source failure
 	// that follows the chunk's records. abort is an immediate error (a
-	// flow break, a refused thread id) that ends the run unfilled.
+	// flow break, a negative thread id) that ends the run unfilled.
 	err, abort error
 }
 
@@ -137,12 +138,9 @@ func newChunk() *chunk {
 // trackers and how far they have walked. On the pipelined path it
 // belongs to the producer goroutine until the engine joins it.
 type walker struct {
-	src      trace.Source
-	opts     *Options
-	trackers trackerTable
-	// newThread, if set, vets a first-seen thread id before its tracker is
-	// built; an error aborts the run.
-	newThread func(id int) error
+	src     trace.Source
+	opts    *Options
+	threads frontend.Threads
 	// records and branches count the records and the conditional
 	// branches walked so far.
 	records, branches int64
@@ -163,55 +161,15 @@ func (w *walker) fill(c *chunk) {
 		// A source breaking the contract would spin both stages.
 		c.err = io.ErrNoProgress
 	}
-	recs := c.buf[:c.n]
-	run := 0
-	for i := range recs {
-		if recs[i].Thread != recs[run].Thread {
-			if c.abort = w.walkRun(c, run, i); c.abort != nil {
-				return
-			}
-			run = i
-		}
-	}
-	if c.n > 0 {
-		if c.abort = w.walkRun(c, run, c.n); c.abort != nil {
-			return
-		}
+	if k, err := w.threads.Walk(c.buf[:c.n], c.infos, &c.log); err != nil {
+		c.abort = fmt.Errorf("sim: stream record %d: %w", w.records+int64(k), err)
+		return
 	}
 	w.records += int64(c.n)
 	w.branches += int64(len(c.log.Marks))
 	if c.err == nil && fillWant(w.opts.MaxBranches, w.branches) == 0 {
 		c.err = io.EOF
 	}
-}
-
-// walkRun walks c's records [i, j), a run of one thread's records, through
-// that thread's tracker. A record that breaks its thread's flow is an
-// immediate error naming its stream index.
-func (w *walker) walkRun(c *chunk, i, j int) error {
-	recs := c.buf[:j]
-	id := recs[i].Thread
-	tr := w.trackers.lookup(id)
-	if tr == nil {
-		var err error
-		if tr, err = w.tracker(id); err != nil {
-			return err
-		}
-	}
-	if k, err := tr.Walk(recs[i:j], c.infos, &c.log); err != nil {
-		return fmt.Errorf("sim: stream record %d: %w", w.records+int64(i+k), err)
-	}
-	return nil
-}
-
-// tracker builds the tracker for a first-seen thread id.
-func (w *walker) tracker(id int) (*frontend.Tracker, error) {
-	if w.newThread != nil {
-		if err := w.newThread(id); err != nil {
-			return nil, err
-		}
-	}
-	return w.trackers.create(id, *w.opts)
 }
 
 // feed hands the engine its walked chunks in stream order: filled inline

@@ -157,11 +157,11 @@ func TestPipelineCancelMidStream(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
-// panicSource is a batch source whose second fill panics.
-type panicSource struct{ fills int }
+// panicSource is a batch source whose fill number at panics.
+type panicSource struct{ at, fills int }
 
 func (s *panicSource) NextBatch(dst []trace.Branch) (int, error) {
-	if s.fills++; s.fills > 1 {
+	if s.fills++; s.fills >= s.at {
 		panic("source exploded")
 	}
 	for i := range dst {
@@ -170,41 +170,51 @@ func (s *panicSource) NextBatch(dst []trace.Branch) (int, error) {
 	return len(dst), nil
 }
 
-// runPanicking runs gshare over a pipelined panicSource.
-func runPanicking() (Result, error) {
+// runPanicking runs gshare over a pipelined panicSource that panics at
+// its fill number at.
+func runPanicking(at int) (Result, error) {
 	p, _ := gshareFactories(1)[0]()
-	r, _, err := run(p, &panicSource{}, Options{}, true, nil, false)
+	r, _, err := run(p, &panicSource{at: at}, Options{}, true, nil, false)
 	return r, err
 }
 
-// TestPipelinePanicSurfacesInCaller: a panic in the producer goroutine is
-// re-raised in the goroutine that consumes the stream — a direct call
+// checkPanicSurfaces: a panic in the producer goroutine at fill number at
+// is re-raised in the goroutine that consumes the stream — a direct call
 // panics with the source's value, a pool job fails with "job panicked" —
 // and the producer does not outlive the call.
-func TestPipelinePanicSurfacesInCaller(t *testing.T) {
+func checkPanicSurfaces(t *testing.T, at int) {
+	t.Helper()
 	baseline := runtime.NumGoroutine()
 	func() {
 		defer func() {
 			if r := recover(); r != "source exploded" {
-				t.Errorf("recovered %v, want the source's panic", r)
+				t.Errorf("fill %d: recovered %v, want the source's panic", at, r)
 			}
 		}()
-		runPanicking()
-		t.Error("direct call returned instead of panicking")
+		runPanicking(at)
+		t.Errorf("fill %d: direct call returned instead of panicking", at)
 	}()
 	for _, workers := range []int{1, 2} {
 		jobs := []func(context.Context) (Result, error){
-			func(context.Context) (Result, error) { return runPanicking() },
-			func(context.Context) (Result, error) { return runPanicking() },
+			func(context.Context) (Result, error) { return runPanicking(at) },
+			func(context.Context) (Result, error) { return runPanicking(at) },
 		}
 		_, err := Parallel(context.Background(), workers, jobs)
 		if err == nil || !strings.Contains(err.Error(), "job") || !strings.Contains(err.Error(), "panicked") ||
 			!strings.Contains(err.Error(), "source exploded") {
-			t.Errorf("workers=%d: err = %v, want a job panicked error", workers, err)
+			t.Errorf("fill %d, workers=%d: err = %v, want a job panicked error", at, workers, err)
 		}
 	}
 	waitGoroutines(t, baseline)
 }
+
+// TestPipelinePanicSurfacesInCaller: a panic at the producer's second
+// fill, with the first chunk handed over, surfaces in the caller.
+func TestPipelinePanicSurfacesInCaller(t *testing.T) { checkPanicSurfaces(t, 2) }
+
+// TestPipelineWalkPanicSurfacesInCaller: a producer panic chunks into the
+// stream, at its third fill, surfaces in the caller too.
+func TestPipelineWalkPanicSurfacesInCaller(t *testing.T) { checkPanicSurfaces(t, 3) }
 
 // TestPipelineNoGoroutineLeak: after a pipelined run succeeds, fails with
 // an error, or stops early under a branch budget, the goroutine count is
@@ -373,58 +383,6 @@ func TestPipelineFlowBreakMatchesDirect(t *testing.T) {
 			if piped == nil || piped.Error() != direct.Error() {
 				t.Errorf("%d members, batch=%v: pipelined err = %v, direct %v", len(factories), batch, piped, direct)
 			}
-		}
-	}
-	waitGoroutines(t, baseline)
-}
-
-// runWalkPanicking runs gshare pipelined over a stream whose second thread
-// first appears in its third chunk, where the walk's thread vetting
-// panics.
-func runWalkPanicking() (Result, error) {
-	recs := make([]trace.Branch, 3*batchChunk)
-	for i := range recs {
-		recs[i] = trace.Branch{PC: 0x1000, Target: 0x1000, Taken: true, Kind: trace.Cond}
-		if i >= 2*batchChunk+100 {
-			recs[i].Thread = 1
-		}
-	}
-	p, _ := gshareFactories(1)[0]()
-	rs := []Result{{Predictor: p.Name()}}
-	e := newEngine([]predictor.Predictor{p}, Options{})
-	e.front.newThread = func(id int) error {
-		if id == 1 {
-			panic("walk exploded")
-		}
-		return nil
-	}
-	err := e.run(trace.NewSlice(recs), true, rs, nil)
-	return rs[0], err
-}
-
-// TestPipelineWalkPanicSurfacesInCaller: a panic inside the producer's
-// walk stage, chunks into the stream, is re-raised in the goroutine that
-// consumes it — a direct call panics with the walk's value, a pool job
-// fails with "job panicked" — and the producer does not outlive the call.
-func TestPipelineWalkPanicSurfacesInCaller(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	func() {
-		defer func() {
-			if r := recover(); r != "walk exploded" {
-				t.Errorf("recovered %v, want the walk's panic", r)
-			}
-		}()
-		runWalkPanicking()
-		t.Error("direct call returned instead of panicking")
-	}()
-	for _, workers := range []int{1, 2} {
-		jobs := []func(context.Context) (Result, error){
-			func(context.Context) (Result, error) { return runWalkPanicking() },
-			func(context.Context) (Result, error) { return runWalkPanicking() },
-		}
-		_, err := Parallel(context.Background(), workers, jobs)
-		if err == nil || !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "walk exploded") {
-			t.Errorf("workers=%d: err = %v, want a job panicked error", workers, err)
 		}
 	}
 	waitGoroutines(t, baseline)

@@ -202,74 +202,15 @@ type BlockObserver interface {
 	ObserveBlock(frontend.Block)
 }
 
-// maxDenseThread bounds the dense thread-id → tracker table. Real thread
-// ids come from the SMT interleaver and are tiny (the EV8 has four
-// hardware threads); the bound only matters for file-backed traces,
-// whose thread field can hold anything up to the format's limit — a
-// sparse map absorbs those without a giant allocation.
-const maxDenseThread = 4096
-
-// trackerTable maps thread ids to per-thread front-end trackers. The hot
-// path is a dense slice lookup (thread ids are small ints from the SMT
-// interleaver — satellite of the ensemble PR replacing the old per-branch
-// map lookup); ids beyond maxDenseThread spill to a lazily built map so a
-// hostile trace cannot force an enormous dense table.
-type trackerTable struct {
-	dense  []*frontend.Tracker
-	sparse map[int]*frontend.Tracker
-}
-
-// lookup returns the tracker for id, or nil if none exists yet. The
-// dense fast path is small enough to inline into the engine's walk.
-func (t *trackerTable) lookup(id int) *frontend.Tracker {
-	if uint(id) < uint(len(t.dense)) {
-		return t.dense[id]
-	}
-	return t.lookupSparse(id)
-}
-
-// lookupSparse is the out-of-line slow path of lookup.
-func (t *trackerTable) lookupSparse(id int) *frontend.Tracker {
-	if t.sparse == nil {
-		return nil
-	}
-	return t.sparse[id]
-}
-
-// create builds, registers and returns the tracker for a first-seen
-// thread id. A negative id cannot come from a valid trace (the trace
-// writer rejects it) and is reported as an error instead of growing a
-// table backwards.
-func (t *trackerTable) create(id int, opts Options) (*frontend.Tracker, error) {
-	if id < 0 {
-		return nil, fmt.Errorf("sim: negative thread id %d in branch record", id)
-	}
-	tr := frontend.NewTracker(opts.Mode)
-	tr.SetThread(id)
-	tr.SetLenient(opts.LenientFlow)
-	if id < maxDenseThread {
-		for len(t.dense) <= id {
-			t.dense = append(t.dense, nil)
-		}
-		t.dense[id] = tr
-	} else {
-		if t.sparse == nil {
-			t.sparse = map[int]*frontend.Tracker{}
-		}
-		t.sparse[id] = tr
-	}
-	return tr, nil
-}
-
 // Run simulates p over src. Per-thread front-end trackers are created on
 // demand, so SMT-interleaved sources work transparently (each thread gets
 // its own history registers and path queue, as on the real machine).
 //
 // Run is the engine's ensemble of one (see RunEnsemble): a batch-capable
-// predictor resolves each chunk through the batch kernel; otherwise the
-// fused Lookup/UpdateWith pair computes each branch's index set exactly
-// once, including through the commit-delay queue, and plain predictors
-// use Predict/Update.
+// predictor, as every in-tree fused predictor is, resolves each chunk
+// through the batch kernel. The fused Lookup/UpdateWith pair, which
+// computes each branch's index set once even through the commit-delay
+// queue, runs only under BatchOff; plain predictors use Predict/Update.
 //
 // Run returns an error when the source fails mid-stream (its NextBatch
 // returns an error other than io.EOF, such as a decode error — a

@@ -44,9 +44,10 @@ func drain(t *testing.T, src trace.Source, size int) ([]trace.Branch, error) {
 // contract: buffer sizes 1, 7 and 1024 deliver the same records; every
 // call with a non-empty buffer returns records or an error; a clean
 // stream ends in io.EOF, again on the next call; and a failed stream (a
-// corrupt trace, a canceled context) returns its error again, with no
-// records, on the next call. The stream pipeline is no source: its walked
-// chunks are held to the same assertions by TestPipelineChunkContract.
+// corrupt trace, a canceled context, a second thread under RunFrontEnd)
+// returns its error again, with no records, on the next call. The stream
+// pipeline is no source: its walked chunks are held to the same
+// assertions by TestPipelineChunkContract.
 func TestSourceContract(t *testing.T) {
 	const budget = 60_000
 	li, perl := benchProfiles(t, "li")[0], benchProfiles(t, "perl")[0]
@@ -101,6 +102,7 @@ func TestSourceContract(t *testing.T) {
 			t.Cleanup(cancel)
 			return sourceWithCancel(ctx, gen())
 		}},
+		{"oneThread", func(*testing.T) trace.Source { return &oneThreadSource{src: gen()} }},
 	}
 	for _, c := range clean {
 		t.Run(c.name, func(t *testing.T) {
@@ -143,6 +145,9 @@ func TestSourceContract(t *testing.T) {
 			ctx, src := canceledAfter(t, 5000)
 			return sourceWithCancel(ctx, src)
 		}, ErrCanceled, false},
+		{"oneThread over Interleaved", func(t *testing.T) trace.Source {
+			return &oneThreadSource{src: workload.NewInterleaved([]trace.Source{gen(), workload.MustNew(perl, budget)}, 500)}
+		}, ErrFrontEndOption, true},
 	}
 	for _, c := range failing {
 		t.Run(c.name, func(t *testing.T) {
