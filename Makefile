@@ -33,9 +33,14 @@ check:
 # allocation accounting is exact — scalar and commit-delayed updates,
 # ensembles, the batch kernels and every batch sim loop, delayed or
 # not, with attribution off and on — and a smoke of the scalar and
-# batch per-predictor microbenchmarks.
+# batch per-predictor microbenchmarks. The synthetic workload rides
+# along: every generator stream pinned to golden bytes, profile
+# validation (non-finite and out-of-range fields), and the program
+# build's footprint (a fixed allocation count, gcc within 2 MB, arrays
+# free of pointers).
 hotpath-gate:
 	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestDelayedBatchZeroAllocsSteadyState' -count=1 -v .
+	$(GO) test -run 'TestGeneratorStreamGolden|TestProfileValidate|TestProgramBuildFootprint|TestProgramArraysHoldNoPointers' -count=1 -v ./internal/workload/
 	$(GO) test -bench=PredictUpdate -benchtime=100x -run '^$$' .
 
 # Ensemble-equivalence gate: single-pass ensemble execution must be
@@ -110,10 +115,12 @@ resume-gate:
 	$(GO) test -bench=RunCellsWarm -benchtime=1x -run '^$$' ./internal/sim/
 
 # Benchmark smokes the gates above do not run, so neither the
-# testing.B paper-table harness nor the ensemble sweep benchmarks rot.
+# testing.B paper-table harness, the ensemble sweep benchmarks nor the
+# per-benchmark program build rot.
 bench-smoke:
 	$(GO) test -bench=Table1 -benchtime=1x -run '^$$' .
 	$(GO) test -bench=Sweep -benchtime=1x -run '^$$' .
+	$(GO) test -bench=NewProgram -benchtime=1x -run '^$$' ./internal/workload/
 
 build:
 	$(GO) build ./...

@@ -25,7 +25,7 @@ type Generator struct {
 	ghist      history.Register
 	stack      []frame
 	seqPos     int
-	patPos     []int
+	patPos     []uint8 // per if-site pattern cursor, by stmt.ref
 	instr      int64
 	lastNextPC uint64
 	done       bool
@@ -41,17 +41,16 @@ const (
 	frameSwitchCase
 )
 
+// frame is one open body of the interpreter: the statements
+// prog.stmts[pos:hi] are still to run. A loop, function or switch-case
+// frame ends with one record, from pc to target; an if-body frame ends
+// with none.
 type frame struct {
-	kind   frameKind
-	stmts  []stmt
-	pos    int
-	remain int    // frameLoop: body executions remaining after this one
-	loop   *stmt  // frameLoop: the owning loop statement
-	fn     int    // frameFunc: function index
-	retPC  uint64 // frameFunc: dynamic return target
-	// frameSwitchCase: the case body's trailing jump.
-	jumpPC     uint64
-	jumpTarget uint64
+	pc, target uint64
+	pos, hi    int32
+	lo         int32 // frameLoop: body start, where each iteration restarts
+	remain     int32 // frameLoop: body executions remaining after this one
+	kind       frameKind
 }
 
 // New builds the program for prof and returns a generator that emits
@@ -68,7 +67,7 @@ func New(prof Profile, instrBudget int64) (*Generator, error) {
 		budget:     instrBudget,
 		r:          rng.New(prof.Seed, streamExec),
 		rswitch:    rng.New(prof.Seed, streamExec+1),
-		patPos:     make([]int, prog.numSites),
+		patPos:     make([]uint8, len(prog.models)),
 		lastNextPC: prog.driverStart,
 	}, nil
 }
@@ -86,7 +85,7 @@ func MustNew(prof Profile, instrBudget int64) *Generator {
 func (g *Generator) Profile() Profile { return g.prof }
 
 // StaticSites returns the number of conditional branch sites in the program.
-func (g *Generator) StaticSites() int { return g.prog.numSites }
+func (g *Generator) StaticSites() int { return len(g.prog.models) + len(g.prog.trips) }
 
 // NextBatch implements trace.Source: it interprets records directly into
 // the caller's buffer, field by field, so no record is copied. A
@@ -138,84 +137,81 @@ func (g *Generator) step(b *trace.Branch) {
 				g.emit(b, g.prog.jumpPC, g.prog.driverStart, true, trace.Jump)
 				return
 			}
-			fn := g.prog.callSeq[slot]
 			callPC := g.prog.callPCs[slot]
-			f := &g.prog.funcs[fn]
+			fn := &g.prog.funcs[g.prog.callSeq[slot]]
 			g.stack = append(g.stack, frame{
-				kind:  frameFunc,
-				stmts: f.body,
-				fn:    fn,
-				retPC: callPC + trace.InstrBytes,
+				kind:   frameFunc,
+				pos:    fn.lo,
+				hi:     fn.hi,
+				pc:     fn.retPC,
+				target: callPC + trace.InstrBytes,
 			})
-			g.emit(b, callPC, f.entry, true, trace.Call)
+			g.emit(b, callPC, fn.entry, true, trace.Call)
 			return
 		}
 
 		f := &g.stack[len(g.stack)-1]
-		if f.pos >= len(f.stmts) {
-			switch f.kind {
+		if f.pos >= f.hi {
+			if f.kind == frameLoop && f.remain > 0 {
+				f.remain--
+				f.pos = f.lo
+				g.ghist.Shift(true)
+				g.emit(b, f.pc, f.target, true, trace.Cond)
+				return
+			}
+			pc, target, kind := f.pc, f.target, f.kind
+			g.stack = g.stack[:len(g.stack)-1]
+			switch kind {
 			case frameLoop:
-				s := f.loop
-				if f.remain > 0 {
-					f.remain--
-					f.pos = 0
-					g.ghist.Shift(true)
-					g.emit(b, s.branchPC, s.target, true, trace.Cond)
-					return
-				}
-				g.stack = g.stack[:len(g.stack)-1]
 				g.ghist.Shift(false)
-				g.emit(b, s.branchPC, s.target, false, trace.Cond)
-				return
+				g.emit(b, pc, target, false, trace.Cond)
 			case frameFunc:
-				fn := &g.prog.funcs[f.fn]
-				ret := f.retPC
-				g.stack = g.stack[:len(g.stack)-1]
-				g.emit(b, fn.retPC, ret, true, trace.Return)
-				return
+				g.emit(b, pc, target, true, trace.Return)
 			case frameSwitchCase:
-				pc, tgt := f.jumpPC, f.jumpTarget
-				g.stack = g.stack[:len(g.stack)-1]
-				g.emit(b, pc, tgt, true, trace.Jump)
-				return
+				g.emit(b, pc, target, true, trace.Jump)
 			default: // frameIfBody
-				g.stack = g.stack[:len(g.stack)-1]
 				continue
 			}
+			return
 		}
 
-		s := &f.stmts[f.pos]
+		s := &g.prog.stmts[f.pos]
 		f.pos++
 		switch s.kind {
 		case stmtLoop:
-			trip := s.trip.draw(g.r)
+			trip := g.prog.trips[s.ref].draw(g.r)
 			g.stack = append(g.stack, frame{
 				kind:   frameLoop,
-				stmts:  s.body,
-				loop:   s,
-				remain: trip - 1,
+				pos:    s.lo,
+				lo:     s.lo,
+				hi:     s.hi,
+				remain: int32(trip - 1),
+				pc:     s.branchPC,
+				target: s.target,
 			})
 			// No record yet; the body runs, then the back edge emits.
 		case stmtIf:
-			taken := s.model.eval(g.r, g.ghist.Value(), &g.patPos[s.siteID])
+			taken := g.prog.models[s.ref].eval(g.r, g.ghist.Value(), &g.patPos[s.ref])
 			g.ghist.Shift(taken)
-			if !taken && len(s.body) > 0 {
-				g.stack = append(g.stack, frame{kind: frameIfBody, stmts: s.body})
+			if !taken && s.hi > s.lo {
+				g.stack = append(g.stack, frame{kind: frameIfBody, pos: s.lo, hi: s.hi})
 			}
 			g.emit(b, s.branchPC, s.target, taken, trace.Cond)
 			return
 		case stmtSwitch:
 			// Skewed dispatch: a hot case plus a uniform tail.
-			c := 0
-			if !g.rswitch.Bool(s.caseBias) && len(s.caseAddrs) > 1 {
-				c = 1 + g.rswitch.Intn(len(s.caseAddrs)-1)
+			sw := &g.prog.switches[s.ref]
+			c := sw.lo
+			if n := int(sw.hi - sw.lo); !g.rswitch.Bool(sw.bias) && n > 1 {
+				c += int32(1 + g.rswitch.Intn(n-1))
 			}
+			cs := &g.prog.cases[c]
 			g.stack = append(g.stack, frame{
-				kind:       frameSwitchCase,
-				jumpPC:     s.caseJumpPCs[c],
-				jumpTarget: s.join,
+				kind:   frameSwitchCase,
+				pc:     cs.jumpPC,
+				target: sw.join,
 			})
-			g.emit(b, s.branchPC, s.caseAddrs[c], true, trace.Jump)
+			g.emit(b, s.branchPC, cs.addr, true, trace.Jump)
 			return
 		}
 	}

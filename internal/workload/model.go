@@ -50,25 +50,31 @@ const (
 )
 
 // siteModel is the outcome model attached to one conditional if-site.
+// Its integer fields are bytes: a tap is at most maxCorrDist and a
+// pattern at most 8 bits long.
 type siteModel struct {
-	kind    modelKind
 	p       float64 // bias / random probability of taken
-	tap     int     // corr: global-history distance (>= 1)
-	invert  bool    // corr: invert the repeated outcome
 	noise   float64 // corr/local: probability the modeled outcome is flipped
-	pattern uint64  // local: repeating pattern bits
-	patLen  int     // local: pattern length in bits
+	kind    modelKind
+	tap     uint8 // corr: global-history distance, in [1, maxCorrDist]
+	invert  bool  // corr: invert the repeated outcome
+	pattern uint8 // local: repeating pattern bits
+	patLen  uint8 // local: pattern length in bits, in [2, 8]
 }
+
+// maxCorrDist bounds Profile.CorrMaxDist: a correlated site reads its tap
+// from the generator's 64-bit global history.
+const maxCorrDist = 64
 
 // eval computes the site's next outcome. ghist is the true global outcome
 // history (bit 0 = most recent); patPos is the site's mutable pattern
 // cursor (owned by the Generator, so the model itself stays immutable).
-func (m *siteModel) eval(r *rng.PCG32, ghist uint64, patPos *int) bool {
+func (m *siteModel) eval(r *rng.PCG32, ghist uint64, patPos *uint8) bool {
 	switch m.kind {
 	case modelBias, modelRandom:
 		return r.Bool(m.p)
 	case modelCorr:
-		v := (ghist>>uint(m.tap-1))&1 == 1
+		v := (ghist>>(m.tap-1))&1 == 1
 		if m.invert {
 			v = !v
 		}
@@ -77,7 +83,7 @@ func (m *siteModel) eval(r *rng.PCG32, ghist uint64, patPos *int) bool {
 		}
 		return v
 	case modelLocal:
-		bit := (m.pattern>>uint(*patPos))&1 == 1
+		bit := (m.pattern>>*patPos)&1 == 1
 		*patPos++
 		if *patPos >= m.patLen {
 			*patPos = 0

@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Profile parameterizes one synthetic benchmark. The exported fields are
 // the calibration knobs; Benchmarks() returns the eight SPECINT95 profiles
@@ -12,7 +15,8 @@ type Profile struct {
 	Seed uint64
 
 	// StaticCond is the target number of static conditional branch sites
-	// (Table 2's "static cond. branches"). The builder hits it exactly.
+	// (Table 2's "static cond. branches"), at most 2^24. The builder hits
+	// it exactly.
 	StaticCond int
 	// Functions is the number of functions the sites are spread over.
 	Functions int
@@ -37,7 +41,8 @@ type Profile struct {
 	NoiseLocal float64
 	// CorrMinDist and CorrMaxDist bound the global-history tap
 	// distances of correlated sites; CorrMaxDist is what makes long
-	// histories pay off.
+	// histories pay off. The generator's global history is 64 outcomes
+	// long, so CorrMaxDist is at most 64.
 	CorrMinDist int
 	CorrMaxDist int
 
@@ -66,13 +71,33 @@ type Profile struct {
 	BiasStrength float64
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every float field must be
+// finite: a NaN passes every ordered comparison below, and a NaN or
+// infinite AvgGap would make each straight-line run the geometric draw's
+// 2^20-instruction bound.
 func (p *Profile) Validate() error {
-	switch {
-	case p.Name == "":
+	if p.Name == "" {
 		return fmt.Errorf("workload: profile needs a name")
-	case p.StaticCond < 1:
-		return fmt.Errorf("workload %s: StaticCond %d < 1", p.Name, p.StaticCond)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"AvgGap", p.AvgGap}, {"FracLoop", p.FracLoop}, {"FracCorr", p.FracCorr},
+		{"FracLocal", p.FracLocal}, {"FracRandom", p.FracRandom},
+		{"NoiseCorr", p.NoiseCorr}, {"NoiseLocal", p.NoiseLocal},
+		{"RandomLo", p.RandomLo}, {"RandomHi", p.RandomHi},
+		{"TripMean", p.TripMean}, {"TripFixedFrac", p.TripFixedFrac},
+		{"SwitchFrac", p.SwitchFrac}, {"BiasNTFrac", p.BiasNTFrac},
+		{"BiasStrength", p.BiasStrength},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload %s: %s %v is not finite", p.Name, f.name, f.v)
+		}
+	}
+	switch {
+	case p.StaticCond < 1 || p.StaticCond > maxStaticCond:
+		return fmt.Errorf("workload %s: StaticCond %d outside [1,%d]", p.Name, p.StaticCond, maxStaticCond)
 	case p.Functions < 1:
 		return fmt.Errorf("workload %s: Functions %d < 1", p.Name, p.Functions)
 	case p.CallSeqLen < 1:
@@ -83,8 +108,10 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("workload %s: negative site fraction", p.Name)
 	case p.FracCorr+p.FracLocal+p.FracRandom > 1:
 		return fmt.Errorf("workload %s: if-site fractions exceed 1", p.Name)
-	case p.CorrMinDist < 1 || p.CorrMaxDist < p.CorrMinDist:
-		return fmt.Errorf("workload %s: bad correlation distances [%d,%d]", p.Name, p.CorrMinDist, p.CorrMaxDist)
+	case p.NoiseCorr < 0 || p.NoiseCorr > 1 || p.NoiseLocal < 0 || p.NoiseLocal > 1:
+		return fmt.Errorf("workload %s: noise (corr %v, local %v) outside [0,1]", p.Name, p.NoiseCorr, p.NoiseLocal)
+	case p.CorrMinDist < 1 || p.CorrMaxDist < p.CorrMinDist || p.CorrMaxDist > maxCorrDist:
+		return fmt.Errorf("workload %s: bad correlation distances [%d,%d] (at most %d)", p.Name, p.CorrMinDist, p.CorrMaxDist, maxCorrDist)
 	case p.TripMean < 1:
 		return fmt.Errorf("workload %s: TripMean %v < 1", p.Name, p.TripMean)
 	case p.TripMax < 1:

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+
 	"ev8pred/internal/rng"
 	"ev8pred/internal/trace"
 )
@@ -17,35 +19,54 @@ const (
 // stmt is one statement of a function body. Straight-line code is implicit
 // in the address layout: gaps between control points are real address
 // distances, so the generator never needs explicit "basic block" records.
+//
+// A statement holds no slice or pointer: its body is the index range
+// program.stmts[lo:hi], and ref indexes the table for its kind
+// (program.models for an if, program.trips for a loop, program.switches
+// for a switch). The arrays of a program therefore hold no pointers, and
+// the collector never scans them.
 type stmt struct {
-	kind     stmtKind
 	branchPC uint64 // address of the branch/jump instruction
 	target   uint64 // taken target (if: skip address; loop: body start)
-	body     []stmt
-	model    siteModel // if-sites
-	trip     tripModel // loop-sites
-	siteID   int       // dense index for per-site mutable state
-
-	// stmtSwitch: caseAddrs are the case-body entry points, caseJumpPCs
-	// the per-case trailing jumps, join the common continuation, and
-	// caseBias the probability of the hot case (case 0).
-	caseAddrs   []uint64
-	caseJumpPCs []uint64
-	join        uint64
-	caseBias    float64
+	lo, hi   int32  // body: program.stmts[lo:hi]
+	ref      int32  // index into the table for kind
+	kind     stmtKind
 }
 
-// function is one synthetic function: entry point, body, and the return
-// instruction that ends it.
+// switchStmt is a switch's dispatch: its cases are program.cases[lo:hi],
+// join is the common continuation, and bias the probability of the hot
+// case (case 0).
+type switchStmt struct {
+	bias   float64
+	join   uint64
+	lo, hi int32
+}
+
+// switchCase is one case of a switch: the case body's entry point and
+// its trailing jump to the join.
+type switchCase struct {
+	addr   uint64
+	jumpPC uint64
+}
+
+// function is one synthetic function: entry point, body
+// (program.stmts[lo:hi]), and the return instruction that ends it.
 type function struct {
-	entry uint64
-	body  []stmt
-	retPC uint64
+	entry  uint64
+	retPC  uint64
+	lo, hi int32
 }
 
-// program is the immutable static structure a generator interprets.
+// program is the immutable static structure a generator interprets. Every
+// body is a contiguous range of stmts: a body's nested bodies come before
+// it, so each body is complete when its parent statement is emitted.
 type program struct {
-	funcs []function
+	funcs    []function
+	stmts    []stmt
+	models   []siteModel // if-site outcome models, by stmt.ref
+	trips    []tripModel // loop trip models, by stmt.ref
+	switches []switchStmt
+	cases    []switchCase
 
 	// Driver loop layout: callPCs[i] is the call instruction for the
 	// i-th slot of the repeating call sequence callSeq; after the last
@@ -54,9 +75,12 @@ type program struct {
 	callPCs     []uint64
 	callSeq     []int
 	jumpPC      uint64
-
-	numSites int
 }
+
+// maxStaticCond bounds Profile.StaticCond so that every statement, model
+// and case index fits the int32 fields of stmt and switchStmt: a program
+// holds at most two statements and six cases per site.
+const maxStaticCond = 1 << 24
 
 const (
 	streamBuild = 101 // rng stream for program construction
@@ -71,7 +95,11 @@ type builder struct {
 	r      *rng.PCG32
 	rs     *rng.PCG32 // switch-structure stream
 	cursor uint64
-	sites  int // sites allocated so far (site IDs)
+	p      *program
+
+	// open holds the statements of the bodies under construction, the
+	// innermost last. A body moves to p.stmts when it is complete.
+	open []stmt
 }
 
 // streamSwitch is the rng stream for switch-dispatch structure.
@@ -86,6 +114,7 @@ func buildProgram(prof Profile) *program {
 		cursor: 0x10000,
 	}
 	p := &program{driverStart: b.cursor}
+	b.p = p
 
 	// Driver region: CallSeqLen call sites separated by straight code,
 	// then a jump back to the start.
@@ -111,15 +140,16 @@ func buildProgram(prof Profile) *program {
 	for extra := prof.StaticCond - nf; extra > 0; extra-- {
 		alloc[b.r.Intn(nf)]++
 	}
+	b.presize(alloc)
 
 	p.funcs = make([]function, nf)
 	for i := range p.funcs {
 		b.gapAddr(16) // inter-function padding
 		entry := b.cursor
-		body := b.genBody(alloc[i], 0)
+		lo, hi := b.genBody(alloc[i], 0)
 		b.straight()
 		retPC := b.emitInstr()
-		p.funcs[i] = function{entry: entry, body: body, retPC: retPC}
+		p.funcs[i] = function{entry: entry, retPC: retPC, lo: lo, hi: hi}
 	}
 
 	// The repeating call sequence: Zipf-like weights make a few
@@ -129,9 +159,38 @@ func buildProgram(prof Profile) *program {
 	for i := range p.callSeq {
 		p.callSeq[i] = b.zipf(nf)
 	}
-
-	p.numSites = b.sites
 	return p
+}
+
+// presize allocates the program's arrays once, at the size the build
+// fills. If and loop statements together number exactly StaticCond, so
+// models is sized for all of them. Loops and switches are random in
+// number: trips, switches and cases get their expected count plus four
+// standard deviations (a switch has casesPerSwitch cases on average), and
+// append grows them only past that. open needs one function's sites plus
+// two switches for each of the four nesting depths.
+func (b *builder) presize(alloc []int) {
+	n := b.prof.StaticCond
+	sw := margin(b.prof.SwitchFrac * float64(n))
+	largest := 0
+	for _, a := range alloc {
+		largest = max(largest, a)
+	}
+	b.p.stmts = make([]stmt, 0, n+sw)
+	b.p.models = make([]siteModel, 0, n)
+	b.p.trips = make([]tripModel, 0, min(n, margin(b.prof.FracLoop*float64(n))))
+	b.p.switches = make([]switchStmt, 0, sw)
+	b.p.cases = make([]switchCase, 0, sw*casesPerSwitch)
+	b.open = make([]stmt, 0, largest+2*4)
+}
+
+// casesPerSwitch is the mean number of cases of a switch (2 to 6).
+const casesPerSwitch = 4
+
+// margin returns mean plus four standard deviations of a binomial count
+// with that mean (at most sqrt(mean)), plus a constant for small means.
+func margin(mean float64) int {
+	return int(mean+4*math.Sqrt(mean)) + 8
 }
 
 // zipf draws a function index with probability roughly proportional to
@@ -167,9 +226,11 @@ func (b *builder) emitInstr() uint64 {
 }
 
 // genBody lays out a function/region body containing exactly budget
-// conditional-branch sites.
-func (b *builder) genBody(budget, depth int) []stmt {
-	var out []stmt
+// conditional-branch sites, and returns its range in p.stmts. Nested
+// bodies are laid out, and moved to p.stmts, before the statements that
+// own them.
+func (b *builder) genBody(budget, depth int) (lo, hi int32) {
+	base := len(b.open)
 	switches := 0
 	for budget > 0 {
 		// Occasionally insert an indirect-jump dispatch (a switch
@@ -179,7 +240,7 @@ func (b *builder) genBody(budget, depth int) []stmt {
 		// sequence is untouched.
 		if switches < 2 && b.prof.SwitchFrac > 0 && b.rs.Bool(b.prof.SwitchFrac) {
 			b.gapAddr(b.rs.Geometric(b.prof.AvgGap))
-			out = append(out, b.genSwitch())
+			b.open = append(b.open, b.genSwitch())
 			switches++
 		}
 		b.straight()
@@ -191,17 +252,18 @@ func (b *builder) genBody(budget, depth int) []stmt {
 				sub += b.r.Intn(budget - 2)
 			}
 			bodyStart := b.cursor
-			body := b.genBody(sub, depth+1)
+			lo, hi := b.genBody(sub, depth+1)
 			b.straight()
 			pc := b.emitInstr()
-			out = append(out, stmt{
+			b.open = append(b.open, stmt{
 				kind:     stmtLoop,
 				branchPC: pc,
 				target:   bodyStart,
-				body:     body,
-				trip:     b.newTrip(),
-				siteID:   b.newSite(),
+				lo:       lo,
+				hi:       hi,
+				ref:      int32(len(b.p.trips)),
 			})
+			b.p.trips = append(b.p.trips, b.newTrip())
 			budget -= sub + 1
 			continue
 		}
@@ -212,19 +274,23 @@ func (b *builder) genBody(budget, depth int) []stmt {
 			sub = 1 + b.r.Intn((budget-1+1)/2)
 		}
 		pc := b.emitInstr()
-		body := b.genBody(sub, depth+1)
+		lo, hi := b.genBody(sub, depth+1)
 		b.straight()
-		out = append(out, stmt{
+		b.open = append(b.open, stmt{
 			kind:     stmtIf,
 			branchPC: pc,
 			target:   b.cursor, // skip to just past the then-body
-			body:     body,
-			model:    b.newModel(),
-			siteID:   b.newSite(),
+			lo:       lo,
+			hi:       hi,
+			ref:      int32(len(b.p.models)),
 		})
+		b.p.models = append(b.p.models, b.newModel())
 		budget -= sub + 1
 	}
-	return out
+	lo = int32(len(b.p.stmts))
+	b.p.stmts = append(b.p.stmts, b.open[base:]...)
+	b.open = b.open[:base]
+	return lo, int32(len(b.p.stmts))
 }
 
 // genSwitch lays out an indirect-jump dispatch: a jump instruction
@@ -233,26 +299,19 @@ func (b *builder) genBody(budget, depth int) []stmt {
 // (one hot case), which is what makes a last-target jump predictor useful
 // but imperfect — interpreter-style behavior.
 func (b *builder) genSwitch() stmt {
-	s := stmt{kind: stmtSwitch, caseBias: 0.5 + b.rs.Float64()*0.45}
-	s.branchPC = b.emitInstr()
+	sw := switchStmt{bias: 0.5 + b.rs.Float64()*0.45}
+	s := stmt{kind: stmtSwitch, branchPC: b.emitInstr(), ref: int32(len(b.p.switches))}
 	n := 2 + b.rs.Intn(5)
-	jumpPCs := make([]uint64, 0, n)
-	addrs := make([]uint64, 0, n)
+	sw.lo = int32(len(b.p.cases))
 	for c := 0; c < n; c++ {
-		addrs = append(addrs, b.cursor)
+		addr := b.cursor
 		b.gapAddr(1 + b.rs.Intn(8))
-		jumpPCs = append(jumpPCs, b.emitInstr())
+		b.p.cases = append(b.p.cases, switchCase{addr: addr, jumpPC: b.emitInstr()})
 	}
-	s.caseAddrs = addrs
-	s.caseJumpPCs = jumpPCs
-	s.join = b.cursor
+	sw.hi = int32(len(b.p.cases))
+	sw.join = b.cursor
+	b.p.switches = append(b.p.switches, sw)
 	return s
-}
-
-func (b *builder) newSite() int {
-	id := b.sites
-	b.sites++
-	return id
 }
 
 // newTrip draws a loop trip model from the profile. Fixed-trip loops come
@@ -293,7 +352,7 @@ func (b *builder) newModel() siteModel {
 		}
 		return siteModel{
 			kind:   modelCorr,
-			tap:    lo + b.r.Intn(hi-lo+1),
+			tap:    uint8(lo + b.r.Intn(hi-lo+1)),
 			invert: b.r.Bool(0.5),
 			noise:  p.NoiseCorr,
 		}
@@ -302,8 +361,8 @@ func (b *builder) newModel() siteModel {
 		pattern := b.r.Uint64() & ((1 << uint(patLen)) - 1)
 		return siteModel{
 			kind:    modelLocal,
-			pattern: pattern,
-			patLen:  patLen,
+			pattern: uint8(pattern),
+			patLen:  uint8(patLen),
 			noise:   p.NoiseLocal,
 		}
 	case u < p.FracCorr+p.FracLocal+p.FracRandom:

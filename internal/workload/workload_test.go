@@ -2,42 +2,60 @@ package workload
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"ev8pred/internal/trace"
 )
 
 func TestProfileValidate(t *testing.T) {
-	good := Benchmarks()[0]
+	good, err := ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("builtin profile invalid: %v", err)
 	}
-	bad := good
-	bad.Name = ""
-	if bad.Validate() == nil {
-		t.Error("empty name accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *Profile)
+	}{
+		{"empty name", func(p *Profile) { p.Name = "" }},
+		{"zero sites", func(p *Profile) { p.StaticCond = 0 }},
+		{"too many sites", func(p *Profile) { p.StaticCond = maxStaticCond + 1 }},
+		{"fractions > 1", func(p *Profile) { p.FracCorr, p.FracLocal = 0.9, 0.9 }},
+		{"bias <= 0.5", func(p *Profile) { p.BiasStrength = 0.4 }},
+		{"inverted correlation range", func(p *Profile) { p.CorrMinDist, p.CorrMaxDist = 10, 5 }},
+		{"tap past the history", func(p *Profile) { p.CorrMaxDist = maxCorrDist + 1 }},
+		{"AvgGap NaN", func(p *Profile) { p.AvgGap = nan }},
+		{"AvgGap +Inf", func(p *Profile) { p.AvgGap = inf }},
+		{"BiasStrength NaN", func(p *Profile) { p.BiasStrength = nan }},
+		{"FracLoop NaN", func(p *Profile) { p.FracLoop = nan }},
+		{"TripMean NaN", func(p *Profile) { p.TripMean = nan }},
+		{"TripMean +Inf", func(p *Profile) { p.TripMean = inf }},
+		{"RandomHi NaN", func(p *Profile) { p.RandomHi = nan }},
+		{"TripFixedFrac NaN", func(p *Profile) { p.TripFixedFrac = nan }},
+		{"BiasNTFrac -Inf", func(p *Profile) { p.BiasNTFrac = -inf }},
+		{"SwitchFrac NaN", func(p *Profile) { p.SwitchFrac = nan }},
+		{"NoiseCorr NaN", func(p *Profile) { p.NoiseCorr = nan }},
+		{"NoiseCorr -3", func(p *Profile) { p.NoiseCorr = -3 }},
+		{"NoiseCorr 1.5", func(p *Profile) { p.NoiseCorr = 1.5 }},
+		{"NoiseLocal -0.1", func(p *Profile) { p.NoiseLocal = -0.1 }},
+		{"NoiseLocal 2", func(p *Profile) { p.NoiseLocal = 2 }},
+	} {
+		bad := good
+		tc.mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		} else if _, err := New(bad, 1); err == nil {
+			t.Errorf("%s: New accepted the profile Validate rejects", tc.name)
+		}
 	}
-	bad = good
-	bad.StaticCond = 0
-	if bad.Validate() == nil {
-		t.Error("zero sites accepted")
-	}
-	bad = good
-	bad.FracCorr = 0.9
-	bad.FracLocal = 0.9
-	if bad.Validate() == nil {
-		t.Error("fractions > 1 accepted")
-	}
-	bad = good
-	bad.BiasStrength = 0.4
-	if bad.Validate() == nil {
-		t.Error("bias <= 0.5 accepted")
-	}
-	bad = good
-	bad.CorrMinDist = 10
-	bad.CorrMaxDist = 5
-	if bad.Validate() == nil {
-		t.Error("inverted correlation range accepted")
+	edge := good
+	edge.CorrMaxDist, edge.NoiseCorr, edge.NoiseLocal = maxCorrDist, 1, 0
+	if err := edge.Validate(); err != nil {
+		t.Errorf("tap at the history length, noise at the ends of [0,1]: %v", err)
 	}
 }
 
